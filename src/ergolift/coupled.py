@@ -9,14 +9,21 @@ enter the dynamics as ``Q^T f`` with action-reaction built in.
 Static joint torques resolve the actuation redundancy with the
 minimum-norm distribution.  Two equivalent routes are implemented:
 
-* ``static_torques`` projects gravity through the constraint null-space
-  projector and applies a truncated-SVD pseudo-inverse;
+* the projector route projects gravity through the constraint
+  null-space projector and applies a truncated-SVD pseudo-inverse.
+  ``evaluate_statics`` and its views ``static_torques``,
+  ``contact_wrenches`` and ``composite_matrices`` all read one pass,
+  ``_assemble``, which builds each subsystem's tree once and from it the
+  mass matrix ``M``, coupling matrix ``Q``, gravity ``g`` and selector
+  ``B``;
 * ``statics_minnorm`` solves the symmetric saddle system of the
   equivalent equality-constrained least-norm problem, which is smooth
   and therefore safe to differentiate through.
 
-They agree to solver precision; the test-suite holds them against each
-other.
+The saddle route shares only the trees, ``Q`` and ``g`` with the
+projector route and none of its linear algebra, so it is an independent
+cross-check: the two agree to solver precision, and the test-suite holds
+them against each other.
 """
 
 from __future__ import annotations
@@ -74,10 +81,6 @@ class CoupledSystem:
                 raise ValueError("grasps require a payload")
             if not 0 <= g.agent < len(self.agents):
                 raise ValueError(f"grasp references missing agent {g.agent}")
-
-    @property
-    def n_subsystems(self):
-        return len(self.agents) + (1 if self.payload is not None else 0)
 
     def subsystem_models(self, params: Optional[Mapping] = None):
         models = list(self.agents)
@@ -176,9 +179,8 @@ def coupling_matrix(sys: CoupledSystem, q: CoupledConfiguration,
                     params: Optional[Mapping] = None, trees=None):
     """Stacked contact constraint matrix over the composite velocity."""
     if trees is None:
-        models, trees = coupled_trees(sys, q, params)
-    else:
-        models = sys.subsystem_models(params)
+        _, trees = coupled_trees(sys, q, params)
+    models = [t.model for t in trees]
     dims, offsets = sys.velocity_layout()
     n_vel = int(offsets[-1])
     rows = []
@@ -204,25 +206,35 @@ def coupling_matrix(sys: CoupledSystem, q: CoupledConfiguration,
 def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
                       params: Optional[Mapping] = None, trees=None):
     if trees is None:
-        models, trees = coupled_trees(sys, q, params)
-    else:
-        models = sys.subsystem_models(params)
+        _, trees = coupled_trees(sys, q, params)
     return fad.concatenate([
-        gravity_vector(m, qi, t) for m, qi, t in zip(models, q.qs, trees)])
+        gravity_vector(t.model, qi, t) for qi, t in zip(q.qs, trees)])
+
+
+def _assemble(sys: CoupledSystem, q: CoupledConfiguration,
+              params: Optional[Mapping] = None, trees=None):
+    """One pass over a configuration: trees, M, Q, g and B as plain arrays.
+
+    ``M`` is the block-diagonal mass matrix, ``Q`` the coupling matrix,
+    ``g`` the stacked gravity and ``B`` the actuation selector.
+    """
+    if trees is None:
+        _, trees = coupled_trees(sys, q, params)
+    _, offsets = sys.velocity_layout()
+    M = np.zeros((int(offsets[-1]),) * 2)
+    for i, t in enumerate(trees):
+        sl = slice(int(offsets[i]), int(offsets[i + 1]))
+        M[sl, sl] = mass_matrix(t.model, t.q, t)
+    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
+    g = fad.value(composite_gravity(sys, q, params, trees=trees))
+    return trees, M, Q, g, sys.selector()
 
 
 def composite_matrices(sys: CoupledSystem, q: CoupledConfiguration,
                        params: Optional[Mapping] = None):
     """Block-diagonal mass matrix, stacked gravity and selector matrix."""
-    models, trees = coupled_trees(sys, q, params)
-    dims, offsets = sys.velocity_layout()
-    n_vel = int(offsets[-1])
-    M = np.zeros((n_vel, n_vel))
-    for i, (m, qi) in enumerate(zip(models, q.qs)):
-        sl = slice(int(offsets[i]), int(offsets[i + 1]))
-        M[sl, sl] = mass_matrix(m, qi)
-    g = fad.value(composite_gravity(sys, q, params, trees=trees))
-    return M, g, sys.selector()
+    _, M, _, g, B = _assemble(sys, q, params)
+    return M, g, B
 
 
 # ---------------------------------------------------------------------------
@@ -267,38 +279,32 @@ def _pinv_truncated(A, rel_tol=1e-8):
     return Vt[keep].T @ ((U[:, keep] / s[keep]).T)
 
 
+def _torques(N, B, g):
+    """Minimum-norm torques of projected gravity, given the projector."""
+    return _pinv_truncated(N @ B) @ (N @ g)
+
+
+def _wrenches(M, Q, g, B, tau):
+    """Wrenches balancing gravity under tau; Q must have full row rank."""
+    rhs = Q @ np.linalg.solve(M, -B @ tau + g)
+    G = Q @ np.linalg.solve(M, Q.T)
+    return np.linalg.solve(G, rhs)
+
+
 def static_torques(sys: CoupledSystem, q: CoupledConfiguration,
                    params: Optional[Mapping] = None) -> np.ndarray:
     """Minimum-norm joint torques sustaining the configuration at rest."""
-    models, trees = coupled_trees(sys, q, params)
-    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
-    g = fad.value(composite_gravity(sys, q, params, trees=trees))
-    dims, offsets = sys.velocity_layout()
-    M = np.zeros((int(offsets[-1]),) * 2)
-    for i, (m, qi) in enumerate(zip(models, q.qs)):
-        sl = slice(int(offsets[i]), int(offsets[i + 1]))
-        M[sl, sl] = mass_matrix(m, qi)
-    N = nullspace_projector(M, Q, labels=sys.wrench_labels())
-    B = sys.selector()
-    return _pinv_truncated(N @ B) @ (N @ g)
+    _, M, Q, g, B = _assemble(sys, q, params)
+    return _torques(nullspace_projector(M, Q, labels=sys.wrench_labels()),
+                    B, g)
 
 
 def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
                      params: Optional[Mapping], tau: np.ndarray) -> np.ndarray:
     """Contact wrenches balancing gravity under the given torques."""
-    models, trees = coupled_trees(sys, q, params)
-    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
-    g = fad.value(composite_gravity(sys, q, params, trees=trees))
-    dims, offsets = sys.velocity_layout()
-    M = np.zeros((int(offsets[-1]),) * 2)
-    for i, (m, qi) in enumerate(zip(models, q.qs)):
-        sl = slice(int(offsets[i]), int(offsets[i + 1]))
-        M[sl, sl] = mass_matrix(m, qi)
-    B = sys.selector()
+    _, M, Q, g, B = _assemble(sys, q, params)
     _check_constraint_rank(Q, sys.wrench_labels())
-    rhs = Q @ np.linalg.solve(M, -B @ tau + g)
-    G = Q @ np.linalg.solve(M, Q.T)
-    return np.linalg.solve(G, rhs)
+    return _wrenches(M, Q, g, B, tau)
 
 
 def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
@@ -311,7 +317,7 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     the formulation the optimizer differentiates through.
     """
     if trees is None:
-        models, trees = coupled_trees(sys, q, params)
+        _, trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, q, params, trees=trees)
     g = composite_gravity(sys, q, params, trees=trees)
     B = sys.selector()
@@ -372,9 +378,10 @@ def cop_smooth(wrench6, sole_rot, min_normal: float = 1.0):
 
 def foot_cops(sys: CoupledSystem, q: CoupledConfiguration,
               params: Optional[Mapping], f: np.ndarray,
-              min_normal: float = 1.0):
+              min_normal: float = 1.0, trees=None):
     """CoP per environment contact, keyed by wrench label."""
-    models, trees = coupled_trees(sys, q, params)
+    if trees is None:
+        _, trees = coupled_trees(sys, q, params)
     out = {}
     labels = sys.wrench_labels()
     for k, (agent, frame) in enumerate(sys.env_contacts):
@@ -388,15 +395,18 @@ def foot_cops(sys: CoupledSystem, q: CoupledConfiguration,
 
 def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
                      params: Optional[Mapping] = None,
-                     min_normal: float = 1.0) -> StaticsResult:
-    """Full static analysis via the projector route, with residual checks."""
-    tau = static_torques(sys, q, params)
-    f = contact_wrenches(sys, q, params, tau)
-    M, g, B = composite_matrices(sys, q, params)
-    Q = fad.value(coupling_matrix(sys, q, params))
+                     min_normal: float = 1.0, trees=None) -> StaticsResult:
+    """Full static analysis via the projector route, with residual checks.
+
+    Raises SingularConstraintError for a rank-deficient contact set and
+    UnloadedFootError when a foot carries less than ``min_normal``.
+    """
+    trees, M, Q, g, B = _assemble(sys, q, params, trees)
     N = nullspace_projector(M, Q, labels=sys.wrench_labels())
+    tau = _torques(N, B, g)
+    f = _wrenches(M, Q, g, B, tau)
     proj = float(np.abs(N @ (g - B @ tau)).max()) if tau.size else 0.0
     full = float(np.abs(B @ tau + Q.T @ f - g).max())
-    cops = foot_cops(sys, q, params, f, min_normal)
+    cops = foot_cops(sys, q, params, f, min_normal, trees=trees)
     return StaticsResult(tau=tau, wrenches=f, cops=cops,
                          projected_residual=proj, equilibrium_residual=full)

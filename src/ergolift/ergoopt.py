@@ -9,19 +9,16 @@ heights and adds the density-preference and center-of-mass-height tasks
 once; it is normalized by the sum of task weights, so uniformly scaling
 all weights leaves the iterate path bit-for-bit identical.
 
-Constraints per height, in the reported residual vector (22 rows):
-``[payload orientation (1), payload height (1), hand positions (12),
-foot heights (4), foot orientations (4)]``; orientation rows are
-encoded as ``e3 . z_frame - 1``.
-
-The solver enforces an equivalent transversal encoding of the
-orientation rows: the two tilt components ``z_x = z_y = 0`` of each
-frame's z axis instead of the single ``z_z - 1`` row.  The feasible set
-is the same (on the upright branch the solver operates in), but the
-tilt rows keep full-rank gradients at feasibility where ``z_z - 1`` is
-quadratically degenerate, and ``|z_z - 1| <= z_x^2 + z_y^2``, so
-enforcing them to a tolerance implies the reported encoding meets it
-too.
+Constraints per height, 3 + 3 * grasps + 3 * contacts rows (27 for the
+lifting scenario): ``[payload tilt (2), payload height (1), hand
+positions (3 per grasp), foot heights (1 per contact), foot tilts (2 per
+contact)]``.  An upright frame is encoded by the two tilt components
+``z_x = z_y = 0`` of its z axis rather than by the single row
+``z_z - 1 = 0``.  The feasible set is the same on the upright branch the
+solver operates in, but the tilt rows keep full-rank gradients at
+feasibility where ``z_z - 1`` is quadratically degenerate, and
+``|z_z - 1| <= z_x^2 + z_y^2``, so meeting them to a tolerance meets the
+single-row encoding too.
 
 Derivatives are forward-mode dual numbers seeded per height block (plus
 the shared hardware block), which keeps the tangent batches small and
@@ -30,7 +27,7 @@ the constraint Jacobian assembly block-sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,12 +50,6 @@ class DegenerateModelError(ValueError):
 # tasks
 
 
-def task_torque(sys: CoupledSystem, q: CoupledConfiguration, params=None):
-    """Squared 2-norm of the stacked static joint torques."""
-    tau, _ = statics_minnorm(sys, q, params)
-    return fad.sumsq(tau)
-
-
 def task_density(densities, preferred):
     """Sum over links of the product of distances to preferred densities.
 
@@ -71,20 +62,6 @@ def task_density(densities, preferred):
         for rho_star in preferred:
             term = term * fad.absolute(rho_star - rho)
         total = total + term
-    return total
-
-
-def task_cop(sys: CoupledSystem, q: CoupledConfiguration, params=None,
-             cop_target=(0.0, 0.0), min_normal=1.0):
-    """Sum of squared CoP deviations from the target over all feet."""
-    models, trees = coupled_trees(sys, q, params)
-    _, f = statics_minnorm(sys, q, params, trees=trees)
-    target = np.asarray(cop_target, dtype=float)
-    total = 0.0
-    for k, (agent, frame) in enumerate(sys.env_contacts):
-        R, _ = trees[agent].frame_pose(frame)
-        cop = cop_smooth(f[6 * k: 6 * k + 6], R, min_normal)
-        total = total + fad.sumsq(cop - target)
     return total
 
 
@@ -173,10 +150,6 @@ class ErgoProblem:
     nominal_groups: dict
     n_cons: int
 
-    def model_dims(self):
-        models = self.system.subsystem_models()
-        return [m.n_joints for m in models]
-
     # -- decision vector <-> configurations -----------------------------
 
     def configurations(self, y, k) -> CoupledConfiguration:
@@ -220,25 +193,29 @@ class ErgoProblem:
         t4 = task_com_height(robot, params)
         return w.density * t2 + w.com_height * t4
 
-    def _residual_rows(self, y, k, q=None, params=None, tilt=False,
-                       trees=None):
-        """Equality rows of one height; tilt picks the solver encoding."""
-        if q is None:
-            q = self.configurations(y, k)
-        if params is None:
-            params = self.hardware_params(y)
-        if trees is None:
-            models, trees = coupled_trees(self.system, q, params)
+    def _height_tasks(self, q, params, trees):
+        """Torque and CoP tasks of one height from the saddle statics.
+
+        Returns the torques, the foot CoPs, the squared torque norm and
+        the summed squared CoP deviations from the target.
+        """
+        tau, f = statics_minnorm(self.system, q, params, trees=trees)
+        target = np.asarray(self.scenario.cop_target, dtype=float)
+        t3 = 0.0
+        cops = []
+        for c, (agent, frame) in enumerate(self.system.env_contacts):
+            R, _ = trees[agent].frame_pose(frame)
+            cop = cop_smooth(f[6 * c: 6 * c + 6], R)
+            t3 = t3 + fad.sumsq(cop - target)
+            cops.append(cop)
+        return tau, cops, fad.sumsq(tau), t3
+
+    def _residual_rows(self, q, k, trees):
+        """Equality rows of one height, upright frames as tilt rows."""
         payload_idx = len(self.system.agents)
         ptree = trees[payload_idx]
         q3 = q.qs[payload_idx]
-
-        def orientation(R):
-            if tilt:
-                return [R[0, 2], R[1, 2]]
-            return [R[2, 2] - 1.0]
-
-        rows = orientation(q3.base_rot)
+        rows = [q3.base_rot[0, 2], q3.base_rot[1, 2]]
         rows.append(q3.base_pos[2] - float(self.heights[k]))
         for g in self.system.grasps:
             _, p_hand = trees[g.agent].frame_pose(g.agent_frame)
@@ -250,14 +227,10 @@ class ErgoProblem:
         for agent, frame in self.system.env_contacts:
             R, p = trees[agent].frame_pose(frame)
             foot_rows.append(p[2])
-            orient_rows.extend(orientation(R))
+            orient_rows.extend([R[0, 2], R[1, 2]])
         rows.extend(foot_rows)
         rows.extend(orient_rows)
         return fad.stack(rows)
-
-    def constraint_residuals(self, y, k, q=None, params=None):
-        """Stacked equality residuals of one target height (22 rows)."""
-        return self._residual_rows(y, k, q=q, params=params, tilt=False)
 
     # -- NLP interface ----------------------------------------------------
 
@@ -278,22 +251,12 @@ class ErgoProblem:
         """Height terms plus the residual Jacobians feeding Gauss-Newton."""
         q = self.configurations(y, k)
         w = self.scenario.weights
-        models, trees = coupled_trees(self.system, q, params)
-        tau, f = statics_minnorm(self.system, q, params, trees=trees)
-        t1 = fad.sumsq(tau)
-        target = np.asarray(self.scenario.cop_target, dtype=float)
-        t3 = 0.0
-        cop_dots = []
-        for c, (agent, frame) in enumerate(self.system.env_contacts):
-            R, _ = trees[agent].frame_pose(frame)
-            cop = cop_smooth(f[6 * c: 6 * c + 6], R)
-            t3 = t3 + fad.sumsq(cop - target)
-            if isinstance(cop, fad.Dual):
-                cop_dots.append(cop.dot)
-        cons = self._residual_rows(y, k, q=q, params=params, tilt=True,
-                                   trees=trees)
+        _, trees = coupled_trees(self.system, q, params)
+        tau, cops, t1, t3 = self._height_tasks(q, params, trees)
+        cons = self._residual_rows(q, k, trees)
         cost_k = w.torque * t1 + w.cop * t3
         tau_dot = tau.dot if isinstance(tau, fad.Dual) else None
+        cop_dots = [c.dot for c in cops if isinstance(c, fad.Dual)]
         return cost_k, cons, tau_dot, cop_dots
 
     def value_and_derivatives(self, y):
@@ -361,7 +324,7 @@ FAMILY_NAMES = ("load_orientation", "load_height", "hand_position",
 
 
 def _families(heights, n_grasps, n_env):
-    # spans over the solver (tilt) encoding: 2 rows per orientation
+    # 2 tilt rows per upright frame, see the module docstring
     per = 3 + 3 * n_grasps + 3 * n_env
     out = []
     for k, h in enumerate(heights):
@@ -481,18 +444,16 @@ def solve(problem: ErgoProblem, warm_start=None,
     params = problem.hardware_params(report.x)
     statics = []
     tasks = []
-    w = problem.scenario.weights
     for k in range(len(problem.heights)):
         q = problem.configurations(report.x, k)
+        _, trees = coupled_trees(problem.system, q, params)
         try:
-            res = evaluate_statics(problem.system, q, params)
+            res = evaluate_statics(problem.system, q, params, trees=trees)
         except ValueError:
             res = None
         statics.append(res)
-        t1 = float(fad.value(task_torque(problem.system, q, params)))
-        t3 = float(fad.value(task_cop(problem.system, q, params,
-                                      problem.scenario.cop_target)))
-        tasks.append({"torque": t1, "cop": t3})
+        _, _, t1, t3 = problem._height_tasks(q, params, trees)
+        tasks.append({"torque": float(t1), "cop": float(t3)})
     hardware = None
     if not problem.layout.frozen_hardware:
         sl = problem.layout.pi_slice()

@@ -233,17 +233,6 @@ class Configuration:
         return Configuration(np.zeros(3), np.eye(3), np.zeros(model.n_joints))
 
 
-@dataclass(frozen=True, eq=False)
-class SystemVelocity:
-    """Mixed base twist plus joint velocities."""
-
-    base: np.ndarray
-    s_dot: np.ndarray
-
-    def as_vector(self):
-        return np.concatenate([self.base, self.s_dot])
-
-
 # ---------------------------------------------------------------------------
 # hardware application
 
@@ -356,11 +345,6 @@ class KinTree:
         R = self.rot[f.link]
         p = self.pos[f.link] + R @ f.offset
         return R @ _rpy_const(f.rpy), p
-
-    def link_com_w(self, i):
-        link = self.model.links[i]
-        c = shape_com(link.shape, link.hardware)
-        return self.pos[i] + self.rot[i] @ c
 
 
 def kinematics(model: Model, q: Configuration) -> KinTree:
@@ -475,9 +459,11 @@ def _mixed_spatial_inertia(link, R):
     return assemble_spatial_inertia(m, c_w, I_w)
 
 
-def mass_matrix(model: Model, q: Configuration) -> np.ndarray:
+def mass_matrix(model: Model, q: Configuration,
+                tree: Optional[KinTree] = None) -> np.ndarray:
     """Composite rigid-body mass matrix in mixed coordinates."""
-    tree = kinematics(model, q)
+    if tree is None:
+        tree = kinematics(model, q)
     L = len(model.links)
     comp = [
         _mixed_spatial_inertia(link, tree.rot[i])

@@ -9,13 +9,11 @@ Everything is deterministic: same inputs, same iterates, same report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.optimize import (SR1, Bounds, NonlinearConstraint, minimize)
-
-from . import fad
+from scipy.optimize import Bounds, NonlinearConstraint, minimize
 
 
 @dataclass(frozen=True)
@@ -23,8 +21,6 @@ class SolverOptions:
     max_iter: int = 3000
     tol_kkt: float = 1e-6
     tol_feas: float = 1e-6
-    derivative_mode: str = "ad"  # "ad" (forward-mode dual numbers) or "fd"
-    fd_step: float = 1e-6
     verbose: bool = False
 
 
@@ -40,73 +36,13 @@ class SolverReport:
     message: str = ""
 
 
-class CallableNLP:
-    """NLP defined by dual-safe cost and constraint callables.
-
-    ``cost`` maps y to a scalar and ``cons`` to an equality-residual
-    vector (may be empty); both must run on plain arrays and on
-    ``fad.Dual`` seeds so derivatives can be taken in forward mode.
-    """
-
-    def __init__(self, cost: Callable, cons: Callable, lb, ub, families=None):
-        self.cost = cost
-        self.cons = cons
-        self.lb = np.asarray(lb, dtype=float)
-        self.ub = np.asarray(ub, dtype=float)
-        m = np.asarray(cons(self.lb * 0.0 + (self.lb + self.ub) / 2.0)).size
-        self.n_cons = m
-        self.families = families or ((("constraints", slice(0, m)),) if m
-                                     else ())
-
-    @property
-    def dim(self):
-        return self.lb.size
-
-    def value(self, y):
-        return float(fad.value(self.cost(y))), np.atleast_1d(
-            fad.value(self.cons(y)))
-
-    def value_and_derivatives(self, y):
-        yd = fad.seed(np.asarray(y, dtype=float))
-        c = self.cost(yd)
-        g = self.cons(yd)
-        cost = float(fad.value(c))
-        grad = (c.dot.reshape(-1).copy() if isinstance(c, fad.Dual)
-                else np.zeros(y.size))
-        cons = np.atleast_1d(fad.value(g))
-        if isinstance(g, fad.Dual):
-            jac = g.dot.T.copy()
-        else:
-            jac = np.zeros((cons.size, y.size))
-        return cost, grad, cons, jac
-
-
-def central_differences(value_fn, y, step=1e-6):
-    """Central-difference gradient and Jacobian of (cost, cons)."""
-    y = np.asarray(y, dtype=float)
-    f0, c0 = value_fn(y)
-    grad = np.zeros(y.size)
-    jac = np.zeros((c0.size, y.size))
-    for i in range(y.size):
-        h = step * max(1.0, abs(y[i]))
-        e = np.zeros(y.size)
-        e[i] = h
-        fp, cp = value_fn(y + e)
-        fm, cm = value_fn(y - e)
-        grad[i] = (fp - fm) / (2 * h)
-        jac[:, i] = (cp - cm) / (2 * h)
-    return grad, jac
-
-
 class _Cache:
     """Memoizes the last few evaluations keyed by the iterate bytes."""
 
-    def __init__(self, problem, options):
+    def __init__(self, problem):
         self.problem = problem
-        self.options = options
         self.values = {}
         self.derivs = {}
-        self.n_evals = 0
 
     def _key(self, y):
         return np.asarray(y, dtype=float).tobytes()
@@ -117,7 +53,6 @@ class _Cache:
             if len(self.values) > 64:
                 self.values.clear()
             self.values[k] = self.problem.value(np.asarray(y, dtype=float))
-            self.n_evals += 1
         return self.values[k]
 
     def derivatives(self, y):
@@ -125,14 +60,9 @@ class _Cache:
         if k not in self.derivs:
             if len(self.derivs) > 16:
                 self.derivs.clear()
-            y = np.asarray(y, dtype=float)
-            if self.options.derivative_mode == "fd":
-                grad, jac = central_differences(
-                    lambda z: self.value(z), y, self.options.fd_step)
-                cost, cons = self.value(y)
-            else:
-                cost, grad, cons, jac = self.problem.value_and_derivatives(y)
-                self.values[self._key(y)] = (cost, cons)
+            cost, grad, cons, jac = self.problem.value_and_derivatives(
+                np.asarray(y, dtype=float))
+            self.values[k] = (cost, cons)
             self.derivs[k] = (grad, jac)
         return self.derivs[k]
 
@@ -168,7 +98,7 @@ def kkt_residual(grad, jac, x, lb, ub, active_tol=1e-8):
 
 def _worst_family(problem, cons):
     worst, name = 0.0, None
-    for fam, sl in getattr(problem, "families", ()):
+    for fam, sl in problem.families:
         v = float(np.abs(cons[sl]).max()) if cons[sl].size else 0.0
         if v > worst:
             worst, name = v, fam
@@ -184,14 +114,16 @@ def _variable_scales(lb, ub):
 
 
 def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
-    """Minimize problem.cost subject to problem.cons(y) = 0 and bounds.
+    """Minimize the problem's cost subject to its equality rows and bounds.
 
-    Internally the variables are rescaled by a quarter of their bound
-    range, so radians, meters and densities present comparable steps to
-    the quasi-Newton model.  KKT stationarity is measured in the scaled
+    ``problem`` is an ``ergoopt.ErgoProblem``: it provides ``lb``, ``ub``,
+    ``n_cons``, ``families``, ``value``, ``value_and_derivatives`` and the
+    Gauss-Newton ``hessian``.  Internally the variables are rescaled by a
+    quarter of their bound range, so radians, meters and densities
+    present comparable steps to the curvature model.  KKT stationarity is measured in the scaled
     coordinates, relative to the cost gradient magnitude.
     """
-    cache = _Cache(problem, options)
+    cache = _Cache(problem)
     x0 = np.clip(np.asarray(x0, dtype=float), problem.lb, problem.ub)
     s = _variable_scales(problem.lb, problem.ub)
 
@@ -199,8 +131,6 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
         return z * s
 
     constraints = []
-    if getattr(problem, "n_cons", None) is None:
-        problem.n_cons = cache.value(x0)[1].size
     if problem.n_cons:
         constraints.append(NonlinearConstraint(
             lambda z: cache.value(to_y(z))[1], 0.0, 0.0,
@@ -240,18 +170,15 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
         "verbose": 3 if options.verbose else 0,
     }
     if constraints:
-        # dense SVD projections stay well defined when constraint rows
-        # go dependent (flat-orientation rows do, near feasibility)
+        # the tilt rows keep the constraint Jacobian full rank, so the
+        # dense SVD projections are not needed for that; they stay
+        # because another factorization changes the iterates
         scipy_options["factorization_method"] = "SVDFactorization"
-    if hasattr(problem, "hessian"):
-        # Gauss-Newton curvature of the sum-of-squares cost, rescaled
-        hess = lambda z: (problem.hessian(to_y(z)) * s) * s[:, None]
-    else:
-        hess = SR1()
     res = minimize(
         lambda z: cache.value(to_y(z))[0], x0 / s,
         jac=lambda z: cache.derivatives(to_y(z))[0] * s,
-        hess=hess,
+        # Gauss-Newton curvature of the sum-of-squares cost, rescaled
+        hess=lambda z: (problem.hessian(to_y(z)) * s) * s[:, None],
         bounds=Bounds(lb_z, ub_z),
         constraints=constraints,
         method="trust-constr",

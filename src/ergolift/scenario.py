@@ -86,11 +86,10 @@ def default_grasps(agent: Model, side: float, payload_size) -> tuple:
     half = min(abs(float(hl[1] - hr[1])) / 2.0, 0.45 * payload_size[0])
     y = side * payload_size[1] / 2.0
     z = payload_size[2] / 2.0
-    # the agent faces the payload, so its left hand lands on the edge
-    # point with opposite world x sign depending on facing; ordering here
-    # is [left, right] once the agent yaw is applied by the warm start
-    if side < 0:  # agent stands at y < 0 facing +y: left hand at +x... no,
-        # rotz(+pi/2) maps agent-left (+y) to world -x
+    # points are ordered [left, right]; the agent faces the payload, so
+    # on the y < 0 edge it faces +y and rotz(+pi/2) maps its left (+y)
+    # to world -x, while on the y > 0 edge rotz(-pi/2) maps it to +x
+    if side < 0:
         return ((-half, y, z), (half, y, z))
     return ((half, y, z), (-half, y, z))
 
@@ -198,14 +197,13 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     return q
 
 
-def _agent_warm_start(model, y_stand, yaw, grasp_world, height):
+def _agent_warm_start(model, y_stand, yaw, grasp_world):
     base_h = standing_height(model)
     shoulder = standing_shoulder_height(model)
     reach = arm_reach(model)
     g_z = float(np.mean([p[2] for p in grasp_world]))
     drop = g_z - shoulder
     horiz = np.sqrt(max(reach ** 2 - drop ** 2, (0.35 * reach) ** 2))
-    y0 = np.sign(y_stand) * (max(abs(y_stand) - horiz, 0.12) + horiz * 0.0)
     # stand a fixed standoff away from the grasp line
     y0 = np.sign(y_stand) * (abs(float(np.mean([p[1] for p in grasp_world])))
                              + 0.85 * horiz)
@@ -250,7 +248,6 @@ def warm_start_configuration(scenario: Scenario, sys: CoupledSystem,
              (scenario.robot, scenario.grasps_robot, 1.0))):
         yaw = y_side * (-np.pi / 2.0)  # human faces +y, robot faces -y
         grasp_world = [payload_pos + np.asarray(p) for p in grasps]
-        qs.append(_agent_warm_start(model, y_side * 0.6, yaw, grasp_world,
-                                    height))
+        qs.append(_agent_warm_start(model, y_side * 0.6, yaw, grasp_world))
     qs.append(Configuration(payload_pos, np.eye(3), np.zeros(0)))
     return CoupledConfiguration(tuple(qs))

@@ -320,6 +320,46 @@ class TestCenterOfPressure:
             assert np.abs(cop).max() < 0.4
 
 
+class TestEvaluateStatics:
+    def test_matches_minnorm_saddle(self, desk, rng):
+        _, sys, q0 = desk
+        # small joint jitter only: after larger moves the minimum-norm
+        # split can pull on a foot, which evaluate_statics refuses
+        for q in [q0] + [perturbed(sys, q0, rng, joint_scale=0.02,
+                                   base_scale=0.0) for _ in range(4)]:
+            res = evaluate_statics(sys, q)
+            tau_saddle, f_saddle = statics_minnorm(sys, q)
+            scale = max(np.abs(res.tau).max(), 1.0)
+            fscale = max(np.abs(res.wrenches).max(), 1.0)
+            assert np.abs(res.tau - np.asarray(tau_saddle)).max() <= 1e-7 * scale
+            assert (np.abs(res.wrenches - np.asarray(f_saddle)).max()
+                    <= 1e-6 * fscale)
+            assert res.projected_residual <= 1e-8 * fscale
+            assert res.equilibrium_residual <= 1e-8 * fscale
+            cops = foot_cops(sys, q, None, res.wrenches)
+            assert res.cops.keys() == cops.keys()
+            for label, cop in cops.items():
+                np.testing.assert_array_equal(res.cops[label], cop)
+
+    def test_duplicate_contact_raises(self, desk):
+        _, sys, q = desk
+        dup = CoupledSystem(agents=sys.agents, payload=sys.payload,
+                            env_contacts=sys.env_contacts
+                            + (sys.env_contacts[0],),
+                            grasps=sys.grasps)
+        with pytest.raises(SingularConstraintError):
+            evaluate_statics(dup, q)
+
+    def test_unloaded_foot_raises(self):
+        # a near-weightless body loads each sole far below the 1 N floor
+        sys, q = standing_human_system()
+        human = sys.agents[0]
+        params = {l.name: LinkHardware(1e-4, l.hardware.length_multiplier)
+                  for l in human.links}
+        with pytest.raises(UnloadedFootError):
+            evaluate_statics(sys, q, params)
+
+
 class TestScaling:
     def test_uniform_density_scales_statics(self, rng):
         # single agent, no payload: scaling every density by k scales both

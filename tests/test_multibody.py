@@ -175,8 +175,11 @@ class TestMassMatrix:
         for _ in range(10):
             q = random_configuration(model, rng)
             tree = kinematics(model, q)
+            M = mass_matrix(model, q)
+            # a prebuilt tree gives the same matrix bit for bit
+            np.testing.assert_array_equal(mass_matrix(model, q, tree), M)
             nu = rng.normal(size=6 + model.n_joints)
-            ke_mass = 0.5 * nu @ mass_matrix(model, q) @ nu
+            ke_mass = 0.5 * nu @ M @ nu
             ke_links = 0.0
             for i, link in enumerate(model.links):
                 J = np.asarray(link_jacobian(model, q, i, tree))
