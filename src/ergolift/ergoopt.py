@@ -27,13 +27,14 @@ the constraint Jacobian assembly block-sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import fad
-from .coupled import (CoupledConfiguration, CoupledSystem, cop_smooth,
+from .coupled import (CoupledConfiguration, CoupledSystem,
+                      SingularConstraintError, UnloadedFootError, cop_smooth,
                       coupled_trees, evaluate_statics, statics_minnorm)
 from .multibody import (Configuration, Model, com_height_null_config,
                         group_params)
@@ -149,6 +150,8 @@ class ErgoProblem:
     families: tuple
     nominal_groups: dict
     n_cons: int
+    # (iterate bytes, Gauss-Newton Hessian) of the last derivative pass
+    _hess_cache: Optional[tuple] = field(default=None, init=False, repr=False)
 
     # -- decision vector <-> configurations -----------------------------
 
@@ -312,7 +315,7 @@ class ErgoProblem:
     def hessian(self, y):
         """Gauss-Newton model of the cost curvature at y."""
         y = np.asarray(y, dtype=float)
-        cached = getattr(self, "_hess_cache", None)
+        cached = self._hess_cache
         if cached is None or cached[0] != y.tobytes():
             self.value_and_derivatives(y)
             cached = self._hess_cache
@@ -436,9 +439,7 @@ def solve(problem: ErgoProblem, warm_start=None,
           options: SolverOptions = None) -> Solution:
     """Run the co-design NLP and evaluate the solution statics."""
     if options is None:
-        s = problem.scenario.solver
-        options = SolverOptions(max_iter=s.max_iter, tol_kkt=s.tol_kkt,
-                                tol_feas=s.tol_feas)
+        options = problem.scenario.solver
     y0 = warm_start if warm_start is not None else warm_start_vector(problem)
     report: SolverReport = solve_nlp(problem, y0, options)
     params = problem.hardware_params(report.x)
@@ -449,7 +450,7 @@ def solve(problem: ErgoProblem, warm_start=None,
         _, trees = coupled_trees(problem.system, q, params)
         try:
             res = evaluate_statics(problem.system, q, params, trees=trees)
-        except ValueError:
+        except (SingularConstraintError, UnloadedFootError):
             res = None
         statics.append(res)
         _, _, t1, t3 = problem._height_tasks(q, params, trees)

@@ -10,6 +10,15 @@ Velocity convention is mixed/world-aligned: the base twist is the world
 linear velocity of the base origin stacked with the world angular
 velocity, and frame Jacobians map ``nu = [v_base; w_base; s_dot]`` to
 the same kind of frame twist.
+
+Each ``Model`` derives its constant facts once, as cached properties:
+the links x dofs path mask, the revolute flags, every joint's fixed
+rotation with its Rodrigues ``K`` and ``K^2``, and every link's mass,
+CoM and inertia about its origin.  One masked cross product over the
+stacked joint axes and pivots gives every point Jacobian, and the mass
+matrix is ``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the
+Jacobian of link i's origin and ``M_i`` its spatial inertia about that
+origin.
 """
 
 from __future__ import annotations
@@ -141,12 +150,35 @@ class Model:
         return tuple(l.name for l in self.links[1:])
 
     @cached_property
-    def _paths(self):
-        """Per link, the dof indices from the base down to that link."""
-        paths = [()]
+    def _path_mask(self):
+        """Links x dofs: True where the dof is on the base-to-link path."""
+        mask = np.zeros((len(self.links), self.n_joints), dtype=bool)
         for i, link in enumerate(self.links[1:], start=1):
-            paths.append(paths[link.parent] + (i - 1,))
-        return paths
+            mask[i] = mask[link.parent]
+            mask[i, i - 1] = True
+        return mask
+
+    @cached_property
+    def _revolute(self):
+        return np.array([l.joint.kind == "revolute" for l in self.links[1:]],
+                        dtype=bool)
+
+    @cached_property
+    def _joint_rotations(self):
+        """Per joint, the fixed rpy rotation and the Rodrigues K and K^2."""
+        out = []
+        for link in self.links[1:]:
+            K = skew(link.joint.axis)
+            out.append((_rpy_const(link.joint.rpy), K, K @ K))
+        return tuple(out)
+
+    @cached_property
+    def _inertials(self):
+        """Per link, (mass, CoM, inertia about the origin) in its own frame."""
+        return tuple((shape_mass(l.shape, l.hardware),
+                      shape_com(l.shape, l.hardware),
+                      shape_inertia_origin(l.shape, l.hardware))
+                     for l in self.links)
 
     def link_index(self, name):
         try:
@@ -169,8 +201,7 @@ class Model:
         return lo, hi
 
     def total_mass(self):
-        return float(sum(fad.value(shape_mass(l.shape, l.hardware))
-                         for l in self.links))
+        return float(sum(fad.value(m) for m, _, _ in self._inertials))
 
     def group_hardware(self):
         """Nominal (density, length multiplier) per optimization group."""
@@ -315,13 +346,6 @@ def group_params(model: Model, values: Mapping[str, tuple]) -> dict:
 # kinematics
 
 
-def _rot_axis(axis, angle):
-    """Rodrigues rotation about a fixed unit axis, dual-safe in the angle."""
-    K = skew(axis)
-    K2 = K @ K
-    return np.eye(3) + fad.sin(angle) * K + (1.0 - fad.cos(angle)) * K2
-
-
 def _rpy_const(rpy):
     rpy = np.asarray(rpy, dtype=float)
     if not rpy.any():
@@ -331,14 +355,17 @@ def _rpy_const(rpy):
 
 @dataclass(eq=False)
 class KinTree:
-    """World poses of every link plus per-joint world axes and pivots."""
+    """World poses of every link plus per-joint world axes and pivots.
+
+    ``axis_w`` and ``pivot_w`` stack one row per joint, shape ``(n, 3)``.
+    """
 
     model: Model
     q: Configuration
     rot: list
     pos: list
-    axis_w: list
-    pivot_w: list
+    axis_w: object
+    pivot_w: object
 
     def frame_pose(self, name):
         f = self.model.frame(name)
@@ -352,14 +379,17 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
     pos = [q.base_pos]
     axis_w = []
     pivot_w = []
-    for i, link in enumerate(model.links[1:], start=1):
+    for i, (link, (R_rpy, K, K2)) in enumerate(
+            zip(model.links[1:], model._joint_rotations), start=1):
         j = link.joint
         Rp, pp = rot[link.parent], pos[link.parent]
         p_joint = pp + Rp @ j.offset
-        R_pre = Rp @ _rpy_const(j.rpy)
+        R_pre = Rp @ R_rpy
         sj = q.s[i - 1]
         if j.kind == "revolute":
-            R_i = R_pre @ _rot_axis(j.axis, sj)
+            # Rodrigues rotation about the fixed joint axis
+            R_i = R_pre @ (np.eye(3) + fad.sin(sj) * K
+                           + (1.0 - fad.cos(sj)) * K2)
             p_i = p_joint
         else:
             R_i = R_pre
@@ -368,6 +398,10 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
         pos.append(p_i)
         axis_w.append(R_pre @ j.axis)
         pivot_w.append(p_joint)
+    if not axis_w:
+        axis_w = pivot_w = np.zeros((0, 3))
+    else:
+        axis_w, pivot_w = fad.stack(axis_w), fad.stack(pivot_w)
     return KinTree(model=model, q=q, rot=rot, pos=pos,
                    axis_w=axis_w, pivot_w=pivot_w)
 
@@ -384,35 +418,24 @@ def forward_kinematics(model: Model, q: Configuration, frame: str):
 
 
 def _point_jacobian(model, tree, link_idx, point_w):
-    """Mixed Jacobian of a point riding a given link."""
-    n = model.n_joints
-    zeros3 = np.zeros(3)
-    lin_cols = [None] * (6 + n)
-    ang_cols = [None] * (6 + n)
-    d = point_w - tree.pos[0]
-    Sd = skew(d)
-    eye = np.eye(3)
-    for k in range(3):
-        lin_cols[k] = eye[:, k]
-        ang_cols[k] = zeros3
-        lin_cols[3 + k] = -Sd[:, k]
-        ang_cols[3 + k] = eye[:, k]
-    on_path = set(model._paths[link_idx])
-    for j in range(n):
-        if j not in on_path:
-            lin_cols[6 + j] = zeros3
-            ang_cols[6 + j] = zeros3
-            continue
-        link = model.links[j + 1]
-        a = tree.axis_w[j]
-        if link.joint.kind == "revolute":
-            lin_cols[6 + j] = fad.cross3(a, point_w - tree.pivot_w[j])
-            ang_cols[6 + j] = a
-        else:
-            lin_cols[6 + j] = a
-            ang_cols[6 + j] = zeros3
-    return fad.concatenate([fad.stack(lin_cols, axis=1),
-                            fad.stack(ang_cols, axis=1)], axis=0)
+    """Mixed Jacobian of a point riding a given link.
+
+    One masked cross product over the stacked joint axes and pivots: a
+    revolute dof on the link's path moves the point by ``a x (p - pivot)``
+    and turns it about ``a``, a prismatic one slides it along ``a``, and
+    every dof off the path gives a zero column.
+    """
+    eye, zeros = np.eye(3), np.zeros((3, 3))
+    Sd = skew(point_w - tree.pos[0])
+    axes = tree.axis_w.T
+    on = model._path_mask[link_idx]
+    rev = on & model._revolute
+    lin = fad.where(rev, fad.cross3(axes, (point_w - tree.pivot_w).T),
+                    fad.where(on, axes, 0.0))
+    ang = fad.where(rev, axes, 0.0)
+    return fad.concatenate([fad.concatenate([eye, -Sd, lin], axis=1),
+                            fad.concatenate([zeros, eye, ang], axis=1)],
+                           axis=0)
 
 
 def frame_jacobian(model: Model, q: Configuration, frame: str,
@@ -443,16 +466,9 @@ def link_jacobian(model: Model, q: Configuration, link_idx: int,
 # dynamics at zero velocity
 
 
-def _link_inertial(link: Link):
-    m = shape_mass(link.shape, link.hardware)
-    c = shape_com(link.shape, link.hardware)
-    I0 = shape_inertia_origin(link.shape, link.hardware)
-    return m, c, I0
-
-
-def _mixed_spatial_inertia(link, R):
+def _mixed_spatial_inertia(inertial, R):
     """6x6 inertia about the link origin, world axes."""
-    m, c, I0 = _link_inertial(link)
+    m, c, I0 = inertial
     m = float(fad.value(m))
     c_w = fad.value(R) @ fad.value(c)
     I_w = fad.value(R) @ fad.value(I0) @ fad.value(R).T
@@ -461,53 +477,18 @@ def _mixed_spatial_inertia(link, R):
 
 def mass_matrix(model: Model, q: Configuration,
                 tree: Optional[KinTree] = None) -> np.ndarray:
-    """Composite rigid-body mass matrix in mixed coordinates."""
+    """Mass matrix in mixed coordinates, ``M = sum_i J_i^T M_i J_i``.
+
+    ``J_i`` is the Jacobian of link i's origin and ``M_i`` the link's
+    spatial inertia about that origin, world axes.
+    """
     if tree is None:
         tree = kinematics(model, q)
-    L = len(model.links)
-    comp = [
-        _mixed_spatial_inertia(link, tree.rot[i])
-        for i, link in enumerate(model.links)
-    ]
-    pos = [fad.value(p) for p in tree.pos]
-    # accumulate composite inertia up the tree
-    for i in range(L - 1, 0, -1):
-        par = model.links[i].parent
-        d = pos[i] - pos[par]
-        V = np.eye(6)
-        V[:3, 3:] = -skew(d)
-        comp[par] = comp[par] + V.T @ comp[i] @ V
-
     n = model.n_joints
     M = np.zeros((6 + n, 6 + n))
-    M[:6, :6] = comp[0]
-
-    def motion_vector(j):
-        link = model.links[j + 1]
-        a = fad.value(tree.axis_w[j])
-        if link.joint.kind == "revolute":
-            return np.concatenate([np.zeros(3), a])
-        return np.concatenate([a, np.zeros(3)])
-
-    for j in range(n):
-        i = j + 1
-        phi = motion_vector(j)
-        F = comp[i] @ phi
-        M[6 + j, 6 + j] = phi @ F
-        origin = pos[i]
-        k = model.links[i].parent
-        while True:
-            # move the wrench reference point to the ancestor origin
-            F = F.copy()
-            F[3:] += np.cross(origin - pos[k], F[:3])
-            origin = pos[k]
-            if k == 0:
-                M[:6, 6 + j] = F
-                M[6 + j, :6] = F
-                break
-            M[6 + (k - 1), 6 + j] = motion_vector(k - 1) @ F
-            M[6 + j, 6 + (k - 1)] = M[6 + (k - 1), 6 + j]
-            k = model.links[k].parent
+    for i, inertial in enumerate(model._inertials):
+        J = fad.value(_point_jacobian(model, tree, i, tree.pos[i]))
+        M += J.T @ _mixed_spatial_inertia(inertial, tree.rot[i]) @ J
     return M
 
 
@@ -522,8 +503,7 @@ def gravity_vector(model: Model, q: Configuration,
     L = len(model.links)
     masses = []
     moments = []
-    for i, link in enumerate(model.links):
-        m, c, _ = _link_inertial(link)
+    for i, (m, c, _) in enumerate(model._inertials):
         com_w = tree.pos[i] + tree.rot[i] @ c
         masses.append(m)
         moments.append(m * com_w)
@@ -560,8 +540,7 @@ def com(model: Model, q: Configuration, tree: Optional[KinTree] = None):
         tree = kinematics(model, q)
     total = 0.0
     moment = np.zeros(3)
-    for i, link in enumerate(model.links):
-        m, c, _ = _link_inertial(link)
+    for i, (m, c, _) in enumerate(model._inertials):
         total = total + m
         moment = moment + m * (tree.pos[i] + tree.rot[i] @ c)
     return moment / total, total

@@ -17,6 +17,7 @@ import numpy as np
 from .coupled import CoupledConfiguration, CoupledSystem, GraspPair
 from .multibody import (Configuration, Model, frame_jacobian, kinematics,
                         perturb_configuration)
+from .nlpsolver import SolverOptions
 from .templates import (arm_reach, build_payload, default_human, default_robot,
                         standing_height, standing_shoulder_height)
 
@@ -30,13 +31,6 @@ class TaskWeights:
 
     def total(self):
         return self.torque + self.density + self.cop + self.com_height
-
-
-@dataclass(frozen=True, eq=False)
-class SolverSettings:
-    max_iter: int = 3000
-    tol_kkt: float = 1e-6
-    tol_feas: float = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +49,7 @@ class Scenario:
     weights: TaskWeights = field(default_factory=TaskWeights)
     preferred_densities: tuple = (1000.0, 2700.0)
     cop_target: tuple = (0.0, 0.0)
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    solver: SolverOptions = field(default_factory=SolverOptions)
     seed: int = 0
 
     def __post_init__(self):
@@ -164,6 +158,9 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     """
     q = q0
     n = model.n_joints
+    lo, hi = model.joint_limits()
+    reg = np.zeros((n, 6 + n))
+    reg[:, 6:] = posture_weight * np.eye(n)
     for _ in range(iters):
         tree = kinematics(model, q)
         rows = []
@@ -180,8 +177,6 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
             _, p = tree.frame_pose(frame)
             rows.append(w * J)
             rhs.append(w * (np.asarray(p_t) - np.asarray(p)))
-        reg = np.zeros((n, 6 + n))
-        reg[:, 6:] = posture_weight * np.eye(n)
         rows.append(reg)
         rhs.append(posture_weight * (s_ref - q.s))
         A = np.vstack(rows)
@@ -191,7 +186,6 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
         if norm > 0.5:
             step *= 0.5 / norm
         q = perturb_configuration(q, step)
-        lo, hi = model.joint_limits()
         q = Configuration(q.base_pos, q.base_rot,
                           np.clip(q.s, lo + 1e-3, hi - 1e-3))
     return q

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ergolift import fad
-from ergolift.coupled import cop_smooth, coupled_trees, evaluate_statics, \
-    statics_minnorm
+from ergolift import ergoopt
+from ergolift.coupled import SingularConstraintError, UnloadedFootError, \
+    cop_smooth, coupled_trees, evaluate_statics, statics_minnorm
 from ergolift.ergoopt import assemble_nlp, solve, warm_start_vector
 from ergolift.nlpsolver import SolverOptions
 from ergolift.scenario import build_system, make_scenario
@@ -67,9 +68,21 @@ class TestSolve:
         for k, res in enumerate(sol.statics):
             q = problem.configurations(sol.y, k)
             if res is None:
-                with pytest.raises(ValueError):
+                with pytest.raises((SingularConstraintError,
+                                    UnloadedFootError)):
                     evaluate_statics(problem.system, q, params)
                 continue
             fresh = evaluate_statics(problem.system, q, params)
             np.testing.assert_array_equal(res.tau, fresh.tau)
             np.testing.assert_array_equal(res.wrenches, fresh.wrenches)
+
+    def test_statics_errors_other_than_refusals_propagate(self, solved,
+                                                          monkeypatch):
+        problem, sol, _ = solved
+
+        def broken(*args, **kwargs):
+            raise ValueError("not a refusal")
+
+        monkeypatch.setattr(ergoopt, "evaluate_statics", broken)
+        with pytest.raises(ValueError, match="not a refusal"):
+            solve(problem, sol.y, SolverOptions(max_iter=1))

@@ -11,6 +11,7 @@ from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
 from ergolift.shapes import (Box, Cylinder, LinkHardware, Sphere, shape_com,
                              shape_inertia_origin, shape_mass)
 from ergolift.spatial import GRAVITY, assemble_spatial_inertia, exp_so3, skew
+from ergolift.templates import default_robot
 
 REV = "revolute"
 PRI = "prismatic"
@@ -68,6 +69,109 @@ def mixed_inertia_world(link, R):
     c_w = R @ np.asarray(shape_com(link.shape, link.hardware))
     I_w = R @ np.asarray(shape_inertia_origin(link.shape, link.hardware)) @ R.T
     return assemble_spatial_inertia(m, c_w, I_w)
+
+
+def payload_body():
+    """Zero-joint body with one attachment frame."""
+    links = (Link("box", Box(0.5, 0.5, 0.025), LinkHardware(800.0)),)
+    frames = (FrameDef("grip", 0, np.array([0.2, -0.25, 0.0125]),
+                       np.zeros(3)),)
+    return Model(name="box", links=links, frames=frames).validate()
+
+
+def path_dofs(model, link_idx):
+    """Dof indices between the base and a link, by walking the parents."""
+    dofs = set()
+    while link_idx > 0:
+        dofs.add(link_idx - 1)
+        link_idx = model.links[link_idx].parent
+    return dofs
+
+
+def loop_point_jacobian(model, tree, link_idx, point_w):
+    """Reference Jacobian: one column per joint, built in a Python loop."""
+    n = model.n_joints
+    zeros3 = np.zeros(3)
+    lin_cols = [None] * (6 + n)
+    ang_cols = [None] * (6 + n)
+    Sd = skew(point_w - tree.pos[0])
+    eye = np.eye(3)
+    for k in range(3):
+        lin_cols[k] = eye[:, k]
+        ang_cols[k] = zeros3
+        lin_cols[3 + k] = -Sd[:, k]
+        ang_cols[3 + k] = eye[:, k]
+    on_path = path_dofs(model, link_idx)
+    for j in range(n):
+        if j not in on_path:
+            lin_cols[6 + j] = zeros3
+            ang_cols[6 + j] = zeros3
+            continue
+        a = tree.axis_w[j]
+        if model.links[j + 1].joint.kind == REV:
+            lin_cols[6 + j] = fad.cross3(a, point_w - tree.pivot_w[j])
+            ang_cols[6 + j] = a
+        else:
+            lin_cols[6 + j] = a
+            ang_cols[6 + j] = zeros3
+    return fad.concatenate([fad.stack(lin_cols, axis=1),
+                            fad.stack(ang_cols, axis=1)], axis=0)
+
+
+def crba_mass_matrix(model, tree):
+    """Reference mass matrix by the composite rigid-body algorithm."""
+    pos = [np.asarray(fad.value(p)) for p in tree.pos]
+    comp = [mixed_inertia_world(link, np.asarray(fad.value(tree.rot[i])))
+            for i, link in enumerate(model.links)]
+    for i in range(len(model.links) - 1, 0, -1):
+        par = model.links[i].parent
+        V = np.eye(6)
+        V[:3, 3:] = -skew(pos[i] - pos[par])
+        comp[par] = comp[par] + V.T @ comp[i] @ V
+
+    def motion_vector(j):
+        a = np.asarray(fad.value(tree.axis_w[j]))
+        if model.links[j + 1].joint.kind == REV:
+            return np.concatenate([np.zeros(3), a])
+        return np.concatenate([a, np.zeros(3)])
+
+    n = model.n_joints
+    M = np.zeros((6 + n, 6 + n))
+    M[:6, :6] = comp[0]
+    for j in range(n):
+        i = j + 1
+        F = comp[i] @ motion_vector(j)
+        M[6 + j, 6 + j] = motion_vector(j) @ F
+        origin = pos[i]
+        k = model.links[i].parent
+        while True:
+            # move the wrench reference point to the ancestor origin
+            F = F.copy()
+            F[3:] += np.cross(origin - pos[k], F[:3])
+            origin = pos[k]
+            if k == 0:
+                M[:6, 6 + j] = F
+                M[6 + j, :6] = F
+                break
+            M[6 + (k - 1), 6 + j] = motion_vector(k - 1) @ F
+            M[6 + j, 6 + (k - 1)] = M[6 + (k - 1), 6 + j]
+            k = model.links[k].parent
+    return M
+
+
+def tangent(x, ndir):
+    """Tangent of a Dual; a plain array has a zero tangent."""
+    if isinstance(x, fad.Dual):
+        return x.dot
+    return np.zeros((ndir,) + np.shape(x))
+
+
+def seeded_configurations(model, q):
+    """q with tangents on the base and joints, on the joints only, and none."""
+    x = fad.seed(np.concatenate([q.base_pos, [0.1, -0.2, 0.3], q.s]))
+    yield Configuration(x[:3], fad.rpy_matrix(x[3], x[4], x[5]), x[6:])
+    yield Configuration(q.base_pos, q.base_rot, fad.seed(np.asarray(q.s)))
+    yield q
 
 
 class TestForwardKinematics:
@@ -152,7 +256,47 @@ class TestFrameJacobian:
         assert np.abs(J[:, 6 + 2]).max() > 0
 
 
+    def test_matches_joint_loop_reference(self, rng):
+        # the masked kernel does the loop's arithmetic element for element
+        lm = fad.seed(np.array([1.3]))[0]
+        for model in (mixed_chain(), payload_body(),
+                      apply_hardware(mixed_chain(), {
+                          "a": LinkHardware(1500.0, lm)}, validate=False)):
+            for _ in range(5):
+                q = random_configuration(model, rng)
+                for qd in seeded_configurations(model, q):
+                    tree = kinematics(model, qd)
+                    points = [(i, tree.pos[i])
+                              for i in range(len(model.links))]
+                    points += [(f.link, tree.frame_pose(f.name)[1])
+                               for f in model.frames]
+                    jacs = [link_jacobian(model, qd, i, tree)
+                            for i in range(len(model.links))]
+                    jacs += [frame_jacobian(model, qd, f.name, tree)
+                             for f in model.frames]
+                    for (i, p), J in zip(points, jacs):
+                        ref = loop_point_jacobian(model, tree, i, p)
+                        np.testing.assert_array_equal(fad.value(J),
+                                                      fad.value(ref))
+                        ndir = max(getattr(J, "ndir", 0),
+                                   getattr(ref, "ndir", 0))
+                        np.testing.assert_array_equal(tangent(J, ndir),
+                                                      tangent(ref, ndir))
+
+
 class TestMassMatrix:
+    def test_matches_composite_rigid_body_reference(self, rng):
+        # the sum over links reorders the arithmetic of the CRBA walk
+        rtol = 1e-12
+        for model in (mixed_chain(), planar_2r(), single_body(),
+                      default_robot()):
+            for _ in range(5):
+                q = random_configuration(model, rng)
+                tree = kinematics(model, q)
+                M = mass_matrix(model, q, tree)
+                ref = crba_mass_matrix(model, tree)
+                assert np.abs(M - ref).max() <= rtol * np.abs(ref).max()
+
     def test_single_floating_body(self, rng):
         model = single_body()
         q = random_configuration(model, rng)
