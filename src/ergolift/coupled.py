@@ -7,40 +7,42 @@ hand twist equal to the payload grasp-point twist), so contact wrenches
 enter the dynamics as ``Q^T f`` with action-reaction built in.
 
 Static joint torques resolve the actuation redundancy with the
-minimum-norm distribution.  Two equivalent routes are implemented:
+minimum-norm distribution.  One route computes them together with the
+contact wrenches: the symmetric saddle system
+``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` of the equivalent
+equality-constrained least-norm problem, with ``tau = B^T lam``.  For a
+contact set of full row rank its solution does not depend on the mass
+matrix.  ``_saddle_solve`` solves it on plain arrays;
+``evaluate_statics`` adds the rank check, both residuals and the CoPs,
+and ``statics_minnorm`` adds the tangent rule the optimizer
+differentiates through.  ``static_torques`` and ``contact_wrenches`` are
+thin views.
 
-* the projector route projects gravity through the constraint
-  null-space projector and applies a truncated-SVD pseudo-inverse.
-  ``evaluate_statics`` and its views ``static_torques``,
-  ``contact_wrenches`` and ``composite_matrices`` all read one pass,
-  ``_assemble``, which builds each subsystem's tree once and from it the
-  mass matrix ``M``, coupling matrix ``Q``, gravity ``g`` and selector
-  ``B``;
-* ``statics_minnorm`` solves the symmetric saddle system of the
-  equivalent equality-constrained least-norm problem, which is smooth
-  and therefore safe to differentiate through.
-
-The saddle route shares only the trees, ``Q`` and ``g`` with the
-projector route and none of its linear algebra, so it is an independent
-cross-check: the two agree to solver precision, and the test-suite holds
-them against each other.
+The projector route (the mass-weighted null-space projector and a
+truncated-SVD pseudo-inverse) lives on only in the test-suite, as the
+reference the saddle route is held against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
 
 from . import fad
 from .multibody import (Configuration, Model, apply_hardware, frame_jacobian,
-                        gravity_vector, kinematics, mass_matrix)
+                        gravity_vector, kinematics)
 from .spatial import Wrench
 
 
 class SingularConstraintError(ValueError):
-    """Contact constraints are linearly dependent / rank deficient."""
+    """The statics are singular as posed.
+
+    Either the contact constraints are linearly dependent (rank
+    deficient), or some body is held by no contact.
+    """
 
 
 class UnloadedFootError(ValueError):
@@ -117,11 +119,13 @@ class CoupledSystem:
             out.extend(f"{m.name}:{j}" for j in m.joint_names)
         return out
 
+    @cached_property
     def wrench_labels(self):
-        out = [f"env:{self.agents[a].name}:{f}" for a, f in self.env_contacts]
-        out.extend(f"grasp:{self.agents[g.agent].name}:{g.agent_frame}"
-                   for g in self.grasps)
-        return out
+        """One label per 6-row wrench block, built once per system."""
+        env = (f"env:{self.agents[a].name}:{f}" for a, f in self.env_contacts)
+        grasp = (f"grasp:{self.agents[g.agent].name}:{g.agent_frame}"
+                 for g in self.grasps)
+        return (*env, *grasp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +139,7 @@ class CoupledConfiguration:
         return CoupledConfiguration(tuple(qs))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StaticsResult:
     """Static torques, stacked contact wrenches and per-foot CoP."""
 
@@ -211,100 +215,64 @@ def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
         gravity_vector(t.model, qi, t) for qi, t in zip(q.qs, trees)])
 
 
-def _assemble(sys: CoupledSystem, q: CoupledConfiguration,
-              params: Optional[Mapping] = None, trees=None):
-    """One pass over a configuration: trees, M, Q, g and B as plain arrays.
-
-    ``M`` is the block-diagonal mass matrix, ``Q`` the coupling matrix,
-    ``g`` the stacked gravity and ``B`` the actuation selector.
-    """
-    if trees is None:
-        _, trees = coupled_trees(sys, q, params)
-    _, offsets = sys.velocity_layout()
-    M = np.zeros((int(offsets[-1]),) * 2)
-    for i, t in enumerate(trees):
-        sl = slice(int(offsets[i]), int(offsets[i + 1]))
-        M[sl, sl] = mass_matrix(t.model, t.q, t)
-    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
-    g = fad.value(composite_gravity(sys, q, params, trees=trees))
-    return trees, M, Q, g, sys.selector()
-
-
-def composite_matrices(sys: CoupledSystem, q: CoupledConfiguration,
-                       params: Optional[Mapping] = None):
-    """Block-diagonal mass matrix, stacked gravity and selector matrix."""
-    _, M, _, g, B = _assemble(sys, q, params)
-    return M, g, B
-
-
 # ---------------------------------------------------------------------------
 # statics
 
 
-def _check_constraint_rank(Q: np.ndarray, labels=None, rel_tol=1e-10):
-    """Fail when the constraint rows are (numerically) dependent.
+def _constraint_svd(Q: np.ndarray, labels=None, rel_tol=1e-10):
+    """Thin SVD of the coupling matrix; fails when its rows are dependent.
 
-    Row rank of Q and invertibility of Q M^-1 Q^T are equivalent for
-    positive definite M; testing Q directly avoids amplifying the mass
-    matrix conditioning.
+    The rows of the returned ``Vt`` are an orthonormal basis of
+    ``range(Q^T)``, the generalized forces the contacts can exert.
+    Raises SingularConstraintError naming the dominant constraint rows
+    when the contact set is rank deficient.
     """
-    U, sv, _ = np.linalg.svd(Q)
-    if sv[-1] <= rel_tol * sv[0]:
+    U, sv, Vt = np.linalg.svd(Q, full_matrices=False)
+    if sv.size and sv[-1] <= rel_tol * sv[0]:
         bad = np.argsort(-np.abs(U[:, -1]))[:6]
         names = [labels[b // 6] if labels else f"row {b}" for b in sorted(bad)]
         raise SingularConstraintError(
             "rank-deficient contact constraints; dominant rows: "
             + ", ".join(dict.fromkeys(names)))
+    return U, sv, Vt
 
 
-def nullspace_projector(M: np.ndarray, Q: np.ndarray, labels=None):
-    """Projector 1 - Q^T (Q M^-1 Q^T)^-1 Q M^-1 onto admissible dynamics.
+def _saddle_solve(Q: np.ndarray, g: np.ndarray, B: np.ndarray):
+    """Solve ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` on plain arrays.
 
-    Raises SingularConstraintError naming the dominant constraint rows
-    when the contact set is rank deficient.
+    Returns the saddle matrix ``A`` (for tangent solves), ``lam`` and
+    ``f``.  ``f`` is a copy, so a kept result does not hold the whole
+    solution vector.  A singular ``A`` means some body is held by no
+    contact.
     """
-    n = M.shape[0]
-    if Q.shape[0] == 0:
-        return np.eye(n)
-    _check_constraint_rank(Q, labels)
-    Minv_Qt = np.linalg.solve(M, Q.T)
-    G = Q @ Minv_Qt
-    # 1 - Q^T (Q M^-1 Q^T)^-1 Q M^-1, with Q M^-1 = (M^-1 Q^T)^T
-    return np.eye(n) - Q.T @ np.linalg.solve(G, Minv_Qt.T)
-
-
-def _pinv_truncated(A, rel_tol=1e-8):
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > rel_tol * s[0]
-    return Vt[keep].T @ ((U[:, keep] / s[keep]).T)
-
-
-def _torques(N, B, g):
-    """Minimum-norm torques of projected gravity, given the projector."""
-    return _pinv_truncated(N @ B) @ (N @ g)
-
-
-def _wrenches(M, Q, g, B, tau):
-    """Wrenches balancing gravity under tau; Q must have full row rank."""
-    rhs = Q @ np.linalg.solve(M, -B @ tau + g)
-    G = Q @ np.linalg.solve(M, Q.T)
-    return np.linalg.solve(G, rhs)
+    n_vel, n_c = B.shape[0], Q.shape[0]
+    A = np.zeros((n_vel + n_c, n_vel + n_c))
+    A[:n_vel, :n_vel] = B @ B.T
+    A[:n_vel, n_vel:] = Q.T
+    A[n_vel:, :n_vel] = Q
+    try:
+        sol = np.linalg.solve(A, np.concatenate([g, np.zeros(n_c)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularConstraintError(
+            "singular statics: some body is held by no contact") from exc
+    return A, sol[:n_vel], sol[n_vel:].copy()
 
 
 def static_torques(sys: CoupledSystem, q: CoupledConfiguration,
                    params: Optional[Mapping] = None) -> np.ndarray:
     """Minimum-norm joint torques sustaining the configuration at rest."""
-    _, M, Q, g, B = _assemble(sys, q, params)
-    return _torques(nullspace_projector(M, Q, labels=sys.wrench_labels()),
-                    B, g)
+    tau, _ = statics_minnorm(sys, q, params)
+    return tau
 
 
 def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
                      params: Optional[Mapping], tau: np.ndarray) -> np.ndarray:
-    """Contact wrenches balancing gravity under the given torques."""
-    _, M, Q, g, B = _assemble(sys, q, params)
-    _check_constraint_rank(Q, sys.wrench_labels())
-    return _wrenches(M, Q, g, B, tau)
+    """Least-squares contact wrenches ``f`` with ``Q^T f = g - B tau``."""
+    _, trees = coupled_trees(sys, q, params)
+    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
+    g = fad.value(composite_gravity(sys, q, params, trees=trees))
+    U, sv, Vt = _constraint_svd(Q, sys.wrench_labels)
+    return U @ ((Vt @ (g - sys.selector() @ tau)) / sv)
 
 
 def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
@@ -312,9 +280,10 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     """Static torques and wrenches from the least-norm saddle system.
 
     Solves ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` and reads
-    ``tau = B^T lam``.  Identical to the projector route whenever the
-    contact set has full row rank, but smooth in every input, so this is
-    the formulation the optimizer differentiates through.
+    ``tau = B^T lam``.  The solution is smooth in every input, and with
+    ``Dual`` inputs the tangents follow from differentiating the saddle
+    system, so this is the formulation the optimizer differentiates
+    through.
     """
     if trees is None:
         _, trees = coupled_trees(sys, q, params)
@@ -322,22 +291,15 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     g = composite_gravity(sys, q, params, trees=trees)
     B = sys.selector()
     n_vel = B.shape[0]
-    n_c = Q.shape[0]
     Qv, Qd = (Q.val, Q.dot) if isinstance(Q, fad.Dual) else (Q, None)
     gv, gd = (g.val, g.dot) if isinstance(g, fad.Dual) else (g, None)
-    A = np.zeros((n_vel + n_c, n_vel + n_c))
-    A[:n_vel, :n_vel] = B @ B.T
-    A[:n_vel, n_vel:] = Qv.T
-    A[n_vel:, :n_vel] = Qv
-    rhs = np.concatenate([gv, np.zeros(n_c)])
-    sol = np.linalg.solve(A, rhs)
-    lam, f = sol[:n_vel], sol[n_vel:]
+    A, lam, f = _saddle_solve(Qv, gv, B)
     if Qd is None and gd is None:
         return B.T @ lam, f
     # tangent rule: A sol_dot = rhs_dot - A_dot sol, with A_dot carrying
-    # only the coupling blocks; solved against the already factored A
+    # only the coupling blocks; solved against the same A
     ndir = Qd.shape[0] if Qd is not None else gd.shape[0]
-    rhs_dot = np.zeros((ndir, n_vel + n_c))
+    rhs_dot = np.zeros((ndir, A.shape[0]))
     if gd is not None:
         rhs_dot[:, :n_vel] = gd
     if Qd is not None:
@@ -383,7 +345,7 @@ def foot_cops(sys: CoupledSystem, q: CoupledConfiguration,
     if trees is None:
         _, trees = coupled_trees(sys, q, params)
     out = {}
-    labels = sys.wrench_labels()
+    labels = sys.wrench_labels
     for k, (agent, frame) in enumerate(sys.env_contacts):
         R, _ = trees[agent].frame_pose(frame)
         w = fad.value(f[6 * k: 6 * k + 6])
@@ -396,16 +358,25 @@ def foot_cops(sys: CoupledSystem, q: CoupledConfiguration,
 def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
                      params: Optional[Mapping] = None,
                      min_normal: float = 1.0, trees=None) -> StaticsResult:
-    """Full static analysis via the projector route, with residual checks.
+    """Full static analysis from the saddle system, with residual checks.
 
-    Raises SingularConstraintError for a rank-deficient contact set and
+    ``projected_residual`` is the largest entry of the part of
+    ``g - B tau`` off ``range(Q^T)``, which no contact wrench can
+    balance; ``equilibrium_residual`` is the largest entry of
+    ``B tau + Q^T f - g``.  Raises SingularConstraintError for a
+    rank-deficient contact set or a body held by no contact, and
     UnloadedFootError when a foot carries less than ``min_normal``.
     """
-    trees, M, Q, g, B = _assemble(sys, q, params, trees)
-    N = nullspace_projector(M, Q, labels=sys.wrench_labels())
-    tau = _torques(N, B, g)
-    f = _wrenches(M, Q, g, B, tau)
-    proj = float(np.abs(N @ (g - B @ tau)).max()) if tau.size else 0.0
+    if trees is None:
+        _, trees = coupled_trees(sys, q, params)
+    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
+    g = fad.value(composite_gravity(sys, q, params, trees=trees))
+    B = sys.selector()
+    _, _, Vt = _constraint_svd(Q, sys.wrench_labels)
+    _, lam, f = _saddle_solve(Q, g, B)
+    tau = B.T @ lam
+    r = g - B @ tau
+    proj = float(np.abs(r - Vt.T @ (Vt @ r)).max())
     full = float(np.abs(B @ tau + Q.T @ f - g).max())
     cops = foot_cops(sys, q, params, f, min_normal, trees=trees)
     return StaticsResult(tau=tau, wrenches=f, cops=cops,

@@ -16,8 +16,8 @@ import numpy as np
 
 __all__ = [
     "Dual", "value", "seed", "jacobian",
-    "sin", "cos", "sqrt", "absolute", "maximum", "where",
-    "stack", "concatenate", "solve", "cross3", "dot", "sumsq",
+    "sin", "cos", "absolute", "maximum", "where",
+    "stack", "concatenate", "cross3", "sumsq",
     "rotx", "roty", "rotz", "rpy_matrix",
 ]
 
@@ -202,13 +202,6 @@ def cos(x):
     return np.cos(x)
 
 
-def sqrt(x):
-    if isinstance(x, Dual):
-        r = np.sqrt(x.val)
-        return Dual(r, x.dot / (2.0 * r))
-    return np.sqrt(x)
-
-
 def absolute(x):
     if isinstance(x, Dual):
         return Dual(np.abs(x.val), np.sign(x.val) * x.dot)
@@ -269,25 +262,6 @@ def concatenate(items, axis=0):
     return Dual(out, np.concatenate(dots, axis=ax + 1))
 
 
-def solve(a, b):
-    """Linear solve with derivative rule dx = A^-1 (db - dA x)."""
-    av, ad = _split(a)
-    bv, bd = _split(b)
-    x = np.linalg.solve(av, bv)
-    if ad is None and bd is None:
-        return x
-    if bv.ndim != 1:
-        raise ValueError("dual solve only supports vector right-hand sides")
-    ndir = ad.shape[0] if ad is not None else bd.shape[0]
-    rhs = np.zeros((ndir, bv.shape[0]))
-    if bd is not None:
-        rhs = rhs + bd
-    if ad is not None:
-        rhs = rhs - ad @ x
-    xd = np.linalg.solve(av, rhs.T).T
-    return Dual(x, xd)
-
-
 def cross3(a, b):
     """Cross product of 3-vectors, dual-safe."""
     return stack([
@@ -295,11 +269,6 @@ def cross3(a, b):
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     ])
-
-
-def dot(a, b):
-    """Inner product of 1-D operands."""
-    return _matmul(a, b)
 
 
 def sumsq(x):

@@ -480,7 +480,9 @@ def mass_matrix(model: Model, q: Configuration,
     """Mass matrix in mixed coordinates, ``M = sum_i J_i^T M_i J_i``.
 
     ``J_i`` is the Jacobian of link i's origin and ``M_i`` the link's
-    spatial inertia about that origin, world axes.
+    spatial inertia about that origin, world axes.  The statics do not
+    need it; the tests' projector reference and the benchmark's traced
+    layers read it.
     """
     if tree is None:
         tree = kinematics(model, q)

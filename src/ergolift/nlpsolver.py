@@ -70,36 +70,36 @@ class _Cache:
 def kkt_residual(grad, jac, x, lb, ub, active_tol=1e-8):
     """Stationarity residual with least-squares multiplier estimate.
 
-    Equality multipliers are fit to minimize the Lagrangian gradient;
-    bound multipliers are implied: coordinates pinned at a bound only
-    count when the residual pushes into the feasible box.
+    Bound multipliers are implied: coordinates pinned at a bound only
+    count when the residual pushes into the feasible box, and
+    coordinates pinned at both bounds never count.  Equality multipliers
+    are fit to the Lagrangian gradient on the free coordinates only,
+    since a pinned coordinate's bound multiplier absorbs its part.  A
+    non-finite gradient or Jacobian gives NaN, never a passing value.
     """
+    if not (np.isfinite(grad).all() and np.isfinite(jac).all()):
+        return np.nan
+    tol = active_tol * np.maximum(1.0, np.abs(x))
+    at_lo = x - lb <= tol
+    at_hi = ub - x <= tol
+    free = ~(at_lo | at_hi)
+    r = grad
     if jac.size:
-        lam, *_ = np.linalg.lstsq(jac.T, -grad, rcond=None)
+        lam, *_ = np.linalg.lstsq(jac[:, free].T, -grad[free], rcond=None)
         r = grad + jac.T @ lam
-    else:
-        r = grad.copy()
+    out = np.select([free, at_lo & ~at_hi, at_hi & ~at_lo],
+                    [np.abs(r), np.maximum(-r, 0.0), np.maximum(r, 0.0)], 0.0)
     scale = max(1.0, float(np.abs(grad).max()))
-    out = 0.0
-    for i in range(x.size):
-        tol_i = active_tol * max(1.0, abs(x[i]))
-        at_lo = x[i] - lb[i] <= tol_i
-        at_hi = ub[i] - x[i] <= tol_i
-        if at_lo and at_hi:
-            continue
-        if at_lo:
-            out = max(out, max(0.0, -r[i]))
-        elif at_hi:
-            out = max(out, max(0.0, r[i]))
-        else:
-            out = max(out, abs(r[i]))
-    return out / scale
+    return float(out.max(initial=0.0)) / scale
 
 
 def _worst_family(problem, cons):
+    """Largest violation and its family; a NaN family is always named."""
     worst, name = 0.0, None
     for fam, sl in problem.families:
         v = float(np.abs(cons[sl]).max()) if cons[sl].size else 0.0
+        if np.isnan(v):
+            return v, fam
         if v > worst:
             worst, name = v, fam
     return worst, name
@@ -193,7 +193,7 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
 
     if viol <= options.tol_feas and kkt <= options.tol_kkt:
         status = "converged"
-    elif viol > options.tol_feas:
+    elif not viol <= options.tol_feas:  # NaN is infeasible
         status = "infeasible"
     else:
         status = "max-iter"

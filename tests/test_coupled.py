@@ -3,18 +3,69 @@ import pytest
 
 from ergolift.coupled import (CoupledConfiguration, CoupledSystem, GraspPair,
                               SingularConstraintError, UnloadedFootError,
-                              center_of_pressure, composite_gravity,
-                              composite_matrices, contact_wrenches,
+                              _constraint_svd, center_of_pressure,
+                              composite_gravity, contact_wrenches,
                               coupled_trees, coupling_matrix, evaluate_statics,
-                              foot_cops, nullspace_projector, static_torques,
-                              statics_minnorm)
+                              foot_cops, static_torques)
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
-                                kinematics)
+                                mass_matrix)
 from ergolift.scenario import (build_system, make_scenario,
                                warm_start_configuration)
 from ergolift.shapes import Box, LinkHardware, Sphere
 from ergolift.spatial import GRAVITY, Wrench, WrenchTransform, wrench_transform
 from ergolift.templates import build_payload, default_human
+
+
+# The projector route, kept as the reference the saddle statics are held
+# against: the block-diagonal mass matrix M, the mass-weighted null-space
+# projector N = 1 - Q^T (Q M^-1 Q^T)^-1 Q M^-1, the minimum-norm torques
+# pinv(N B) N g and the M-weighted wrenches.  Its answer does not depend
+# on M whenever the contact set has full row rank.
+
+
+def composite_matrices(sys, q, params=None):
+    """Block-diagonal mass matrix, stacked gravity and selector matrix."""
+    _, trees = coupled_trees(sys, q, params)
+    _, offsets = sys.velocity_layout()
+    M = np.zeros((int(offsets[-1]),) * 2)
+    for i, t in enumerate(trees):
+        sl = slice(int(offsets[i]), int(offsets[i + 1]))
+        M[sl, sl] = mass_matrix(t.model, t.q, t)
+    g = np.asarray(composite_gravity(sys, q, params, trees=trees))
+    return M, g, sys.selector()
+
+
+def nullspace_projector(M, Q, labels=None):
+    """Projector 1 - Q^T (Q M^-1 Q^T)^-1 Q M^-1 onto admissible dynamics."""
+    n = M.shape[0]
+    if Q.shape[0] == 0:
+        return np.eye(n)
+    _constraint_svd(Q, labels)
+    Minv_Qt = np.linalg.solve(M, Q.T)
+    G = Q @ Minv_Qt
+    return np.eye(n) - Q.T @ np.linalg.solve(G, Minv_Qt.T)
+
+
+def pinv_truncated(A, rel_tol=1e-8):
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > rel_tol * s[0]
+    return Vt[keep].T @ ((U[:, keep] / s[keep]).T)
+
+
+def projector_statics(sys, q, params=None):
+    """Torques and wrenches from the projector route."""
+    M, g, B = composite_matrices(sys, q, params)
+    Q = np.asarray(coupling_matrix(sys, q, params))
+    N = nullspace_projector(M, Q, labels=sys.wrench_labels)
+    tau = pinv_truncated(N @ B) @ (N @ g)
+    rhs = Q @ np.linalg.solve(M, g - B @ tau)
+    f = np.linalg.solve(Q @ np.linalg.solve(M, Q.T), rhs)
+    return tau, f
+
+
+def assert_rel_close(actual, reference, rel):
+    scale = max(float(np.abs(reference).max()), 1.0)
+    assert float(np.abs(actual - reference).max()) <= rel * scale
 
 
 def pendulum_system(axis=(0, -1, 0)):
@@ -91,17 +142,14 @@ class TestStaticTorques:
         m = model.links[1].shape.radius ** 3 * (4.0 / 3.0) * np.pi * 1e-12
         assert tau[0] == pytest.approx(m * GRAVITY * 1.0, rel=1e-6)
 
-    def test_matches_minnorm_saddle(self, desk, rng):
+    def test_matches_projector_reference(self, desk, rng):
         _, sys, q0 = desk
         for _ in range(5):
             q = perturbed(sys, q0, rng)
-            tau_pinv = static_torques(sys, q)
-            tau_saddle, f_saddle = statics_minnorm(sys, q)
-            scale = max(np.abs(tau_pinv).max(), 1.0)
-            assert np.abs(tau_pinv - np.asarray(tau_saddle)).max() <= 1e-7 * scale
-            f = contact_wrenches(sys, q, None, tau_pinv)
-            fscale = max(np.abs(f).max(), 1.0)
-            assert np.abs(f - np.asarray(f_saddle)).max() <= 1e-6 * fscale
+            tau_ref, f_ref = projector_statics(sys, q)
+            tau = static_torques(sys, q)
+            assert_rel_close(tau, tau_ref, 1e-10)
+            assert_rel_close(contact_wrenches(sys, q, None, tau), f_ref, 1e-10)
 
     def test_symmetric_stance_symmetric_torques(self, desk):
         sc, sys, q0 = desk
@@ -248,7 +296,7 @@ class TestNullspaceProjector:
         M, _, _ = composite_matrices(dup, q)
         Q = np.asarray(coupling_matrix(dup, q))
         with pytest.raises(SingularConstraintError):
-            nullspace_projector(M, Q, labels=dup.wrench_labels())
+            nullspace_projector(M, Q, labels=dup.wrench_labels)
 
 
 class TestContactWrenches:
@@ -321,19 +369,17 @@ class TestCenterOfPressure:
 
 
 class TestEvaluateStatics:
-    def test_matches_minnorm_saddle(self, desk, rng):
+    def test_matches_projector_reference(self, desk, rng):
         _, sys, q0 = desk
         # small joint jitter only: after larger moves the minimum-norm
         # split can pull on a foot, which evaluate_statics refuses
         for q in [q0] + [perturbed(sys, q0, rng, joint_scale=0.02,
                                    base_scale=0.0) for _ in range(4)]:
             res = evaluate_statics(sys, q)
-            tau_saddle, f_saddle = statics_minnorm(sys, q)
-            scale = max(np.abs(res.tau).max(), 1.0)
+            tau_ref, f_ref = projector_statics(sys, q)
+            assert_rel_close(res.tau, tau_ref, 1e-10)
+            assert_rel_close(res.wrenches, f_ref, 1e-10)
             fscale = max(np.abs(res.wrenches).max(), 1.0)
-            assert np.abs(res.tau - np.asarray(tau_saddle)).max() <= 1e-7 * scale
-            assert (np.abs(res.wrenches - np.asarray(f_saddle)).max()
-                    <= 1e-6 * fscale)
             assert res.projected_residual <= 1e-8 * fscale
             assert res.equilibrium_residual <= 1e-8 * fscale
             cops = foot_cops(sys, q, None, res.wrenches)
@@ -349,6 +395,15 @@ class TestEvaluateStatics:
                             grasps=sys.grasps)
         with pytest.raises(SingularConstraintError):
             evaluate_statics(dup, q)
+
+    def test_unheld_payload_raises(self, desk):
+        # without grasps nothing holds the payload: the saddle matrix is
+        # singular, which is a refusal, not a bare LinAlgError
+        _, sys, q = desk
+        loose = CoupledSystem(agents=sys.agents, payload=sys.payload,
+                              env_contacts=sys.env_contacts, grasps=())
+        with pytest.raises(SingularConstraintError, match="no contact"):
+            evaluate_statics(loose, q)
 
     def test_unloaded_foot_raises(self):
         # a near-weightless body loads each sole far below the 1 N floor

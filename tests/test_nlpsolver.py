@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from ergolift.nlpsolver import (SolverOptions, _worst_family, kkt_residual,
+                                solve_nlp)
+
+
+class BoxedProjection:
+    """min (x0 - 1)^2 + (x1 - 2)^2  s.t.  x0 = x1,  x1 <= 1.2.
+
+    The solution (1.2, 1.2) has the bound on x1 active and the equality
+    multiplier -0.4, fixed by the free coordinate x0 alone.
+    """
+
+    lb = np.array([-5.0, -5.0])
+    ub = np.array([5.0, 1.2])
+    n_cons = 1
+    families = (("equal", slice(0, 1)),)
+
+    def __init__(self, nan_constraint=False):
+        self.nan_constraint = nan_constraint
+
+    def value(self, y):
+        cost = (y[0] - 1.0) ** 2 + (y[1] - 2.0) ** 2
+        cons = np.array([np.nan if self.nan_constraint else y[0] - y[1]])
+        return cost, cons
+
+    def value_and_derivatives(self, y):
+        cost, cons = self.value(y)
+        grad = np.array([2.0 * (y[0] - 1.0), 2.0 * (y[1] - 2.0)])
+        return cost, grad, cons, np.array([[1.0, -1.0]])
+
+    def hessian(self, y):
+        return 2.0 * np.eye(2)
+
+
+class TestKKTResidual:
+    def test_true_kkt_point_reads_zero(self):
+        p = BoxedProjection()
+        x = np.array([1.2, 1.2])
+        _, grad, _, jac = p.value_and_derivatives(x)
+        assert kkt_residual(grad, jac, x, p.lb, p.ub) == pytest.approx(
+            0.0, abs=1e-15)
+
+    def test_bound_pushing_out_of_the_box_counts(self):
+        # with the cost pulling x1 down, away from its upper bound, the
+        # bound cannot absorb x1's residual 1.6 + 0.4
+        p = BoxedProjection()
+        x = np.array([1.2, 1.2])
+        grad = np.array([0.4, 1.6])
+        r = kkt_residual(grad, np.array([[1.0, -1.0]]), x, p.lb, p.ub)
+        assert r == pytest.approx(2.0 / 1.6)
+
+    @pytest.mark.parametrize("jac", [np.zeros((0, 2)), np.array([[1.0, -1.0]])])
+    def test_nan_gradient_is_nan(self, jac):
+        p = BoxedProjection()
+        x = np.array([0.5, 0.5])
+        grad = np.array([np.nan, 0.0])
+        assert np.isnan(kkt_residual(grad, jac, x, p.lb, p.ub))
+
+
+class TestSolveStatus:
+    def test_kkt_point_with_active_bound_converges(self):
+        p = BoxedProjection()
+        rep = solve_nlp(p, np.array([0.0, 0.0]), SolverOptions(max_iter=200))
+        assert rep.status == "converged"
+        np.testing.assert_allclose(rep.x, [1.2, 1.2], atol=1e-6)
+
+    def test_nan_violation_is_infeasible(self):
+        p = BoxedProjection(nan_constraint=True)
+        rep = solve_nlp(p, np.array([0.0, 0.0]), SolverOptions(max_iter=5))
+        assert np.isnan(rep.constraint_violation)
+        assert rep.status == "infeasible"
+        assert rep.worst_family == "equal"
+
+    def test_worst_family_names_nan_family(self):
+        p = BoxedProjection()
+        p.families = (("a", slice(0, 1)), ("b", slice(1, 2)),
+                      ("c", slice(2, 3)))
+        worst, name = _worst_family(p, np.array([3.0, np.nan, 5.0]))
+        assert np.isnan(worst) and name == "b"
