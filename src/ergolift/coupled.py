@@ -32,8 +32,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import fad
-from .multibody import (Configuration, Model, apply_hardware, frame_jacobian,
-                        gravity_vector, kinematics)
+from .multibody import (Model, apply_hardware, frame_jacobian, gravity_vector,
+                        kinematics)
 from .spatial import Wrench
 
 
@@ -128,7 +128,7 @@ class CoupledSystem:
         return (*env, *grasp)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CoupledConfiguration:
     """One configuration per subsystem, payload last."""
 

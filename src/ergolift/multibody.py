@@ -11,12 +11,15 @@ linear velocity of the base origin stacked with the world angular
 velocity, and frame Jacobians map ``nu = [v_base; w_base; s_dot]`` to
 the same kind of frame twist.
 
-Each ``Model`` derives its constant facts once, as cached properties:
-the links x dofs path mask, the revolute flags, every joint's fixed
-rotation with its Rodrigues ``K`` and ``K^2``, and every link's mass,
-CoM and inertia about its origin.  One masked cross product over the
-stacked joint axes and pivots gives every point Jacobian, and the mass
-matrix is ``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the
+Each constant is derived once, on the definition it comes from: a
+``Joint`` stores its fixed rpy rotation and the Rodrigues ``K`` and
+``K^2`` of its axis, a ``FrameDef`` its fixed rotation, and a ``Link``
+its mass, CoM and inertia about its origin (``Link.inertial``).  So
+``apply_hardware`` re-derives only the links and frames it rebuilds.
+A ``Model`` caches only topology: the name maps, the links x dofs path
+mask and the revolute flags.  One masked cross product over the stacked
+joint axes and pivots gives every point Jacobian, and the mass matrix
+is ``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the
 Jacobian of link i's origin and ``M_i`` its spatial inertia about that
 origin.
 """
@@ -30,8 +33,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import fad
-from .shapes import (LinkHardware, Shape, shape_com, shape_dims,
-                     shape_inertia_origin, shape_mass)
+from .shapes import (LinkHardware, Shape, shape_com, shape_inertia_origin,
+                     shape_mass)
 from .spatial import (GRAVITY, assemble_spatial_inertia, ensure_rotation,
                       exp_so3, skew)
 
@@ -54,6 +57,13 @@ class UnknownFrameError(KeyError):
     """Raised when a named frame or link does not exist."""
 
 
+def _rpy_const(rpy):
+    rpy = np.asarray(rpy, dtype=float)
+    if not rpy.any():
+        return np.eye(3)
+    return fad.rpy_matrix(rpy[0], rpy[1], rpy[2])
+
+
 @dataclass(frozen=True, eq=False)
 class Joint:
     """1-DoF joint attaching a link to its parent.
@@ -61,7 +71,8 @@ class Joint:
     ``offset`` is expressed in the parent frame (its z component rides
     the parent's growth axis), ``rpy`` is the fixed rotation applied
     after the offset, and ``axis`` is the motion axis in the child
-    frame.
+    frame.  ``rotation`` is the matrix of ``rpy``, and ``K``, ``K2`` are
+    ``S(axis)`` and its square, the Rodrigues terms of a revolute joint.
     """
 
     kind: str  # "revolute" | "prismatic"
@@ -69,6 +80,9 @@ class Joint:
     offset: np.ndarray
     rpy: np.ndarray
     limits: tuple
+    rotation: np.ndarray = field(init=False, repr=False)
+    K: np.ndarray = field(init=False, repr=False)
+    K2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("revolute", "prismatic"):
@@ -83,6 +97,10 @@ class Joint:
         if not lo < hi:
             raise ModelError("joint limits must satisfy lo < hi")
         object.__setattr__(self, "limits", (float(lo), float(hi)))
+        K = skew(self.axis)
+        object.__setattr__(self, "rotation", _rpy_const(self.rpy))
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "K2", K @ K)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +111,20 @@ class Link:
     parent: int = -1
     joint: Optional[Joint] = None
 
+    @cached_property
+    def inertial(self):
+        """(mass, CoM, inertia about the origin) in the link frame."""
+        return (shape_mass(self.shape, self.hardware),
+                shape_com(self.shape, self.hardware),
+                shape_inertia_origin(self.shape, self.hardware))
+
 
 @dataclass(frozen=True, eq=False)
 class FrameDef:
     """Named frame rigidly attached to a link.
 
     The offset z component rides the link's growth axis and scales with
-    its length multiplier.
+    its length multiplier; ``rotation`` is the matrix of ``rpy``.
     """
 
     name: str
@@ -107,6 +132,10 @@ class FrameDef:
     offset: np.ndarray
     rpy: np.ndarray
     role: Optional[str] = None
+    rotation: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rotation", _rpy_const(self.rpy))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,23 +192,6 @@ class Model:
         return np.array([l.joint.kind == "revolute" for l in self.links[1:]],
                         dtype=bool)
 
-    @cached_property
-    def _joint_rotations(self):
-        """Per joint, the fixed rpy rotation and the Rodrigues K and K^2."""
-        out = []
-        for link in self.links[1:]:
-            K = skew(link.joint.axis)
-            out.append((_rpy_const(link.joint.rpy), K, K @ K))
-        return tuple(out)
-
-    @cached_property
-    def _inertials(self):
-        """Per link, (mass, CoM, inertia about the origin) in its own frame."""
-        return tuple((shape_mass(l.shape, l.hardware),
-                      shape_com(l.shape, l.hardware),
-                      shape_inertia_origin(l.shape, l.hardware))
-                     for l in self.links)
-
     def link_index(self, name):
         try:
             return self._link_map[name]
@@ -201,7 +213,7 @@ class Model:
         return lo, hi
 
     def total_mass(self):
-        return float(sum(fad.value(m) for m, _, _ in self._inertials))
+        return float(sum(fad.value(l.inertial[0]) for l in self.links))
 
     def group_hardware(self):
         """Nominal (density, length multiplier) per optimization group."""
@@ -228,14 +240,6 @@ class Model:
             if not 0 <= link.parent < i:
                 raise ModelError(
                     f"link {link.name!r} parent must precede it in the tree")
-            if any(d <= 0 for d in shape_dims(link.shape)):
-                raise ModelError(f"link {link.name!r}: dimensions must be positive")
-        for link in self.links:
-            if link.hardware.density <= 0:
-                raise ModelError(f"link {link.name!r}: density must be positive")
-            if link.hardware.length_multiplier <= 0:
-                raise ModelError(
-                    f"link {link.name!r}: length multiplier must be positive")
         fseen = set()
         for f in self.frames:
             if f.name in fseen:
@@ -251,7 +255,7 @@ class Model:
         return self
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Configuration:
     """Floating-base pose plus joint positions."""
 
@@ -346,13 +350,6 @@ def group_params(model: Model, values: Mapping[str, tuple]) -> dict:
 # kinematics
 
 
-def _rpy_const(rpy):
-    rpy = np.asarray(rpy, dtype=float)
-    if not rpy.any():
-        return np.eye(3)
-    return fad.rpy_matrix(rpy[0], rpy[1], rpy[2])
-
-
 @dataclass(eq=False)
 class KinTree:
     """World poses of every link plus per-joint world axes and pivots.
@@ -371,7 +368,7 @@ class KinTree:
         f = self.model.frame(name)
         R = self.rot[f.link]
         p = self.pos[f.link] + R @ f.offset
-        return R @ _rpy_const(f.rpy), p
+        return R @ f.rotation, p
 
 
 def kinematics(model: Model, q: Configuration) -> KinTree:
@@ -379,17 +376,16 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
     pos = [q.base_pos]
     axis_w = []
     pivot_w = []
-    for i, (link, (R_rpy, K, K2)) in enumerate(
-            zip(model.links[1:], model._joint_rotations), start=1):
+    for i, link in enumerate(model.links[1:], start=1):
         j = link.joint
         Rp, pp = rot[link.parent], pos[link.parent]
         p_joint = pp + Rp @ j.offset
-        R_pre = Rp @ R_rpy
+        R_pre = Rp @ j.rotation
         sj = q.s[i - 1]
         if j.kind == "revolute":
             # Rodrigues rotation about the fixed joint axis
-            R_i = R_pre @ (np.eye(3) + fad.sin(sj) * K
-                           + (1.0 - fad.cos(sj)) * K2)
+            R_i = R_pre @ (np.eye(3) + fad.sin(sj) * j.K
+                           + (1.0 - fad.cos(sj)) * j.K2)
             p_i = p_joint
         else:
             R_i = R_pre
@@ -488,9 +484,9 @@ def mass_matrix(model: Model, q: Configuration,
         tree = kinematics(model, q)
     n = model.n_joints
     M = np.zeros((6 + n, 6 + n))
-    for i, inertial in enumerate(model._inertials):
+    for i, link in enumerate(model.links):
         J = fad.value(_point_jacobian(model, tree, i, tree.pos[i]))
-        M += J.T @ _mixed_spatial_inertia(inertial, tree.rot[i]) @ J
+        M += J.T @ _mixed_spatial_inertia(link.inertial, tree.rot[i]) @ J
     return M
 
 
@@ -505,7 +501,7 @@ def gravity_vector(model: Model, q: Configuration,
     L = len(model.links)
     masses = []
     moments = []
-    for i, (m, c, _) in enumerate(model._inertials):
+    for i, (m, c, _) in enumerate(l.inertial for l in model.links):
         com_w = tree.pos[i] + tree.rot[i] @ c
         masses.append(m)
         moments.append(m * com_w)
@@ -542,7 +538,7 @@ def com(model: Model, q: Configuration, tree: Optional[KinTree] = None):
         tree = kinematics(model, q)
     total = 0.0
     moment = np.zeros(3)
-    for i, (m, c, _) in enumerate(model._inertials):
+    for i, (m, c, _) in enumerate(l.inertial for l in model.links):
         total = total + m
         moment = moment + m * (tree.pos[i] + tree.rot[i] @ c)
     return moment / total, total

@@ -9,8 +9,7 @@ grasp points, and crouches as needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,8 +17,8 @@ from .coupled import CoupledConfiguration, CoupledSystem, GraspPair
 from .multibody import (Configuration, Model, frame_jacobian, kinematics,
                         perturb_configuration)
 from .nlpsolver import SolverOptions
-from .templates import (arm_reach, build_payload, default_human, default_robot,
-                        standing_height, standing_shoulder_height)
+from .templates import (build_payload, default_human, default_robot,
+                        stance_dimensions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +191,7 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
 
 
 def _agent_warm_start(model, y_stand, yaw, grasp_world):
-    base_h = standing_height(model)
-    shoulder = standing_shoulder_height(model)
-    reach = arm_reach(model)
+    base_h, shoulder, reach = stance_dimensions(model)
     g_z = float(np.mean([p[2] for p in grasp_world]))
     drop = g_z - shoulder
     horiz = np.sqrt(max(reach ** 2 - drop ** 2, (0.35 * reach) ** 2))

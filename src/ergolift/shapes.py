@@ -12,34 +12,47 @@ sphere's proximal end is its tangent point, so its centroid sits at
 ``r * l_m`` above the origin; cylinders and boxes extend from z = 0 to
 their scaled length.
 
+Values are checked once, where they are built: each primitive rejects a
+nonpositive dimension and ``LinkHardware`` a nonpositive concrete
+density or multiplier, so the closed forms below take them as valid.
+
 ``voxel_inertia_oracle`` integrates the same quantities on a uniform
 grid and is the test-side ground truth for the closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
 
 from . import fad
-from .spatial import SpatialInertia, skew
+from .spatial import skew
+
+
+class _Primitive:
+    """Base of the primitives: every dimension must be positive."""
+
+    def __post_init__(self):
+        if any(d <= 0 for d in astuple(self)):
+            raise ValueError(
+                f"{type(self).__name__.lower()} dimensions must be positive")
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Primitive):
     radius: float
 
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Primitive):
     radius: float
     height: float
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Primitive):
     width: float
     height: float
     depth: float
@@ -47,33 +60,12 @@ class Box:
 
 Shape = Union[Sphere, Cylinder, Box]
 
-_SHAPE_NAMES = {Sphere: "sphere", Cylinder: "cylinder", Box: "box"}
-
-
-def shape_dims(shape: Shape):
-    if isinstance(shape, Sphere):
-        return (shape.radius,)
-    if isinstance(shape, Cylinder):
-        return (shape.radius, shape.height)
-    if isinstance(shape, Box):
-        return (shape.width, shape.height, shape.depth)
-    raise TypeError(f"not a shape: {shape!r}")
-
-
-def shape_name(shape: Shape) -> str:
-    return _SHAPE_NAMES[type(shape)]
-
-
-def _check_shape(shape: Shape):
-    if any(d <= 0 for d in shape_dims(shape)):
-        raise ValueError(f"{shape_name(shape)} dimensions must be positive")
-
 
 def _is_concrete(x) -> bool:
     return not isinstance(x, fad.Dual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkHardware:
     """Per-link hardware parameters: density (kg/m^3), length multiplier."""
 
@@ -96,17 +88,8 @@ class LinkInertialSummary:
     inertia_cm: np.ndarray
 
 
-def _check_inputs(shape: Shape, hw: LinkHardware):
-    _check_shape(shape)
-    if _is_concrete(hw.density) and hw.density <= 0:
-        raise ValueError("density must be positive")
-    if _is_concrete(hw.length_multiplier) and hw.length_multiplier <= 0:
-        raise ValueError("length multiplier must be positive")
-
-
 def shape_mass(shape: Shape, hw: LinkHardware):
     """Mass of the scaled primitive at uniform density."""
-    _check_inputs(shape, hw)
     rho, lm = hw.density, hw.length_multiplier
     if isinstance(shape, Sphere):
         return (4.0 / 3.0) * np.pi * (shape.radius * lm) ** 3 * rho
@@ -117,7 +100,6 @@ def shape_mass(shape: Shape, hw: LinkHardware):
 
 def shape_com(shape: Shape, hw: LinkHardware):
     """Centroid in the link frame (origin at the proximal end)."""
-    _check_inputs(shape, hw)
     lm = hw.length_multiplier
     if isinstance(shape, Sphere):
         zc = shape.radius * lm
@@ -130,7 +112,6 @@ def shape_com(shape: Shape, hw: LinkHardware):
 
 def shape_inertia_cm(shape: Shape, hw: LinkHardware):
     """Rotational inertia about the centroid, in the shape's principal axes."""
-    _check_inputs(shape, hw)
     m = shape_mass(shape, hw)
     lm = hw.length_multiplier
     if isinstance(shape, Sphere):
@@ -158,15 +139,6 @@ def shape_inertia_origin(shape: Shape, hw: LinkHardware):
     return I_cm - m * (Sc @ Sc)
 
 
-def link_spatial_inertia(shape: Shape, hw: LinkHardware) -> SpatialInertia:
-    """Spatial inertia of the scaled link about its own frame."""
-    return SpatialInertia(
-        mass=float(shape_mass(shape, hw)),
-        com=fad.value(shape_com(shape, hw)),
-        inertia=fad.value(shape_inertia_origin(shape, hw)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # volumetric oracle
 
@@ -180,7 +152,6 @@ def _voxel_integrals(shape: Shape, density: float, multiplier: float,
                      resolution: int):
     """Midpoint-rule volume integrals of mass, first moment and second
     moments over the scaled primitive.  Accepts zero density."""
-    _check_shape(shape)
     if multiplier <= 0:
         raise ValueError("length multiplier must be positive")
     n = int(resolution)

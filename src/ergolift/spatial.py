@@ -1,4 +1,9 @@
-"""6D spatial algebra for rigid bodies.
+"""6D spatial algebra for the statics of rigid bodies.
+
+The package analyses bodies at rest, so this module holds what statics
+needs: skew matrices and rotations, wrenches and their frame
+transforms, and the 6x6 spatial inertia with its physical-consistency
+checks.
 
 Conventions used throughout the package:
 
@@ -14,7 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,25 +87,6 @@ def exp_so3(w):
     a = w / t
     K = skew(a)
     return np.eye(3) + np.sin(t) * K + (1.0 - np.cos(t)) * (K @ K)
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialVelocity:
-    """6D body velocity, linear (m/s) and angular (rad/s) parts."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", _ro(self.linear, (3,)))
-        object.__setattr__(self, "angular", _ro(self.angular, (3,)))
-
-    def as_vector(self):
-        return np.concatenate([self.linear, self.angular])
-
-    @staticmethod
-    def zero():
-        return SpatialVelocity(np.zeros(3), np.zeros(3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +170,6 @@ def dual_cross_matrix(v):
 
 def dual_cross(v, w):
     """Apply the 6D dual cross operator of velocity v to the 6-vector w."""
-    if isinstance(v, SpatialVelocity):
-        v = v.as_vector()
     return dual_cross_matrix(v) @ np.asarray(w, dtype=float)
 
 
@@ -204,31 +188,6 @@ def assemble_spatial_inertia(mass, com, inertia):
     out[3:, :3] = mass * Sc
     out[3:, 3:] = np.asarray(inertia, dtype=float)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialInertia:
-    """Mass, center of mass and rotational inertia about the body frame.
-
-    ``inertia`` is taken about the body frame origin, in body axes.
-    """
-
-    mass: float
-    com: np.ndarray
-    inertia: np.ndarray
-
-    def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
-        object.__setattr__(self, "com", _ro(self.com, (3,)))
-        object.__setattr__(self, "inertia", _ro(self.inertia, (3, 3)))
-
-    def matrix(self):
-        return assemble_spatial_inertia(self.mass, self.com, self.inertia)
-
-    def inertia_about_com(self):
-        Sc = skew(self.com)
-        return self.inertia + self.mass * (Sc @ Sc)
 
 
 def triangle_inequality_defect(inertia_cm):
@@ -257,22 +216,3 @@ def check_physical_inertia(mass, com, inertia_origin, tol=1e-9):
     if triangle_inequality_defect(I_cm) > tol * scale:
         raise ValueError("CoM inertia violates the triangle inequalities")
 
-
-def newton_euler_residual(inertia: SpatialInertia, velocity, accel,
-                          gravity, body_rotation, wrench) -> np.ndarray:
-    """Force-balance residual of a single rigid body, in the body frame.
-
-    Computes ``M a_g + dual_cross(v) M v - f`` where ``a_g`` subtracts the
-    gravity acceleration, rotated into the body frame, from the linear
-    part of ``accel``.  Zero when the applied wrench supports the motion.
-    """
-    M = inertia.matrix()
-    v = velocity.as_vector() if isinstance(velocity, SpatialVelocity) \
-        else np.asarray(velocity, dtype=float)
-    a = np.asarray(accel, dtype=float)
-    g_body = np.asarray(body_rotation, dtype=float).T @ np.asarray(
-        gravity, dtype=float)
-    a_g = a - np.concatenate([g_body, np.zeros(3)])
-    f = wrench.as_vector() if isinstance(wrench, Wrench) \
-        else np.asarray(wrench, dtype=float)
-    return M @ a_g + dual_cross_matrix(v) @ (M @ v) - f

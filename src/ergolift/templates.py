@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multibody import (FrameDef, HardwareBounds, Joint, Link, Model,
-                        ParamGroup)
+from .multibody import (Configuration, FrameDef, HardwareBounds, Joint, Link,
+                        Model, ParamGroup, kinematics)
 from .shapes import Box, Cylinder, LinkHardware, Sphere
 
 FLIP = np.array([np.pi, 0.0, 0.0])  # points child z downward
@@ -194,31 +194,21 @@ def build_payload(size, mass, grasp_points) -> Model:
     return Model(name="payload", links=(link,), frames=frames).validate()
 
 
-def standing_height(model: Model) -> float:
-    """Base height over the sole plane at the zero configuration."""
-    from .multibody import Configuration, kinematics
-    q = Configuration.neutral(model)
-    tree = kinematics(model, q)
+def stance_dimensions(model: Model) -> tuple:
+    """Standing heights of the base and shoulders, and the arm reach.
+
+    All three come from one pass over the zero configuration: the base
+    height over the sole plane, the mean shoulder height over it, and
+    the shoulder-to-palm distance of the straight left arm.
+    """
+    tree = kinematics(model, Configuration.neutral(model))
     soles = [tree.frame_pose(n)[1][2]
              for role in ("left_foot", "right_foot")
              for n in model.frames_with_role(role)]
-    return -float(np.mean(soles)) if soles else 0.0
-
-
-def standing_shoulder_height(model: Model) -> float:
-    from .multibody import Configuration, kinematics
-    q = Configuration.neutral(model)
-    tree = kinematics(model, q)
+    base = -float(np.mean(soles)) if soles else 0.0
     z = [tree.pos[model.link_index(f"shoulder_{s}")][2]
          for s in ("left", "right")]
-    return float(np.mean(z)) + standing_height(model)
-
-
-def arm_reach(model: Model) -> float:
-    """Shoulder-to-palm distance with a straight arm."""
-    from .multibody import Configuration, kinematics
-    q = Configuration.neutral(model)
-    tree = kinematics(model, q)
     sh = tree.pos[model.link_index("shoulder_left")]
     _, hand = tree.frame_pose(model.frames_with_role("left_hand")[0])
-    return float(np.linalg.norm(np.asarray(hand) - np.asarray(sh)))
+    reach = float(np.linalg.norm(np.asarray(hand) - np.asarray(sh)))
+    return base, float(np.mean(z)) + base, reach

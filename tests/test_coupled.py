@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolift.coupled import (CoupledConfiguration, CoupledSystem, GraspPair,
+from ergolift.coupled import (CoupledConfiguration, CoupledSystem,
                               SingularConstraintError, UnloadedFootError,
                               _constraint_svd, center_of_pressure,
                               composite_gravity, contact_wrenches,

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from ergolift import fad
+from ergolift import fad, multibody
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 ModelError, UnknownFrameError, apply_hardware,
                                 com, com_height_null_config, forward_kinematics,
-                                frame_jacobian, gravity_vector, kinematics,
-                                link_jacobian, mass_matrix,
+                                frame_jacobian, gravity_vector, group_params,
+                                kinematics, link_jacobian, mass_matrix,
                                 perturb_configuration, random_configuration)
 from ergolift.shapes import (Box, Cylinder, LinkHardware, Sphere, shape_com,
                              shape_inertia_origin, shape_mass)
-from ergolift.spatial import GRAVITY, assemble_spatial_inertia, exp_so3, skew
+from ergolift.spatial import GRAVITY, assemble_spatial_inertia, skew
 from ergolift.templates import default_robot
 
 REV = "revolute"
@@ -447,6 +447,48 @@ class TestApplyHardware:
             apply_hardware(model, {"a": LinkHardware(1000.0, 99.0)})
         with pytest.raises(ValueError):
             apply_hardware(model, {"a": LinkHardware(1.0, 1.0)})
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestDerivedOnce:
+    """Model constants are derived when their definition is built."""
+
+    def test_no_rpy_rotation_after_construction(self, monkeypatch, rng):
+        robot = default_robot()
+        calls = counting(monkeypatch, fad, "rpy_matrix")
+        q = random_configuration(robot, rng)
+        tree = kinematics(robot, q)
+        for f in robot.frames:
+            tree.frame_pose(f.name)
+            frame_jacobian(robot, q, f.name, tree)
+            frame_jacobian(robot, q, f.name)
+        assert calls == []
+
+    def test_apply_hardware_derives_only_rebuilt_links(self, monkeypatch):
+        robot = default_robot()
+        q = Configuration.neutral(robot)
+        gravity_vector(robot, q)
+        calls = counting(monkeypatch, multibody, "shape_mass")
+        scaled = apply_hardware(
+            robot, group_params(robot, {"upper_arm": (1500.0, 1.3)}))
+        gravity_vector(scaled, q)
+        rebuilt = [l for l, l0 in zip(scaled.links, robot.links)
+                   if l is not l0]
+        # the two upper arms, and the forearms whose joints slid along them
+        assert len(rebuilt) == 4
+        assert [hw for _, hw in calls] == [l.hardware for l in rebuilt]
 
 
 class TestComHeight:

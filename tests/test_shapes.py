@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ergolift.shapes import (Box, Cylinder, LinkHardware, Sphere,
-                             _voxel_integrals, link_spatial_inertia,
-                             shape_com, shape_inertia_cm, shape_inertia_origin,
-                             shape_mass, voxel_inertia_oracle)
-from ergolift.spatial import triangle_inequality_defect
+                             _voxel_integrals, shape_com, shape_inertia_cm,
+                             shape_inertia_origin, shape_mass,
+                             voxel_inertia_oracle)
+from ergolift.spatial import (assemble_spatial_inertia,
+                              triangle_inequality_defect)
 
 densities = st.floats(100.0, 8000.0)
 multipliers = st.floats(0.5, 2.0)
@@ -40,14 +41,13 @@ class TestMass:
         assert m == pytest.approx(1.5, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            shape_mass(Sphere(0.0), LinkHardware(1000.0))
-        with pytest.raises(ValueError):
-            LinkHardware(-1.0)
-        with pytest.raises(ValueError):
-            LinkHardware(1000.0, 0.0)
-        with pytest.raises(ValueError):
-            shape_mass(Box(0.1, -0.1, 0.2), LinkHardware(1000.0))
+        # every value is checked where it is built
+        for bad in (lambda: Sphere(0.0), lambda: Cylinder(0.1, -0.2),
+                    lambda: Box(0.1, 0.1, 0.0), lambda: Box(0.1, -0.1, 0.2),
+                    lambda: LinkHardware(-1.0),
+                    lambda: LinkHardware(1000.0, 0.0)):
+            with pytest.raises(ValueError):
+                bad()
 
 
 class TestInertia:
@@ -160,17 +160,17 @@ class TestVoxelOracle:
 
 class TestSpatialInertiaView:
     def test_parallel_axis_consistency(self):
+        # parallel axis: I_origin = I_cm + m (|c|^2 1 - c c^T)
         s = Cylinder(0.05, 0.4)
         hw = LinkHardware(2000.0, 1.2)
-        si = link_spatial_inertia(s, hw)
         m = shape_mass(s, hw)
         c = np.asarray(shape_com(s, hw))
-        np.testing.assert_allclose(si.com, c, atol=1e-15)
-        np.testing.assert_allclose(si.inertia_about_com(),
-                                   shape_inertia_cm(s, hw), atol=1e-12)
-        assert si.mass == pytest.approx(m, rel=1e-12)
-        # assembled 6x6 is symmetric
-        M = si.matrix()
+        shift = m * (c @ c * np.eye(3) - np.outer(c, c))
+        np.testing.assert_allclose(shape_inertia_origin(s, hw),
+                                   np.asarray(shape_inertia_cm(s, hw)) + shift,
+                                   rtol=1e-12, atol=1e-15)
+        # the 6x6 assembled from them is symmetric
+        M = assemble_spatial_inertia(m, c, shape_inertia_origin(s, hw))
         assert np.abs(M - M.T).max() <= 1e-12
 
     def test_origin_inertia_exceeds_com_inertia(self):

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ergolift.spatial import (SpatialInertia, SpatialVelocity, Wrench,
-                              WrenchTransform, assemble_spatial_inertia,
-                              check_physical_inertia, dual_cross,
-                              dual_cross_matrix, ensure_rotation, exp_so3,
-                              is_rotation, newton_euler_residual,
-                              project_rotation, skew, triangle_inequality_defect,
-                              wrench_transform)
+from ergolift.spatial import (Wrench, WrenchTransform,
+                              assemble_spatial_inertia, check_physical_inertia,
+                              dual_cross, dual_cross_matrix, ensure_rotation,
+                              exp_so3, is_rotation, project_rotation, skew,
+                              triangle_inequality_defect, wrench_transform)
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=3, max_size=3).map(np.array)
 
@@ -138,8 +136,6 @@ class TestSpatialInertia:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             assemble_spatial_inertia(-1.0, np.zeros(3), np.eye(3))
-        with pytest.raises(ValueError):
-            SpatialInertia(-1.0, np.zeros(3), np.eye(3))
 
     def test_symmetry(self, rng):
         for _ in range(10):
@@ -174,70 +170,6 @@ class TestSpatialInertia:
     def test_triangle_defect_sign(self):
         assert triangle_inequality_defect(np.eye(3)) < 0
         assert triangle_inequality_defect(np.diag([1.0, 0.2, 0.2])) > 0
-
-
-class TestNewtonEuler:
-    def test_static_support(self):
-        Mi = SpatialInertia(2.0, np.array([0.05, 0.0, 0.02]),
-                            np.diag([0.1, 0.12, 0.08]))
-        R = exp_so3(np.array([0.3, -0.2, 0.5]))
-        gravity = np.array([0.0, 0, -9.81])
-        g_body = R.T @ gravity
-        f = Wrench.from_vector(
-            Mi.matrix() @ (-np.concatenate([g_body, np.zeros(3)])))
-        r = newton_euler_residual(Mi, SpatialVelocity.zero(), np.zeros(6),
-                                  gravity, R, f)
-        np.testing.assert_allclose(r, np.zeros(6), atol=1e-12)
-
-    def test_free_fall(self):
-        Mi = SpatialInertia(3.0, np.array([0.0, 0.1, 0.0]),
-                            np.diag([0.2, 0.2, 0.1]))
-        R = exp_so3(np.array([0.0, 0.4, 0.1]))
-        gravity = np.array([0.0, 0, -9.81])
-        a = np.concatenate([R.T @ gravity, np.zeros(3)])
-        r = newton_euler_residual(Mi, SpatialVelocity.zero(), a, gravity, R,
-                                  Wrench(np.zeros(3), np.zeros(3)))
-        np.testing.assert_allclose(r, np.zeros(6), atol=1e-12)
-
-    def test_spinning_top_hand_computation(self):
-        # m = 1 kg, c = [0.05, 0, 0], w = [0, 0, 10] rad/s, a = 0, f = 0
-        m, c = 1.0, np.array([0.05, 0.0, 0.0])
-        I = np.diag([0.01, 0.012, 0.014])
-        Mi = SpatialInertia(m, c, I)
-        w = np.array([0.0, 0, 10])
-        v = SpatialVelocity(np.zeros(3), w)
-        gravity = np.array([0.0, 0, -9.81])
-        r = newton_euler_residual(Mi, v, np.zeros(6), gravity, np.eye(3),
-                                  Wrench(np.zeros(3), np.zeros(3)))
-        # hand blocks: Mv = [m v - m c x w ; m c x v + I w]
-        lin_mom = -m * np.cross(c, w)
-        ang_mom = I @ w
-        gyro = np.concatenate([np.cross(w, lin_mom), np.cross(w, ang_mom)])
-        grav_term = np.concatenate([-m * gravity,
-                                    -m * np.cross(c, gravity)])
-        np.testing.assert_allclose(r, grav_term + gyro, atol=1e-12)
-        np.testing.assert_allclose(
-            r, [-5.0, 0.0, 9.81, 0.0, -0.4905, 0.0], atol=1e-12)
-
-    def test_linearity_in_accel_and_wrench(self, rng):
-        Mi = SpatialInertia(2.0, rng.normal(size=3) * 0.1,
-                            np.diag(rng.uniform(0.05, 0.2, size=3)))
-        R = exp_so3(rng.normal(size=3))
-        gravity = np.array([0.0, 0, -9.81])
-        v = SpatialVelocity(rng.normal(size=3), rng.normal(size=3))
-
-        def res(a, f):
-            return newton_euler_residual(Mi, v, a, gravity, R,
-                                         Wrench.from_vector(f))
-
-        a1, a2 = rng.normal(size=6), rng.normal(size=6)
-        f1, f2 = rng.normal(size=6), rng.normal(size=6)
-        base = res(np.zeros(6), np.zeros(6))
-        lhs = res(2.0 * a1 + a2, 3.0 * f1 - f2)
-        rhs = (2.0 * (res(a1, np.zeros(6)) - base) + (res(a2, np.zeros(6)) - base)
-               + 3.0 * (res(np.zeros(6), f1) - base) - (res(np.zeros(6), f2) - base)
-               + base)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
 class TestRotationRepair:
