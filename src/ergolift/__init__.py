@@ -9,4 +9,4 @@ that minimize static joint torques across a set of payload heights.
 __version__ = "0.1.0"
 
 from .shapes import Box, Cylinder, LinkHardware, Sphere  # noqa: F401
-from .spatial import Wrench, WrenchTransform  # noqa: F401
+from .spatial import Wrench  # noqa: F401

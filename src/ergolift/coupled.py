@@ -84,11 +84,15 @@ class CoupledSystem:
             if not 0 <= g.agent < len(self.agents):
                 raise ValueError(f"grasp references missing agent {g.agent}")
 
+    @property
+    def parametrized_model(self) -> Model:
+        """The agent whose hardware the parameters set (the robot)."""
+        return self.agents[self.parametrized_agent % len(self.agents)]
+
     def subsystem_models(self, params: Optional[Mapping] = None):
         models = list(self.agents)
         idx = self.parametrized_agent % len(self.agents)
-        if params:
-            models[idx] = apply_hardware(models[idx], params, validate=False)
+        models[idx] = apply_hardware(models[idx], params, validate=False)
         if self.payload is not None:
             models.append(self.payload)
         return models
@@ -159,7 +163,7 @@ def coupled_trees(sys: CoupledSystem, q: CoupledConfiguration,
     models = sys.subsystem_models(params)
     if len(q.qs) != len(models):
         raise ValueError("configuration count does not match subsystems")
-    return models, [kinematics(m, qi) for m, qi in zip(models, q.qs)]
+    return [kinematics(m, qi) for m, qi in zip(models, q.qs)]
 
 
 def _place_blocks(blocks, n_vel):
@@ -183,7 +187,7 @@ def coupling_matrix(sys: CoupledSystem, q: CoupledConfiguration,
                     params: Optional[Mapping] = None, trees=None):
     """Stacked contact constraint matrix over the composite velocity."""
     if trees is None:
-        _, trees = coupled_trees(sys, q, params)
+        trees = coupled_trees(sys, q, params)
     models = [t.model for t in trees]
     dims, offsets = sys.velocity_layout()
     n_vel = int(offsets[-1])
@@ -210,7 +214,7 @@ def coupling_matrix(sys: CoupledSystem, q: CoupledConfiguration,
 def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
                       params: Optional[Mapping] = None, trees=None):
     if trees is None:
-        _, trees = coupled_trees(sys, q, params)
+        trees = coupled_trees(sys, q, params)
     return fad.concatenate([
         gravity_vector(t.model, qi, t) for qi, t in zip(q.qs, trees)])
 
@@ -268,7 +272,7 @@ def static_torques(sys: CoupledSystem, q: CoupledConfiguration,
 def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
                      params: Optional[Mapping], tau: np.ndarray) -> np.ndarray:
     """Least-squares contact wrenches ``f`` with ``Q^T f = g - B tau``."""
-    _, trees = coupled_trees(sys, q, params)
+    trees = coupled_trees(sys, q, params)
     Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
     g = fad.value(composite_gravity(sys, q, params, trees=trees))
     U, sv, Vt = _constraint_svd(Q, sys.wrench_labels)
@@ -286,7 +290,7 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     through.
     """
     if trees is None:
-        _, trees = coupled_trees(sys, q, params)
+        trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, q, params, trees=trees)
     g = composite_gravity(sys, q, params, trees=trees)
     B = sys.selector()
@@ -343,7 +347,7 @@ def foot_cops(sys: CoupledSystem, q: CoupledConfiguration,
               min_normal: float = 1.0, trees=None):
     """CoP per environment contact, keyed by wrench label."""
     if trees is None:
-        _, trees = coupled_trees(sys, q, params)
+        trees = coupled_trees(sys, q, params)
     out = {}
     labels = sys.wrench_labels
     for k, (agent, frame) in enumerate(sys.env_contacts):
@@ -368,7 +372,7 @@ def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
     UnloadedFootError when a foot carries less than ``min_normal``.
     """
     if trees is None:
-        _, trees = coupled_trees(sys, q, params)
+        trees = coupled_trees(sys, q, params)
     Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
     g = fad.value(composite_gravity(sys, q, params, trees=trees))
     B = sys.selector()

@@ -4,10 +4,11 @@ Decision vector layout, per target height: for every subsystem (human,
 robot, payload) a block ``[base position (3), base roll-pitch-yaw (3),
 joint positions]``; after all heights, the shared hardware block
 ``[length multipliers..., densities...]`` over the robot's optimization
-groups.  The cost sums the torque and center-of-pressure tasks over
-heights and adds the density-preference and center-of-mass-height tasks
-once; it is normalized by the sum of task weights, so uniformly scaling
-all weights leaves the iterate path bit-for-bit identical.
+groups, which ``ErgoProblem.group_values`` decodes.  The cost sums the
+torque and center-of-pressure tasks over heights and adds the
+density-preference and center-of-mass-height tasks once; it is
+normalized by the sum of task weights, so uniformly scaling all weights
+leaves the iterate path bit-for-bit identical.
 
 Constraints per height, 3 + 3 * grasps + 3 * contacts rows (27 for the
 lifting scenario): ``[payload tilt (2), payload height (1), hand
@@ -162,38 +163,32 @@ class ErgoProblem:
             for i, m in enumerate(models))
         return CoupledConfiguration(qs)
 
+    def group_values(self, y):
+        """{group: (density, multiplier)} from the shared block of y.
+
+        The nominal values when the hardware is frozen.
+        """
+        if self.layout.frozen_hardware:
+            return self.nominal_groups
+        block = y[self.layout.pi_slice()]
+        g = self.layout.n_groups
+        return {name: (block[g + i], block[i])
+                for i, name in enumerate(self.nominal_groups)}
+
     def hardware_params(self, y):
         """Per-link hardware from the shared block of y (None if frozen)."""
         if self.layout.frozen_hardware:
             return None
-        sl = self.layout.pi_slice()
-        block = y[sl]
-        g = self.layout.n_groups
-        names = list(self.nominal_groups)
-        values = {}
-        for i, name in enumerate(names):
-            lm = block[i]
-            rho = block[g + i]
-            values[name] = (rho, lm)
-        robot = self.system.agents[self.system.parametrized_agent
-                                   % len(self.system.agents)]
-        return group_params(robot, values)
+        return group_params(self.system.parametrized_model,
+                            self.group_values(y))
 
     # -- pieces ----------------------------------------------------------
 
     def _shared_terms(self, y, params):
         w = self.scenario.weights
-        if self.layout.frozen_hardware:
-            densities = [self.nominal_groups[g][0]
-                         for g in self.nominal_groups]
-        else:
-            sl = self.layout.pi_slice()
-            g = self.layout.n_groups
-            densities = [y[sl][g + i] for i in range(g)]
+        densities = [rho for rho, _ in self.group_values(y).values()]
         t2 = task_density(densities, self.scenario.preferred_densities)
-        robot = self.system.agents[self.system.parametrized_agent
-                                   % len(self.system.agents)]
-        t4 = task_com_height(robot, params)
+        t4 = task_com_height(self.system.parametrized_model, params)
         return w.density * t2 + w.com_height * t4
 
     def _height_tasks(self, q, params, trees):
@@ -254,7 +249,7 @@ class ErgoProblem:
         """Height terms plus the residual Jacobians feeding Gauss-Newton."""
         q = self.configurations(y, k)
         w = self.scenario.weights
-        _, trees = coupled_trees(self.system, q, params)
+        trees = coupled_trees(self.system, q, params)
         tau, cops, t1, t3 = self._height_tasks(q, params, trees)
         cons = self._residual_rows(q, k, trees)
         cost_k = w.torque * t1 + w.cop * t3
@@ -351,7 +346,7 @@ def assemble_nlp(scenario: Scenario, system: Optional[CoupledSystem] = None,
     system = system if system is not None else build_system(scenario)
     heights = tuple(heights if heights is not None else scenario.heights)
     models = system.subsystem_models()
-    robot = system.agents[system.parametrized_agent % len(system.agents)]
+    robot = system.parametrized_model
     nominal = robot.group_hardware()
     if not freeze_hardware and not nominal:
         raise ValueError("robot model declares no optimization groups; "
@@ -447,7 +442,7 @@ def solve(problem: ErgoProblem, warm_start=None,
     tasks = []
     for k in range(len(problem.heights)):
         q = problem.configurations(report.x, k)
-        _, trees = coupled_trees(problem.system, q, params)
+        trees = coupled_trees(problem.system, q, params)
         try:
             res = evaluate_statics(problem.system, q, params, trees=trees)
         except (SingularConstraintError, UnloadedFootError):
@@ -457,12 +452,10 @@ def solve(problem: ErgoProblem, warm_start=None,
         tasks.append({"torque": float(t1), "cop": float(t3)})
     hardware = None
     if not problem.layout.frozen_hardware:
-        sl = problem.layout.pi_slice()
-        g = problem.layout.n_groups
-        block = report.x[sl]
-        hardware = {name: {"length_multiplier": float(block[i]),
-                           "density": float(block[g + i])}
-                    for i, name in enumerate(problem.nominal_groups)}
+        values = problem.group_values(report.x)
+        hardware = {name: {"length_multiplier": float(lm),
+                           "density": float(rho)}
+                    for name, (rho, lm) in values.items()}
     return Solution(
         y=report.x, status=report.status, iterations=report.iterations,
         cost=report.cost, kkt_residual=report.kkt_residual,

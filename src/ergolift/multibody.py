@@ -3,8 +3,11 @@
 A ``Model`` is an ordered list of links connected by 1-DoF joints, plus
 named attachment frames (hands, feet, grasp points).  Link geometry and
 inertia are functions of the per-link hardware (density, length
-multiplier); scaling a link's length multiplier also slides every child
-joint and attachment frame mounted along its growth axis.
+multiplier).  Joint and frame offsets are given at unit multiplier; where
+poses are computed, their z component is scaled by the multiplier of the
+link they are mounted on, so a longer link carries its child joints and
+attachment frames along its growth axis.  ``apply_hardware`` therefore
+only puts new hardware on links and shares everything else.
 
 Velocity convention is mixed/world-aligned: the base twist is the world
 linear velocity of the base origin stacked with the world angular
@@ -14,14 +17,13 @@ the same kind of frame twist.
 Each constant is derived once, on the definition it comes from: a
 ``Joint`` stores its fixed rpy rotation and the Rodrigues ``K`` and
 ``K^2`` of its axis, a ``FrameDef`` its fixed rotation, and a ``Link``
-its mass, CoM and inertia about its origin (``Link.inertial``).  So
-``apply_hardware`` re-derives only the links and frames it rebuilds.
-A ``Model`` caches only topology: the name maps, the links x dofs path
-mask and the revolute flags.  One masked cross product over the stacked
-joint axes and pivots gives every point Jacobian, and the mass matrix
-is ``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the
-Jacobian of link i's origin and ``M_i`` its spatial inertia about that
-origin.
+its mass, CoM and inertia about its origin (``Link.inertial``), which
+only the links given new hardware derive again.  A ``Model`` caches
+only topology: the name maps, the links x dofs path mask and the
+revolute flags.  One masked cross product over the stacked joint axes
+and pivots gives every point Jacobian, and the mass matrix is
+``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the Jacobian
+of link i's origin and ``M_i`` its spatial inertia about that origin.
 """
 
 from __future__ import annotations
@@ -68,11 +70,12 @@ def _rpy_const(rpy):
 class Joint:
     """1-DoF joint attaching a link to its parent.
 
-    ``offset`` is expressed in the parent frame (its z component rides
-    the parent's growth axis), ``rpy`` is the fixed rotation applied
-    after the offset, and ``axis`` is the motion axis in the child
-    frame.  ``rotation`` is the matrix of ``rpy``, and ``K``, ``K2`` are
-    ``S(axis)`` and its square, the Rodrigues terms of a revolute joint.
+    ``offset`` is expressed in the parent frame at unit length
+    multiplier; poses scale its z component by the parent's multiplier.
+    ``rpy`` is the fixed rotation applied after the offset, and ``axis``
+    is the motion axis in the child frame.  ``rotation`` is the matrix
+    of ``rpy``, and ``K``, ``K2`` are ``S(axis)`` and its square, the
+    Rodrigues terms of a revolute joint.
     """
 
     kind: str  # "revolute" | "prismatic"
@@ -123,8 +126,9 @@ class Link:
 class FrameDef:
     """Named frame rigidly attached to a link.
 
-    The offset z component rides the link's growth axis and scales with
-    its length multiplier; ``rotation`` is the matrix of ``rpy``.
+    ``offset`` is given at unit length multiplier; poses scale its z
+    component by the link's multiplier.  ``rotation`` is the matrix of
+    ``rpy``.
     """
 
     name: str
@@ -272,19 +276,13 @@ class Configuration:
 # hardware application
 
 
-def _scale_z(offset, ratio):
-    if isinstance(ratio, float) and ratio == 1.0:
-        return offset
-    return fad.stack([offset[0], offset[1], offset[2] * ratio])
-
-
-def apply_hardware(model: Model, params: Mapping[str, LinkHardware],
+def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
                    validate: bool = True) -> Model:
-    """Model with new hardware and consistently rescaled mounting offsets.
+    """Model whose named links carry new hardware.
 
-    Offsets of child joints and attachment frames slide along the scaled
-    link's growth axis by the ratio of new to old length multiplier.
-    Links absent from ``params`` keep their nominal values bit for bit.
+    Only the links in ``params`` are replaced; every other link, every
+    joint and every frame is shared with ``model``, since the mounting
+    offsets follow the multipliers where poses are computed.
     """
     if not params:
         return model
@@ -304,34 +302,10 @@ def apply_hardware(model: Model, params: Mapping[str, LinkHardware],
                 raise ValueError(
                     f"length multiplier for {name!r} outside bounds "
                     f"[{lo_lm}, {hi_lm}]")
-
-    ratios = {}
-    for name, hw in params.items():
-        old = model.links[model.link_index(name)].hardware
-        same = (hw.length_multiplier is old.length_multiplier
-                or (isinstance(hw.length_multiplier, (int, float))
-                    and hw.length_multiplier == old.length_multiplier))
-        ratios[model.link_index(name)] = (
-            1.0 if same else hw.length_multiplier / old.length_multiplier)
-
-    new_links = []
-    for i, link in enumerate(model.links):
-        hw = params.get(link.name, link.hardware)
-        joint = link.joint
-        if joint is not None and ratios.get(link.parent, 1.0) != 1.0:
-            joint = replace(joint,
-                            offset=_scale_z(joint.offset, ratios[link.parent]))
-        if hw is not link.hardware or joint is not link.joint:
-            link = replace(link, hardware=hw, joint=joint)
-        new_links.append(link)
-    new_frames = []
-    for f in model.frames:
-        if ratios.get(f.link, 1.0) != 1.0:
-            f = replace(f, offset=_scale_z(f.offset, ratios[f.link]))
-        new_frames.append(f)
-    return Model(name=model.name, links=tuple(new_links),
-                 frames=tuple(new_frames), groups=model.groups,
-                 bounds=model.bounds)
+    links = tuple(replace(l, hardware=params[l.name]) if l.name in params
+                  else l for l in model.links)
+    return Model(name=model.name, links=links, frames=model.frames,
+                 groups=model.groups, bounds=model.bounds)
 
 
 def group_params(model: Model, values: Mapping[str, tuple]) -> dict:
@@ -367,8 +341,16 @@ class KinTree:
     def frame_pose(self, name):
         f = self.model.frame(name)
         R = self.rot[f.link]
-        p = self.pos[f.link] + R @ f.offset
+        lm = self.model.links[f.link].hardware.length_multiplier
+        p = self.pos[f.link] + R @ _scale_z(f.offset, lm)
         return R @ f.rotation, p
+
+
+def _scale_z(offset, lm):
+    """Mounting offset slid along its link's growth axis."""
+    if isinstance(lm, float) and lm == 1.0:
+        return offset
+    return fad.stack([offset[0], offset[1], offset[2] * lm])
 
 
 def kinematics(model: Model, q: Configuration) -> KinTree:
@@ -379,7 +361,8 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
     for i, link in enumerate(model.links[1:], start=1):
         j = link.joint
         Rp, pp = rot[link.parent], pos[link.parent]
-        p_joint = pp + Rp @ j.offset
+        lm = model.links[link.parent].hardware.length_multiplier
+        p_joint = pp + Rp @ _scale_z(j.offset, lm)
         R_pre = Rp @ j.rotation
         sj = q.s[i - 1]
         if j.kind == "revolute":
@@ -552,7 +535,7 @@ def com_height_null_config(model: Model,
     is zero (the two are equal for symmetric models); without feet the
     base frame itself sits on the ground plane.
     """
-    scaled = apply_hardware(model, params, validate=False) if params else model
+    scaled = apply_hardware(model, params, validate=False)
     q0 = Configuration(np.zeros(3), np.eye(3),
                        np.zeros(scaled.n_joints))
     tree = kinematics(scaled, q0)

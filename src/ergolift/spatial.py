@@ -1,20 +1,14 @@
 """6D spatial algebra for the statics of rigid bodies.
 
 The package analyses bodies at rest, so this module holds what statics
-needs: skew matrices and rotations, wrenches and their frame
-transforms, and the 6x6 spatial inertia with its physical-consistency
-checks.
+needs: skew matrices and rotations, wrenches, and the 6x6 spatial
+inertia with its physical-consistency checks.
 
 Conventions used throughout the package:
 
 * 6D vectors stack the linear part first, angular second:
   velocities are ``[v; w]``, wrenches are ``[force; torque]``.
 * The world frame is right handed with z pointing up against gravity.
-* A ``WrenchTransform`` with rotation ``R`` and translation ``p`` maps a
-  wrench expressed in frame B into frame A, where ``R`` is the rotation
-  of B seen from A and ``p`` the position of B's origin in A.  Its 6x6
-  matrix is ``[[R, 0], [S(p) R, R]]``, which makes transform composition
-  associative with pose composition.
 """
 
 from __future__ import annotations
@@ -108,69 +102,6 @@ class Wrench:
     def from_vector(w, frame=""):
         w = np.asarray(w, dtype=float)
         return Wrench(w[:3], w[3:], frame)
-
-
-@dataclass(frozen=True, eq=False)
-class WrenchTransform:
-    """Rigid transform acting on wrenches, from frame B into frame A.
-
-    ``rotation`` is B's orientation in A; ``translation`` is the position
-    of B's origin expressed in A.
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        R = ensure_rotation(self.rotation)
-        object.__setattr__(self, "rotation", _ro(R, (3, 3)))
-        object.__setattr__(self, "translation", _ro(self.translation, (3,)))
-
-    @staticmethod
-    def identity():
-        return WrenchTransform(np.eye(3), np.zeros(3))
-
-    def matrix6(self):
-        R, p = self.rotation, self.translation
-        out = np.zeros((6, 6))
-        out[:3, :3] = R
-        out[3:, :3] = skew(p) @ R
-        out[3:, 3:] = R
-        return out
-
-    def compose(self, other: "WrenchTransform") -> "WrenchTransform":
-        """Transform A<-B composed with B<-C gives A<-C."""
-        return WrenchTransform(
-            self.rotation @ other.rotation,
-            self.translation + self.rotation @ other.translation)
-
-    def inverse(self) -> "WrenchTransform":
-        return WrenchTransform(self.rotation.T,
-                               -(self.rotation.T @ self.translation))
-
-
-def wrench_transform(X: WrenchTransform, w: Wrench) -> Wrench:
-    """Re-express a wrench given in frame B into frame A."""
-    f = X.rotation @ w.force
-    tau = X.rotation @ w.torque + np.cross(X.translation, f)
-    return Wrench(f, tau)
-
-
-def dual_cross_matrix(v):
-    """6x6 operator [[S(w), 0], [S(v), S(w)]] for v = [linear; angular]."""
-    v = np.asarray(v, dtype=float)
-    Sw = skew(v[3:])
-    Sv = skew(v[:3])
-    out = np.zeros((6, 6))
-    out[:3, :3] = Sw
-    out[3:, :3] = Sv
-    out[3:, 3:] = Sw
-    return out
-
-
-def dual_cross(v, w):
-    """Apply the 6D dual cross operator of velocity v to the 6-vector w."""
-    return dual_cross_matrix(v) @ np.asarray(w, dtype=float)
 
 
 def assemble_spatial_inertia(mass, com, inertia):

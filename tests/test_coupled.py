@@ -12,7 +12,7 @@ from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
 from ergolift.scenario import (build_system, make_scenario,
                                warm_start_configuration)
 from ergolift.shapes import Box, LinkHardware, Sphere
-from ergolift.spatial import GRAVITY, Wrench, WrenchTransform, wrench_transform
+from ergolift.spatial import GRAVITY, Wrench
 from ergolift.templates import build_payload, default_human
 
 
@@ -25,7 +25,7 @@ from ergolift.templates import build_payload, default_human
 
 def composite_matrices(sys, q, params=None):
     """Block-diagonal mass matrix, stacked gravity and selector matrix."""
-    _, trees = coupled_trees(sys, q, params)
+    trees = coupled_trees(sys, q, params)
     _, offsets = sys.velocity_layout()
     M = np.zeros((int(offsets[-1]),) * 2)
     for i, t in enumerate(trees):
@@ -227,7 +227,7 @@ class TestCouplingMatrix:
     def test_grasp_rows_annihilate_common_rigid_twist(self, desk, rng):
         sc, sys, q = desk
         # rebuild the payload so its grasp frames coincide with the hands
-        models, trees = coupled_trees(sys, q)
+        trees = coupled_trees(sys, q)
         q3 = q.qs[2]
         points = {}
         for g in sys.grasps:
@@ -347,8 +347,7 @@ class TestCenterOfPressure:
         tau = np.array([0.4, -0.3, 0.05])
         w = Wrench(f, tau)
         d = 0.04
-        shifted = wrench_transform(
-            WrenchTransform(np.eye(3), np.array([-d, 0.0, 0.0])), w)
+        shifted = Wrench(f, tau + np.cross(np.array([-d, 0.0, 0.0]), f))
         cop0 = center_of_pressure(w)
         cop1 = center_of_pressure(shifted)
         assert cop1[0] == pytest.approx(cop0[0] - d, abs=1e-12)

@@ -50,7 +50,7 @@ class TestSolve:
         assert len(sol.task_values) == len(problem.heights)
         for k, tasks in enumerate(sol.task_values):
             q = problem.configurations(sol.y, k)
-            _, trees = coupled_trees(sys, q, params)
+            trees = coupled_trees(sys, q, params)
             tau, f = statics_minnorm(sys, q, params)
             cop = 0.0
             for c, (agent, frame) in enumerate(sys.env_contacts):

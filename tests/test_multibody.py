@@ -391,6 +391,17 @@ class TestGravityVector:
                                    g_sum, atol=1e-10)
 
 
+def check_mount(point, R, p, offset, lm):
+    """point is p + R @ [ox, oy, oz * lm], with d/dlm = R @ [0, 0, oz]."""
+    ox, oy, oz = offset
+    np.testing.assert_allclose(
+        fad.value(point), p + R @ np.array([ox, oy, oz * fad.value(lm)]),
+        rtol=0, atol=1e-15)
+    if isinstance(lm, fad.Dual):
+        np.testing.assert_allclose(point.dot[0], R @ np.array([0, 0, oz]),
+                                   rtol=0, atol=1e-15)
+
+
 class TestApplyHardware:
     def test_identity_is_bitwise_noop(self, rng):
         model = mixed_chain()
@@ -403,16 +414,17 @@ class TestApplyHardware:
         np.testing.assert_array_equal(mass_matrix(model, q),
                                       mass_matrix(same, q))
 
-    def test_child_offset_scales_along_parent_axis(self):
+    def test_child_offset_scales_along_parent_axis(self, rng):
+        # b and c hang from a at [0, 0, 0.3] and [0, 0.02, 0.3]
         model = mixed_chain()
-        scaled = apply_hardware(
-            model, {"a": LinkHardware(1500.0, 2.0)})
-        # link b hangs from a with offset [0, 0, 0.3]
-        np.testing.assert_allclose(scaled.links[2].joint.offset,
-                                   [0, 0, 0.6], atol=1e-15)
-        # lateral components of c's offset survive, z doubles
-        np.testing.assert_allclose(scaled.links[3].joint.offset,
-                                   [0, 0.02, 0.6], atol=1e-15)
+        for lm in (2.0, fad.seed(np.array([2.0]))[0]):
+            scaled = apply_hardware(model, {"a": LinkHardware(1500.0, lm)})
+            for q in (Configuration.neutral(model),
+                      random_configuration(model, rng)):
+                tree = kinematics(scaled, q)
+                for i in (2, 3):
+                    check_mount(tree.pivot_w[i - 1], tree.rot[1],
+                                tree.pos[1], model.links[i].joint.offset, lm)
 
     def test_density_change_keeps_kinematics(self, rng):
         model = mixed_chain()
@@ -433,11 +445,34 @@ class TestApplyHardware:
             for l in model.links)
         assert scaled.total_mass() == pytest.approx(expected, rel=1e-12)
 
-    def test_frame_offset_scales_with_its_link(self):
+    def test_frame_offset_scales_with_its_link(self, rng):
+        # tip sits on d at [0, 0, 0.2]
         model = mixed_chain()
-        scaled = apply_hardware(model, {"d": LinkHardware(1100.0, 1.5)})
-        np.testing.assert_allclose(scaled.frame("tip").offset, [0, 0, 0.3],
-                                   atol=1e-15)
+        for lm in (1.5, fad.seed(np.array([1.5]))[0]):
+            scaled = apply_hardware(model, {"d": LinkHardware(1100.0, lm)})
+            for q in (Configuration.neutral(model),
+                      random_configuration(model, rng)):
+                tree = kinematics(scaled, q)
+                _, p = tree.frame_pose("tip")
+                check_mount(p, tree.rot[4], tree.pos[4],
+                            model.frame("tip").offset, lm)
+
+    def test_apply_hardware_shares_joints_frames_and_untouched_links(self):
+        robot = default_robot()
+        values = {g.name: (1000.0 + 500.0 * k, 0.8 + 0.1 * k)
+                  for k, g in enumerate(robot.groups)}
+        assert len(values) == 5
+        params = group_params(robot, values)
+        assert len(params) == 9
+        scaled = apply_hardware(robot, params)
+        assert all(f is f0 for f, f0 in zip(scaled.frames, robot.frames))
+        for l, l0 in zip(scaled.links, robot.links):
+            assert l.joint is l0.joint
+            if l.name in params:
+                assert l is not l0 and l.hardware is params[l.name]
+                assert l.shape is l0.shape
+            else:
+                assert l is l0
 
     def test_errors(self):
         model = mixed_chain()
@@ -469,11 +504,14 @@ class TestDerivedOnce:
         robot = default_robot()
         calls = counting(monkeypatch, fad, "rpy_matrix")
         q = random_configuration(robot, rng)
-        tree = kinematics(robot, q)
-        for f in robot.frames:
-            tree.frame_pose(f.name)
-            frame_jacobian(robot, q, f.name, tree)
-            frame_jacobian(robot, q, f.name)
+        scaled = apply_hardware(robot, group_params(
+            robot, {g.name: (2000.0, 1.4) for g in robot.groups}))
+        for model in (robot, scaled):
+            tree = kinematics(model, q)
+            for f in model.frames:
+                tree.frame_pose(f.name)
+                frame_jacobian(model, q, f.name, tree)
+                frame_jacobian(model, q, f.name)
         assert calls == []
 
     def test_apply_hardware_derives_only_rebuilt_links(self, monkeypatch):
@@ -486,8 +524,9 @@ class TestDerivedOnce:
         gravity_vector(scaled, q)
         rebuilt = [l for l, l0 in zip(scaled.links, robot.links)
                    if l is not l0]
-        # the two upper arms, and the forearms whose joints slid along them
-        assert len(rebuilt) == 4
+        # the two upper arms; the forearms' joints ride them unchanged
+        assert [l.name for l in rebuilt] == ["upper_arm_left",
+                                             "upper_arm_right"]
         assert [hw for _, hw in calls] == [l.hardware for l in rebuilt]
 
 

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ergolift.spatial import (Wrench, WrenchTransform,
-                              assemble_spatial_inertia, check_physical_inertia,
-                              dual_cross, dual_cross_matrix, ensure_rotation,
-                              exp_so3, is_rotation, project_rotation, skew,
-                              triangle_inequality_defect, wrench_transform)
+from ergolift.spatial import (assemble_spatial_inertia, check_physical_inertia,
+                              ensure_rotation, exp_so3, is_rotation,
+                              project_rotation, skew,
+                              triangle_inequality_defect)
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=3, max_size=3).map(np.array)
 
@@ -36,85 +35,6 @@ class TestSkew:
     @given(v=finite_vec, u=finite_vec)
     def test_matches_cross(self, v, u):
         np.testing.assert_allclose(skew(v) @ u, np.cross(v, u), atol=1e-12)
-
-
-class TestWrenchTransform:
-    def test_identity(self):
-        w = Wrench(np.array([1.0, -2, 3]), np.array([0.5, 0, -1]))
-        out = wrench_transform(WrenchTransform.identity(), w)
-        np.testing.assert_array_equal(out.force, w.force)
-        np.testing.assert_array_equal(out.torque, w.torque)
-
-    def test_pure_translation_point_force(self):
-        # oracle: a force f acting at the source origin, which sits at p in
-        # the target frame, has moment p x f about the target origin
-        p = np.array([0.0, 0, 1])
-        f = np.array([1.0, 0, 0])
-        X = WrenchTransform(np.eye(3), p)
-        out = wrench_transform(X, Wrench(f, np.zeros(3)))
-        np.testing.assert_allclose(out.force, f, atol=1e-15)
-        np.testing.assert_allclose(out.torque, np.cross(p, f), atol=1e-15)
-        np.testing.assert_allclose(out.torque, [0.0, 1.0, 0.0], atol=1e-15)
-
-    def test_pure_rotation(self):
-        Rz = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]])
-        X = WrenchTransform(Rz, np.zeros(3))
-        out = wrench_transform(X, Wrench(np.array([1.0, 0, 0]),
-                                         np.array([0.0, 0, 2])))
-        np.testing.assert_allclose(out.force, [0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(out.torque, [0, 0, 2], atol=1e-15)
-
-    def test_inverse_composes_to_identity(self, rng):
-        for _ in range(20):
-            X = WrenchTransform(random_rotation(rng), rng.normal(size=3))
-            I = X.compose(X.inverse())
-            assert np.abs(I.rotation - np.eye(3)).max() <= 1e-9
-            assert np.abs(I.translation).max() <= 1e-9
-
-    def test_composition_on_wrenches(self, rng):
-        for _ in range(30):
-            Xab = WrenchTransform(random_rotation(rng), rng.normal(size=3))
-            Xbc = WrenchTransform(random_rotation(rng), rng.normal(size=3))
-            w = Wrench(rng.normal(size=3), rng.normal(size=3))
-            lhs = wrench_transform(Xab.compose(Xbc), w)
-            rhs = wrench_transform(Xab, wrench_transform(Xbc, w))
-            np.testing.assert_allclose(lhs.as_vector(), rhs.as_vector(),
-                                       atol=1e-9)
-
-    def test_matrix6_matches_apply(self, rng):
-        X = WrenchTransform(random_rotation(rng), rng.normal(size=3))
-        w = Wrench(rng.normal(size=3), rng.normal(size=3))
-        np.testing.assert_allclose(X.matrix6() @ w.as_vector(),
-                                   wrench_transform(X, w).as_vector(),
-                                   atol=1e-12)
-
-
-class TestDualCross:
-    def test_zero_velocity(self):
-        out = dual_cross(np.zeros(6), np.array([1.0, 2, 3, 4, 5, 6]))
-        np.testing.assert_array_equal(out, np.zeros(6))
-
-    def test_unit_spin(self):
-        v = np.array([0.0, 0, 0, 0, 0, 1])
-        out = dual_cross(v, np.array([1.0, 0, 0, 0, 0, 0]))
-        np.testing.assert_allclose(out, [0, 1, 0, 0, 0, 0], atol=1e-15)
-
-    def test_block_structure(self, rng):
-        v = rng.normal(size=6)
-        M = dual_cross_matrix(v)
-        np.testing.assert_array_equal(M[:3, :3], skew(v[3:]))
-        np.testing.assert_array_equal(M[:3, 3:], np.zeros((3, 3)))
-        np.testing.assert_array_equal(M[3:, :3], skew(v[:3]))
-        np.testing.assert_array_equal(M[3:, 3:], skew(v[3:]))
-
-    def test_linearity(self, rng):
-        for _ in range(10):
-            v = rng.normal(size=6)
-            w1, w2 = rng.normal(size=6), rng.normal(size=6)
-            a, b = rng.normal(), rng.normal()
-            np.testing.assert_allclose(
-                dual_cross(v, a * w1 + b * w2),
-                a * dual_cross(v, w1) + b * dual_cross(v, w2), atol=1e-12)
 
 
 class TestSpatialInertia:
