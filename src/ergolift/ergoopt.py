@@ -23,7 +23,10 @@ single-row encoding too.
 
 Derivatives are forward-mode dual numbers seeded per height block (plus
 the shared hardware block), which keeps the tangent batches small and
-the constraint Jacobian assembly block-sparse.
+the constraint Jacobian assembly block-sparse: each height's rows fill
+only that height's columns and the shared hardware columns.
+``nlpsolver`` hands the Jacobian to the backend as a sparse matrix, so
+its projections factor a sparse system.
 """
 
 from __future__ import annotations

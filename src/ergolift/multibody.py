@@ -35,12 +35,17 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import fad
-from .shapes import (LinkHardware, Shape, shape_com, shape_inertia_origin,
-                     shape_mass)
+from .shapes import (LinkHardware, Shape, parallel_axis, shape_com,
+                     shape_inertia_cm, shape_mass)
 from .spatial import (GRAVITY, assemble_spatial_inertia, ensure_rotation,
                       exp_so3, skew)
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+# shared by every pose and Jacobian; read-only, so an in-place write raises
+_EYE3 = np.eye(3)
+_ZEROS33 = np.zeros((3, 3))
+_EYE3.flags.writeable = _ZEROS33.flags.writeable = False
 
 ROLE_LEFT_FOOT = "left_foot"
 ROLE_RIGHT_FOOT = "right_foot"
@@ -116,10 +121,15 @@ class Link:
 
     @cached_property
     def inertial(self):
-        """(mass, CoM, inertia about the origin) in the link frame."""
-        return (shape_mass(self.shape, self.hardware),
-                shape_com(self.shape, self.hardware),
-                shape_inertia_origin(self.shape, self.hardware))
+        """(mass, CoM, inertia about the origin) in the link frame.
+
+        The mass and CoM are derived once and reused for the inertia
+        about the CoM and its parallel-axis shift.
+        """
+        m = shape_mass(self.shape, self.hardware)
+        c = shape_com(self.shape, self.hardware)
+        return m, c, parallel_axis(
+            shape_inertia_cm(self.shape, self.hardware, m), m, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +377,7 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
         sj = q.s[i - 1]
         if j.kind == "revolute":
             # Rodrigues rotation about the fixed joint axis
-            R_i = R_pre @ (np.eye(3) + fad.sin(sj) * j.K
+            R_i = R_pre @ (_EYE3 + fad.sin(sj) * j.K
                            + (1.0 - fad.cos(sj)) * j.K2)
             p_i = p_joint
         else:
@@ -404,7 +414,6 @@ def _point_jacobian(model, tree, link_idx, point_w):
     and turns it about ``a``, a prismatic one slides it along ``a``, and
     every dof off the path gives a zero column.
     """
-    eye, zeros = np.eye(3), np.zeros((3, 3))
     Sd = skew(point_w - tree.pos[0])
     axes = tree.axis_w.T
     on = model._path_mask[link_idx]
@@ -412,8 +421,8 @@ def _point_jacobian(model, tree, link_idx, point_w):
     lin = fad.where(rev, fad.cross3(axes, (point_w - tree.pivot_w).T),
                     fad.where(on, axes, 0.0))
     ang = fad.where(rev, axes, 0.0)
-    return fad.concatenate([fad.concatenate([eye, -Sd, lin], axis=1),
-                            fad.concatenate([zeros, eye, ang], axis=1)],
+    return fad.concatenate([fad.concatenate([_EYE3, -Sd, lin], axis=1),
+                            fad.concatenate([_ZEROS33, _EYE3, ang], axis=1)],
                            axis=0)
 
 

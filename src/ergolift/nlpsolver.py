@@ -5,6 +5,12 @@ The solve contract is what matters to callers: the reported status is
 constraint violation both sit below their tolerances, measured here
 with our own multiplier estimate rather than trusting the backend.
 Everything is deterministic: same inputs, same iterates, same report.
+
+The backend is scipy's trust-constr.  The constraint Jacobian reaches it
+as a CSR matrix, so each projection onto the constraints' null space
+factors the sparse augmented system ``[[I, A^T], [A, 0]]`` (Gould,
+Hribar and Nocedal, 2001) with one sparse LU, and no dense SVD of the
+slack-extended Jacobian runs.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import Bounds, NonlinearConstraint, minimize
+from scipy.sparse import csr_array
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,11 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
     ``n_cons``, ``families``, ``value``, ``value_and_derivatives`` and the
     Gauss-Newton ``hessian``.  Internally the variables are rescaled by a
     quarter of their bound range, so radians, meters and densities
-    present comparable steps to the curvature model.  KKT stationarity is measured in the scaled
-    coordinates, relative to the cost gradient magnitude.
+    present comparable steps to the curvature model.  KKT stationarity
+    is measured in the scaled coordinates, relative to the cost gradient
+    magnitude.  The constraint Jacobian goes to trust-constr as CSR, so
+    its projections factor the sparse augmented system; ``_Cache`` and
+    ``kkt_residual`` keep it dense.
     """
     cache = _Cache(problem)
     x0 = np.clip(np.asarray(x0, dtype=float), problem.lb, problem.ub)
@@ -134,7 +144,7 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
     if problem.n_cons:
         constraints.append(NonlinearConstraint(
             lambda z: cache.value(to_y(z))[1], 0.0, 0.0,
-            jac=lambda z: cache.derivatives(to_y(z))[1] * s))
+            jac=lambda z: csr_array(cache.derivatives(to_y(z))[1] * s)))
 
     lb_z, ub_z = problem.lb / s, problem.ub / s
 
@@ -169,11 +179,6 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
         "barrier_tol": 1e-12,
         "verbose": 3 if options.verbose else 0,
     }
-    if constraints:
-        # the tilt rows keep the constraint Jacobian full rank, so the
-        # dense SVD projections are not needed for that; they stay
-        # because another factorization changes the iterates
-        scipy_options["factorization_method"] = "SVDFactorization"
     res = minimize(
         lambda z: cache.value(to_y(z))[0], x0 / s,
         jac=lambda z: cache.derivatives(to_y(z))[0] * s,

@@ -110,9 +110,13 @@ def shape_com(shape: Shape, hw: LinkHardware):
     return fad.stack([zc * 0.0, zc * 0.0, zc])
 
 
-def shape_inertia_cm(shape: Shape, hw: LinkHardware):
-    """Rotational inertia about the centroid, in the shape's principal axes."""
-    m = shape_mass(shape, hw)
+def shape_inertia_cm(shape: Shape, hw: LinkHardware, m=None):
+    """Rotational inertia about the centroid, in the shape's principal axes.
+
+    ``m`` is the shape's mass, for a caller that already derived it.
+    """
+    if m is None:
+        m = shape_mass(shape, hw)
     lm = hw.length_multiplier
     if isinstance(shape, Sphere):
         d = 0.4 * (shape.radius * lm) ** 2
@@ -130,13 +134,17 @@ def shape_inertia_cm(shape: Shape, hw: LinkHardware):
                       fad.stack([zero, zero, m * dz])])
 
 
+def parallel_axis(I_cm, m, c):
+    """Shift the inertia about the CoM ``c`` of mass ``m`` to the origin."""
+    Sc = skew(c)
+    return I_cm - m * (Sc @ Sc)
+
+
 def shape_inertia_origin(shape: Shape, hw: LinkHardware):
     """Rotational inertia about the link frame origin (parallel axis)."""
     m = shape_mass(shape, hw)
-    c = shape_com(shape, hw)
-    I_cm = shape_inertia_cm(shape, hw)
-    Sc = skew(c)
-    return I_cm - m * (Sc @ Sc)
+    return parallel_axis(shape_inertia_cm(shape, hw, m), m,
+                         shape_com(shape, hw))
 
 
 # ---------------------------------------------------------------------------

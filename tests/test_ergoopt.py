@@ -20,7 +20,51 @@ def solved():
     return problem, solve(problem, y0, options), solve(problem, y0, options)
 
 
+@pytest.fixture(scope="module")
+def solved_free():
+    """Two 2-iteration free-hardware solves of one height (78 decisions)."""
+    sc = make_scenario(heights=(1.0,))
+    problem = assemble_nlp(sc, build_system(sc))
+    y0 = warm_start_vector(problem)
+    options = SolverOptions(max_iter=2)
+    return problem, solve(problem, y0, options), solve(problem, y0, options)
+
+
+class TestSolveFreeHardware:
+    """The shared hardware columns go through the solver too."""
+
+    def test_deterministic(self, solved_free):
+        problem, a, b = solved_free
+        assert problem.layout.dim == 78
+        np.testing.assert_array_equal(a.y, b.y)
+        assert a.cost == b.cost
+        assert a.hardware == b.hardware
+
+    def test_within_bounds(self, solved_free):
+        problem, sol, _ = solved_free
+        assert np.all(sol.y >= problem.lb) and np.all(sol.y <= problem.ub)
+
+    def test_hardware_inside_hardware_bounds(self, solved_free):
+        problem, sol, _ = solved_free
+        robot = problem.system.parametrized_model
+        lm_lo, lm_hi = robot.bounds.length_multiplier
+        rho_lo, rho_hi = robot.bounds.density
+        assert list(sol.hardware) == [g.name for g in robot.groups]
+        for hw in sol.hardware.values():
+            assert lm_lo <= hw["length_multiplier"] <= lm_hi
+            assert rho_lo <= hw["density"] <= rho_hi
+
+
 class TestSolve:
+    """Short solves of the lifting problem.
+
+    trust-constr gets the constraint Jacobian sparse and projects through
+    the sparse augmented system.  Were that system singular, scipy would
+    warn "Singular Jacobian matrix. Using dense SVD..." and fall back to
+    the dense path; the tier-1 warning filter turns that warning into a
+    failure, so these solves also show that the problem factors sparsely.
+    """
+
     def test_deterministic(self, solved):
         _, a, b = solved
         np.testing.assert_array_equal(a.y, b.y)

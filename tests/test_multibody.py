@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolift import fad, multibody
+from ergolift import fad, multibody, shapes
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 ModelError, UnknownFrameError, apply_hardware,
                                 com, com_height_null_config, forward_kinematics,
@@ -513,6 +513,20 @@ class TestDerivedOnce:
                 frame_jacobian(model, q, f.name, tree)
                 frame_jacobian(model, q, f.name)
         assert calls == []
+
+    def test_link_inertial_derives_mass_and_com_once(self, monkeypatch):
+        link = Link("arm", Cylinder(0.05, 0.3), LinkHardware(1500.0, 1.2))
+        calls = {name: [] for name in ("shape_mass", "shape_com")}
+        for owner in (shapes, multibody):
+            for name in calls:
+                calls[name] += [counting(monkeypatch, owner, name)]
+        m, c, I0 = link.inertial
+        for name, lists in calls.items():
+            assert sum(len(l) for l in lists) == 1, name
+        assert m == shape_mass(link.shape, link.hardware)
+        np.testing.assert_array_equal(c, shape_com(link.shape, link.hardware))
+        np.testing.assert_array_equal(
+            I0, shape_inertia_origin(link.shape, link.hardware))
 
     def test_apply_hardware_derives_only_rebuilt_links(self, monkeypatch):
         robot = default_robot()

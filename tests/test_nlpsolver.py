@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from ergolift.nlpsolver import (SolverOptions, _worst_family, kkt_residual,
-                                solve_nlp)
+from ergolift import nlpsolver
+from ergolift.nlpsolver import (SolverOptions, _variable_scales,
+                                _worst_family, kkt_residual, solve_nlp)
 
 
 class BoxedProjection:
@@ -79,3 +81,27 @@ class TestSolveStatus:
                       ("c", slice(2, 3)))
         worst, name = _worst_family(p, np.array([3.0, np.nan, 5.0]))
         assert np.isnan(worst) and name == "b"
+
+
+class TestSparseJacobian:
+    def test_constraint_jacobian_reaches_trust_constr_sparse(self,
+                                                            monkeypatch):
+        """trust-constr gets a CSR Jacobian, so it projects through the
+        sparse augmented system; the values are the scaled dense ones."""
+        seen = []
+        original = nlpsolver.minimize
+
+        def spy(fun, x0, **kwargs):
+            (con,) = kwargs["constraints"]
+            seen.append((x0, con.jac(x0)))
+            return original(fun, x0, **kwargs)
+
+        monkeypatch.setattr(nlpsolver, "minimize", spy)
+        p = BoxedProjection()
+        x0 = np.array([0.0, 0.0])
+        solve_nlp(p, x0, SolverOptions(max_iter=5))
+        ((z0, jac),) = seen
+        s = _variable_scales(p.lb, p.ub)
+        assert scipy.sparse.issparse(jac)
+        _, _, _, dense = p.value_and_derivatives(z0 * s)
+        np.testing.assert_array_equal(jac.toarray(), dense * s)
