@@ -4,7 +4,9 @@ The composite system stacks the velocity coordinates of every agent
 followed by the payload.  A coupling matrix collects one 6-row block per
 environment contact (frame twist pinned to zero) and per grasp (agent
 hand twist equal to the payload grasp-point twist), so contact wrenches
-enter the dynamics as ``Q^T f`` with action-reaction built in.
+enter the dynamics as ``Q^T f`` with action-reaction built in.  It takes
+the Jacobians of all of a subsystem's coupled frames from one batched
+``frame_jacobian`` call and writes them into ``Q`` by slice assignment.
 
 Static joint torques resolve the actuation redundancy with the
 minimum-norm distribution.  One route computes them together with the
@@ -85,13 +87,17 @@ class CoupledSystem:
                 raise ValueError(f"grasp references missing agent {g.agent}")
 
     @property
+    def parametrized_index(self) -> int:
+        """Subsystem index of the agent the parameters set (the robot)."""
+        return self.parametrized_agent % len(self.agents)
+
+    @property
     def parametrized_model(self) -> Model:
-        """The agent whose hardware the parameters set (the robot)."""
-        return self.agents[self.parametrized_agent % len(self.agents)]
+        return self.agents[self.parametrized_index]
 
     def subsystem_models(self, params: Optional[Mapping] = None):
         models = list(self.agents)
-        idx = self.parametrized_agent % len(self.agents)
+        idx = self.parametrized_index
         models[idx] = apply_hardware(models[idx], params, validate=False)
         if self.payload is not None:
             models.append(self.payload)
@@ -122,6 +128,21 @@ class CoupledSystem:
         for i, m in enumerate(self.agents):
             out.extend(f"{m.name}:{j}" for j in m.joint_names)
         return out
+
+    @cached_property
+    def coupling_frames(self):
+        """Per subsystem: (frame, 6-row block, sign) of each coupling row.
+
+        Blocks follow ``env_contacts`` then ``grasps``; a grasp couples
+        the agent frame (+) with the payload frame (-) in one block.
+        """
+        out = [[] for _ in range(len(self.agents) + (self.payload is not None))]
+        for k, (agent, frame) in enumerate(self.env_contacts):
+            out[agent].append((frame, k, 1))
+        for k, g in enumerate(self.grasps, start=len(self.env_contacts)):
+            out[g.agent].append((g.agent_frame, k, 1))
+            out[-1].append((g.payload_frame, k, -1))
+        return tuple(tuple(frames) for frames in out)
 
     @cached_property
     def wrench_labels(self):
@@ -166,49 +187,30 @@ def coupled_trees(sys: CoupledSystem, q: CoupledConfiguration,
     return [kinematics(m, qi) for m, qi in zip(models, q.qs)]
 
 
-def _place_blocks(blocks, n_vel):
-    """Assemble a 6-row band [0 .. J_a .. 0 .. J_b .. 0] over the composite.
-
-    ``blocks`` holds (offset, width, J) sorted by offset.
-    """
-    parts = []
-    cursor = 0
-    for off, width, J in blocks:
-        if off > cursor:
-            parts.append(np.zeros((6, off - cursor)))
-        parts.append(J)
-        cursor = off + width
-    if cursor < n_vel:
-        parts.append(np.zeros((6, n_vel - cursor)))
-    return fad.concatenate(parts, axis=1)
-
-
 def coupling_matrix(sys: CoupledSystem, q: CoupledConfiguration,
                     params: Optional[Mapping] = None, trees=None):
-    """Stacked contact constraint matrix over the composite velocity."""
+    """Stacked contact constraint matrix over the composite velocity.
+
+    One ``frame_jacobian`` call per subsystem gives the Jacobians of all
+    its contact and grasp frames, ``(F, 6, 6 + n)``; their values (and
+    tangents, for ``Dual`` trees) are copied into a preallocated ``Q``
+    by slice assignment, a payload grasp frame's with a minus sign.
+    """
     if trees is None:
         trees = coupled_trees(sys, q, params)
-    models = [t.model for t in trees]
     dims, offsets = sys.velocity_layout()
-    n_vel = int(offsets[-1])
-    rows = []
-    for agent, frame in sys.env_contacts:
-        J = frame_jacobian(models[agent], q.qs[agent], frame, trees[agent])
-        rows.append(_place_blocks([(int(offsets[agent]), dims[agent], J)],
-                                  n_vel))
-    payload_idx = len(sys.agents)
-    for g in sys.grasps:
-        Ja = frame_jacobian(models[g.agent], q.qs[g.agent], g.agent_frame,
-                            trees[g.agent])
-        Jp = frame_jacobian(models[payload_idx], q.qs[payload_idx],
-                            g.payload_frame, trees[payload_idx])
-        rows.append(_place_blocks(
-            [(int(offsets[g.agent]), dims[g.agent], Ja),
-             (int(offsets[payload_idx]), dims[payload_idx], -1.0 * Jp)],
-            n_vel))
-    if not rows:
-        return np.zeros((0, n_vel))
-    return fad.concatenate(rows, axis=0)
+    n_rows = 6 * (len(sys.env_contacts) + len(sys.grasps))
+    parts = []
+    for s, frames in enumerate(sys.coupling_frames):
+        if not frames:
+            continue
+        J = frame_jacobian(trees[s].model, q.qs[s],
+                           tuple(f for f, _, _ in frames), trees[s])
+        cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
+        parts.extend(((slice(6 * row, 6 * row + 6), cols),
+                      J[k] if sign > 0 else -J[k])
+                     for k, (_, row, sign) in enumerate(frames))
+    return fad.assemble((n_rows, int(offsets[-1])), parts)
 
 
 def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,

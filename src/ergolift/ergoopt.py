@@ -39,9 +39,9 @@ import numpy as np
 from . import fad
 from .coupled import (CoupledConfiguration, CoupledSystem,
                       SingularConstraintError, UnloadedFootError, cop_smooth,
-                      coupled_trees, evaluate_statics, statics_minnorm)
+                      evaluate_statics, statics_minnorm)
 from .multibody import (Configuration, Model, com_height_null_config,
-                        group_params)
+                        group_params, kinematics)
 from .nlpsolver import SolverOptions, SolverReport, solve_nlp
 from .scenario import Scenario, build_system, rpy_from_matrix, \
     warm_start_configuration
@@ -130,6 +130,10 @@ def _sub_configuration(y_block, n_joints):
     return Configuration(pos, rot, y_block[6: 6 + n_joints])
 
 
+def _trees(models, q: CoupledConfiguration):
+    return [kinematics(m, qi) for m, qi in zip(models, q.qs)]
+
+
 def _pack_configuration(q: Configuration):
     return np.concatenate([
         np.asarray(fad.value(q.base_pos)),
@@ -187,20 +191,20 @@ class ErgoProblem:
 
     # -- pieces ----------------------------------------------------------
 
-    def _shared_terms(self, y, params):
+    def _shared_terms(self, y, models):
         w = self.scenario.weights
         densities = [rho for rho, _ in self.group_values(y).values()]
         t2 = task_density(densities, self.scenario.preferred_densities)
-        t4 = task_com_height(self.system.parametrized_model, params)
+        t4 = task_com_height(models[self.system.parametrized_index])
         return w.density * t2 + w.com_height * t4
 
-    def _height_tasks(self, q, params, trees):
+    def _height_tasks(self, q, trees):
         """Torque and CoP tasks of one height from the saddle statics.
 
         Returns the torques, the foot CoPs, the squared torque norm and
         the summed squared CoP deviations from the target.
         """
-        tau, f = statics_minnorm(self.system, q, params, trees=trees)
+        tau, f = statics_minnorm(self.system, q, trees=trees)
         target = np.asarray(self.scenario.cop_target, dtype=float)
         t3 = 0.0
         cops = []
@@ -237,23 +241,27 @@ class ErgoProblem:
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        params = self.hardware_params(y)
-        cost = self._shared_terms(y, params)
+        models = self.system.subsystem_models(self.hardware_params(y))
+        cost = self._shared_terms(y, models)
         cons = []
         for k in range(len(self.heights)):
-            ck, rk, _, _ = self._height_pieces(y, k, params)
+            ck, rk, _, _ = self._height_pieces(y, k, models)
             cost = cost + ck
             cons.append(rk)
         cost = cost / self.scenario.weights.total()
         return float(fad.value(cost)), np.concatenate(
             [np.asarray(fad.value(c)) for c in cons])
 
-    def _height_pieces(self, y, k, params):
-        """Height terms plus the residual Jacobians feeding Gauss-Newton."""
+    def _height_pieces(self, y, k, models):
+        """Height terms plus the residual Jacobians feeding Gauss-Newton.
+
+        ``models`` are the subsystem models with the robot already
+        scaled, shared by every height of one evaluation.
+        """
         q = self.configurations(y, k)
         w = self.scenario.weights
-        trees = coupled_trees(self.system, q, params)
-        tau, cops, t1, t3 = self._height_tasks(q, params, trees)
+        trees = _trees(models, q)
+        tau, cops, t1, t3 = self._height_tasks(q, trees)
         cons = self._residual_rows(q, k, trees)
         cost_k = w.torque * t1 + w.cop * t3
         tau_dot = tau.dot if isinstance(tau, fad.Dual) else None
@@ -272,27 +280,28 @@ class ErgoProblem:
         total = w.total()
         gauss_newton = np.zeros((n, n))
 
-        # shared (hardware-only) terms
+        # every height seeds its posture block, then the shared hardware
+        # block (``active_indices``); so one hardware Dual with those
+        # last directions, and one robot scaled by it, serve the shared
+        # (hardware-only) terms and every height
         sl_pi = self.layout.pi_slice()
-        if self.layout.pi_dim:
-            dirs = np.zeros((self.layout.pi_dim, n))
-            dirs[np.arange(self.layout.pi_dim),
-                 np.arange(sl_pi.start, sl_pi.stop)] = 1.0
-            yd = fad.Dual(y, dirs)
-            out = self._shared_terms(yd, self.hardware_params(yd))
-            cost += float(fad.value(out))
-            if isinstance(out, fad.Dual):
-                grad[sl_pi.start:sl_pi.stop] += out.dot
-        else:
-            cost += float(fad.value(self._shared_terms(y, None)))
+        hw0 = self.layout.height_dim
+        dirs = np.zeros((hw0 + self.layout.pi_dim, n))
+        dirs[np.arange(hw0, dirs.shape[0]),
+             np.arange(sl_pi.start, sl_pi.stop)] = 1.0
+        yd = fad.Dual(y, dirs)
+        models = self.system.subsystem_models(self.hardware_params(yd))
+        out = self._shared_terms(yd, models)
+        cost += float(fad.value(out))
+        if isinstance(out, fad.Dual):
+            grad[sl_pi.start:sl_pi.stop] += out.dot[hw0:]
 
         for k in range(len(self.heights)):
             idx = self.layout.active_indices(k)
             dirs = np.zeros((idx.size, n))
             dirs[np.arange(idx.size), idx] = 1.0
             yd = fad.Dual(y, dirs)
-            ck, rk, tau_dot, cop_dots = self._height_pieces(
-                yd, k, self.hardware_params(yd))
+            ck, rk, tau_dot, cop_dots = self._height_pieces(yd, k, models)
             cost += float(fad.value(ck))
             if isinstance(ck, fad.Dual):
                 grad[idx] += ck.dot
@@ -441,17 +450,18 @@ def solve(problem: ErgoProblem, warm_start=None,
     y0 = warm_start if warm_start is not None else warm_start_vector(problem)
     report: SolverReport = solve_nlp(problem, y0, options)
     params = problem.hardware_params(report.x)
+    models = problem.system.subsystem_models(params)
     statics = []
     tasks = []
     for k in range(len(problem.heights)):
         q = problem.configurations(report.x, k)
-        trees = coupled_trees(problem.system, q, params)
+        trees = _trees(models, q)
         try:
             res = evaluate_statics(problem.system, q, params, trees=trees)
         except (SingularConstraintError, UnloadedFootError):
             res = None
         statics.append(res)
-        _, _, t1, t3 = problem._height_tasks(q, params, trees)
+        _, _, t1, t3 = problem._height_tasks(q, trees)
         tasks.append({"torque": float(t1), "cop": float(t3)})
     hardware = None
     if not problem.layout.frozen_hardware:

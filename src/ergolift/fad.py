@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "Dual", "value", "seed", "jacobian",
     "sin", "cos", "absolute", "maximum", "where",
-    "stack", "concatenate", "cross3", "sumsq",
+    "stack", "concatenate", "assemble", "cross3", "sumsq",
     "rotx", "roty", "rotz", "rpy_matrix",
 ]
 
@@ -232,10 +232,15 @@ def where(cond, a, b):
 # -- structural ops ----------------------------------------------------
 
 def _common_ndir(items):
-    for x in items:
-        if isinstance(x, Dual):
-            return x.ndir
-    return None
+    """Direction count of the Duals among items; one direction broadcasts."""
+    return max((x.ndir for x in items if isinstance(x, Dual)), default=None)
+
+
+def _dots(items, vals, ndir):
+    return [np.zeros((ndir,) + v.shape) if not isinstance(x, Dual)
+            else x.dot if x.ndir == ndir
+            else np.broadcast_to(x.dot, (ndir,) + v.shape)
+            for x, v in zip(items, vals)]
 
 
 def stack(items, axis=0):
@@ -245,9 +250,7 @@ def stack(items, axis=0):
     if ndir is None:
         return out
     ax = axis if axis >= 0 else out.ndim + axis
-    dots = [x.dot if isinstance(x, Dual) else np.zeros((ndir,) + v.shape)
-            for x, v in zip(items, vals)]
-    return Dual(out, np.stack(dots, axis=ax + 1))
+    return Dual(out, np.stack(_dots(items, vals, ndir), axis=ax + 1))
 
 
 def concatenate(items, axis=0):
@@ -257,18 +260,38 @@ def concatenate(items, axis=0):
     if ndir is None:
         return out
     ax = axis if axis >= 0 else out.ndim + axis
-    dots = [x.dot if isinstance(x, Dual) else np.zeros((ndir,) + v.shape)
-            for x, v in zip(items, vals)]
-    return Dual(out, np.concatenate(dots, axis=ax + 1))
+    return Dual(out, np.concatenate(_dots(items, vals, ndir), axis=ax + 1))
 
 
-def cross3(a, b):
-    """Cross product of 3-vectors, dual-safe."""
+def assemble(shape, parts):
+    """Zeros of ``shape`` with each ``(index, x)`` of ``parts`` written in.
+
+    Values and tangents are written by slice assignment into arrays
+    allocated once; the result is a Dual when any part is.
+    """
+    ndir = _common_ndir([x for _, x in parts])
+    out = np.zeros(shape)
+    dot = None if ndir is None else np.zeros((ndir,) + tuple(shape))
+    for idx, x in parts:
+        if isinstance(x, Dual):
+            out[idx] = x.val
+            dot[(slice(None),) + idx] = x.dot
+        else:
+            out[idx] = x
+    return out if dot is None else Dual(out, dot)
+
+
+def cross3(a, b, axis=0):
+    """Cross product of 3-vectors, dual-safe.
+
+    The components run along the first axis of ``a`` and ``b``, which
+    broadcast like arrays; they are stacked along ``axis`` of the result.
+    """
     return stack([
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
-    ])
+    ], axis=axis)
 
 
 def sumsq(x):

@@ -18,12 +18,21 @@ Each constant is derived once, on the definition it comes from: a
 ``Joint`` stores its fixed rpy rotation and the Rodrigues ``K`` and
 ``K^2`` of its axis, a ``FrameDef`` its fixed rotation, and a ``Link``
 its mass, CoM and inertia about its origin (``Link.inertial``), which
-only the links given new hardware derive again.  A ``Model`` caches
-only topology: the name maps, the links x dofs path mask and the
-revolute flags.  One masked cross product over the stacked joint axes
-and pivots gives every point Jacobian, and the mass matrix is
-``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the Jacobian
-of link i's origin and ``M_i`` its spatial inertia about that origin.
+only the links given new hardware derive again.  The index tables of a
+tree (name maps, the links x dofs path mask, revolute flags, the depth
+levels with their stacked joint constants) live on a ``Topology`` that
+every hardware variant of a model shares.
+
+Every pass works on whole-tree arrays.  ``kinematics`` walks the tree
+one depth level at a time and returns stacked ``(L, 3, 3)`` rotations
+and ``(L, 3)`` positions; ``frame_jacobian`` gives the Jacobians of a
+tuple of frames as ``(F, 6, 6 + n)`` from one masked cross product over
+the stacked joint axes and pivots; ``gravity_vector`` sums the link
+mass moments over subtrees with one matmul, the composite-body
+bookkeeping of Featherstone, *Rigid Body Dynamics Algorithms* (2008).
+The mass matrix is ``M = sum_i J_i^T M_i J_i`` over the links, with
+``J_i`` the Jacobian of link i's origin and ``M_i`` its spatial inertia
+about that origin.
 """
 
 from __future__ import annotations
@@ -44,8 +53,7 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 # shared by every pose and Jacobian; read-only, so an in-place write raises
 _EYE3 = np.eye(3)
-_ZEROS33 = np.zeros((3, 3))
-_EYE3.flags.writeable = _ZEROS33.flags.writeable = False
+_EYE3.flags.writeable = False
 
 ROLE_LEFT_FOOT = "left_foot"
 ROLE_RIGHT_FOOT = "right_foot"
@@ -167,54 +175,146 @@ class HardwareBounds:
 
 
 @dataclass(frozen=True, eq=False)
+class _Level:
+    """Joints at one depth, with their constants stacked.
+
+    ``links`` are the child link indices and ``dofs`` their joints',
+    ``rows`` each parent's row in the previous level's arrays.
+    """
+
+    links: np.ndarray
+    dofs: np.ndarray
+    rows: np.ndarray
+    parents: np.ndarray
+    offset: np.ndarray
+    rotation: np.ndarray
+    K: np.ndarray
+    K2: np.ndarray
+    axis: np.ndarray
+    revolute: np.ndarray
+
+
+class Topology:
+    """Index tables of a tree, built on first use.
+
+    They read only link names, parents and joints and the frames, which
+    ``apply_hardware`` shares, so every hardware variant of a model uses
+    its nominal model's tables.
+    """
+
+    def __init__(self, links, frames):
+        self._links = links
+        self._frames = frames
+
+    @cached_property
+    def frame_map(self):
+        return {f.name: f for f in self._frames}
+
+    @cached_property
+    def link_map(self):
+        return {l.name: i for i, l in enumerate(self._links)}
+
+    @cached_property
+    def joint_names(self):
+        return tuple(l.name for l in self._links[1:])
+
+    @cached_property
+    def path_mask(self):
+        """Links x dofs: True where the dof is on the base-to-link path."""
+        links = self._links
+        mask = np.zeros((len(links), len(links) - 1), dtype=bool)
+        for i, link in enumerate(links[1:], start=1):
+            mask[i] = mask[link.parent]
+            mask[i, i - 1] = True
+        return mask
+
+    @cached_property
+    def revolute(self):
+        return np.array([l.joint.kind == "revolute" for l in self._links[1:]],
+                        dtype=bool)
+
+    @cached_property
+    def subtree(self):
+        """Links x links: 1 where the column link is in the row's subtree."""
+        return np.vstack([np.ones(len(self._links)),
+                          self.path_mask.T.astype(float)])
+
+    @cached_property
+    def levels(self):
+        """One ``_Level`` per depth, base excluded, root side first."""
+        links = self._links
+        depth = [0] * len(links)
+        for i, link in enumerate(links[1:], start=1):
+            depth[i] = depth[link.parent] + 1
+        out = []
+        prev = {0: 0}
+        for d in range(1, max(depth) + 1):
+            idx = [i for i in range(len(links)) if depth[i] == d]
+            joints = [links[i].joint for i in idx]
+            parents = [links[i].parent for i in idx]
+            out.append(_Level(
+                links=np.array(idx), dofs=np.array(idx) - 1,
+                rows=np.array([prev[p] for p in parents]),
+                parents=np.array(parents),
+                offset=np.stack([j.offset for j in joints]),
+                rotation=np.stack([j.rotation for j in joints]),
+                K=np.stack([j.K for j in joints]),
+                K2=np.stack([j.K2 for j in joints]),
+                axis=np.stack([j.axis for j in joints]),
+                revolute=np.array([j.kind == "revolute" for j in joints])))
+            prev = {i: r for r, i in enumerate(idx)}
+        return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
 class Model:
-    """Kinematic tree: links[0] is the floating base."""
+    """Kinematic tree: links[0] is the floating base.
+
+    ``topology`` is built from the links and frames; ``apply_hardware``
+    hands its model's to the model it returns.
+    """
 
     name: str
     links: tuple
     frames: tuple = ()
     groups: tuple = ()
     bounds: HardwareBounds = field(default_factory=HardwareBounds)
+    topology: Topology = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "topology", Topology(self.links, self.frames))
 
     @property
     def n_joints(self):
         return len(self.links) - 1
 
-    @cached_property
-    def _frame_map(self):
-        return {f.name: f for f in self.frames}
-
-    @cached_property
-    def _link_map(self):
-        return {l.name: i for i, l in enumerate(self.links)}
-
-    @cached_property
+    @property
     def joint_names(self):
-        return tuple(l.name for l in self.links[1:])
+        return self.topology.joint_names
 
     @cached_property
-    def _path_mask(self):
-        """Links x dofs: True where the dof is on the base-to-link path."""
-        mask = np.zeros((len(self.links), self.n_joints), dtype=bool)
-        for i, link in enumerate(self.links[1:], start=1):
-            mask[i] = mask[link.parent]
-            mask[i, i - 1] = True
-        return mask
+    def _multipliers(self):
+        """Per-link length multipliers ``(L,)``; None when all are 1.0."""
+        lms = [l.hardware.length_multiplier for l in self.links]
+        if all(isinstance(lm, float) and lm == 1.0 for lm in lms):
+            return None
+        return fad.stack(lms)
 
     @cached_property
-    def _revolute(self):
-        return np.array([l.joint.kind == "revolute" for l in self.links[1:]],
-                        dtype=bool)
+    def _mass_table(self):
+        """Stacked link masses ``(L,)`` and link-frame CoMs ``(L, 3)``."""
+        return (fad.stack([l.inertial[0] for l in self.links]),
+                fad.stack([l.inertial[1] for l in self.links]))
 
     def link_index(self, name):
         try:
-            return self._link_map[name]
+            return self.topology.link_map[name]
         except KeyError:
             raise UnknownFrameError(f"unknown link {name!r}") from None
 
     def frame(self, name):
         try:
-            return self._frame_map[name]
+            return self.topology.frame_map[name]
         except KeyError:
             raise UnknownFrameError(f"unknown frame {name!r}") from None
 
@@ -263,7 +363,7 @@ class Model:
                 raise ModelError(f"frame {f.name!r} references a missing link")
         for g in self.groups:
             for name in g.links:
-                if name not in self._link_map:
+                if name not in self.topology.link_map:
                     raise ModelError(
                         f"group {g.name!r} references unknown link {name!r}")
         return self
@@ -291,13 +391,13 @@ def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
     """Model whose named links carry new hardware.
 
     Only the links in ``params`` are replaced; every other link, every
-    joint and every frame is shared with ``model``, since the mounting
-    offsets follow the multipliers where poses are computed.
+    joint, every frame and the topology are shared with ``model``, since
+    the mounting offsets follow the multipliers where poses are computed.
     """
     if not params:
         return model
     for name in params:
-        if name not in model._link_map:
+        if name not in model.topology.link_map:
             raise UnknownFrameError(f"unknown link {name!r} in hardware params")
     if validate:
         lo_lm, hi_lm = model.bounds.length_multiplier
@@ -314,8 +414,10 @@ def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
                     f"[{lo_lm}, {hi_lm}]")
     links = tuple(replace(l, hardware=params[l.name]) if l.name in params
                   else l for l in model.links)
-    return Model(name=model.name, links=links, frames=model.frames,
-                 groups=model.groups, bounds=model.bounds)
+    scaled = Model(name=model.name, links=links, frames=model.frames,
+                   groups=model.groups, bounds=model.bounds)
+    object.__setattr__(scaled, "topology", model.topology)
+    return scaled
 
 
 def group_params(model: Model, values: Mapping[str, tuple]) -> dict:
@@ -338,116 +440,143 @@ def group_params(model: Model, values: Mapping[str, tuple]) -> dict:
 class KinTree:
     """World poses of every link plus per-joint world axes and pivots.
 
-    ``axis_w`` and ``pivot_w`` stack one row per joint, shape ``(n, 3)``.
+    ``rot`` ``(L, 3, 3)`` and ``pos`` ``(L, 3)`` stack one row per link
+    in link order, ``axis_w`` and ``pivot_w`` one row per joint,
+    ``(n, 3)``; each is a plain array or a ``Dual``.
     """
 
     model: Model
     q: Configuration
-    rot: list
-    pos: list
+    rot: object
+    pos: object
     axis_w: object
     pivot_w: object
 
     def frame_pose(self, name):
         f = self.model.frame(name)
         R = self.rot[f.link]
-        lm = self.model.links[f.link].hardware.length_multiplier
-        p = self.pos[f.link] + R @ _scale_z(f.offset, lm)
-        return R @ f.rotation, p
+        lms = self.model._multipliers
+        offset = f.offset if lms is None else _scale_z(f.offset, lms[f.link])
+        return R @ f.rotation, self.pos[f.link] + R @ offset
 
 
 def _scale_z(offset, lm):
-    """Mounting offset slid along its link's growth axis."""
-    if isinstance(lm, float) and lm == 1.0:
-        return offset
-    return fad.stack([offset[0], offset[1], offset[2] * lm])
+    """Mounting offsets ``(..., 3)`` slid along their links' growth axes.
+
+    ``lm`` broadcasts against ``offset[..., 2:]``.
+    """
+    return fad.concatenate([offset[..., :2], offset[..., 2:] * lm], axis=-1)
+
+
+def _rows(R, v):
+    """Stacked matrix-vector products ``R[k] @ v[k]``."""
+    return (R @ v[..., None])[..., 0]
 
 
 def kinematics(model: Model, q: Configuration) -> KinTree:
-    rot = [q.base_rot]
-    pos = [q.base_pos]
-    axis_w = []
-    pivot_w = []
-    for i, link in enumerate(model.links[1:], start=1):
-        j = link.joint
-        Rp, pp = rot[link.parent], pos[link.parent]
-        lm = model.links[link.parent].hardware.length_multiplier
-        p_joint = pp + Rp @ _scale_z(j.offset, lm)
-        R_pre = Rp @ j.rotation
-        sj = q.s[i - 1]
-        if j.kind == "revolute":
-            # Rodrigues rotation about the fixed joint axis
-            R_i = R_pre @ (_EYE3 + fad.sin(sj) * j.K
-                           + (1.0 - fad.cos(sj)) * j.K2)
-            p_i = p_joint
-        else:
-            R_i = R_pre
-            p_i = p_joint + R_pre @ (j.axis * sj)
-        rot.append(R_i)
-        pos.append(p_i)
-        axis_w.append(R_pre @ j.axis)
-        pivot_w.append(p_joint)
-    if not axis_w:
-        axis_w = pivot_w = np.zeros((0, 3))
-    else:
-        axis_w, pivot_w = fad.stack(axis_w), fad.stack(pivot_w)
-    return KinTree(model=model, q=q, rot=rot, pos=pos,
-                   axis_w=axis_w, pivot_w=pivot_w)
+    """World poses of the whole tree, one depth level at a time.
+
+    Each level gathers its parents' rows and applies the level's stacked
+    joint constants at once: a revolute joint turns by the Rodrigues
+    rotation about its fixed axis, a prismatic one slides along it.
+    """
+    topo = model.topology
+    lms = model._multipliers
+    # R, p: the previous level's rotations and positions
+    R, p = q.base_rot[None], q.base_pos[None]
+    rots = [((0,), q.base_rot)]
+    poss = [((0,), q.base_pos)]
+    axes = []
+    pivots = []
+    for lv in topo.levels:
+        Rp, pp = R[lv.rows], p[lv.rows]
+        offset = lv.offset if lms is None else _scale_z(
+            lv.offset, lms[lv.parents][:, None])
+        p_joint = pp + _rows(Rp, offset)
+        R_pre = Rp @ lv.rotation
+        s = q.s[lv.dofs]
+        R = R_pre @ (_EYE3 + fad.sin(s)[:, None, None] * lv.K
+                     + (1.0 - fad.cos(s))[:, None, None] * lv.K2)
+        p = p_joint
+        if not lv.revolute.all():
+            R = fad.where(lv.revolute[:, None, None], R, R_pre)
+            p = fad.where(lv.revolute[:, None], p_joint,
+                          p_joint + _rows(R_pre, lv.axis * s[:, None]))
+        rots.append(((lv.links,), R))
+        poss.append(((lv.links,), p))
+        axes.append(((lv.dofs,), _rows(R_pre, lv.axis)))
+        pivots.append(((lv.dofs,), p_joint))
+    L, n = len(model.links), model.n_joints
+    return KinTree(model=model, q=q, rot=fad.assemble((L, 3, 3), rots),
+                   pos=fad.assemble((L, 3), poss),
+                   axis_w=fad.assemble((n, 3), axes),
+                   pivot_w=fad.assemble((n, 3), pivots))
 
 
 def forward_kinematics(model: Model, q: Configuration, frame: str):
     """World (rotation, position) of a named frame, or of a link frame."""
     tree = kinematics(model, q)
-    if frame in model._frame_map:
+    if frame in model.topology.frame_map:
         return tree.frame_pose(frame)
-    if frame in model._link_map:
+    if frame in model.topology.link_map:
         i = model.link_index(frame)
         return tree.rot[i], tree.pos[i]
     raise UnknownFrameError(f"unknown frame {frame!r}")
 
 
-def _point_jacobian(model, tree, link_idx, point_w):
-    """Mixed Jacobian of a point riding a given link.
+def _point_jacobians(model, tree, links, points):
+    """Mixed Jacobians ``(F, 6, 6 + n)`` of points riding given links.
 
     One masked cross product over the stacked joint axes and pivots: a
-    revolute dof on the link's path moves the point by ``a x (p - pivot)``
-    and turns it about ``a``, a prismatic one slides it along ``a``, and
-    every dof off the path gives a zero column.
+    revolute dof on a link's path moves its point by
+    ``a x (p - pivot)`` and turns it about ``a``, a prismatic one slides
+    it along ``a``, and every dof off the path gives a zero column.  The
+    base columns hold the identity blocks and the lever ``-S(p - p0)``.
     """
-    Sd = skew(point_w - tree.pos[0])
+    topo = model.topology
+    F = len(links)
+    d = points - tree.pos[0]
     axes = tree.axis_w.T
-    on = model._path_mask[link_idx]
-    rev = on & model._revolute
-    lin = fad.where(rev, fad.cross3(axes, (point_w - tree.pivot_w).T),
+    on = topo.path_mask[links][:, None, :]
+    rev = on & topo.revolute
+    arm = points.T[:, :, None] - tree.pivot_w.T[:, None, :]
+    lin = fad.where(rev, fad.cross3(axes, arm, axis=1),
                     fad.where(on, axes, 0.0))
     ang = fad.where(rev, axes, 0.0)
-    return fad.concatenate([fad.concatenate([_EYE3, -Sd, lin], axis=1),
-                            fad.concatenate([_ZEROS33, _EYE3, ang], axis=1)],
-                           axis=0)
+    each = slice(None)
+    return fad.assemble((F, 6, 6 + model.n_joints), [
+        ((each, slice(0, 3), slice(0, 3)), _EYE3),
+        ((each, slice(3, 6), slice(3, 6)), _EYE3),
+        ((each, 0, 4), d[:, 2]), ((each, 0, 5), -d[:, 1]),
+        ((each, 1, 3), -d[:, 2]), ((each, 1, 5), d[:, 0]),
+        ((each, 2, 3), d[:, 1]), ((each, 2, 4), -d[:, 0]),
+        ((each, slice(0, 3), slice(6, None)), lin),
+        ((each, slice(3, 6), slice(6, None)), ang)])
 
 
-def frame_jacobian(model: Model, q: Configuration, frame: str,
+def frame_jacobian(model: Model, q: Configuration, frames,
                    tree: Optional[KinTree] = None):
-    """Mixed 6x(n+6) Jacobian mapping nu to the frame's world twist."""
+    """Mixed Jacobians mapping nu to frames' world twists.
+
+    ``frames`` names one frame (or link), giving ``(6, 6 + n)``, or is a
+    tuple of names, giving ``(F, 6, 6 + n)`` from one batched pass.
+    """
     if tree is None:
         tree = kinematics(model, q)
-    if frame in model._frame_map:
-        f = model.frame(frame)
-        link_idx = f.link
-        _, p = tree.frame_pose(frame)
-    elif frame in model._link_map:
-        link_idx = model.link_index(frame)
-        p = tree.pos[link_idx]
-    else:
-        raise UnknownFrameError(f"unknown frame {frame!r}")
-    return _point_jacobian(model, tree, link_idx, p)
-
-
-def link_jacobian(model: Model, q: Configuration, link_idx: int,
-                  tree: Optional[KinTree] = None):
-    if tree is None:
-        tree = kinematics(model, q)
-    return _point_jacobian(model, tree, link_idx, tree.pos[link_idx])
+    single = isinstance(frames, str)
+    names = (frames,) if single else frames
+    fmap = model.topology.frame_map
+    # a link name mounts at the link origin
+    links = np.array([fmap[n].link if n in fmap else model.link_index(n)
+                      for n in names], dtype=int)
+    offsets = np.array([fmap[n].offset if n in fmap else np.zeros(3)
+                        for n in names]).reshape(-1, 3)
+    lms = model._multipliers
+    if lms is not None:
+        offsets = _scale_z(offsets, lms[links][:, None])
+    points = tree.pos[links] + _rows(tree.rot[links], offsets)
+    J = _point_jacobians(model, tree, links, points)
+    return J[0] if single else J
 
 
 # ---------------------------------------------------------------------------
@@ -475,65 +604,53 @@ def mass_matrix(model: Model, q: Configuration,
     if tree is None:
         tree = kinematics(model, q)
     n = model.n_joints
+    J = fad.value(_point_jacobians(model, tree, np.arange(len(model.links)),
+                                   tree.pos))
     M = np.zeros((6 + n, 6 + n))
     for i, link in enumerate(model.links):
-        J = fad.value(_point_jacobian(model, tree, i, tree.pos[i]))
-        M += J.T @ _mixed_spatial_inertia(link.inertial, tree.rot[i]) @ J
+        M += J[i].T @ _mixed_spatial_inertia(link.inertial, tree.rot[i]) @ J[i]
     return M
+
+
+def _mass_moments(model, tree):
+    """Link masses ``(L,)`` and world mass moments ``m * com`` ``(L, 3)``."""
+    m, c = model._mass_table
+    return m, m[:, None] * (tree.pos + _rows(tree.rot, c))
 
 
 def gravity_vector(model: Model, q: Configuration,
                    tree: Optional[KinTree] = None):
     """Generalized gravity g(q): static equilibrium reads g = B tau + J^T f.
 
-    Computed from subtree mass moments, so it is cheap and dual-safe.
+    The subtree sums of the link masses and mass moments come from one
+    matmul with ``Topology.subtree``; the base rows and every joint row
+    follow from them as array expressions, and it is dual-safe.
     """
     if tree is None:
         tree = kinematics(model, q)
-    L = len(model.links)
-    masses = []
-    moments = []
-    for i, (m, c, _) in enumerate(l.inertial for l in model.links):
-        com_w = tree.pos[i] + tree.rot[i] @ c
-        masses.append(m)
-        moments.append(m * com_w)
-    msub = list(masses)
-    csub = list(moments)
-    for i in range(L - 1, 0, -1):
-        par = model.links[i].parent
-        msub[par] = msub[par] + msub[i]
-        csub[par] = csub[par] + csub[i]
-
+    m, moments = _mass_moments(model, tree)
+    D = model.topology.subtree
+    msub, csub = D @ m, D @ moments
     zero = msub[0] * 0.0
     lin = fad.stack([zero, zero, GRAVITY * msub[0]])
     ang = GRAVITY * fad.cross3(csub[0] - msub[0] * tree.pos[0], E3)
-    rows = [lin, ang]
-    joint_rows = []
-    for j in range(model.n_joints):
-        i = j + 1
-        link = model.links[i]
-        if link.joint.kind == "revolute":
-            u = csub[i] - msub[i] * tree.pivot_w[j]
-            a = tree.axis_w[j]
-            # z component of a x u only
-            joint_rows.append(GRAVITY * (a[0] * u[1] - a[1] * u[0]))
-        else:
-            joint_rows.append(GRAVITY * msub[i] * tree.axis_w[j][2])
-    if joint_rows:
-        rows.append(fad.stack(joint_rows))
-    return fad.concatenate(rows)
+    u = csub[1:] - msub[1:, None] * tree.pivot_w
+    a = tree.axis_w
+    # revolute: z component of a x u; prismatic: the lift along a
+    joints = fad.where(model.topology.revolute,
+                       GRAVITY * (a[:, 0] * u[:, 1] - a[:, 1] * u[:, 0]),
+                       GRAVITY * msub[1:] * a[:, 2])
+    return fad.concatenate([lin, ang, joints])
 
 
 def com(model: Model, q: Configuration, tree: Optional[KinTree] = None):
     """World center of mass and total mass."""
     if tree is None:
         tree = kinematics(model, q)
-    total = 0.0
-    moment = np.zeros(3)
-    for i, (m, c, _) in enumerate(l.inertial for l in model.links):
-        total = total + m
-        moment = moment + m * (tree.pos[i] + tree.rot[i] @ c)
-    return moment / total, total
+    m, moments = _mass_moments(model, tree)
+    ones = np.ones(len(model.links))
+    total = ones @ m
+    return (ones @ moments) / total, total
 
 
 def com_height_null_config(model: Model,

@@ -151,30 +151,33 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
               damping=1e-3, posture_weight=0.05):
     """Damped least-squares IK toward frame poses and points.
 
-    Deterministic: fixed iteration count and step rule.  Returns the
-    reached configuration; callers treat it as a warm start, not as an
-    exact solve.
+    Each iteration takes the Jacobians of every target frame, pose
+    targets first, from one batched ``frame_jacobian`` call; a point
+    target uses only the linear rows.  Deterministic: fixed iteration
+    count and step rule.  Returns the reached configuration; callers
+    treat it as a warm start, not as an exact solve.
     """
     q = q0
     n = model.n_joints
     lo, hi = model.joint_limits()
     reg = np.zeros((n, 6 + n))
     reg[:, 6:] = posture_weight * np.eye(n)
+    frames = (*pose_targets, *point_targets)
     for _ in range(iters):
         tree = kinematics(model, q)
+        J = frame_jacobian(model, q, frames, tree)
         rows = []
         rhs = []
-        for frame, (p_t, R_t, w) in pose_targets.items():
-            J = np.asarray(frame_jacobian(model, q, frame, tree))
+        for Jk, (frame, (p_t, R_t, w)) in zip(J, pose_targets.items()):
             R, p = tree.frame_pose(frame)
-            rows.append(w * J)
+            rows.append(w * Jk)
             rhs.append(w * np.concatenate([
                 np.asarray(p_t) - np.asarray(p),
                 _orientation_error(R, R_t)]))
-        for frame, (p_t, w) in point_targets.items():
-            J = np.asarray(frame_jacobian(model, q, frame, tree))[:3]
+        for Jk, (frame, (p_t, w)) in zip(J[len(pose_targets):],
+                                         point_targets.items()):
             _, p = tree.frame_pose(frame)
-            rows.append(w * J)
+            rows.append(w * Jk[:3])
             rhs.append(w * (np.asarray(p_t) - np.asarray(p)))
         rows.append(reg)
         rhs.append(posture_weight * (s_ref - q.s))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolift import fad
-from ergolift import ergoopt
+from ergolift import coupled, ergoopt, fad, multibody
 from ergolift.coupled import SingularConstraintError, UnloadedFootError, \
     cop_smooth, coupled_trees, evaluate_statics, statics_minnorm
 from ergolift.ergoopt import assemble_nlp, solve, warm_start_vector
@@ -43,6 +42,25 @@ class TestSolveFreeHardware:
     def test_within_bounds(self, solved_free):
         problem, sol, _ = solved_free
         assert np.all(sol.y >= problem.lb) and np.all(sol.y <= problem.ub)
+
+    def test_robot_scaled_once_per_evaluation(self, monkeypatch):
+        sc = make_scenario(heights=(0.8, 1.2))
+        problem = assemble_nlp(sc, build_system(sc))
+        y = warm_start_vector(problem)
+        scaled = []
+        for owner in (coupled, multibody):
+            original = owner.apply_hardware
+
+            def wrapper(model, params, *args, original=original, **kwargs):
+                if params:
+                    scaled.append(model.name)
+                return original(model, params, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "apply_hardware", wrapper)
+        problem.value(y)
+        assert scaled == ["robot-desk"]
+        problem.value_and_derivatives(y)
+        assert scaled == ["robot-desk"] * 2
 
     def test_hardware_inside_hardware_bounds(self, solved_free):
         problem, sol, _ = solved_free

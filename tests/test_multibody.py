@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from ergolift import fad, multibody, shapes
+from ergolift import coupled, fad, multibody, shapes
+from ergolift.coupled import CoupledConfiguration, coupled_trees, \
+    coupling_matrix
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 ModelError, UnknownFrameError, apply_hardware,
                                 com, com_height_null_config, forward_kinematics,
                                 frame_jacobian, gravity_vector, group_params,
-                                kinematics, link_jacobian, mass_matrix,
+                                kinematics, mass_matrix,
                                 perturb_configuration, random_configuration)
 from ergolift.shapes import (Box, Cylinder, LinkHardware, Sphere, shape_com,
                              shape_inertia_origin, shape_mass)
+from ergolift.scenario import build_system, make_scenario
 from ergolift.spatial import GRAVITY, assemble_spatial_inertia, skew
-from ergolift.templates import default_robot
+from ergolift.templates import default_human, default_robot
 
 REV = "revolute"
 PRI = "prismatic"
@@ -118,6 +121,72 @@ def loop_point_jacobian(model, tree, link_idx, point_w):
                             fad.stack(ang_cols, axis=1)], axis=0)
 
 
+def loop_kinematics(model, q):
+    """Reference poses: one joint at a time, parents before children.
+
+    Returns per-link lists of rotations and positions and the stacked
+    joint axes and pivots.
+    """
+    rot = [q.base_rot]
+    pos = [q.base_pos]
+    axis_w = []
+    pivot_w = []
+    for i, link in enumerate(model.links[1:], start=1):
+        j = link.joint
+        Rp, pp = rot[link.parent], pos[link.parent]
+        lm = model.links[link.parent].hardware.length_multiplier
+        offset = j.offset
+        if not (isinstance(lm, float) and lm == 1.0):
+            offset = fad.stack([offset[0], offset[1], offset[2] * lm])
+        p_joint = pp + Rp @ offset
+        R_pre = Rp @ j.rotation
+        sj = q.s[i - 1]
+        if j.kind == REV:
+            R_i = R_pre @ (np.eye(3) + fad.sin(sj) * j.K
+                           + (1.0 - fad.cos(sj)) * j.K2)
+            p_i = p_joint
+        else:
+            R_i = R_pre
+            p_i = p_joint + R_pre @ (j.axis * sj)
+        rot.append(R_i)
+        pos.append(p_i)
+        axis_w.append(R_pre @ j.axis)
+        pivot_w.append(p_joint)
+    if not axis_w:
+        return rot, pos, np.zeros((0, 3)), np.zeros((0, 3))
+    return rot, pos, fad.stack(axis_w), fad.stack(pivot_w)
+
+
+def loop_gravity_vector(model, tree):
+    """Reference g(q): subtree sums accumulated child by child."""
+    L = len(model.links)
+    msub = []
+    csub = []
+    for i, (m, c, _) in enumerate(l.inertial for l in model.links):
+        msub.append(m)
+        csub.append(m * (tree.pos[i] + tree.rot[i] @ c))
+    for i in range(L - 1, 0, -1):
+        par = model.links[i].parent
+        msub[par] = msub[par] + msub[i]
+        csub[par] = csub[par] + csub[i]
+    zero = msub[0] * 0.0
+    rows = [fad.stack([zero, zero, GRAVITY * msub[0]]),
+            GRAVITY * fad.cross3(csub[0] - msub[0] * tree.pos[0],
+                                 np.array([0.0, 0.0, 1.0]))]
+    joint_rows = []
+    for j in range(model.n_joints):
+        i = j + 1
+        a = tree.axis_w[j]
+        if model.links[i].joint.kind == REV:
+            u = csub[i] - msub[i] * tree.pivot_w[j]
+            joint_rows.append(GRAVITY * (a[0] * u[1] - a[1] * u[0]))
+        else:
+            joint_rows.append(GRAVITY * msub[i] * a[2])
+    if joint_rows:
+        rows.append(fad.stack(joint_rows))
+    return fad.concatenate(rows)
+
+
 def crba_mass_matrix(model, tree):
     """Reference mass matrix by the composite rigid-body algorithm."""
     pos = [np.asarray(fad.value(p)) for p in tree.pos]
@@ -166,6 +235,22 @@ def tangent(x, ndir):
     return np.zeros((ndir,) + np.shape(x))
 
 
+def assert_same(a, b):
+    """Equal values and tangents, bit for bit; plain counts as zero tangent."""
+    np.testing.assert_array_equal(fad.value(a), fad.value(b))
+    ndir = max(getattr(a, "ndir", 0), getattr(b, "ndir", 0))
+    np.testing.assert_array_equal(tangent(a, ndir), tangent(b, ndir))
+
+
+def dual_length_robot():
+    """Default robot with a one-direction Dual upper-arm multiplier."""
+    robot = default_robot()
+    lm = fad.seed(np.array([1.3]))[0]
+    return apply_hardware(robot, group_params(
+        robot, {"upper_arm": (2200.0, lm), "lower_leg": (2400.0, 0.9)}),
+        validate=False)
+
+
 def seeded_configurations(model, q):
     """q with tangents on the base and joints, on the joints only, and none."""
     x = fad.seed(np.concatenate([q.base_pos, [0.1, -0.2, 0.3], q.s]))
@@ -202,7 +287,57 @@ class TestForwardKinematics:
                                "nope")
 
 
+class TestLevelKinematics:
+    def test_matches_per_link_loop(self, rng):
+        # b (revolute) and c (prismatic) share mixed_chain's depth-2 level
+        for model in (mixed_chain(), planar_2r(), single_body(),
+                      dual_length_robot()):
+            for _ in range(3):
+                q = random_configuration(model, rng)
+                for qd in seeded_configurations(model, q):
+                    tree = kinematics(model, qd)
+                    rot, pos, axis_w, pivot_w = loop_kinematics(model, qd)
+                    assert_same(tree.rot, fad.stack(rot))
+                    assert_same(tree.pos, fad.stack(pos))
+                    assert_same(tree.axis_w, axis_w)
+                    assert_same(tree.pivot_w, pivot_w)
+                    for i in range(len(model.links)):
+                        assert_same(tree.rot[i], rot[i])
+                        assert_same(tree.pos[i], pos[i])
+
+    def test_stacked_shapes(self):
+        model = mixed_chain()
+        tree = kinematics(model, Configuration.neutral(model))
+        assert tree.rot.shape == (5, 3, 3) and tree.pos.shape == (5, 3)
+        assert tree.axis_w.shape == tree.pivot_w.shape == (4, 3)
+        body = single_body()
+        tree = kinematics(body, Configuration.neutral(body))
+        assert tree.rot.shape == (1, 3, 3) and tree.axis_w.shape == (0, 3)
+
+
 class TestFrameJacobian:
+    def test_tuple_matches_single_frames(self, rng):
+        # frames on different branches, a link frame and the base
+        cases = ((mixed_chain(), ("tip", "side", "base", "c")),
+                 (dual_length_robot(), ("palm_left", "sole_right", "pelvis",
+                                        "palm_right", "forearm_left")))
+        for model, names in cases:
+            for _ in range(3):
+                q = random_configuration(model, rng)
+                for qd in seeded_configurations(model, q):
+                    tree = kinematics(model, qd)
+                    J = frame_jacobian(model, qd, names, tree)
+                    assert J.shape == (len(names), 6, 6 + model.n_joints)
+                    for k, name in enumerate(names):
+                        assert_same(J[k], frame_jacobian(model, qd, name,
+                                                         tree))
+
+    def test_unknown_frame_in_tuple(self):
+        model = mixed_chain()
+        with pytest.raises(UnknownFrameError):
+            frame_jacobian(model, Configuration.neutral(model),
+                           ("tip", "nope"))
+
     def test_base_frame_identity(self, rng):
         model = mixed_chain()
         q = random_configuration(model, rng)
@@ -270,8 +405,8 @@ class TestFrameJacobian:
                               for i in range(len(model.links))]
                     points += [(f.link, tree.frame_pose(f.name)[1])
                                for f in model.frames]
-                    jacs = [link_jacobian(model, qd, i, tree)
-                            for i in range(len(model.links))]
+                    jacs = [frame_jacobian(model, qd, l.name, tree)
+                            for l in model.links]
                     jacs += [frame_jacobian(model, qd, f.name, tree)
                              for f in model.frames]
                     for (i, p), J in zip(points, jacs):
@@ -326,7 +461,7 @@ class TestMassMatrix:
             ke_mass = 0.5 * nu @ M @ nu
             ke_links = 0.0
             for i, link in enumerate(model.links):
-                J = np.asarray(link_jacobian(model, q, i, tree))
+                J = np.asarray(frame_jacobian(model, q, link.name, tree))
                 v = J @ nu
                 Mi = mixed_inertia_world(link, np.asarray(tree.rot[i]))
                 ke_links += 0.5 * v @ Mi @ v
@@ -334,6 +469,23 @@ class TestMassMatrix:
 
 
 class TestGravityVector:
+    def test_matches_subtree_loop(self, rng):
+        # one subtree matmul reorders the loop's sums
+        rtol = 1e-12
+        for model in (mixed_chain(), planar_2r(), single_body(),
+                      payload_body(), dual_length_robot()):
+            for _ in range(3):
+                q = random_configuration(model, rng)
+                for qd in seeded_configurations(model, q):
+                    tree = kinematics(model, qd)
+                    g = gravity_vector(model, qd, tree)
+                    ref = loop_gravity_vector(model, tree)
+                    ndir = max(getattr(g, "ndir", 0), getattr(ref, "ndir", 0))
+                    for a, b in ((fad.value(g), fad.value(ref)),
+                                 (tangent(g, ndir), tangent(ref, ndir))):
+                        scale = max(np.abs(b).max(initial=0.0), 1e-300)
+                        assert np.abs(a - b).max(initial=0.0) <= rtol * scale
+
     def test_weightless_limit(self, rng):
         links = tuple(
             Link(l.name, l.shape, LinkHardware(1e-9, l.hardware.length_multiplier),
@@ -380,7 +532,7 @@ class TestGravityVector:
         tree = kinematics(model, q)
         g_sum = np.zeros(6 + model.n_joints)
         for i, link in enumerate(model.links):
-            J = np.asarray(link_jacobian(model, q, i, tree))
+            J = np.asarray(frame_jacobian(model, q, link.name, tree))
             m = float(shape_mass(link.shape, link.hardware))
             c_w = np.asarray(tree.rot[i]) @ np.asarray(
                 shape_com(link.shape, link.hardware))
@@ -392,8 +544,13 @@ class TestGravityVector:
 
 
 def check_mount(point, R, p, offset, lm):
-    """point is p + R @ [ox, oy, oz * lm], with d/dlm = R @ [0, 0, oz]."""
+    """point is p + R @ [ox, oy, oz * lm], with d/dlm = R @ [0, 0, oz].
+
+    R and p are rows of a stacked tree, so they are Duals (with zero
+    tangents here) whenever any row of the tree carries a tangent.
+    """
     ox, oy, oz = offset
+    R, p = fad.value(R), fad.value(p)
     np.testing.assert_allclose(
         fad.value(point), p + R @ np.array([ox, oy, oz * fad.value(lm)]),
         rtol=0, atol=1e-15)
@@ -465,6 +622,7 @@ class TestApplyHardware:
         params = group_params(robot, values)
         assert len(params) == 9
         scaled = apply_hardware(robot, params)
+        assert scaled.topology is robot.topology
         assert all(f is f0 for f, f0 in zip(scaled.frames, robot.frames))
         for l, l0 in zip(scaled.links, robot.links):
             assert l.joint is l0.joint
@@ -473,6 +631,14 @@ class TestApplyHardware:
                 assert l.shape is l0.shape
             else:
                 assert l is l0
+
+    def test_topology_tables_built_on_first_use(self):
+        model = mixed_chain()
+        scaled = apply_hardware(model, {"a": LinkHardware(1500.0, 1.2)})
+        assert "levels" not in model.topology.__dict__
+        kinematics(scaled, Configuration.neutral(scaled))
+        assert [lv.links.tolist() for lv in model.topology.levels] == [
+            [1], [2, 3], [4]]
 
     def test_errors(self):
         model = mixed_chain()
@@ -495,6 +661,29 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+class TestWholeTreeCalls:
+    """Each pass makes one batched call per tree, not one per joint."""
+
+    def test_kinematics_one_sin_per_depth_level(self, monkeypatch, rng):
+        for model in (default_human(), default_robot()):
+            q = random_configuration(model, rng)
+            calls = counting(monkeypatch, fad, "sin")
+            kinematics(model, q)
+            assert len(calls) == 7, model.name
+
+    def test_coupling_matrix_one_jacobian_call_per_subsystem(
+            self, monkeypatch):
+        sys = build_system(make_scenario(heights=(1.0,)))
+        models = sys.subsystem_models()
+        q = CoupledConfiguration(tuple(Configuration.neutral(m)
+                                       for m in models))
+        trees = coupled_trees(sys, q)
+        calls = counting(monkeypatch, coupled, "frame_jacobian")
+        Q = coupling_matrix(sys, q, trees=trees)
+        assert len(calls) == len(models) == 3
+        assert Q.shape == (6 * 8, sum(6 + m.n_joints for m in models))
 
 
 class TestDerivedOnce:
