@@ -7,6 +7,7 @@ hand twist equal to the payload grasp-point twist), so contact wrenches
 enter the dynamics as ``Q^T f`` with action-reaction built in.  It takes
 the Jacobians of all of a subsystem's coupled frames from one batched
 ``frame_jacobian`` call and writes them into ``Q`` by slice assignment.
+``coupling_matrix`` is plain only: a ``Dual`` tree raises TypeError.
 
 Static joint torques resolve the actuation redundancy with the
 minimum-norm distribution.  One route computes them together with the
@@ -19,6 +20,18 @@ matrix.  ``_saddle_solve`` solves it on plain arrays;
 and ``statics_minnorm`` adds the tangent rule the optimizer
 differentiates through.  ``static_torques`` and ``contact_wrenches`` are
 thin views.
+
+The tangent rule differentiates the saddle system with ``lam`` and
+``f`` held fixed: ``A sol' = [g'; 0] - [Q'^T f; Q' lam]``.  Its two
+coupling terms come by contraction, never from a ``Dual`` ``Q``: per
+subsystem, ``multibody.generalized_force`` of the signed block wrenches
+gives ``Q'^T f`` and ``multibody.frame_twists`` of the subsystem's part
+of ``lam`` gives ``Q' lam``, each a masked sum over the tree.
+
+``statics_minnorm``, ``composite_gravity``, ``coupled_poses`` and
+``cop_smooth`` take configurations with a leading stack of postures
+(``multibody``'s batch axes), so one call serves every target height;
+``evaluate_statics`` analyses one posture.
 
 The projector route (the mass-weighted null-space projector and a
 truncated-SVD pseudo-inverse) lives on only in the test-suite, as the
@@ -34,8 +47,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import fad
-from .multibody import (Model, apply_hardware, frame_jacobian, gravity_vector,
-                        kinematics)
+from .multibody import (Model, apply_hardware, frame_jacobian, frame_twists,
+                        generalized_force, gravity_vector, kinematics)
 from .spatial import Wrench
 
 
@@ -145,6 +158,26 @@ class CoupledSystem:
         return tuple(tuple(frames) for frames in out)
 
     @cached_property
+    def coupled_frame_names(self):
+        """Per subsystem, the names of its ``coupling_frames``."""
+        return tuple(tuple(f for f, _, _ in frames)
+                     for frames in self.coupling_frames)
+
+    @cached_property
+    def frame_slots(self):
+        """Rows of ``coupled_poses`` for the env contacts ``(E,)``, the
+        grasps' agent frames ``(G,)`` and their payload frames ``(G,)``."""
+        slots = {}
+        for k, (_, row, sign) in enumerate(
+                f for frames in self.coupling_frames for f in frames):
+            slots[row, sign] = k
+        E = len(self.env_contacts)
+        grasp_rows = range(E, E + len(self.grasps))
+        return (np.array([slots[r, 1] for r in range(E)], dtype=int),
+                np.array([slots[r, 1] for r in grasp_rows], dtype=int),
+                np.array([slots[r, -1] for r in grasp_rows], dtype=int))
+
+    @cached_property
     def wrench_labels(self):
         """One label per 6-row wrench block, built once per system."""
         env = (f"env:{self.agents[a].name}:{f}" for a, f in self.env_contacts)
@@ -187,30 +220,32 @@ def coupled_trees(sys: CoupledSystem, q: CoupledConfiguration,
     return [kinematics(m, qi) for m, qi in zip(models, q.qs)]
 
 
-def coupling_matrix(sys: CoupledSystem, q: CoupledConfiguration,
-                    params: Optional[Mapping] = None, trees=None):
+def coupling_matrix(sys: CoupledSystem, trees):
     """Stacked contact constraint matrix over the composite velocity.
 
     One ``frame_jacobian`` call per subsystem gives the Jacobians of all
-    its contact and grasp frames, ``(F, 6, 6 + n)``; their values (and
-    tangents, for ``Dual`` trees) are copied into a preallocated ``Q``
-    by slice assignment, a payload grasp frame's with a minus sign.
+    its contact and grasp frames, ``(..., F, 6, 6 + n)``; they are copied
+    into a preallocated ``Q`` by slice assignment, a payload grasp
+    frame's with a minus sign.  Plain only: ``trees`` (from
+    ``coupled_trees``) must hold plain arrays, since the statics take the
+    tangents of ``Q`` by contraction; a ``Dual`` tree raises TypeError.
     """
-    if trees is None:
-        trees = coupled_trees(sys, q, params)
     dims, offsets = sys.velocity_layout()
     n_rows = 6 * (len(sys.env_contacts) + len(sys.grasps))
     parts = []
     for s, frames in enumerate(sys.coupling_frames):
         if not frames:
             continue
-        J = frame_jacobian(trees[s].model, q.qs[s],
-                           tuple(f for f, _, _ in frames), trees[s])
+        J = frame_jacobian(trees[s].model, trees[s].q,
+                           sys.coupled_frame_names[s], trees[s])
+        if isinstance(J, fad.Dual):
+            raise TypeError("coupling_matrix takes plain trees only")
         cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
-        parts.extend(((slice(6 * row, 6 * row + 6), cols),
-                      J[k] if sign > 0 else -J[k])
+        parts.extend(((..., slice(6 * row, 6 * row + 6), cols),
+                      J[..., k, :, :] if sign > 0 else -J[..., k, :, :])
                      for k, (_, row, sign) in enumerate(frames))
-    return fad.assemble((n_rows, int(offsets[-1])), parts)
+    batch = trees[0].pos.shape[:-2]
+    return fad.assemble(batch + (n_rows, int(offsets[-1])), parts)
 
 
 def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
@@ -218,7 +253,21 @@ def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
     if trees is None:
         trees = coupled_trees(sys, q, params)
     return fad.concatenate([
-        gravity_vector(t.model, qi, t) for qi, t in zip(q.qs, trees)])
+        gravity_vector(t.model, qi, t) for qi, t in zip(q.qs, trees)],
+        axis=-1)
+
+
+def coupled_poses(sys: CoupledSystem, trees):
+    """World rotations ``(..., F, 3, 3)`` and positions ``(..., F, 3)`` of
+    every coupled frame, one ``frame_poses`` gather per subsystem.
+
+    Rows follow ``coupling_frames`` subsystem by subsystem;
+    ``CoupledSystem.frame_slots`` locates the contacts and grasps.
+    """
+    poses = [t.frame_poses(names)
+             for t, names in zip(trees, sys.coupled_frame_names)]
+    return (fad.concatenate([R for R, _ in poses], axis=-3),
+            fad.concatenate([p for _, p in poses], axis=-2))
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +295,24 @@ def _constraint_svd(Q: np.ndarray, labels=None, rel_tol=1e-10):
 def _saddle_solve(Q: np.ndarray, g: np.ndarray, B: np.ndarray):
     """Solve ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` on plain arrays.
 
-    Returns the saddle matrix ``A`` (for tangent solves), ``lam`` and
-    ``f``.  ``f`` is a copy, so a kept result does not hold the whole
-    solution vector.  A singular ``A`` means some body is held by no
-    contact.
+    ``Q`` ``(..., n_c, n_vel)`` and ``g`` ``(..., n_vel)`` may stack
+    postures.  Returns the saddle matrix ``A`` (for tangent solves),
+    ``lam`` and ``f``.  ``f`` is a copy, so a kept result does not hold
+    the whole solution vector.  A singular ``A`` means some body is held
+    by no contact.
     """
-    n_vel, n_c = B.shape[0], Q.shape[0]
-    A = np.zeros((n_vel + n_c, n_vel + n_c))
-    A[:n_vel, :n_vel] = B @ B.T
-    A[:n_vel, n_vel:] = Q.T
-    A[n_vel:, :n_vel] = Q
+    n_vel, n_c = B.shape[0], Q.shape[-2]
+    A = np.zeros(Q.shape[:-2] + (n_vel + n_c, n_vel + n_c))
+    A[..., :n_vel, :n_vel] = B @ B.T
+    A[..., :n_vel, n_vel:] = np.swapaxes(Q, -1, -2)
+    A[..., n_vel:, :n_vel] = Q
+    rhs = np.concatenate([g, np.zeros(g.shape[:-1] + (n_c,))], axis=-1)
     try:
-        sol = np.linalg.solve(A, np.concatenate([g, np.zeros(n_c)]))
+        sol = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularConstraintError(
             "singular statics: some body is held by no contact") from exc
-    return A, sol[:n_vel], sol[n_vel:].copy()
+    return A, sol[..., :n_vel], sol[..., n_vel:].copy()
 
 
 def static_torques(sys: CoupledSystem, q: CoupledConfiguration,
@@ -275,7 +326,7 @@ def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
                      params: Optional[Mapping], tau: np.ndarray) -> np.ndarray:
     """Least-squares contact wrenches ``f`` with ``Q^T f = g - B tau``."""
     trees = coupled_trees(sys, q, params)
-    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
+    Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, q, params, trees=trees))
     U, sv, Vt = _constraint_svd(Q, sys.wrench_labels)
     return U @ ((Vt @ (g - sys.selector() @ tau)) / sv)
@@ -286,35 +337,48 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     """Static torques and wrenches from the least-norm saddle system.
 
     Solves ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` and reads
-    ``tau = B^T lam``.  The solution is smooth in every input, and with
-    ``Dual`` inputs the tangents follow from differentiating the saddle
-    system, so this is the formulation the optimizer differentiates
-    through.
+    ``tau = B^T lam``, for one posture or a stack of them.  The solution
+    is smooth in every input, and with ``Dual`` inputs the tangents
+    follow from differentiating the saddle system (the tangent rule by
+    contraction in the module docstring), so this is the formulation the
+    optimizer differentiates through.
     """
     if trees is None:
         trees = coupled_trees(sys, q, params)
-    Q = coupling_matrix(sys, q, params, trees=trees)
+    Q = coupling_matrix(sys, [t.value() for t in trees])
     g = composite_gravity(sys, q, params, trees=trees)
     B = sys.selector()
     n_vel = B.shape[0]
-    Qv, Qd = (Q.val, Q.dot) if isinstance(Q, fad.Dual) else (Q, None)
-    gv, gd = (g.val, g.dot) if isinstance(g, fad.Dual) else (g, None)
-    A, lam, f = _saddle_solve(Qv, gv, B)
-    if Qd is None and gd is None:
-        return B.T @ lam, f
+    A, lam, f = _saddle_solve(Q, fad.value(g), B)
+    if not isinstance(g, fad.Dual):
+        return lam @ B, f
     # tangent rule: A sol_dot = rhs_dot - A_dot sol, with A_dot carrying
     # only the coupling blocks; solved against the same A
-    ndir = Qd.shape[0] if Qd is not None else gd.shape[0]
-    rhs_dot = np.zeros((ndir, A.shape[0]))
-    if gd is not None:
-        rhs_dot[:, :n_vel] = gd
-    if Qd is not None:
-        rhs_dot[:, :n_vel] -= np.einsum("dij,i->dj", Qd, f)
-        rhs_dot[:, n_vel:] -= Qd @ lam
-    sol_dot = np.linalg.solve(A, rhs_dot.T).T
-    lam_d = fad.Dual(lam, sol_dot[:, :n_vel])
-    f_d = fad.Dual(f, sol_dot[:, n_vel:])
-    return B.T @ lam_d, f_d
+    dims, offsets = sys.velocity_layout()
+    rhs_dot = np.zeros(g.dot.shape[:-1] + (A.shape[-1],))
+    rhs_dot[..., :n_vel] = g.dot
+    for s, frames in enumerate(sys.coupling_frames):
+        if not frames:
+            continue
+        tree, names = trees[s], sys.coupled_frame_names[s]
+        cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
+        sign = np.array([float(sg) for _, _, sg in frames])[:, None]
+        # (F, 6) rows of each frame's wrench block in f
+        block = 6 * np.array([row for _, row, _ in frames])[:, None] \
+            + np.arange(6)
+        force = generalized_force(tree, names, sign * f[..., block])
+        if isinstance(force, fad.Dual):
+            rhs_dot[..., cols] -= force.dot
+        twists = frame_twists(tree, names, lam[..., cols])
+        if isinstance(twists, fad.Dual):
+            d = sign * twists.dot
+            rhs_dot[..., n_vel + block.ravel()] -= d.reshape(
+                d.shape[:-2] + (-1,))
+    sol_dot = np.moveaxis(
+        np.linalg.solve(A, np.moveaxis(rhs_dot, 0, -1)), -1, 0)
+    lam_d = fad.Dual(lam, sol_dot[..., :n_vel])
+    f_d = fad.Dual(f, sol_dot[..., n_vel:])
+    return lam_d @ B, f_d
 
 
 # ---------------------------------------------------------------------------
@@ -332,31 +396,34 @@ def center_of_pressure(foot_wrench: Wrench, min_normal: float = 1.0):
 
 
 def cop_smooth(wrench6, sole_rot, min_normal: float = 1.0):
-    """Differentiable CoP of a mixed-frame wrench, normal force floored.
+    """Differentiable CoP of mixed-frame wrenches, normal force floored.
 
-    The floor only engages for (physically meaningless) unloaded feet,
-    keeping solver iterates finite; at any reported solution the foot
-    load is far above it and the value matches ``center_of_pressure``.
+    ``wrench6`` ``(..., 6)`` and ``sole_rot`` ``(..., 3, 3)`` give CoPs
+    ``(..., 2)``.  The floor only engages for (physically meaningless)
+    unloaded feet, keeping solver iterates finite; at any reported
+    solution the foot load is far above it and the value matches
+    ``center_of_pressure``.
     """
-    f_sole = sole_rot.T @ wrench6[:3]
-    t_sole = sole_rot.T @ wrench6[3:]
-    fz = fad.maximum(f_sole[2], min_normal)
-    return fad.stack([-t_sole[1] / fz, t_sole[0] / fz])
+    Rt = fad.mT(sole_rot)
+    f_sole = (Rt @ wrench6[..., :3, None])[..., 0]
+    t_sole = (Rt @ wrench6[..., 3:, None])[..., 0]
+    fz = fad.maximum(f_sole[..., 2], min_normal)
+    return fad.stack([-t_sole[..., 1] / fz, t_sole[..., 0] / fz], axis=-1)
 
 
 def foot_cops(sys: CoupledSystem, q: CoupledConfiguration,
               params: Optional[Mapping], f: np.ndarray,
               min_normal: float = 1.0, trees=None):
-    """CoP per environment contact, keyed by wrench label."""
+    """CoP per environment contact of one posture, keyed by wrench label."""
     if trees is None:
         trees = coupled_trees(sys, q, params)
+    R, _ = coupled_poses(sys, trees)
+    R = fad.value(R)[sys.frame_slots[0]]
     out = {}
     labels = sys.wrench_labels
-    for k, (agent, frame) in enumerate(sys.env_contacts):
-        R, _ = trees[agent].frame_pose(frame)
+    for k, (_, frame) in enumerate(sys.env_contacts):
         w = fad.value(f[6 * k: 6 * k + 6])
-        wrench = Wrench(fad.value(R).T @ w[:3], fad.value(R).T @ w[3:],
-                        frame=frame)
+        wrench = Wrench(R[k].T @ w[:3], R[k].T @ w[3:], frame=frame)
         out[labels[k]] = center_of_pressure(wrench, min_normal)
     return out
 
@@ -375,7 +442,7 @@ def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
     """
     if trees is None:
         trees = coupled_trees(sys, q, params)
-    Q = fad.value(coupling_matrix(sys, q, params, trees=trees))
+    Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, q, params, trees=trees))
     B = sys.selector()
     _, _, Vt = _constraint_svd(Q, sys.wrench_labels)

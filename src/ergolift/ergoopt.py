@@ -21,12 +21,19 @@ feasibility where ``z_z - 1`` is quadratically degenerate, and
 ``|z_z - 1| <= z_x^2 + z_y^2``, so meeting them to a tolerance meets the
 single-row encoding too.
 
-Derivatives are forward-mode dual numbers seeded per height block (plus
-the shared hardware block), which keeps the tangent batches small and
-the constraint Jacobian assembly block-sparse: each height's rows fill
-only that height's columns and the shared hardware columns.
-``nlpsolver`` hands the Jacobian to the backend as a sparse matrix, so
-its projections factor a sparse system.
+Every evaluation makes one pass over all heights: the posture blocks
+are stacked ``(H, height_dim)``, so configurations, trees, statics and
+constraint rows carry a leading height axis (``multibody``'s batch
+axes) and each layer is called once, not once per height.  Derivatives
+are forward-mode dual numbers with one set of directions per height
+row: direction j of height k is decision ``active_indices(k)[j]``, that
+height's posture block and then the shared hardware block, so the
+tangent is ``(height_dim + pi_dim, H, ...)`` and the constraint Jacobian
+stays block-sparse: each height's rows fill only that height's columns
+and the shared hardware columns.  Gradient, Jacobian rows and
+Gauss-Newton blocks are scattered height by height.  ``nlpsolver``
+hands the Jacobian to the backend as a sparse matrix, so its
+projections factor a sparse system.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 from . import fad
 from .coupled import (CoupledConfiguration, CoupledSystem,
                       SingularConstraintError, UnloadedFootError, cop_smooth,
-                      evaluate_statics, statics_minnorm)
+                      coupled_poses, evaluate_statics, statics_minnorm)
 from .multibody import (Configuration, Model, com_height_null_config,
                         group_params, kinematics)
 from .nlpsolver import SolverOptions, SolverReport, solve_nlp
@@ -87,7 +94,7 @@ def task_com_height(robot: Model, params=None):
 class DecisionLayout:
     """Index bookkeeping for the stacked decision vector."""
 
-    sub_dims: tuple          # per-subsystem block width (12 + n_joints)
+    sub_dims: tuple          # per-subsystem block width (6 + n_joints)
     n_heights: int
     n_groups: int
     frozen_hardware: bool
@@ -125,9 +132,10 @@ class DecisionLayout:
 
 
 def _sub_configuration(y_block, n_joints):
-    pos = y_block[:3]
-    rot = fad.rpy_matrix(y_block[3], y_block[4], y_block[5])
-    return Configuration(pos, rot, y_block[6: 6 + n_joints])
+    """Configuration of subsystem blocks ``(..., 6 + n_joints)``."""
+    pos = y_block[..., :3]
+    rot = fad.rpy_matrix(y_block[..., 3], y_block[..., 4], y_block[..., 5])
+    return Configuration(pos, rot, y_block[..., 6: 6 + n_joints])
 
 
 def _trees(models, q: CoupledConfiguration):
@@ -135,10 +143,11 @@ def _trees(models, q: CoupledConfiguration):
 
 
 def _pack_configuration(q: Configuration):
+    """Decision blocks ``(..., 6 + n)`` of configurations."""
     return np.concatenate([
         np.asarray(fad.value(q.base_pos)),
         rpy_from_matrix(fad.value(q.base_rot)),
-        np.asarray(fad.value(q.s))])
+        np.asarray(fad.value(q.s))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +172,22 @@ class ErgoProblem:
 
     # -- decision vector <-> configurations -----------------------------
 
+    def height_blocks(self, y):
+        """The posture blocks of y, one row per height ``(H, height_dim)``."""
+        L = self.layout
+        return y[:L.n_heights * L.height_dim].reshape(L.n_heights,
+                                                      L.height_dim)
+
     def configurations(self, y, k) -> CoupledConfiguration:
+        return self._configurations(y[self.layout.height_slice(k)])
+
+    def _configurations(self, blocks) -> CoupledConfiguration:
+        """Configurations of posture blocks ``(..., height_dim)``."""
         models = self.system.subsystem_models()
-        qs = tuple(
-            _sub_configuration(y[self.layout.sub_slice(k, i)], m.n_joints)
-            for i, m in enumerate(models))
-        return CoupledConfiguration(qs)
+        ends = np.cumsum(self.layout.sub_dims)
+        return CoupledConfiguration(tuple(
+            _sub_configuration(blocks[..., end - width:end], m.n_joints)
+            for m, width, end in zip(models, self.layout.sub_dims, ends)))
 
     def group_values(self, y):
         """{group: (density, multiplier)} from the shared block of y.
@@ -198,44 +217,54 @@ class ErgoProblem:
         t4 = task_com_height(models[self.system.parametrized_index])
         return w.density * t2 + w.com_height * t4
 
-    def _height_tasks(self, q, trees):
-        """Torque and CoP tasks of one height from the saddle statics.
+    def _height_tasks(self, q, trees, poses):
+        """Torque and CoP tasks from the saddle statics, per posture.
 
-        Returns the torques, the foot CoPs, the squared torque norm and
-        the summed squared CoP deviations from the target.
+        ``q``, ``trees`` and their ``coupled_poses`` may stack postures.
+        Returns the torques, the foot CoPs ``(..., E, 2)``, the squared
+        torque norm and the summed squared CoP deviations from the target.
         """
-        tau, f = statics_minnorm(self.system, q, trees=trees)
-        target = np.asarray(self.scenario.cop_target, dtype=float)
-        t3 = 0.0
-        cops = []
-        for c, (agent, frame) in enumerate(self.system.env_contacts):
-            R, _ = trees[agent].frame_pose(frame)
-            cop = cop_smooth(f[6 * c: 6 * c + 6], R)
-            t3 = t3 + fad.sumsq(cop - target)
-            cops.append(cop)
-        return tau, cops, fad.sumsq(tau), t3
+        sys = self.system
+        tau, f = statics_minnorm(sys, q, trees=trees)
+        env = sys.frame_slots[0]
+        batch = tau.shape[:-1]
+        wrenches = f[..., :6 * len(env)].reshape(batch + (len(env), 6))
+        cops = cop_smooth(wrenches, poses[0][..., env, :, :])
+        dev = cops - np.asarray(self.scenario.cop_target, dtype=float)
+        return tau, cops, fad.sumsq(tau), fad.sumsq(dev.reshape(batch + (-1,)))
 
-    def _residual_rows(self, q, k, trees):
-        """Equality rows of one height, upright frames as tilt rows."""
-        payload_idx = len(self.system.agents)
-        ptree = trees[payload_idx]
-        q3 = q.qs[payload_idx]
-        rows = [q3.base_rot[0, 2], q3.base_rot[1, 2]]
-        rows.append(q3.base_pos[2] - float(self.heights[k]))
-        for g in self.system.grasps:
-            _, p_hand = trees[g.agent].frame_pose(g.agent_frame)
-            _, p_g = ptree.frame_pose(g.payload_frame)
-            d = p_hand - p_g
-            rows.extend([d[0], d[1], d[2]])
-        foot_rows = []
-        orient_rows = []
-        for agent, frame in self.system.env_contacts:
-            R, p = trees[agent].frame_pose(frame)
-            foot_rows.append(p[2])
-            orient_rows.extend([R[0, 2], R[1, 2]])
-        rows.extend(foot_rows)
-        rows.extend(orient_rows)
-        return fad.stack(rows)
+    def _residual_rows(self, q, heights, poses):
+        """Equality rows per posture, upright frames as tilt rows.
+
+        ``heights`` are the payload height targets of the postures.
+        """
+        env, hands, grips = self.system.frame_slots
+        R, p = poses
+        q3 = q.qs[len(self.system.agents)]
+        batch = q3.base_pos.shape[:-1]
+        hand_gap = p[..., hands, :] - p[..., grips, :]
+        return fad.concatenate([
+            q3.base_rot[..., :2, 2],
+            (q3.base_pos[..., 2] - heights)[..., None],
+            hand_gap.reshape(batch + (-1,)),
+            p[..., env, 2],
+            R[..., env, :, :][..., :2, 2].reshape(batch + (-1,))], axis=-1)
+
+    def _pieces(self, blocks, models):
+        """Cost terms, constraint rows, torques and CoPs of every height.
+
+        ``blocks`` are the stacked posture blocks ``(H, height_dim)``;
+        ``models`` are the subsystem models with the robot already
+        scaled, shared by every height.
+        """
+        q = self._configurations(blocks)
+        w = self.scenario.weights
+        trees = _trees(models, q)
+        poses = coupled_poses(self.system, trees)
+        tau, cops, t1, t3 = self._height_tasks(q, trees, poses)
+        cons = self._residual_rows(q, np.asarray(self.heights, dtype=float),
+                                   poses)
+        return w.torque * t1 + w.cop * t3, cons, tau, cops
 
     # -- NLP interface ----------------------------------------------------
 
@@ -243,81 +272,56 @@ class ErgoProblem:
         y = np.asarray(y, dtype=float)
         models = self.system.subsystem_models(self.hardware_params(y))
         cost = self._shared_terms(y, models)
-        cons = []
-        for k in range(len(self.heights)):
-            ck, rk, _, _ = self._height_pieces(y, k, models)
+        costs, cons, _, _ = self._pieces(self.height_blocks(y), models)
+        for ck in costs:
             cost = cost + ck
-            cons.append(rk)
         cost = cost / self.scenario.weights.total()
-        return float(fad.value(cost)), np.concatenate(
-            [np.asarray(fad.value(c)) for c in cons])
-
-    def _height_pieces(self, y, k, models):
-        """Height terms plus the residual Jacobians feeding Gauss-Newton.
-
-        ``models`` are the subsystem models with the robot already
-        scaled, shared by every height of one evaluation.
-        """
-        q = self.configurations(y, k)
-        w = self.scenario.weights
-        trees = _trees(models, q)
-        tau, cops, t1, t3 = self._height_tasks(q, trees)
-        cons = self._residual_rows(q, k, trees)
-        cost_k = w.torque * t1 + w.cop * t3
-        tau_dot = tau.dot if isinstance(tau, fad.Dual) else None
-        cop_dots = [c.dot for c in cops if isinstance(c, fad.Dual)]
-        return cost_k, cons, tau_dot, cop_dots
+        return float(fad.value(cost)), np.asarray(cons).reshape(-1)
 
     def value_and_derivatives(self, y):
         y = np.asarray(y, dtype=float)
-        n = y.size
-        grad = np.zeros(n)
-        rows_per_height = self.n_cons // len(self.heights)
-        jac = np.zeros((self.n_cons, n))
-        cons = np.zeros(self.n_cons)
-        cost = 0.0
+        L = self.layout
+        n, H, hd = y.size, L.n_heights, L.height_dim
+        ndir = hd + L.pi_dim
+        rows = self.n_cons // H
         w = self.scenario.weights
         total = w.total()
-        gauss_newton = np.zeros((n, n))
 
-        # every height seeds its posture block, then the shared hardware
-        # block (``active_indices``); so one hardware Dual with those
-        # last directions, and one robot scaled by it, serve the shared
-        # (hardware-only) terms and every height
-        sl_pi = self.layout.pi_slice()
-        hw0 = self.layout.height_dim
-        dirs = np.zeros((hw0 + self.layout.pi_dim, n))
-        dirs[np.arange(hw0, dirs.shape[0]),
-             np.arange(sl_pi.start, sl_pi.stop)] = 1.0
+        # direction j of height row k is decision active_indices(k)[j]:
+        # the height's posture block, then the shared hardware block; so
+        # one hardware Dual with those last directions, and one robot
+        # scaled by it, serve the shared (hardware-only) terms and every
+        # height
+        sl_pi = L.pi_slice()
+        dirs = np.zeros((ndir, n))
+        dirs[np.arange(hd, ndir), np.arange(sl_pi.start, sl_pi.stop)] = 1.0
         yd = fad.Dual(y, dirs)
         models = self.system.subsystem_models(self.hardware_params(yd))
         out = self._shared_terms(yd, models)
-        cost += float(fad.value(out))
+        cost = float(fad.value(out))
+        grad = np.zeros(n)
         if isinstance(out, fad.Dual):
-            grad[sl_pi.start:sl_pi.stop] += out.dot[hw0:]
+            grad[sl_pi] += out.dot[hd:]
 
-        for k in range(len(self.heights)):
-            idx = self.layout.active_indices(k)
-            dirs = np.zeros((idx.size, n))
-            dirs[np.arange(idx.size), idx] = 1.0
-            yd = fad.Dual(y, dirs)
-            ck, rk, tau_dot, cop_dots = self._height_pieces(yd, k, models)
-            cost += float(fad.value(ck))
-            if isinstance(ck, fad.Dual):
-                grad[idx] += ck.dot
-            sl = slice(k * rows_per_height, (k + 1) * rows_per_height)
-            cons[sl] = fad.value(rk)
-            if isinstance(rk, fad.Dual):
-                jac[sl.start:sl.stop, idx] = rk.dot.T
-            # Gauss-Newton curvature of the sum-of-squares tasks
-            block = np.zeros((idx.size, idx.size))
-            if tau_dot is not None:
-                block += 2.0 * w.torque * (tau_dot @ tau_dot.T)
-            for cd in cop_dots:
-                block += 2.0 * w.cop * (cd @ cd.T)
-            gauss_newton[np.ix_(idx, idx)] += block
+        seeds = np.zeros((ndir, H, hd))
+        seeds[np.arange(hd), :, np.arange(hd)] = 1.0
+        costs, cons, tau, cops = self._pieces(
+            fad.Dual(self.height_blocks(y), seeds), models)
+        # Gauss-Newton curvature of the sum-of-squares tasks, per height
+        t_dot = np.moveaxis(tau.dot, 0, -2)
+        c_dot = np.moveaxis(cops.dot, 0, -3).reshape(H, ndir, -1)
+        blocks = (2.0 * w.torque * (t_dot @ fad.mT(t_dot))
+                  + 2.0 * w.cop * (c_dot @ fad.mT(c_dot)))
+        jac = np.zeros((self.n_cons, n))
+        gauss_newton = np.zeros((n, n))
+        for k in range(H):
+            idx = L.active_indices(k)
+            cost += float(costs.val[k])
+            grad[idx] += costs.dot[:, k]
+            jac[k * rows:(k + 1) * rows, idx] = cons.dot[:, k].T
+            gauss_newton[np.ix_(idx, idx)] += blocks[k]
         self._hess_cache = (y.tobytes(), gauss_newton / total)
-        return cost / total, grad / total, cons, jac
+        return cost / total, grad / total, cons.val.reshape(-1), jac
 
     def hessian(self, y):
         """Gauss-Newton model of the cost curvature at y."""
@@ -407,11 +411,14 @@ def assemble_nlp(scenario: Scenario, system: Optional[CoupledSystem] = None,
 def warm_start_vector(problem: ErgoProblem, jitter: float = 0.01) -> np.ndarray:
     """Deterministic initial decision vector (seeded joint jitter)."""
     rng = np.random.default_rng(problem.scenario.seed)
+    q = warm_start_configuration(problem.scenario, problem.system,
+                                 np.asarray(problem.heights, dtype=float))
+    packed = [_pack_configuration(qi) for qi in q.qs]
     parts = []
-    for k, h in enumerate(problem.heights):
-        q = warm_start_configuration(problem.scenario, problem.system, h)
-        for i, qi in enumerate(q.qs):
-            block = _pack_configuration(qi)
+    # jitter drawn height by height, subsystem by subsystem
+    for k in range(len(problem.heights)):
+        for stack in packed:
+            block = stack[k]
             if jitter and block.size > 6:
                 block[6:] += rng.normal(size=block.size - 6) * jitter
             parts.append(block)
@@ -449,6 +456,9 @@ def solve(problem: ErgoProblem, warm_start=None,
         options = problem.scenario.solver
     y0 = warm_start if warm_start is not None else warm_start_vector(problem)
     report: SolverReport = solve_nlp(problem, y0, options)
+    # the Gauss-Newton cache serves only the solver's curvature calls; a
+    # problem kept with its solution should not hold an n x n matrix
+    problem._hess_cache = None
     params = problem.hardware_params(report.x)
     models = problem.system.subsystem_models(params)
     statics = []
@@ -461,7 +471,8 @@ def solve(problem: ErgoProblem, warm_start=None,
         except (SingularConstraintError, UnloadedFootError):
             res = None
         statics.append(res)
-        _, _, t1, t3 = problem._height_tasks(q, trees)
+        _, _, t1, t3 = problem._height_tasks(
+            q, trees, coupled_poses(problem.system, trees))
         tasks.append({"torque": float(t1), "cop": float(t3)})
     hardware = None
     if not problem.layout.frozen_hardware:

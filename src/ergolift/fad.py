@@ -7,7 +7,10 @@ pipeline therefore produces the value and a full Jacobian slice at once.
 
 Every helper in this module accepts either plain arrays/scalars or
 ``Dual`` instances, so numerical code written against these helpers runs
-unchanged with and without derivative tracking.
+unchanged with and without derivative tracking.  The vector and matrix
+helpers (``cross3``, ``sumsq``, ``mT``, matmul and the rotations) act on
+the trailing axes and broadcast over leading ones, so one call serves a
+single operand or a stack of them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 __all__ = [
     "Dual", "value", "seed", "jacobian",
     "sin", "cos", "absolute", "maximum", "where",
-    "stack", "concatenate", "assemble", "cross3", "sumsq",
+    "stack", "concatenate", "assemble", "cross3", "sumsq", "mT",
     "rotx", "roty", "rotz", "rpy_matrix",
 ]
 
@@ -131,10 +134,10 @@ class Dual:
         return Dual(self.val[idx], self.dot[(slice(None),) + idx])
 
     @property
-    def T(self):
-        if self.val.ndim != 2:
-            raise ValueError("T only defined for 2-D duals")
-        return Dual(self.val.T, np.transpose(self.dot, (0, 2, 1)))
+    def mT(self):
+        """Transpose of the last two axes, for any number of leading ones."""
+        return Dual(np.swapaxes(self.val, -1, -2),
+                    np.swapaxes(self.dot, -1, -2))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], tuple):
@@ -165,23 +168,30 @@ def value(x):
     return x.val if isinstance(x, Dual) else np.asarray(x, dtype=float)
 
 
+def mT(x):
+    """Transpose of the last two axes of an array or Dual."""
+    return x.mT if isinstance(x, Dual) else np.swapaxes(x, -1, -2)
+
+
 def _matmul(a, b):
     av, ad = _split(a)
     bv, bd = _split(b)
     out = av @ bv
+    # for two stacks of matrices, singleton axes after the direction axis
+    # keep a tangent's stack axes aligned with the other operand's
+    stacked = av.ndim >= 2 and bv.ndim >= 2
     d = None
     if ad is not None:
-        # (D, *a) @ b contracts correctly for every a/b rank combination
-        d = ad @ bv
+        d = (_pad(ad, out.ndim) if stacked else ad) @ bv
     if bd is not None:
-        if av.ndim >= 2 and bv.ndim == 1:
+        if stacked:
+            t = av @ _pad(bd, out.ndim)
+        elif av.ndim >= 2 and bv.ndim == 1:
             t = np.matmul(av, bd[..., None])[..., 0]
         elif av.ndim == 1 and bv.ndim >= 2:
             t = np.matmul(av, bd)
-        elif av.ndim == 1 and bv.ndim == 1:
-            t = bd @ av
         else:
-            t = av @ bd
+            t = bd @ av
         d = t if d is None else d + t
     if d is None:
         return out
@@ -281,22 +291,21 @@ def assemble(shape, parts):
     return out if dot is None else Dual(out, dot)
 
 
-def cross3(a, b, axis=0):
-    """Cross product of 3-vectors, dual-safe.
+def cross3(a, b):
+    """Cross product of 3-vectors along the last axis, dual-safe.
 
-    The components run along the first axis of ``a`` and ``b``, which
-    broadcast like arrays; they are stacked along ``axis`` of the result.
+    The leading axes of ``a`` and ``b`` broadcast like arrays.
     """
-    return stack([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ], axis=axis)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return stack([a1 * b2 - a2 * b1,
+                  a2 * b0 - a0 * b2,
+                  a0 * b1 - a1 * b0], axis=-1)
 
 
 def sumsq(x):
-    """Sum of squares of a 1-D operand."""
-    return _matmul(x, x)
+    """Sum of squares over the last axis."""
+    return _matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
 # -- rotations ----------------------------------------------------------
@@ -306,32 +315,34 @@ def _zero_one_like(t):
     return zero, zero + 1.0
 
 
+def _matrix(rows):
+    """3x3 matrices ``(..., 3, 3)`` from nested rows of same-shape entries."""
+    return stack([stack(r, axis=-1) for r in rows], axis=-2)
+
+
 def rotx(t):
     c, s = cos(t), sin(t)
     zero, one = _zero_one_like(t)
-    return stack([stack([one, zero, zero]),
-                  stack([zero, c, -s]),
-                  stack([zero, s, c])])
+    return _matrix([[one, zero, zero], [zero, c, -s], [zero, s, c]])
 
 
 def roty(t):
     c, s = cos(t), sin(t)
     zero, one = _zero_one_like(t)
-    return stack([stack([c, zero, s]),
-                  stack([zero, one, zero]),
-                  stack([-s, zero, c])])
+    return _matrix([[c, zero, s], [zero, one, zero], [-s, zero, c]])
 
 
 def rotz(t):
     c, s = cos(t), sin(t)
     zero, one = _zero_one_like(t)
-    return stack([stack([c, -s, zero]),
-                  stack([s, c, zero]),
-                  stack([zero, zero, one])])
+    return _matrix([[c, -s, zero], [s, c, zero], [zero, zero, one]])
 
 
 def rpy_matrix(roll, pitch, yaw):
-    """ZYX convention: R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    """ZYX convention: R = Rz(yaw) @ Ry(pitch) @ Rx(roll).
+
+    Angle arrays of shape ``S`` give rotations of shape ``(*S, 3, 3)``.
+    """
     return _matmul(_matmul(rotz(yaw), roty(pitch)), rotx(roll))
 
 

@@ -17,22 +17,40 @@ the same kind of frame twist.
 Each constant is derived once, on the definition it comes from: a
 ``Joint`` stores its fixed rpy rotation and the Rodrigues ``K`` and
 ``K^2`` of its axis, a ``FrameDef`` its fixed rotation, and a ``Link``
-its mass, CoM and inertia about its origin (``Link.inertial``), which
-only the links given new hardware derive again.  The index tables of a
-tree (name maps, the links x dofs path mask, revolute flags, the depth
-levels with their stacked joint constants) live on a ``Topology`` that
-every hardware variant of a model shares.
+its mass and CoM (``Link.mass_com``), which only the links given new
+hardware derive again; its inertia about its origin
+(``Link.inertial``) is derived only where ``mass_matrix`` reads it.
+The index tables of a tree (name maps, the links x dofs path mask,
+revolute flags, the depth levels with their stacked joint constants,
+the mounts of named frames) live on a ``Topology`` that every hardware
+variant of a model shares.
 
 Every pass works on whole-tree arrays.  ``kinematics`` walks the tree
 one depth level at a time and returns stacked ``(L, 3, 3)`` rotations
-and ``(L, 3)`` positions; ``frame_jacobian`` gives the Jacobians of a
-tuple of frames as ``(F, 6, 6 + n)`` from one masked cross product over
-the stacked joint axes and pivots; ``gravity_vector`` sums the link
-mass moments over subtrees with one matmul, the composite-body
-bookkeeping of Featherstone, *Rigid Body Dynamics Algorithms* (2008).
-The mass matrix is ``M = sum_i J_i^T M_i J_i`` over the links, with
-``J_i`` the Jacobian of link i's origin and ``M_i`` its spatial inertia
-about that origin.
+and ``(L, 3)`` positions; ``KinTree.frame_poses`` and
+``frame_jacobian`` gather a tuple of frames at once, the Jacobians as
+``(F, 6, 6 + n)`` from one masked cross product over the stacked joint
+axes and pivots; ``gravity_vector`` sums the link mass moments over
+subtrees with one matmul, the composite-body bookkeeping of
+Featherstone, *Rigid Body Dynamics Algorithms* (2008).  The mass matrix
+is ``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the
+Jacobian of link i's origin and ``M_i`` its spatial inertia about that
+origin.
+
+Two contractions give products with the frame Jacobians without forming
+them: ``generalized_force`` is ``sum_k J_k^T w_k`` for wrenches ``w_k``
+at frames, a masked subtree sum of the frame forces and moments like
+``gravity_vector``'s, and ``frame_twists`` is ``J_k nu``, a masked path
+sum of the joint motions.  With a ``Dual`` tree and plain ``w`` or
+``nu`` their tangents are ``sum_k dJ_k^T w_k`` and ``dJ_k nu``.
+
+Postures may carry leading batch axes: a ``Configuration`` of
+``(..., 3)`` base positions, ``(..., 3, 3)`` base rotations and
+``(..., n)`` joint positions is a stack of postures of one model, and
+every pass indexes links, joints and frames from the trailing axes
+(``rot[..., links, :, :]``), so it returns the same stack of results
+from one call.  Hardware, and so every model constant, is shared by the
+whole stack.
 """
 
 from __future__ import annotations
@@ -128,14 +146,19 @@ class Link:
     joint: Optional[Joint] = None
 
     @cached_property
+    def mass_com(self):
+        """(mass, CoM) in the link frame."""
+        return (shape_mass(self.shape, self.hardware),
+                shape_com(self.shape, self.hardware))
+
+    @cached_property
     def inertial(self):
         """(mass, CoM, inertia about the origin) in the link frame.
 
-        The mass and CoM are derived once and reused for the inertia
-        about the CoM and its parallel-axis shift.
+        Only ``mass_matrix`` reads the inertia; it reuses ``mass_com``
+        for the inertia about the CoM and its parallel-axis shift.
         """
-        m = shape_mass(self.shape, self.hardware)
-        c = shape_com(self.shape, self.hardware)
+        m, c = self.mass_com
         return m, c, parallel_axis(
             shape_inertia_cm(self.shape, self.hardware, m), m, c)
 
@@ -205,6 +228,7 @@ class Topology:
     def __init__(self, links, frames):
         self._links = links
         self._frames = frames
+        self._mounts = {}
 
     @cached_property
     def frame_map(self):
@@ -238,6 +262,37 @@ class Topology:
         """Links x links: 1 where the column link is in the row's subtree."""
         return np.vstack([np.ones(len(self._links)),
                           self.path_mask.T.astype(float)])
+
+    def mounts(self, names):
+        """Links ``(F,)``, unit-multiplier offsets ``(F, 3)`` and fixed
+        rotations ``(F, 3, 3)`` of named frames, built once per tuple.
+
+        A link name mounts at the link origin.
+        """
+        out = self._mounts.get(names)
+        if out is None:
+            fmap, lmap = self.frame_map, self.link_map
+            rows = []
+            for n in names:
+                if n in fmap:
+                    f = fmap[n]
+                    rows.append((f.link, f.offset, f.rotation))
+                elif n in lmap:
+                    rows.append((lmap[n], np.zeros(3), _EYE3))
+                else:
+                    raise UnknownFrameError(f"unknown frame {n!r}")
+            out = (np.array([r[0] for r in rows], dtype=int),
+                   np.array([r[1] for r in rows]).reshape(-1, 3),
+                   np.array([r[2] for r in rows]).reshape(-1, 3, 3))
+            self._mounts[names] = out
+        return out
+
+    @cached_property
+    def level_rows(self):
+        """Rows of each link and of each dof in arrays that concatenate
+        the base and then the ``levels`` in order."""
+        order = np.concatenate([[0]] + [lv.links for lv in self.levels])
+        return np.argsort(order), np.argsort(order[1:] - 1)
 
     @cached_property
     def levels(self):
@@ -303,8 +358,8 @@ class Model:
     @cached_property
     def _mass_table(self):
         """Stacked link masses ``(L,)`` and link-frame CoMs ``(L, 3)``."""
-        return (fad.stack([l.inertial[0] for l in self.links]),
-                fad.stack([l.inertial[1] for l in self.links]))
+        return (fad.stack([l.mass_com[0] for l in self.links]),
+                fad.stack([l.mass_com[1] for l in self.links]))
 
     def link_index(self, name):
         try:
@@ -327,7 +382,7 @@ class Model:
         return lo, hi
 
     def total_mass(self):
-        return float(sum(fad.value(l.inertial[0]) for l in self.links))
+        return float(sum(fad.value(l.mass_com[0]) for l in self.links))
 
     def group_hardware(self):
         """Nominal (density, length multiplier) per optimization group."""
@@ -371,7 +426,11 @@ class Model:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Configuration:
-    """Floating-base pose plus joint positions."""
+    """Floating-base pose plus joint positions.
+
+    ``base_pos`` ``(..., 3)``, ``base_rot`` ``(..., 3, 3)`` and ``s``
+    ``(..., n)`` share their leading axes, which stack postures.
+    """
 
     base_pos: object
     base_rot: object
@@ -440,9 +499,11 @@ def group_params(model: Model, values: Mapping[str, tuple]) -> dict:
 class KinTree:
     """World poses of every link plus per-joint world axes and pivots.
 
-    ``rot`` ``(L, 3, 3)`` and ``pos`` ``(L, 3)`` stack one row per link
-    in link order, ``axis_w`` and ``pivot_w`` one row per joint,
-    ``(n, 3)``; each is a plain array or a ``Dual``.
+    ``rot`` ``(..., L, 3, 3)`` and ``pos`` ``(..., L, 3)`` stack one row
+    per link in link order, ``axis_w`` and ``pivot_w`` one row per joint,
+    ``(..., n, 3)``; each is a plain array or a ``Dual``.  ``lms`` are the
+    per-link length multipliers the poses were computed with (None when
+    all are 1.0).
     """
 
     model: Model
@@ -451,13 +512,34 @@ class KinTree:
     pos: object
     axis_w: object
     pivot_w: object
+    lms: object = None
+
+    def value(self):
+        """The same tree on plain arrays, the values of its Duals."""
+        v, q = fad.value, self.q
+        return KinTree(self.model,
+                       Configuration(v(q.base_pos), v(q.base_rot), v(q.s)),
+                       v(self.rot), v(self.pos), v(self.axis_w),
+                       v(self.pivot_w),
+                       None if self.lms is None else v(self.lms))
+
+    def _mounts(self, names):
+        """Links of named frames, their world rotations and mounting points."""
+        links, offsets, rotations = self.model.topology.mounts(names)
+        if self.lms is not None:
+            offsets = _scale_z(offsets, self.lms[links][:, None])
+        R = self.rot[..., links, :, :]
+        return links, R, rotations, self.pos[..., links, :] + _rows(R, offsets)
+
+    def frame_poses(self, names):
+        """World rotations ``(..., F, 3, 3)`` and positions ``(..., F, 3)``
+        of a tuple of frames, from one gather over the tree."""
+        _, R, rotations, p = self._mounts(tuple(names))
+        return R @ rotations, p
 
     def frame_pose(self, name):
-        f = self.model.frame(name)
-        R = self.rot[f.link]
-        lms = self.model._multipliers
-        offset = f.offset if lms is None else _scale_z(f.offset, lms[f.link])
-        return R @ f.rotation, self.pos[f.link] + R @ offset
+        R, p = self.frame_poses((name,))
+        return R[..., 0, :, :], p[..., 0, :]
 
 
 def _scale_z(offset, lm):
@@ -473,59 +555,62 @@ def _rows(R, v):
     return (R @ v[..., None])[..., 0]
 
 
+def _dot3(a, b):
+    """Row-wise dot products of 3-vectors along the last axis."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2])
+
+
 def kinematics(model: Model, q: Configuration) -> KinTree:
     """World poses of the whole tree, one depth level at a time.
 
     Each level gathers its parents' rows and applies the level's stacked
     joint constants at once: a revolute joint turns by the Rodrigues
-    rotation about its fixed axis, a prismatic one slides along it.
+    rotation about its fixed axis, a prismatic one slides along it.  The
+    levels' rows are concatenated and put in link order by one gather.
     """
     topo = model.topology
     lms = model._multipliers
     # R, p: the previous level's rotations and positions
-    R, p = q.base_rot[None], q.base_pos[None]
-    rots = [((0,), q.base_rot)]
-    poss = [((0,), q.base_pos)]
-    axes = []
-    pivots = []
+    R, p = q.base_rot[..., None, :, :], q.base_pos[..., None, :]
+    rots, poss, axes, pivots = [R], [p], [], []
     for lv in topo.levels:
-        Rp, pp = R[lv.rows], p[lv.rows]
+        Rp, pp = R[..., lv.rows, :, :], p[..., lv.rows, :]
         offset = lv.offset if lms is None else _scale_z(
             lv.offset, lms[lv.parents][:, None])
         p_joint = pp + _rows(Rp, offset)
         R_pre = Rp @ lv.rotation
-        s = q.s[lv.dofs]
-        R = R_pre @ (_EYE3 + fad.sin(s)[:, None, None] * lv.K
-                     + (1.0 - fad.cos(s))[:, None, None] * lv.K2)
+        s = q.s[..., lv.dofs]
+        R = R_pre @ (_EYE3 + fad.sin(s)[..., None, None] * lv.K
+                     + (1.0 - fad.cos(s))[..., None, None] * lv.K2)
         p = p_joint
         if not lv.revolute.all():
             R = fad.where(lv.revolute[:, None, None], R, R_pre)
             p = fad.where(lv.revolute[:, None], p_joint,
-                          p_joint + _rows(R_pre, lv.axis * s[:, None]))
-        rots.append(((lv.links,), R))
-        poss.append(((lv.links,), p))
-        axes.append(((lv.dofs,), _rows(R_pre, lv.axis)))
-        pivots.append(((lv.dofs,), p_joint))
-    L, n = len(model.links), model.n_joints
-    return KinTree(model=model, q=q, rot=fad.assemble((L, 3, 3), rots),
-                   pos=fad.assemble((L, 3), poss),
-                   axis_w=fad.assemble((n, 3), axes),
-                   pivot_w=fad.assemble((n, 3), pivots))
+                          p_joint + _rows(R_pre, lv.axis * s[..., None]))
+        rots.append(R)
+        poss.append(p)
+        axes.append(_rows(R_pre, lv.axis))
+        pivots.append(p_joint)
+    links, dofs = topo.level_rows
+    if axes:
+        axis_w = fad.concatenate(axes, axis=-2)[..., dofs, :]
+        pivot_w = fad.concatenate(pivots, axis=-2)[..., dofs, :]
+    else:  # a single rigid body
+        axis_w = pivot_w = np.zeros(np.shape(q.s) + (3,))
+    return KinTree(model=model, q=q,
+                   rot=fad.concatenate(rots, axis=-3)[..., links, :, :],
+                   pos=fad.concatenate(poss, axis=-2)[..., links, :],
+                   axis_w=axis_w, pivot_w=pivot_w, lms=lms)
 
 
 def forward_kinematics(model: Model, q: Configuration, frame: str):
     """World (rotation, position) of a named frame, or of a link frame."""
-    tree = kinematics(model, q)
-    if frame in model.topology.frame_map:
-        return tree.frame_pose(frame)
-    if frame in model.topology.link_map:
-        i = model.link_index(frame)
-        return tree.rot[i], tree.pos[i]
-    raise UnknownFrameError(f"unknown frame {frame!r}")
+    return kinematics(model, q).frame_pose(frame)
 
 
 def _point_jacobians(model, tree, links, points):
-    """Mixed Jacobians ``(F, 6, 6 + n)`` of points riding given links.
+    """Mixed Jacobians ``(..., F, 6, 6 + n)`` of points riding given links.
 
     One masked cross product over the stacked joint axes and pivots: a
     revolute dof on a link's path moves its point by
@@ -534,49 +619,88 @@ def _point_jacobians(model, tree, links, points):
     base columns hold the identity blocks and the lever ``-S(p - p0)``.
     """
     topo = model.topology
-    F = len(links)
-    d = points - tree.pos[0]
-    axes = tree.axis_w.T
-    on = topo.path_mask[links][:, None, :]
-    rev = on & topo.revolute
-    arm = points.T[:, :, None] - tree.pivot_w.T[:, None, :]
-    lin = fad.where(rev, fad.cross3(axes, arm, axis=1),
-                    fad.where(on, axes, 0.0))
+    d = points - tree.pos[..., :1, :]
+    # (F, n, 1) masks against (..., F, n, 3) joint-by-point vectors
+    on = topo.path_mask[links][..., None]
+    rev = on & topo.revolute[:, None]
+    axes = tree.axis_w[..., None, :, :]
+    arm = points[..., :, None, :] - tree.pivot_w[..., None, :, :]
+    lin = fad.where(rev, fad.cross3(axes, arm), fad.where(on, axes, 0.0))
     ang = fad.where(rev, axes, 0.0)
-    each = slice(None)
-    return fad.assemble((F, 6, 6 + model.n_joints), [
-        ((each, slice(0, 3), slice(0, 3)), _EYE3),
-        ((each, slice(3, 6), slice(3, 6)), _EYE3),
-        ((each, 0, 4), d[:, 2]), ((each, 0, 5), -d[:, 1]),
-        ((each, 1, 3), -d[:, 2]), ((each, 1, 5), d[:, 0]),
-        ((each, 2, 3), d[:, 1]), ((each, 2, 4), -d[:, 0]),
-        ((each, slice(0, 3), slice(6, None)), lin),
-        ((each, slice(3, 6), slice(6, None)), ang)])
+    shape = points.shape[:-2] + (len(links), 6, 6 + model.n_joints)
+    return fad.assemble(shape, [
+        ((..., slice(0, 3), slice(0, 3)), _EYE3),
+        ((..., slice(3, 6), slice(3, 6)), _EYE3),
+        ((..., 0, 4), d[..., 2]), ((..., 0, 5), -d[..., 1]),
+        ((..., 1, 3), -d[..., 2]), ((..., 1, 5), d[..., 0]),
+        ((..., 2, 3), d[..., 1]), ((..., 2, 4), -d[..., 0]),
+        ((..., slice(0, 3), slice(6, None)), fad.mT(lin)),
+        ((..., slice(3, 6), slice(6, None)), fad.mT(ang))])
 
 
 def frame_jacobian(model: Model, q: Configuration, frames,
                    tree: Optional[KinTree] = None):
     """Mixed Jacobians mapping nu to frames' world twists.
 
-    ``frames`` names one frame (or link), giving ``(6, 6 + n)``, or is a
-    tuple of names, giving ``(F, 6, 6 + n)`` from one batched pass.
+    ``frames`` names one frame (or link), giving ``(..., 6, 6 + n)``, or
+    is a tuple of names, giving ``(..., F, 6, 6 + n)`` from one batched
+    pass.
     """
     if tree is None:
         tree = kinematics(model, q)
     single = isinstance(frames, str)
-    names = (frames,) if single else frames
-    fmap = model.topology.frame_map
-    # a link name mounts at the link origin
-    links = np.array([fmap[n].link if n in fmap else model.link_index(n)
-                      for n in names], dtype=int)
-    offsets = np.array([fmap[n].offset if n in fmap else np.zeros(3)
-                        for n in names]).reshape(-1, 3)
-    lms = model._multipliers
-    if lms is not None:
-        offsets = _scale_z(offsets, lms[links][:, None])
-    points = tree.pos[links] + _rows(tree.rot[links], offsets)
+    links, _, _, points = tree._mounts((frames,) if single else tuple(frames))
     J = _point_jacobians(model, tree, links, points)
-    return J[0] if single else J
+    return J[..., 0, :, :] if single else J
+
+
+def generalized_force(tree: KinTree, frames, wrenches):
+    """Generalized force ``sum_k J_k^T w_k`` of wrenches at frames.
+
+    ``wrenches`` ``(..., F, 6)`` are mixed ``[force; torque]`` at the
+    frames named in the tuple ``frames``.  A dof collects the forces and
+    the moments about the world origin of the frames in its subtree,
+    summed with the path mask as ``gravity_vector`` sums link weights;
+    no Jacobian is formed.  Dual-safe; with a ``Dual`` tree and plain
+    wrenches the tangent is ``sum_k dJ_k^T w_k``.
+    """
+    topo = tree.model.topology
+    links, _, _, points = tree._mounts(tuple(frames))
+    force = wrenches[..., :3]
+    moment = wrenches[..., 3:] + fad.cross3(points, force)
+    # row 0 sums every frame (the base), row 1 + j the frames below dof j
+    S = np.vstack([np.ones(len(links)), topo.path_mask[links].T])
+    fsub, msub = S @ force, S @ moment
+    ang = msub[..., 0, :] - fad.cross3(tree.pos[..., 0, :], fsub[..., 0, :])
+    a, f_joint = tree.axis_w, fsub[..., 1:, :]
+    joints = fad.where(
+        topo.revolute,
+        _dot3(a, msub[..., 1:, :] - fad.cross3(tree.pivot_w, f_joint)),
+        _dot3(a, f_joint))
+    return fad.concatenate([fsub[..., 0, :], ang, joints], axis=-1)
+
+
+def frame_twists(tree: KinTree, frames, nu):
+    """Mixed twists ``J_k nu`` ``(..., F, 6)`` of frames under ``nu``.
+
+    ``nu`` ``(..., 6 + n)`` is a generalized velocity.  Each dof's motion
+    (the rotation rate and the velocity it gives the world origin) is
+    summed along the path mask to every frame's link; no Jacobian is
+    formed.  Dual-safe; with a ``Dual`` tree and plain ``nu`` the tangent
+    is ``dJ_k nu``.
+    """
+    topo = tree.model.topology
+    links, _, _, points = tree._mounts(tuple(frames))
+    v, w, sd = nu[..., None, :3], nu[..., None, 3:6], nu[..., 6:, None]
+    a = tree.axis_w
+    rev = topo.revolute[:, None]
+    w_joint = fad.where(rev, a * sd, 0.0)
+    v_joint = fad.where(rev, fad.cross3(tree.pivot_w, w_joint), a * sd)
+    P = topo.path_mask[links].astype(float)
+    w_path, v_path = P @ w_joint, P @ v_joint
+    lin = (v + fad.cross3(w, points - tree.pos[..., :1, :])
+           + fad.cross3(w_path, points) + v_path)
+    return fad.concatenate([lin, w + w_path], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +721,9 @@ def mass_matrix(model: Model, q: Configuration,
     """Mass matrix in mixed coordinates, ``M = sum_i J_i^T M_i J_i``.
 
     ``J_i`` is the Jacobian of link i's origin and ``M_i`` the link's
-    spatial inertia about that origin, world axes.  The statics do not
-    need it; the tests' projector reference and the benchmark's traced
-    layers read it.
+    spatial inertia about that origin, world axes.  One posture only.
+    The statics do not need it; the tests' projector reference and the
+    benchmark's traced layers read it.
     """
     if tree is None:
         tree = kinematics(model, q)
@@ -613,7 +737,8 @@ def mass_matrix(model: Model, q: Configuration,
 
 
 def _mass_moments(model, tree):
-    """Link masses ``(L,)`` and world mass moments ``m * com`` ``(L, 3)``."""
+    """Link masses ``(L,)`` and world mass moments ``m * com``
+    ``(..., L, 3)``."""
     m, c = model._mass_table
     return m, m[:, None] * (tree.pos + _rows(tree.rot, c))
 
@@ -631,16 +756,17 @@ def gravity_vector(model: Model, q: Configuration,
     m, moments = _mass_moments(model, tree)
     D = model.topology.subtree
     msub, csub = D @ m, D @ moments
-    zero = msub[0] * 0.0
-    lin = fad.stack([zero, zero, GRAVITY * msub[0]])
-    ang = GRAVITY * fad.cross3(csub[0] - msub[0] * tree.pos[0], E3)
-    u = csub[1:] - msub[1:, None] * tree.pivot_w
+    lin = GRAVITY * msub[0] * E3 + np.zeros(tree.pos.shape[:-2] + (3,))
+    ang = GRAVITY * fad.cross3(csub[..., 0, :] - msub[0] * tree.pos[..., 0, :],
+                               E3)
+    u = csub[..., 1:, :] - msub[1:, None] * tree.pivot_w
     a = tree.axis_w
     # revolute: z component of a x u; prismatic: the lift along a
-    joints = fad.where(model.topology.revolute,
-                       GRAVITY * (a[:, 0] * u[:, 1] - a[:, 1] * u[:, 0]),
-                       GRAVITY * msub[1:] * a[:, 2])
-    return fad.concatenate([lin, ang, joints])
+    joints = fad.where(
+        model.topology.revolute,
+        GRAVITY * (a[..., 0] * u[..., 1] - a[..., 1] * u[..., 0]),
+        GRAVITY * msub[1:] * a[..., 2])
+    return fad.concatenate([lin, ang, joints], axis=-1)
 
 
 def com(model: Model, q: Configuration, tree: Optional[KinTree] = None):
@@ -670,8 +796,8 @@ def com_height_null_config(model: Model,
             for n in scaled.frames_with_role(role)]
     if not feet:
         return c[2]
-    sole = [tree.frame_pose(f.name)[1][2] for f in feet]
-    ground = sum(sole) / len(sole)
+    _, sole = tree.frame_poses(tuple(f.name for f in feet))
+    ground = sole[:, 2] @ np.ones(len(feet)) / len(feet)
     return c[2] - ground
 
 
@@ -680,12 +806,12 @@ def com_height_null_config(model: Model,
 
 
 def perturb_configuration(q: Configuration, delta) -> Configuration:
-    """Apply a mixed-coordinates displacement [dp, dw, ds] to q."""
+    """Apply mixed-coordinates displacements [dp, dw, ds] ``(..., 6 + n)``."""
     delta = np.asarray(delta, dtype=float)
     return Configuration(
-        base_pos=q.base_pos + delta[:3],
-        base_rot=exp_so3(delta[3:6]) @ q.base_rot,
-        s=q.s + delta[6:],
+        base_pos=q.base_pos + delta[..., :3],
+        base_rot=exp_so3(delta[..., 3:6]) @ q.base_rot,
+        s=q.s + delta[..., 6:],
     )
 
 

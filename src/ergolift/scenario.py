@@ -5,6 +5,12 @@ rigid grasps pairing each hand with a payload grasp point) and provides
 the deterministic warm-start generator: a damped least-squares inverse
 kinematics pass that plants the feet, reaches the hands toward their
 grasp points, and crouches as needed.
+
+The inverse kinematics runs on a stack of postures, one per target
+height: each iteration takes one whole-tree kinematics pass, one batched
+``frame_jacobian`` and ``frame_poses`` call and one stacked
+``np.linalg.solve`` for every height at once, and clips each height's
+step on its own.  A float height gives one unstacked posture.
 """
 
 from __future__ import annotations
@@ -129,64 +135,74 @@ def build_system(scenario: Scenario) -> CoupledSystem:
 
 
 def rpy_from_matrix(R):
-    """ZYX Euler angles (roll, pitch, yaw) of a rotation matrix."""
+    """ZYX Euler angles (roll, pitch, yaw) ``(..., 3)`` of rotation
+    matrices ``(..., 3, 3)``."""
     R = np.asarray(R, dtype=float)
-    pitch = -np.arcsin(np.clip(R[2, 0], -1.0, 1.0))
-    roll = np.arctan2(R[2, 1], R[2, 2])
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    return np.array([roll, pitch, yaw])
+    pitch = -np.arcsin(np.clip(R[..., 2, 0], -1.0, 1.0))
+    roll = np.arctan2(R[..., 2, 1], R[..., 2, 2])
+    yaw = np.arctan2(R[..., 1, 0], R[..., 0, 0])
+    return np.stack([roll, pitch, yaw], axis=-1)
 
 
 def _orientation_error(R, R_target):
-    """Small-angle world rotation taking R to R_target."""
-    R = np.asarray(R)
-    R_target = np.asarray(R_target)
-    E = R_target @ R.T
-    return 0.5 * np.array([E[2, 1] - E[1, 2],
-                           E[0, 2] - E[2, 0],
-                           E[1, 0] - E[0, 1]])
+    """Small-angle world rotations ``(..., 3)`` taking R to R_target."""
+    E = np.asarray(R_target) @ np.swapaxes(R, -1, -2)
+    # the axial vector of E - E^T: entries (2, 1), (0, 2) and (1, 0)
+    return 0.5 * (E - np.swapaxes(E, -1, -2))[..., [2, 0, 1], [1, 2, 0]]
+
+
+def _norm(v):
+    """Euclidean norms ``(..., 1)`` of vectors ``(..., k)``, rounded as a
+    dot product like ``np.linalg.norm`` of one vector."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
 def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
               damping=1e-3, posture_weight=0.05):
     """Damped least-squares IK toward frame poses and points.
 
-    Each iteration takes the Jacobians of every target frame, pose
-    targets first, from one batched ``frame_jacobian`` call; a point
-    target uses only the linear rows.  Deterministic: fixed iteration
+    ``q0`` may stack postures; target positions ``(..., 3)`` stack with
+    it, target rotations and weights are shared.  Each iteration takes
+    the Jacobians and poses of every target frame, pose targets first,
+    from one batched ``frame_jacobian`` and ``frame_poses`` call; a point
+    target uses only the linear rows.  Each posture's step is solved and
+    clipped to length 0.5 on its own.  Deterministic: fixed iteration
     count and step rule.  Returns the reached configuration; callers
     treat it as a warm start, not as an exact solve.
     """
     q = q0
     n = model.n_joints
     lo, hi = model.joint_limits()
+    batch = np.shape(q0.s)[:-1]
     reg = np.zeros((n, 6 + n))
     reg[:, 6:] = posture_weight * np.eye(n)
+    reg = np.broadcast_to(reg, batch + reg.shape)
     frames = (*pose_targets, *point_targets)
+    n_pose = len(pose_targets)
+    targets = (*pose_targets.values(), *point_targets.values())
+    p_t = np.stack([np.asarray(t[0], dtype=float) for t in targets], axis=-2)
+    R_t = np.stack([R for _, R, _ in pose_targets.values()])
+    w = np.array([t[-1] for t in targets], dtype=float)
     for _ in range(iters):
         tree = kinematics(model, q)
-        J = frame_jacobian(model, q, frames, tree)
-        rows = []
-        rhs = []
-        for Jk, (frame, (p_t, R_t, w)) in zip(J, pose_targets.items()):
-            R, p = tree.frame_pose(frame)
-            rows.append(w * Jk)
-            rhs.append(w * np.concatenate([
-                np.asarray(p_t) - np.asarray(p),
-                _orientation_error(R, R_t)]))
-        for Jk, (frame, (p_t, w)) in zip(J[len(pose_targets):],
-                                         point_targets.items()):
-            _, p = tree.frame_pose(frame)
-            rows.append(w * Jk[:3])
-            rhs.append(w * (np.asarray(p_t) - np.asarray(p)))
-        rows.append(reg)
-        rhs.append(posture_weight * (s_ref - q.s))
-        A = np.vstack(rows)
-        b = np.concatenate(rhs)
-        step = np.linalg.solve(A.T @ A + damping * np.eye(6 + n), A.T @ b)
-        norm = np.linalg.norm(step)
-        if norm > 0.5:
-            step *= 0.5 / norm
+        J = w[:, None, None] * frame_jacobian(model, q, frames, tree)
+        R, p = tree.frame_poses(frames)
+        err = w[:, None] * (p_t - p)
+        pose_rhs = np.concatenate([
+            err[..., :n_pose, :],
+            w[:n_pose, None] * _orientation_error(R[..., :n_pose, :, :], R_t)],
+            axis=-1)
+        A = np.concatenate([
+            J[..., :n_pose, :, :].reshape(batch + (-1, 6 + n)),
+            J[..., n_pose:, :3, :].reshape(batch + (-1, 6 + n)), reg],
+            axis=-2)
+        b = np.concatenate([pose_rhs.reshape(batch + (-1,)),
+                            err[..., n_pose:, :].reshape(batch + (-1,)),
+                            posture_weight * (s_ref - q.s)], axis=-1)
+        At = np.swapaxes(A, -1, -2)
+        step = np.linalg.solve(At @ A + damping * np.eye(6 + n),
+                               At @ b[..., None])[..., 0]
+        step = step * (0.5 / np.maximum(_norm(step), 0.5))
         q = perturb_configuration(q, step)
         q = Configuration(q.base_pos, q.base_rot,
                           np.clip(q.s, lo + 1e-3, hi - 1e-3))
@@ -194,14 +210,17 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
 
 
 def _agent_warm_start(model, y_stand, yaw, grasp_world):
+    """IK warm start toward ``(..., 2, 3)`` [left, right] grasp points."""
     base_h, shoulder, reach = stance_dimensions(model)
-    g_z = float(np.mean([p[2] for p in grasp_world]))
+    g_z = np.mean(grasp_world[..., 2], axis=-1)
     drop = g_z - shoulder
-    horiz = np.sqrt(max(reach ** 2 - drop ** 2, (0.35 * reach) ** 2))
+    horiz = np.sqrt(np.maximum(reach ** 2 - drop ** 2, (0.35 * reach) ** 2))
     # stand a fixed standoff away from the grasp line
-    y0 = np.sign(y_stand) * (abs(float(np.mean([p[1] for p in grasp_world])))
+    y0 = np.sign(y_stand) * (np.abs(np.mean(grasp_world[..., 1], axis=-1))
                              + 0.85 * horiz)
-    crouch = min(max(shoulder - (g_z + 0.25 * reach), 0.0), 0.35 * base_h)
+    crouch = np.minimum(np.maximum(shoulder - (g_z + 0.25 * reach), 0.0),
+                        0.35 * base_h)
+    batch = np.shape(g_z)
     R0 = np.array([[np.cos(yaw), -np.sin(yaw), 0],
                    [np.sin(yaw), np.cos(yaw), 0],
                    [0.0, 0, 1]])
@@ -216,32 +235,44 @@ def _agent_warm_start(model, y_stand, yaw, grasp_world):
         elif name.startswith("lower_leg"):
             s0[j] = 0.4
             s_ref[j] = 0.3
-    q0 = Configuration(np.array([0.0, y0, base_h - crouch]), R0, s0)
+    zero = np.zeros(batch)
+    q0 = Configuration(np.stack([zero, y0, base_h - crouch], axis=-1),
+                       np.broadcast_to(R0, batch + (3, 3)),
+                       np.broadcast_to(s0, batch + s0.shape))
 
-    tree0 = kinematics(model, q0)
-    pose_targets = {}
-    for role in ("left_foot", "right_foot"):
-        for name in model.frames_with_role(role):
-            _, p = tree0.frame_pose(name)
-            target_p = np.array([float(p[0]), float(p[1]), 0.0])
-            pose_targets[name] = (target_p, R0, 4.0)
+    feet = tuple(name for role in ("left_foot", "right_foot")
+                 for name in model.frames_with_role(role))
+    _, p_feet = kinematics(model, q0).frame_poses(feet)
+    pose_targets = {
+        name: (np.stack([p_feet[..., k, 0], p_feet[..., k, 1], zero], axis=-1),
+               R0, 4.0)
+        for k, name in enumerate(feet)}
     point_targets = {
-        model.frames_with_role("left_hand")[0]: (np.asarray(grasp_world[0]), 2.0),
-        model.frames_with_role("right_hand")[0]: (np.asarray(grasp_world[1]), 2.0),
+        model.frames_with_role("left_hand")[0]: (grasp_world[..., 0, :], 2.0),
+        model.frames_with_role("right_hand")[0]: (grasp_world[..., 1, :], 2.0),
     }
     return _ik_solve(model, q0, pose_targets, point_targets, s_ref=s_ref)
 
 
 def warm_start_configuration(scenario: Scenario, sys: CoupledSystem,
-                             height: float) -> CoupledConfiguration:
-    """Deterministic initial pose for one target height."""
-    payload_pos = np.array([0.0, 0.0, float(height)])
+                             heights) -> CoupledConfiguration:
+    """Deterministic initial pose for each target height.
+
+    A float height gives one posture per subsystem; an array of ``H``
+    heights gives postures stacked ``(H, ...)``, from one inverse
+    kinematics pass per agent.
+    """
+    heights = np.asarray(heights, dtype=float)
+    zero = np.zeros(heights.shape)
+    payload_pos = np.stack([zero, zero, heights], axis=-1)
     qs = []
     for agent, (model, grasps, y_side) in enumerate(
             ((scenario.human, scenario.grasps_human, -1.0),
              (scenario.robot, scenario.grasps_robot, 1.0))):
         yaw = y_side * (-np.pi / 2.0)  # human faces +y, robot faces -y
-        grasp_world = [payload_pos + np.asarray(p) for p in grasps]
+        grasp_world = payload_pos[..., None, :] + np.asarray(grasps)
         qs.append(_agent_warm_start(model, y_side * 0.6, yaw, grasp_world))
-    qs.append(Configuration(payload_pos, np.eye(3), np.zeros(0)))
+    qs.append(Configuration(payload_pos,
+                            np.broadcast_to(np.eye(3), heights.shape + (3, 3)),
+                            np.zeros(heights.shape + (0,))))
     return CoupledConfiguration(tuple(qs))

@@ -31,18 +31,22 @@ def _ro(a, shape=None):
     return out
 
 
+# S(e_x), S(e_y), S(e_z) flattened: S(v) = sum_k v[k] S(e_k) is one
+# product, for plain and Dual vectors and for stacks of them
+_SKEW_BASIS = np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                        [[0, -1, 0], [1, 0, 0], [0, 0, 0]]],
+                       dtype=float).reshape(3, 9)
+
+
 def skew(v):
-    """Matrix S(v) with S(v) @ u == cross(v, u); exactly antisymmetric."""
-    if isinstance(v, fad.Dual):
-        x, y, z = v[0], v[1], v[2]
-        zero = x * 0.0
-        return fad.stack([fad.stack([zero, -z, y]),
-                          fad.stack([z, zero, -x]),
-                          fad.stack([-y, x, zero])])
-    x, y, z = v
-    return np.array([[0.0, -z, y],
-                     [z, 0.0, -x],
-                     [-y, x, 0.0]])
+    """Matrix S(v) with S(v) @ u == cross(v, u); exactly antisymmetric.
+
+    Vectors ``(..., 3)``, plain or ``Dual``, give matrices ``(..., 3, 3)``.
+    """
+    if not isinstance(v, fad.Dual):
+        v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
 
 
 def rotation_defect(R):
@@ -73,14 +77,20 @@ def ensure_rotation(R, tol=1e-9):
 
 
 def exp_so3(w):
-    """Rotation matrix for a rotation vector (Rodrigues)."""
+    """Rotation matrices ``(..., 3, 3)`` of rotation vectors ``(..., 3)``.
+
+    Rodrigues' formula; below an angle of 1e-12 the first-order
+    ``1 + S(w)``.
+    """
     w = np.asarray(w, dtype=float)
-    t = np.linalg.norm(w)
-    if t < 1e-12:
-        return np.eye(3) + skew(w)
-    a = w / t
-    K = skew(a)
-    return np.eye(3) + np.sin(t) * K + (1.0 - np.cos(t)) * (K @ K)
+    # the angle as a (..., 1, 1) dot product, which rounds like a norm
+    t = np.sqrt(w[..., None, :] @ w[..., :, None])
+    small = t < 1e-12
+    K = skew(w / np.where(small, 1.0, t)[..., 0])
+    out = np.eye(3) + np.sin(t) * K + (1.0 - np.cos(t)) * (K @ K)
+    if small.any():
+        out = np.where(small, np.eye(3) + skew(w), out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from ergolift import fad
 from ergolift.coupled import (CoupledConfiguration, CoupledSystem,
                               SingularConstraintError, UnloadedFootError,
-                              _constraint_svd, center_of_pressure,
-                              composite_gravity, contact_wrenches,
-                              coupled_trees, coupling_matrix, evaluate_statics,
-                              foot_cops, static_torques)
+                              _constraint_svd, _saddle_solve,
+                              center_of_pressure, composite_gravity,
+                              contact_wrenches, coupled_trees, coupling_matrix,
+                              evaluate_statics, foot_cops, static_torques,
+                              statics_minnorm)
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
-                                mass_matrix)
-from ergolift.scenario import (build_system, make_scenario,
+                                frame_jacobian, group_params, mass_matrix)
+from ergolift.scenario import (build_system, make_scenario, rpy_from_matrix,
                                warm_start_configuration)
 from ergolift.shapes import Box, LinkHardware, Sphere
 from ergolift.spatial import GRAVITY, Wrench
@@ -55,12 +57,87 @@ def pinv_truncated(A, rel_tol=1e-8):
 def projector_statics(sys, q, params=None):
     """Torques and wrenches from the projector route."""
     M, g, B = composite_matrices(sys, q, params)
-    Q = np.asarray(coupling_matrix(sys, q, params))
+    Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q, params)))
     N = nullspace_projector(M, Q, labels=sys.wrench_labels)
     tau = pinv_truncated(N @ B) @ (N @ g)
     rhs = Q @ np.linalg.solve(M, g - B @ tau)
     f = np.linalg.solve(Q @ np.linalg.solve(M, Q.T), rhs)
     return tau, f
+
+
+# The tangent rule through a Dual coupling matrix, kept as the reference
+# the contraction tangents of statics_minnorm are held against: Q is
+# assembled from Dual frame Jacobians and the saddle system is
+# differentiated with its whole tangent, dQ^T f and dQ lam.
+
+
+def dual_coupling_matrix(sys, q, trees):
+    """Q with the tangents of the Dual trees' frame Jacobians."""
+    dims, offsets = sys.velocity_layout()
+    parts = []
+    for s, frames in enumerate(sys.coupling_frames):
+        if not frames:
+            continue
+        J = frame_jacobian(trees[s].model, q.qs[s],
+                           tuple(f for f, _, _ in frames), trees[s])
+        cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
+        parts.extend(((slice(6 * row, 6 * row + 6), cols),
+                      J[k] if sign > 0 else -J[k])
+                     for k, (_, row, sign) in enumerate(frames))
+    n_rows = 6 * (len(sys.env_contacts) + len(sys.grasps))
+    return fad.assemble((n_rows, int(offsets[-1])), parts)
+
+
+def dual_coupling_statics(sys, q, params):
+    """Torques and wrenches of one posture, tangents through the Dual Q."""
+    trees = coupled_trees(sys, q, params)
+    Q = dual_coupling_matrix(sys, q, trees)
+    g = composite_gravity(sys, q, params, trees=trees)
+    B = sys.selector()
+    n_vel = B.shape[0]
+    A, lam, f = _saddle_solve(Q.val, g.val, B)
+    rhs_dot = np.zeros((g.ndir, A.shape[0]))
+    rhs_dot[:, :n_vel] = g.dot - np.einsum("dij,i->dj", Q.dot, f)
+    rhs_dot[:, n_vel:] = -(Q.dot @ lam)
+    sol_dot = np.linalg.solve(A, rhs_dot.T).T
+    return (B.T @ fad.Dual(lam, sol_dot[:, :n_vel]),
+            fad.Dual(f, sol_dot[:, n_vel:]))
+
+
+def seeded_statics(sys, qs, rng):
+    """Free robot hardware, a stack of the postures qs and its rows.
+
+    Every posture entry and every hardware value carries a tangent
+    direction; the stack's direction j of row k is row k's direction j,
+    and the hardware directions come last, as in the NLP's seeding.
+    """
+    robot = sys.parametrized_model
+    names = [g.name for g in robot.groups]
+    G = len(names)
+    X = np.stack([np.concatenate([
+        np.concatenate([qi.base_pos, rpy_from_matrix(qi.base_rot), qi.s])
+        for qi in q.qs]) for q in qs])
+    H, hd = X.shape
+    seeds = np.zeros((hd + 2 * G, H, hd))
+    seeds[np.arange(hd), :, np.arange(hd)] = 1.0
+    hw_seeds = np.zeros((hd + 2 * G, 2 * G))
+    hw_seeds[hd + np.arange(2 * G), np.arange(2 * G)] = 1.0
+    hw = fad.Dual(np.concatenate([rng.uniform(0.8, 1.3, G),
+                                  rng.uniform(1500.0, 3000.0, G)]), hw_seeds)
+    params = group_params(robot, {name: (hw[G + i], hw[i])
+                                  for i, name in enumerate(names)})
+    ends = np.cumsum([6 + m.n_joints for m in sys.subsystem_models()])
+
+    def config(x):
+        return CoupledConfiguration(tuple(
+            Configuration(x[..., start:start + 3],
+                          fad.rpy_matrix(x[..., start + 3], x[..., start + 4],
+                                         x[..., start + 5]),
+                          x[..., start + 6:end])
+            for start, end in zip(np.concatenate([[0], ends[:-1]]), ends)))
+
+    return params, config(fad.Dual(X, seeds)), [
+        config(fad.Dual(X[k], seeds[:, k])) for k in range(H)]
 
 
 def assert_rel_close(actual, reference, rel):
@@ -197,31 +274,52 @@ class TestStaticTorques:
             tau = static_torques(sys, q)
             f = contact_wrenches(sys, q, None, tau)
             M, g, B = composite_matrices(sys, q)
-            Q = np.asarray(coupling_matrix(sys, q))
+            Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
             N = nullspace_projector(M, Q)
             assert np.abs(N @ (g - B @ tau)).max() <= 1e-6
             assert np.abs(B @ tau + Q.T @ f - g).max() <= 1e-6
 
 
+class TestTangentRule:
+    def test_contractions_match_dual_coupling_matrix(self, desk, rng):
+        _, sys, q0 = desk
+        params, stack, singles = seeded_statics(
+            sys, [q0, perturbed(sys, q0, rng)], rng)
+        tau_s, f_s = statics_minnorm(sys, stack, params)
+        for k, q in enumerate(singles):
+            tau_ref, f_ref = dual_coupling_statics(sys, q, params)
+            tau, f = statics_minnorm(sys, q, params)
+            for got, ref in ((tau, tau_ref), (f, f_ref),
+                             (tau_s[k], tau_ref), (f_s[k], f_ref)):
+                assert_rel_close(got.val, ref.val, 1e-12)
+                assert_rel_close(got.dot, ref.dot, 1e-12)
+
+
 class TestCouplingMatrix:
     def test_no_grasp_block_structure(self):
         sys, q = standing_human_system()
-        Q = np.asarray(coupling_matrix(sys, q))
+        Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
         assert Q.shape == (12, 6 + sys.agents[0].n_joints)
         assert np.abs(Q).max() > 0
 
     def test_row_count_bookkeeping(self, desk):
         _, sys, q = desk
-        Q = np.asarray(coupling_matrix(sys, q))
+        Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
         n_rows = 6 * (len(sys.env_contacts) + len(sys.grasps))
         dims, offsets = sys.velocity_layout()
         assert Q.shape == (n_rows, int(offsets[-1]))
+
+    def test_dual_trees_raise(self, desk, rng):
+        _, sys, q0 = desk
+        params, _, (q,) = seeded_statics(sys, [q0], rng)
+        with pytest.raises(TypeError):
+            coupling_matrix(sys, coupled_trees(sys, q, params))
 
     def test_payload_columns_zero_without_grasps(self, desk):
         sc, sys, q = desk
         no_grasp = CoupledSystem(agents=sys.agents, payload=sys.payload,
                                  env_contacts=sys.env_contacts, grasps=())
-        Q = np.asarray(coupling_matrix(no_grasp, q))
+        Q = np.asarray(coupling_matrix(no_grasp, coupled_trees(no_grasp, q)))
         np.testing.assert_array_equal(Q[:, -6:], 0.0)
 
     def test_grasp_rows_annihilate_common_rigid_twist(self, desk, rng):
@@ -237,7 +335,7 @@ class TestCouplingMatrix:
         payload = build_payload(sc.payload_size, sc.payload_mass, points)
         sys2 = CoupledSystem(agents=sys.agents, payload=payload,
                              env_contacts=sys.env_contacts, grasps=sys.grasps)
-        Q = np.asarray(coupling_matrix(sys2, q))
+        Q = np.asarray(coupling_matrix(sys2, coupled_trees(sys2, q)))
         # one shared rigid twist: every subsystem base rides it, joints frozen
         v, w = rng.normal(size=3), rng.normal(size=3)
         nu = []
@@ -282,7 +380,7 @@ class TestNullspaceProjector:
         for _ in range(3):
             q = perturbed(sys, q0, rng)
             M, _, _ = composite_matrices(sys, q)
-            Q = np.asarray(coupling_matrix(sys, q))
+            Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
             N = nullspace_projector(M, Q)
             assert np.abs(N @ N - N).max() <= 1e-8
             assert np.abs(N @ Q.T).max() <= 1e-8
@@ -294,7 +392,7 @@ class TestNullspaceProjector:
                             + (sys.env_contacts[0],),
                             grasps=sys.grasps)
         M, _, _ = composite_matrices(dup, q)
-        Q = np.asarray(coupling_matrix(dup, q))
+        Q = np.asarray(coupling_matrix(dup, coupled_trees(dup, q)))
         with pytest.raises(SingularConstraintError):
             nullspace_projector(M, Q, labels=dup.wrench_labels)
 
@@ -323,7 +421,7 @@ class TestContactWrenches:
         q = perturbed(sys, q0, rng)
         tau = static_torques(sys, q)
         f = contact_wrenches(sys, q, None, tau)
-        Q = np.asarray(coupling_matrix(sys, q))
+        Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
         g = np.asarray(composite_gravity(sys, q))
         resid = Q.T @ f - g
         weight = sys.payload.total_mass() * GRAVITY
@@ -440,8 +538,9 @@ class TestScaling:
         f = contact_wrenches(sys, q, None, tau)
         f_k = contact_wrenches(scaled_sys, q, None, tau_k)
         np.testing.assert_allclose(f_k, k * f, rtol=1e-9, atol=1e-10)
-        Q1 = np.asarray(coupling_matrix(sys, q))
-        Q2 = np.asarray(coupling_matrix(scaled_sys, q))
+        Q1 = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
+        Q2 = np.asarray(coupling_matrix(scaled_sys,
+                                        coupled_trees(scaled_sys, q)))
         np.testing.assert_array_equal(Q1, Q2)
 
     def test_density_only_params_keep_coupling_rows(self, desk):
@@ -454,6 +553,6 @@ class TestScaling:
                 params[name] = LinkHardware(
                     min(link.hardware.density * 1.5, 7999.0),
                     link.hardware.length_multiplier)
-        Q1 = np.asarray(coupling_matrix(sys, q))
-        Q2 = np.asarray(coupling_matrix(sys, q, params))
+        Q1 = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
+        Q2 = np.asarray(coupling_matrix(sys, coupled_trees(sys, q, params)))
         np.testing.assert_array_equal(Q1, Q2)

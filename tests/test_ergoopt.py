@@ -1,12 +1,202 @@
 import numpy as np
 import pytest
 
-from ergolift import coupled, ergoopt, fad, multibody
+from ergolift import coupled, ergoopt, fad, multibody, shapes
 from ergolift.coupled import SingularConstraintError, UnloadedFootError, \
     cop_smooth, coupled_trees, evaluate_statics, statics_minnorm
 from ergolift.ergoopt import assemble_nlp, solve, warm_start_vector
+from ergolift.multibody import kinematics
 from ergolift.nlpsolver import SolverOptions
-from ergolift.scenario import build_system, make_scenario
+from ergolift.scenario import build_system, make_scenario, \
+    warm_start_configuration
+
+
+def per_height_derivatives(problem, y):
+    """The per-height loop, kept as the reference of the one-pass NLP.
+
+    Each height seeds its own active decisions and is evaluated on its
+    own, its rows built frame by frame; returns the cost, gradient,
+    constraints, constraint Jacobian and Gauss-Newton Hessian.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    layout = problem.layout
+    sys = problem.system
+    w = problem.scenario.weights
+    target = np.asarray(problem.scenario.cop_target, dtype=float)
+    rows = problem.n_cons // layout.n_heights
+    grad = np.zeros(n)
+    cons = np.zeros(problem.n_cons)
+    jac = np.zeros((problem.n_cons, n))
+    gauss_newton = np.zeros((n, n))
+    sl = layout.pi_slice()
+    hd = layout.height_dim
+    dirs = np.zeros((hd + layout.pi_dim, n))
+    dirs[np.arange(hd, dirs.shape[0]), np.arange(sl.start, sl.stop)] = 1.0
+    yd = fad.Dual(y, dirs)
+    models = sys.subsystem_models(problem.hardware_params(yd))
+    out = problem._shared_terms(yd, models)
+    cost = float(fad.value(out))
+    if isinstance(out, fad.Dual):
+        grad[sl] += out.dot[hd:]
+    payload = len(sys.agents)
+    for k, h in enumerate(problem.heights):
+        idx = layout.active_indices(k)
+        dirs = np.zeros((idx.size, n))
+        dirs[np.arange(idx.size), idx] = 1.0
+        q = problem.configurations(fad.Dual(y, dirs), k)
+        trees = [kinematics(m, qi) for m, qi in zip(models, q.qs)]
+        tau, f = statics_minnorm(sys, q, trees=trees)
+        t3 = 0.0
+        block = 2.0 * w.torque * (tau.dot @ tau.dot.T)
+        for c, (agent, frame) in enumerate(sys.env_contacts):
+            R, _ = trees[agent].frame_pose(frame)
+            cop = cop_smooth(f[6 * c: 6 * c + 6], R)
+            t3 = t3 + fad.sumsq(cop - target)
+            block += 2.0 * w.cop * (cop.dot @ cop.dot.T)
+        ck = w.torque * fad.sumsq(tau) + w.cop * t3
+        q3 = q.qs[payload]
+        r = [q3.base_rot[0, 2], q3.base_rot[1, 2], q3.base_pos[2] - float(h)]
+        for g in sys.grasps:
+            d = (trees[g.agent].frame_pose(g.agent_frame)[1]
+                 - trees[payload].frame_pose(g.payload_frame)[1])
+            r.extend([d[0], d[1], d[2]])
+        poses = [trees[a].frame_pose(frame) for a, frame in sys.env_contacts]
+        r.extend(p[2] for _, p in poses)
+        for R, _ in poses:
+            r.extend([R[0, 2], R[1, 2]])
+        rk = fad.stack(r)
+        cost += float(ck.val)
+        grad[idx] += ck.dot
+        cons[k * rows:(k + 1) * rows] = rk.val
+        jac[k * rows:(k + 1) * rows, idx] = rk.dot.T
+        gauss_newton[np.ix_(idx, idx)] += block
+    total = w.total()
+    return cost / total, grad / total, cons, jac, gauss_newton / total
+
+
+def assert_rel(actual, reference, rel):
+    scale = float(np.abs(reference).max())
+    assert float(np.abs(np.asarray(actual) - reference).max()) <= rel * scale
+
+
+def leaves(x):
+    """The arrays inside trees, configurations and containers of them."""
+    if isinstance(x, (list, tuple)):
+        for item in x:
+            yield from leaves(item)
+    elif isinstance(x, multibody.KinTree):
+        yield from leaves([x.q, x.rot, x.pos, x.axis_w, x.pivot_w, x.lms])
+    elif isinstance(x, multibody.Configuration):
+        yield from leaves([x.base_pos, x.base_rot, x.s])
+    elif isinstance(x, coupled.CoupledConfiguration):
+        yield from leaves(x.qs)
+    else:
+        yield x
+
+
+@pytest.fixture(scope="module")
+def paper_problem():
+    """Free hardware at the four paper heights, near the warm start."""
+    sc = make_scenario()
+    problem = assemble_nlp(sc, build_system(sc))
+    y0 = warm_start_vector(problem)
+    rng = np.random.default_rng(3)
+    y = np.clip(y0 + rng.normal(size=y0.size) * 0.02,
+                problem.lb + 1e-9, problem.ub - 1e-9)
+    return problem, y
+
+
+class TestOnePass:
+    """One pass over every height gives the per-height loop's answers."""
+
+    def test_matches_per_height_loop(self, paper_problem, monkeypatch):
+        problem, y = paper_problem
+        assert problem.heights == (0.8, 1.0, 1.2, 1.5)
+        ref_cost, ref_grad, ref_cons, ref_jac, ref_hess = \
+            per_height_derivatives(problem, y)
+        calls = []
+        for name in ("kinematics", "statics_minnorm"):
+            original = getattr(ergoopt, name)
+
+            def wrapper(*args, original=original, name=name, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(ergoopt, name, wrapper)
+        cost, grad, cons, jac = problem.value_and_derivatives(y)
+        # one tree per subsystem and one statics solve serve every height
+        assert sorted(calls) == ["kinematics"] * 3 + ["statics_minnorm"]
+        assert_rel(cost, ref_cost, 1e-12)
+        assert_rel(grad, ref_grad, 1e-12)
+        assert_rel(cons, ref_cons, 1e-12)
+        assert_rel(jac, ref_jac, 1e-12)
+        assert_rel(problem.hessian(y), ref_hess, 1e-12)
+        value, value_cons = problem.value(y)
+        assert_rel(value, ref_cost, 1e-12)
+        assert_rel(value_cons, ref_cons, 1e-12)
+
+    def test_warm_start_stack_matches_single_heights(self):
+        sc = make_scenario()
+        sys = build_system(sc)
+        stack = warm_start_configuration(sc, sys, np.array(sc.heights))
+        worst = 0.0
+        for k, h in enumerate(sc.heights):
+            single = warm_start_configuration(sc, sys, h)
+            for qs, q1 in zip(stack.qs, single.qs):
+                assert np.shape(q1.base_pos) == (3,)
+                assert np.shape(q1.base_rot) == (3, 3)
+                assert np.ndim(q1.s) == 1
+                for a, b in ((qs.base_pos[k], q1.base_pos),
+                             (qs.base_rot[k], q1.base_rot), (qs.s[k], q1.s)):
+                    worst = max(worst, float(np.abs(a - b).max(initial=0.0)))
+        assert worst <= 1e-9
+
+    def test_coupling_matrix_and_jacobians_see_plain_arrays(
+            self, paper_problem, monkeypatch):
+        # the statics tangents come by contraction, so neither Q nor a
+        # frame Jacobian is ever a Dual (which would hold 78 x H copies)
+        problem, y = paper_problem
+        seen = []
+        for owner, name in ((coupled, "coupling_matrix"),
+                            (coupled, "frame_jacobian"),
+                            (multibody, "frame_jacobian")):
+            original = getattr(owner, name)
+
+            def wrapper(*args, original=original, name=name, **kwargs):
+                out = original(*args, **kwargs)
+                seen.append((name, out, args, kwargs))
+                return out
+
+            monkeypatch.setattr(owner, name, wrapper)
+        problem.value_and_derivatives(y)
+        assert sorted(name for name, *_ in seen) == [
+            "coupling_matrix"] + ["frame_jacobian"] * 3
+        for name, out, args, kwargs in seen:
+            arrays = list(leaves([out, list(args), list(kwargs.values())]))
+            assert not any(isinstance(a, fad.Dual) for a in arrays), name
+
+    def test_no_rotational_inertia_on_statics_paths(self, paper_problem,
+                                                     monkeypatch):
+        # only mass_matrix reads a link's inertia; the statics and the NLP
+        # read its mass and CoM
+        problem, y = paper_problem
+        calls = []
+        for owner in (shapes, multibody):
+            original = owner.shape_inertia_cm
+
+            def wrapper(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(owner, "shape_inertia_cm", wrapper)
+        problem.value_and_derivatives(y)
+        params = problem.hardware_params(y)
+        assert params
+        for k in range(len(problem.heights)):
+            evaluate_statics(problem.system, problem.configurations(y, k),
+                             params)
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +228,12 @@ class TestSolveFreeHardware:
         np.testing.assert_array_equal(a.y, b.y)
         assert a.cost == b.cost
         assert a.hardware == b.hardware
+
+    def test_solved_problem_keeps_no_hessian(self, solved_free):
+        # a problem kept with its solution holds no n x n Gauss-Newton
+        # matrix from the solver's last derivative pass
+        problem, _, _ = solved_free
+        assert problem._hess_cache is None
 
     def test_within_bounds(self, solved_free):
         problem, sol, _ = solved_free

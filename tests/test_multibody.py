@@ -7,12 +7,13 @@ from ergolift.coupled import CoupledConfiguration, coupled_trees, \
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 ModelError, UnknownFrameError, apply_hardware,
                                 com, com_height_null_config, forward_kinematics,
-                                frame_jacobian, gravity_vector, group_params,
-                                kinematics, mass_matrix,
+                                frame_jacobian, frame_twists,
+                                generalized_force, gravity_vector,
+                                group_params, kinematics, mass_matrix,
                                 perturb_configuration, random_configuration)
 from ergolift.shapes import (Box, Cylinder, LinkHardware, Sphere, shape_com,
                              shape_inertia_origin, shape_mass)
-from ergolift.scenario import build_system, make_scenario
+from ergolift.scenario import build_system, make_scenario, rpy_from_matrix
 from ergolift.spatial import GRAVITY, assemble_spatial_inertia, skew
 from ergolift.templates import default_human, default_robot
 
@@ -419,6 +420,124 @@ class TestFrameJacobian:
                                                       tangent(ref, ndir))
 
 
+def stacked_configurations(model, qs):
+    """Stacks of the postures qs with their per-posture views.
+
+    Yields ``(stack, singles)`` with tangents on the base and joints, on
+    the joints only, and none; the stack's direction j of row k is the
+    single k's direction j, as in the NLP's seeding.
+    """
+    H = len(qs)
+    x = np.stack([np.concatenate([q.base_pos, rpy_from_matrix(q.base_rot),
+                                  q.s]) for q in qs])
+    seeds = np.zeros((x.shape[1], H, x.shape[1]))
+    seeds[np.arange(x.shape[1]), :, np.arange(x.shape[1])] = 1.0
+
+    def config(xd):
+        rot = fad.rpy_matrix(xd[..., 3], xd[..., 4], xd[..., 5])
+        return Configuration(xd[..., :3], rot, xd[..., 6:])
+
+    yield (config(fad.Dual(x, seeds)),
+           [config(fad.Dual(x[k], seeds[:, k])) for k in range(H)])
+    s = np.stack([q.s for q in qs])
+    joints = fad.seed(s[0])
+    shared = np.broadcast_to(joints.dot[:, None], (s.shape[1],) + s.shape)
+    stack = Configuration(np.stack([q.base_pos for q in qs]),
+                          np.stack([q.base_rot for q in qs]),
+                          fad.Dual(s, shared))
+    yield stack, [Configuration(q.base_pos, q.base_rot,
+                                fad.Dual(q.s, joints.dot)) for q in qs]
+    yield (Configuration(np.stack([q.base_pos for q in qs]),
+                         np.stack([q.base_rot for q in qs]),
+                         np.stack([q.s for q in qs])), qs)
+
+
+def assert_row(stacked, k, single):
+    """Row k of a stacked result equals the per-posture result bit for bit."""
+    ndir = max(getattr(stacked, "ndir", 0), getattr(single, "ndir", 0))
+    np.testing.assert_array_equal(fad.value(stacked)[k], fad.value(single))
+    np.testing.assert_array_equal(tangent(stacked, ndir)[:, k],
+                                  tangent(single, ndir))
+
+
+class TestStackedPostures:
+    """A leading stack axis gives each posture's own result, bit for bit."""
+
+    def test_passes_match_per_posture(self, rng):
+        cases = ((mixed_chain(), ("tip", "side", "base", "c")),
+                 (dual_length_robot(), ("palm_left", "sole_right", "pelvis",
+                                        "palm_right", "forearm_left")))
+        for model, names in cases:
+            qs = [random_configuration(model, rng) for _ in range(3)]
+            for stack, singles in stacked_configurations(model, qs):
+                tree = kinematics(model, stack)
+                J = frame_jacobian(model, stack, names, tree)
+                R, p = tree.frame_poses(names)
+                g = gravity_vector(model, stack, tree)
+                assert tree.rot.shape == (3, len(model.links), 3, 3)
+                assert J.shape == (3, len(names), 6, 6 + model.n_joints)
+                for k, q in enumerate(singles):
+                    one = kinematics(model, q)
+                    for name in ("rot", "pos", "axis_w", "pivot_w"):
+                        assert_row(getattr(tree, name), k, getattr(one, name))
+                    assert_row(J, k, frame_jacobian(model, q, names, one))
+                    R1, p1 = one.frame_poses(names)
+                    assert_row(R, k, R1)
+                    assert_row(p, k, p1)
+                    assert_row(g, k, gravity_vector(model, q, one))
+
+    def test_frame_poses_match_link_poses(self, rng):
+        model = dual_length_robot()
+        q = random_configuration(model, rng)
+        for qd in seeded_configurations(model, q):
+            tree = kinematics(model, qd)
+            names = tuple(f.name for f in model.frames)
+            R, p = tree.frame_poses(names)
+            for k, f in enumerate(model.frames):
+                lm = model.links[f.link].hardware.length_multiplier
+                offset = fad.stack([f.offset[0], f.offset[1],
+                                    f.offset[2] * lm])
+                Rl = tree.rot[f.link]
+                assert_same(R[k], Rl @ f.rotation)
+                assert_same(p[k], tree.pos[f.link] + Rl @ offset)
+                assert_same(tree.frame_pose(f.name)[1], p[k])
+
+
+class TestContractions:
+    """generalized_force and frame_twists against the frame Jacobians."""
+
+    def test_match_jacobian_products(self, rng):
+        cases = ((mixed_chain(), ("tip", "side", "c")),
+                 (dual_length_robot(), ("palm_left", "sole_right",
+                                        "sole_left", "forearm_left")),
+                 (payload_body(), ("grip", "box")))
+        for model, names in cases:
+            qs = [random_configuration(model, rng) for _ in range(2)]
+            w = rng.normal(size=(2, len(names), 6))
+            nu = rng.normal(size=(2, 6 + model.n_joints))
+            for stack, _ in stacked_configurations(model, qs):
+                tree = kinematics(model, stack)
+                J = frame_jacobian(model, stack, names, tree)
+                force = generalized_force(tree, names, w)
+                twists = frame_twists(tree, names, nu)
+                ref_force = fad.value(J).swapaxes(-1, -2)
+                ref_force = (ref_force @ w[:, :, :, None])[..., 0].sum(1)
+                ref_twists = (fad.value(J) @ nu[:, None, :, None])[..., 0]
+                assert_rel_close(fad.value(force), ref_force, 1e-13)
+                assert_rel_close(fad.value(twists), ref_twists, 1e-13)
+                if isinstance(J, fad.Dual):
+                    dJ = J.dot
+                    assert_rel_close(
+                        force.dot, np.einsum("dhfij,hfi->dhj", dJ, w), 1e-13)
+                    assert_rel_close(
+                        twists.dot, np.einsum("dhfij,hj->dhfi", dJ, nu), 1e-13)
+
+
+def assert_rel_close(actual, reference, rel):
+    scale = max(float(np.abs(reference).max()), 1.0)
+    assert float(np.abs(np.asarray(actual) - reference).max()) <= rel * scale
+
+
 class TestMassMatrix:
     def test_matches_composite_rigid_body_reference(self, rng):
         # the sum over links reorders the arithmetic of the CRBA walk
@@ -681,7 +800,7 @@ class TestWholeTreeCalls:
                                        for m in models))
         trees = coupled_trees(sys, q)
         calls = counting(monkeypatch, coupled, "frame_jacobian")
-        Q = coupling_matrix(sys, q, trees=trees)
+        Q = coupling_matrix(sys, trees)
         assert len(calls) == len(models) == 3
         assert Q.shape == (6 * 8, sum(6 + m.n_joints for m in models))
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ergolift import fad
 from ergolift.spatial import (assemble_spatial_inertia, check_physical_inertia,
                               ensure_rotation, exp_so3, is_rotation,
                               project_rotation, skew,
@@ -35,6 +36,26 @@ class TestSkew:
     @given(v=finite_vec, u=finite_vec)
     def test_matches_cross(self, v, u):
         np.testing.assert_allclose(skew(v) @ u, np.cross(v, u), atol=1e-12)
+
+    def test_entries_are_the_components(self):
+        x, y, z = 0.1234567, -9.87, 3.3e-7
+        np.testing.assert_array_equal(
+            skew(np.array([x, y, z])),
+            [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+    def test_stacked_and_dual_rows(self, rng):
+        V = rng.normal(size=(2, 4, 3))
+        S = skew(V)
+        assert S.shape == (2, 4, 3, 3)
+        T = rng.normal(size=(5, 2, 4, 3))
+        D = skew(fad.Dual(V, T))
+        np.testing.assert_array_equal(D.val, S)
+        for i in range(2):
+            for j in range(4):
+                np.testing.assert_array_equal(S[i, j], skew(V[i, j]))
+                for d in range(5):
+                    np.testing.assert_array_equal(
+                        D.dot[d, i, j], skew(T[d, i, j]))
 
 
 class TestSpatialInertia:
