@@ -33,6 +33,16 @@ of ``lam`` gives ``Q' lam``, each a masked sum over the tree.
 (``multibody``'s batch axes), so one call serves every target height;
 ``evaluate_statics`` analyses one posture.
 
+Each subsystem's configuration may carry only its own tangent
+directions.  ``statics_minnorm``, ``composite_gravity`` and
+``coupled_poses`` then take ``dirs = (rows, ndir)``: ``rows[s]`` places
+subsystem s's directions among the ``ndir`` shared ones.  Its poses and
+gravity are widened (``fad.widen``) where the subsystems are stacked,
+and its ``Q'^T f`` and ``Q' lam`` terms are written into its rows of
+the tangent right-hand side, so each tree pass carries only its own
+subsystem's directions.  ``dirs=None`` means every Dual already carries
+the shared directions.
+
 The projector route (the mass-weighted null-space projector and a
 truncated-SVD pseudo-inverse) lives on only in the test-suite, as the
 reference the saddle route is held against.
@@ -248,24 +258,34 @@ def coupling_matrix(sys: CoupledSystem, trees):
     return fad.assemble(batch + (n_rows, int(offsets[-1])), parts)
 
 
+def _widen(x, dirs, s):
+    """Subsystem s's part x, its tangent placed at its rows of ``dirs``."""
+    return x if dirs is None else fad.widen(x, dirs[0][s], dirs[1])
+
+
 def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
-                      params: Optional[Mapping] = None, trees=None):
+                      params: Optional[Mapping] = None, trees=None,
+                      dirs=None):
+    """Stacked generalized gravity of the subsystems; ``dirs`` as in the
+    module docstring."""
     if trees is None:
         trees = coupled_trees(sys, q, params)
     return fad.concatenate([
-        gravity_vector(t.model, qi, t) for qi, t in zip(q.qs, trees)],
-        axis=-1)
+        _widen(gravity_vector(t.model, qi, t), dirs, s)
+        for s, (qi, t) in enumerate(zip(q.qs, trees))], axis=-1)
 
 
-def coupled_poses(sys: CoupledSystem, trees):
+def coupled_poses(sys: CoupledSystem, trees, dirs=None):
     """World rotations ``(..., F, 3, 3)`` and positions ``(..., F, 3)`` of
     every coupled frame, one ``frame_poses`` gather per subsystem.
 
     Rows follow ``coupling_frames`` subsystem by subsystem;
     ``CoupledSystem.frame_slots`` locates the contacts and grasps.
+    ``dirs`` as in the module docstring.
     """
-    poses = [t.frame_poses(names)
-             for t, names in zip(trees, sys.coupled_frame_names)]
+    poses = [tuple(_widen(x, dirs, s) for x in t.frame_poses(names))
+             for s, (t, names) in enumerate(
+                 zip(trees, sys.coupled_frame_names))]
     return (fad.concatenate([R for R, _ in poses], axis=-3),
             fad.concatenate([p for _, p in poses], axis=-2))
 
@@ -333,7 +353,8 @@ def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
 
 
 def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
-                    params: Optional[Mapping] = None, trees=None):
+                    params: Optional[Mapping] = None, trees=None,
+                    dirs=None):
     """Static torques and wrenches from the least-norm saddle system.
 
     Solves ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` and reads
@@ -341,12 +362,14 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     is smooth in every input, and with ``Dual`` inputs the tangents
     follow from differentiating the saddle system (the tangent rule by
     contraction in the module docstring), so this is the formulation the
-    optimizer differentiates through.
+    optimizer differentiates through.  With ``dirs`` each subsystem's
+    tree may carry only its own directions (see the module docstring);
+    the results carry all ``ndir``.
     """
     if trees is None:
         trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, [t.value() for t in trees])
-    g = composite_gravity(sys, q, params, trees=trees)
+    g = composite_gravity(sys, q, params, trees=trees, dirs=dirs)
     B = sys.selector()
     n_vel = B.shape[0]
     A, lam, f = _saddle_solve(Q, fad.value(g), B)
@@ -366,14 +389,19 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
         # (F, 6) rows of each frame's wrench block in f
         block = 6 * np.array([row for _, row, _ in frames])[:, None] \
             + np.arange(6)
+        # the subsystem's directions of rhs_dot: a copy with dirs, which
+        # is written back, since two index arrays do not combine
+        rows = slice(None) if dirs is None else dirs[0][s]
+        sub = rhs_dot[rows]
         force = generalized_force(tree, names, sign * f[..., block])
         if isinstance(force, fad.Dual):
-            rhs_dot[..., cols] -= force.dot
+            sub[..., cols] -= force.dot
         twists = frame_twists(tree, names, lam[..., cols])
         if isinstance(twists, fad.Dual):
             d = sign * twists.dot
-            rhs_dot[..., n_vel + block.ravel()] -= d.reshape(
+            sub[..., n_vel + block.ravel()] -= d.reshape(
                 d.shape[:-2] + (-1,))
+        rhs_dot[rows] = sub
     sol_dot = np.moveaxis(
         np.linalg.solve(A, np.moveaxis(rhs_dot, 0, -1)), -1, 0)
     lam_d = fad.Dual(lam, sol_dot[..., :n_vel])

@@ -27,13 +27,23 @@ constraint rows carry a leading height axis (``multibody``'s batch
 axes) and each layer is called once, not once per height.  Derivatives
 are forward-mode dual numbers with one set of directions per height
 row: direction j of height k is decision ``active_indices(k)[j]``, that
-height's posture block and then the shared hardware block, so the
-tangent is ``(height_dim + pi_dim, H, ...)`` and the constraint Jacobian
-stays block-sparse: each height's rows fill only that height's columns
-and the shared hardware columns.  Gradient, Jacobian rows and
-Gauss-Newton blocks are scattered height by height.  ``nlpsolver``
-hands the Jacobian to the backend as a sparse matrix, so its
-projections factor a sparse system.
+height's posture block and then the shared hardware block
+(``height_dim + pi_dim``, 78 on the paper's problem).  Each subsystem is
+seeded with only the directions it depends on: the human with its
+posture columns (31), the robot with its posture columns and then the
+hardware ones (31 + 10, or 31 when the hardware is frozen), the payload
+with its pose (6).  So its kinematics, frame poses and the statics
+contractions over its tree carry its own width, not all 78.
+``_directions`` gives each subsystem's rows among the shared directions;
+its tangents are widened to all of them (``fad.widen``) only where the
+subsystems meet: the stacked coupled poses and gravity and the statics
+right-hand side (``coupled``'s ``dirs``), and the payload's load rows.
+From there the tangent is ``(height_dim + pi_dim, H, ...)`` and the
+constraint Jacobian stays block-sparse: each height's rows fill only
+that height's columns and the shared hardware columns.  Gradient,
+Jacobian rows and Gauss-Newton blocks are scattered height by height.
+``nlpsolver`` hands the Jacobian to the backend as a sparse matrix, so
+its projections factor a sparse system.
 """
 
 from __future__ import annotations
@@ -131,11 +141,11 @@ class DecisionLayout:
         return np.array(idx, dtype=int)
 
 
-def _sub_configuration(y_block, n_joints):
+def _sub_configuration(y_block):
     """Configuration of subsystem blocks ``(..., 6 + n_joints)``."""
     pos = y_block[..., :3]
     rot = fad.rpy_matrix(y_block[..., 3], y_block[..., 4], y_block[..., 5])
-    return Configuration(pos, rot, y_block[..., 6: 6 + n_joints])
+    return Configuration(pos, rot, y_block[..., 6:])
 
 
 def _trees(models, q: CoupledConfiguration):
@@ -181,13 +191,32 @@ class ErgoProblem:
     def configurations(self, y, k) -> CoupledConfiguration:
         return self._configurations(y[self.layout.height_slice(k)])
 
+    def _sub_blocks(self, blocks):
+        """Each subsystem's columns of blocks ``(..., height_dim)``."""
+        ends = np.cumsum(self.layout.sub_dims)
+        return [blocks[..., end - width:end]
+                for width, end in zip(self.layout.sub_dims, ends)]
+
     def _configurations(self, blocks) -> CoupledConfiguration:
         """Configurations of posture blocks ``(..., height_dim)``."""
-        models = self.system.subsystem_models()
-        ends = np.cumsum(self.layout.sub_dims)
         return CoupledConfiguration(tuple(
-            _sub_configuration(blocks[..., end - width:end], m.n_joints)
-            for m, width, end in zip(models, self.layout.sub_dims, ends)))
+            _sub_configuration(b) for b in self._sub_blocks(blocks)))
+
+    def _directions(self):
+        """Tangent directions of the derivative pass, ``(rows, ndir)``.
+
+        Direction j of height row k is decision ``active_indices(k)[j]``:
+        the height's posture block, then the shared hardware block.
+        ``rows[s]`` lists subsystem s's directions among them: its own
+        posture columns and, for the robot, the hardware ones after them.
+        """
+        L = self.layout
+        ndir = L.height_dim + L.pi_dim
+        rows = self._sub_blocks(np.arange(L.height_dim))
+        robot = self.system.parametrized_index
+        rows[robot] = np.concatenate([rows[robot],
+                                      np.arange(L.height_dim, ndir)])
+        return tuple(rows), ndir
 
     def group_values(self, y):
         """{group: (density, multiplier)} from the shared block of y.
@@ -217,15 +246,17 @@ class ErgoProblem:
         t4 = task_com_height(models[self.system.parametrized_index])
         return w.density * t2 + w.com_height * t4
 
-    def _height_tasks(self, q, trees, poses):
+    def _height_tasks(self, q, trees, poses, dirs=None):
         """Torque and CoP tasks from the saddle statics, per posture.
 
-        ``q``, ``trees`` and their ``coupled_poses`` may stack postures.
-        Returns the torques, the foot CoPs ``(..., E, 2)``, the squared
-        torque norm and the summed squared CoP deviations from the target.
+        ``q``, ``trees`` and their ``coupled_poses`` may stack postures;
+        ``dirs`` as in ``_directions``, or None when every Dual carries
+        all directions.  Returns the torques, the foot CoPs
+        ``(..., E, 2)``, the squared torque norm and the summed squared
+        CoP deviations from the target.
         """
         sys = self.system
-        tau, f = statics_minnorm(sys, q, trees=trees)
+        tau, f = statics_minnorm(sys, q, trees=trees, dirs=dirs)
         env = sys.frame_slots[0]
         batch = tau.shape[:-1]
         wrenches = f[..., :6 * len(env)].reshape(batch + (len(env), 6))
@@ -233,37 +264,42 @@ class ErgoProblem:
         dev = cops - np.asarray(self.scenario.cop_target, dtype=float)
         return tau, cops, fad.sumsq(tau), fad.sumsq(dev.reshape(batch + (-1,)))
 
-    def _residual_rows(self, q, heights, poses):
+    def _residual_rows(self, q, heights, poses, dirs=None):
         """Equality rows per posture, upright frames as tilt rows.
 
-        ``heights`` are the payload height targets of the postures.
+        ``heights`` are the payload height targets of the postures;
+        ``dirs`` as in ``_height_tasks``.
         """
         env, hands, grips = self.system.frame_slots
         R, p = poses
-        q3 = q.qs[len(self.system.agents)]
+        payload = len(self.system.agents)
+        q3 = q.qs[payload]
         batch = q3.base_pos.shape[:-1]
+        load = fad.concatenate([q3.base_rot[..., :2, 2],
+                                (q3.base_pos[..., 2] - heights)[..., None]],
+                               axis=-1)
+        if dirs is not None:
+            load = fad.widen(load, dirs[0][payload], dirs[1])
         hand_gap = p[..., hands, :] - p[..., grips, :]
         return fad.concatenate([
-            q3.base_rot[..., :2, 2],
-            (q3.base_pos[..., 2] - heights)[..., None],
+            load,
             hand_gap.reshape(batch + (-1,)),
             p[..., env, 2],
             R[..., env, :, :][..., :2, 2].reshape(batch + (-1,))], axis=-1)
 
-    def _pieces(self, blocks, models):
+    def _pieces(self, q, models, dirs=None):
         """Cost terms, constraint rows, torques and CoPs of every height.
 
-        ``blocks`` are the stacked posture blocks ``(H, height_dim)``;
+        ``q`` stacks the configurations of every height ``(H, ...)``;
         ``models`` are the subsystem models with the robot already
-        scaled, shared by every height.
+        scaled, shared by every height; ``dirs`` as in ``_height_tasks``.
         """
-        q = self._configurations(blocks)
         w = self.scenario.weights
         trees = _trees(models, q)
-        poses = coupled_poses(self.system, trees)
-        tau, cops, t1, t3 = self._height_tasks(q, trees, poses)
+        poses = coupled_poses(self.system, trees, dirs)
+        tau, cops, t1, t3 = self._height_tasks(q, trees, poses, dirs)
         cons = self._residual_rows(q, np.asarray(self.heights, dtype=float),
-                                   poses)
+                                   poses, dirs)
         return w.torque * t1 + w.cop * t3, cons, tau, cops
 
     # -- NLP interface ----------------------------------------------------
@@ -272,7 +308,8 @@ class ErgoProblem:
         y = np.asarray(y, dtype=float)
         models = self.system.subsystem_models(self.hardware_params(y))
         cost = self._shared_terms(y, models)
-        costs, cons, _, _ = self._pieces(self.height_blocks(y), models)
+        costs, cons, _, _ = self._pieces(
+            self._configurations(self.height_blocks(y)), models)
         for ck in costs:
             cost = cost + ck
         cost = cost / self.scenario.weights.total()
@@ -281,32 +318,40 @@ class ErgoProblem:
     def value_and_derivatives(self, y):
         y = np.asarray(y, dtype=float)
         L = self.layout
-        n, H, hd = y.size, L.n_heights, L.height_dim
-        ndir = hd + L.pi_dim
+        n, H = y.size, L.n_heights
         rows = self.n_cons // H
         w = self.scenario.weights
         total = w.total()
 
-        # direction j of height row k is decision active_indices(k)[j]:
-        # the height's posture block, then the shared hardware block; so
-        # one hardware Dual with those last directions, and one robot
-        # scaled by it, serve the shared (hardware-only) terms and every
-        # height
+        # each subsystem seeds only its own directions (_directions);
+        # the robot's end with the hardware ones, so one hardware Dual of
+        # the robot's width, and one robot scaled by it, serve the shared
+        # (hardware-only) terms and every height
+        dirs = self._directions()
+        ndir = dirs[1]
+        robot = self.system.parametrized_index
+        width = L.sub_dims[robot]
         sl_pi = L.pi_slice()
-        dirs = np.zeros((ndir, n))
-        dirs[np.arange(hd, ndir), np.arange(sl_pi.start, sl_pi.stop)] = 1.0
-        yd = fad.Dual(y, dirs)
+        hw = np.zeros((width + L.pi_dim, n))
+        hw[np.arange(width, width + L.pi_dim),
+           np.arange(sl_pi.start, sl_pi.stop)] = 1.0
+        yd = fad.Dual(y, hw)
         models = self.system.subsystem_models(self.hardware_params(yd))
         out = self._shared_terms(yd, models)
         cost = float(fad.value(out))
         grad = np.zeros(n)
         if isinstance(out, fad.Dual):
-            grad[sl_pi] += out.dot[hd:]
+            grad[sl_pi] += out.dot[width:]
 
-        seeds = np.zeros((ndir, H, hd))
-        seeds[np.arange(hd), :, np.arange(hd)] = 1.0
+        subs = []
+        for block, sub_rows in zip(self._sub_blocks(self.height_blocks(y)),
+                                   dirs[0]):
+            seeds = np.zeros((sub_rows.size,) + block.shape)
+            j = np.arange(block.shape[-1])
+            seeds[j, :, j] = 1.0
+            subs.append(_sub_configuration(fad.Dual(block, seeds)))
         costs, cons, tau, cops = self._pieces(
-            fad.Dual(self.height_blocks(y), seeds), models)
+            CoupledConfiguration(tuple(subs)), models, dirs)
         # Gauss-Newton curvature of the sum-of-squares tasks, per height
         t_dot = np.moveaxis(tau.dot, 0, -2)
         c_dot = np.moveaxis(cops.dot, 0, -3).reshape(H, ndir, -1)
@@ -462,18 +507,20 @@ def solve(problem: ErgoProblem, warm_start=None,
     params = problem.hardware_params(report.x)
     models = problem.system.subsystem_models(params)
     statics = []
-    tasks = []
     for k in range(len(problem.heights)):
         q = problem.configurations(report.x, k)
-        trees = _trees(models, q)
         try:
-            res = evaluate_statics(problem.system, q, params, trees=trees)
+            res = evaluate_statics(problem.system, q, params,
+                                   trees=_trees(models, q))
         except (SingularConstraintError, UnloadedFootError):
             res = None
         statics.append(res)
-        _, _, t1, t3 = problem._height_tasks(
-            q, trees, coupled_poses(problem.system, trees))
-        tasks.append({"torque": float(t1), "cop": float(t3)})
+    # the tasks of every height from one pass over the stacked postures
+    q = problem._configurations(problem.height_blocks(report.x))
+    trees = _trees(models, q)
+    _, _, t1, t3 = problem._height_tasks(
+        q, trees, coupled_poses(problem.system, trees))
+    tasks = [{"torque": float(a), "cop": float(b)} for a, b in zip(t1, t3)]
     hardware = None
     if not problem.layout.frozen_hardware:
         values = problem.group_values(report.x)

@@ -7,10 +7,16 @@ pipeline therefore produces the value and a full Jacobian slice at once.
 
 Every helper in this module accepts either plain arrays/scalars or
 ``Dual`` instances, so numerical code written against these helpers runs
-unchanged with and without derivative tracking.  The vector and matrix
-helpers (``cross3``, ``sumsq``, ``mT``, matmul and the rotations) act on
-the trailing axes and broadcast over leading ones, so one call serves a
-single operand or a stack of them.
+unchanged with and without derivative tracking.
+
+The vector and matrix helpers (``cross3``, ``sumsq``, ``mT``, matmul and
+the rotations) act on the trailing axes and broadcast over leading ones,
+so one call serves a single operand or a stack of them.
+
+Duals that meet must carry the same directions: a tangent with one
+direction broadcasts, but two different widths, neither of them one,
+raise ValueError.  ``widen`` places a narrower tangent's rows among
+wider directions.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Dual", "value", "seed", "jacobian",
+    "Dual", "value", "seed", "widen", "jacobian",
     "sin", "cos", "absolute", "maximum", "where",
     "stack", "concatenate", "assemble", "cross3", "sumsq", "mT",
     "rotx", "roty", "rotz", "rpy_matrix",
@@ -63,7 +69,7 @@ class Dual:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        ov, od = _split(other)
+        ov, od = _split(other, self)
         out = self.val + ov
         d = _pad(self.dot, out.ndim)
         if od is not None:
@@ -73,7 +79,7 @@ class Dual:
     __radd__ = __add__
 
     def __sub__(self, other):
-        ov, od = _split(other)
+        ov, od = _split(other, self)
         out = self.val - ov
         d = _pad(self.dot, out.ndim)
         if od is not None:
@@ -81,7 +87,7 @@ class Dual:
         return Dual(out, d)
 
     def __rsub__(self, other):
-        ov, od = _split(other)
+        ov, od = _split(other, self)
         out = ov - self.val
         d = -_pad(self.dot, out.ndim)
         if od is not None:
@@ -92,7 +98,7 @@ class Dual:
         return Dual(-self.val, -self.dot)
 
     def __mul__(self, other):
-        ov, od = _split(other)
+        ov, od = _split(other, self)
         out = self.val * ov
         d = _pad(self.dot, out.ndim) * ov
         if od is not None:
@@ -102,7 +108,7 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        ov, od = _split(other)
+        ov, od = _split(other, self)
         out = self.val / ov
         d = _pad(self.dot, out.ndim) / ov
         if od is not None:
@@ -110,7 +116,7 @@ class Dual:
         return Dual(out, d)
 
     def __rtruediv__(self, other):
-        ov, od = _split(other)
+        ov, od = _split(other, self)
         out = ov / self.val
         d = -(ov / (self.val * self.val)) * _pad(self.dot, out.ndim)
         if od is not None:
@@ -146,9 +152,25 @@ class Dual:
         return Dual(new_val, self.dot.reshape((self.ndir,) + new_val.shape))
 
 
-def _split(x):
-    """Return (value, tangent-or-None) of an operand."""
+def _check_widths(widths):
+    """The common direction count of tangents; one direction broadcasts."""
+    wide = set(widths) - {1}
+    if len(wide) > 1:
+        a, b = sorted(wide)[:2]
+        raise ValueError(f"Duals with {a} and {b} directions meet; "
+                         "widen first")
+    return max(widths)
+
+
+def _split(x, other=None):
+    """Return (value, tangent-or-None) of an operand.
+
+    A ``Dual`` operand's width is checked against ``other``'s, when
+    ``other`` is a Dual too.
+    """
     if isinstance(x, Dual):
+        if isinstance(other, Dual) and x.dot.shape[0] != other.dot.shape[0]:
+            _check_widths((x.dot.shape[0], other.dot.shape[0]))
         return x.val, x.dot
     return np.asarray(x, dtype=float), None
 
@@ -175,7 +197,7 @@ def mT(x):
 
 def _matmul(a, b):
     av, ad = _split(a)
-    bv, bd = _split(b)
+    bv, bd = _split(b, a)
     out = av @ bv
     # for two stacks of matrices, singleton axes after the direction axis
     # keep a tangent's stack axes aligned with the other operand's
@@ -232,7 +254,7 @@ def where(cond, a, b):
     out = np.where(cond, av, bv)
     if ad is None and bd is None:
         return out
-    ndir = ad.shape[0] if ad is not None else bd.shape[0]
+    ndir = _check_widths([d.shape[0] for d in (ad, bd) if d is not None])
     zero = np.zeros((ndir,) + (1,) * out.ndim)
     ad = zero if ad is None else _pad(ad, out.ndim)
     bd = zero if bd is None else _pad(bd, out.ndim)
@@ -243,7 +265,8 @@ def where(cond, a, b):
 
 def _common_ndir(items):
     """Direction count of the Duals among items; one direction broadcasts."""
-    return max((x.ndir for x in items if isinstance(x, Dual)), default=None)
+    widths = [x.ndir for x in items if isinstance(x, Dual)]
+    return _check_widths(widths) if widths else None
 
 
 def _dots(items, vals, ndir):
@@ -354,6 +377,19 @@ def seed(x, directions=None):
     if directions is None:
         directions = np.eye(x.size).reshape((x.size,) + x.shape)
     return Dual(x, directions)
+
+
+def widen(x, rows, ndir):
+    """x with its tangent rows placed at ``rows`` of ``ndir`` directions.
+
+    The other directions get zero tangents; a plain array passes through
+    unchanged.
+    """
+    if not isinstance(x, Dual):
+        return x
+    dot = np.zeros((ndir,) + x.shape)
+    dot[rows] = x.dot
+    return Dual(x.val, dot)
 
 
 def jacobian(fn, x):

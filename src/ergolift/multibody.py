@@ -503,7 +503,9 @@ class KinTree:
     per link in link order, ``axis_w`` and ``pivot_w`` one row per joint,
     ``(..., n, 3)``; each is a plain array or a ``Dual``.  ``lms`` are the
     per-link length multipliers the poses were computed with (None when
-    all are 1.0).
+    all are 1.0).  The mounts of each tuple of frames are gathered once
+    per tree and kept, since the poses, ``frame_jacobian``,
+    ``generalized_force`` and ``frame_twists`` of one pass all read them.
     """
 
     model: Model
@@ -513,6 +515,7 @@ class KinTree:
     axis_w: object
     pivot_w: object
     lms: object = None
+    _gathered: dict = field(default_factory=dict, init=False, repr=False)
 
     def value(self):
         """The same tree on plain arrays, the values of its Duals."""
@@ -525,11 +528,16 @@ class KinTree:
 
     def _mounts(self, names):
         """Links of named frames, their world rotations and mounting points."""
-        links, offsets, rotations = self.model.topology.mounts(names)
-        if self.lms is not None:
-            offsets = _scale_z(offsets, self.lms[links][:, None])
-        R = self.rot[..., links, :, :]
-        return links, R, rotations, self.pos[..., links, :] + _rows(R, offsets)
+        out = self._gathered.get(names)
+        if out is None:
+            links, offsets, rotations = self.model.topology.mounts(names)
+            if self.lms is not None:
+                offsets = _scale_z(offsets, self.lms[links][:, None])
+            R = self.rot[..., links, :, :]
+            out = (links, R, rotations,
+                   self.pos[..., links, :] + _rows(R, offsets))
+            self._gathered[names] = out
+        return out
 
     def frame_poses(self, names):
         """World rotations ``(..., F, 3, 3)`` and positions ``(..., F, 3)``

@@ -6,7 +6,7 @@ from ergolift.coupled import SingularConstraintError, UnloadedFootError, \
     cop_smooth, coupled_trees, evaluate_statics, statics_minnorm
 from ergolift.ergoopt import assemble_nlp, solve, warm_start_vector
 from ergolift.multibody import kinematics
-from ergolift.nlpsolver import SolverOptions
+from ergolift.nlpsolver import SolverOptions, SolverReport
 from ergolift.scenario import build_system, make_scenario, \
     warm_start_configuration
 
@@ -75,6 +75,52 @@ def per_height_derivatives(problem, y):
     return cost / total, grad / total, cons, jac, gauss_newton / total
 
 
+def full_width_derivatives(problem, y):
+    """The derivative pass with every tree carrying all directions.
+
+    Each subsystem is seeded with all ``height_dim + pi_dim`` directions
+    of its height, the hardware Dual too, and nothing is widened; kept
+    as the reference the per-subsystem seeding must match bit for bit.
+    Returns the cost, gradient, constraints, constraint Jacobian and
+    Gauss-Newton Hessian.
+    """
+    y = np.asarray(y, dtype=float)
+    L = problem.layout
+    n, H, hd = y.size, L.n_heights, L.height_dim
+    ndir = hd + L.pi_dim
+    rows = problem.n_cons // H
+    w = problem.scenario.weights
+    sl_pi = L.pi_slice()
+    dirs = np.zeros((ndir, n))
+    dirs[np.arange(hd, ndir), np.arange(sl_pi.start, sl_pi.stop)] = 1.0
+    yd = fad.Dual(y, dirs)
+    models = problem.system.subsystem_models(problem.hardware_params(yd))
+    out = problem._shared_terms(yd, models)
+    cost = float(fad.value(out))
+    grad = np.zeros(n)
+    if isinstance(out, fad.Dual):
+        grad[sl_pi] += out.dot[hd:]
+    seeds = np.zeros((ndir, H, hd))
+    seeds[np.arange(hd), :, np.arange(hd)] = 1.0
+    q = problem._configurations(fad.Dual(problem.height_blocks(y), seeds))
+    costs, cons, tau, cops = problem._pieces(q, models)
+    t_dot = np.moveaxis(tau.dot, 0, -2)
+    c_dot = np.moveaxis(cops.dot, 0, -3).reshape(H, ndir, -1)
+    blocks = (2.0 * w.torque * (t_dot @ fad.mT(t_dot))
+              + 2.0 * w.cop * (c_dot @ fad.mT(c_dot)))
+    jac = np.zeros((problem.n_cons, n))
+    gauss_newton = np.zeros((n, n))
+    for k in range(H):
+        idx = L.active_indices(k)
+        cost += float(costs.val[k])
+        grad[idx] += costs.dot[:, k]
+        jac[k * rows:(k + 1) * rows, idx] = cons.dot[:, k].T
+        gauss_newton[np.ix_(idx, idx)] += blocks[k]
+    total = w.total()
+    return (cost / total, grad / total, cons.val.reshape(-1), jac,
+            gauss_newton / total)
+
+
 def assert_rel(actual, reference, rel):
     scale = float(np.abs(reference).max())
     assert float(np.abs(np.asarray(actual) - reference).max()) <= rel * scale
@@ -105,6 +151,71 @@ def paper_problem():
     y = np.clip(y0 + rng.normal(size=y0.size) * 0.02,
                 problem.lb + 1e-9, problem.ub - 1e-9)
     return problem, y
+
+
+@pytest.fixture(scope="module")
+def frozen_problem():
+    """Frozen hardware at one height, near the warm start."""
+    sc = make_scenario(heights=(1.1,), payload_mass=7.0)
+    problem = assemble_nlp(sc, build_system(sc), freeze_hardware=True)
+    y0 = warm_start_vector(problem)
+    rng = np.random.default_rng(4)
+    y = np.clip(y0 + rng.normal(size=y0.size) * 0.02,
+                problem.lb + 1e-9, problem.ub - 1e-9)
+    return problem, y
+
+
+class TestSubsystemDirections:
+    """Each subsystem's trees carry only its own tangent directions."""
+
+    @pytest.mark.parametrize("fixture", ["paper_problem", "frozen_problem"])
+    def test_matches_full_width_pass(self, fixture, request):
+        problem, y = request.getfixturevalue(fixture)
+        ref = full_width_derivatives(problem, y)
+        cost, grad, cons, jac = problem.value_and_derivatives(y)
+        assert cost == ref[0]
+        for got, want in zip((grad, cons, jac, problem.hessian(y)), ref[1:]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("fixture, widths", [
+        ("paper_problem", [31, 41, 6]), ("frozen_problem", [31, 31, 6])])
+    def test_tree_widths(self, fixture, widths, request, monkeypatch):
+        # human: its posture; robot: its posture and the hardware; payload:
+        # its pose
+        problem, y = request.getfixturevalue(fixture)
+        seen = []
+        original = ergoopt.kinematics
+
+        def wrapper(model, q):
+            tree = original(model, q)
+            seen.append((model.name, tree.rot.ndir))
+            return tree
+
+        monkeypatch.setattr(ergoopt, "kinematics", wrapper)
+        problem.value_and_derivatives(y)
+        models = problem.system.subsystem_models()
+        assert seen == [(m.name, w) for m, w in zip(models, widths)]
+        assert list(problem.layout.sub_dims) == [31, 31, 6]
+
+    def test_coupled_frames_gathered_once_per_tree(self, paper_problem,
+                                                   monkeypatch):
+        # each subsystem's tuple is gathered on its Dual tree (poses and
+        # statics tangents share it) and on the plain tree the coupling
+        # matrix reads, once each
+        problem, y = paper_problem
+        gathered = []
+        original = multibody.Topology.mounts
+
+        def wrapper(self, names):
+            gathered.append((self, names))
+            return original(self, names)
+
+        monkeypatch.setattr(multibody.Topology, "mounts", wrapper)
+        problem.value_and_derivatives(y)
+        sys = problem.system
+        for model, names in zip(sys.subsystem_models(),
+                                sys.coupled_frame_names):
+            assert gathered.count((model.topology, names)) == 2, model.name
 
 
 class TestOnePass:
@@ -344,3 +455,36 @@ class TestSolve:
         monkeypatch.setattr(ergoopt, "evaluate_statics", broken)
         with pytest.raises(ValueError, match="not a refusal"):
             solve(problem, sol.y, SolverOptions(max_iter=1))
+
+
+class TestSolutionTail:
+    def test_tasks_of_every_height_from_one_statics_solve(self, monkeypatch):
+        # evaluate_statics analyses each height; the task values of all
+        # heights come from one saddle solve over the stacked postures
+        sc = make_scenario(heights=(0.8, 1.2))
+        problem = assemble_nlp(sc, build_system(sc))
+        y = warm_start_vector(problem)
+        monkeypatch.setattr(ergoopt, "solve_nlp", lambda p, y0, options:
+                            SolverReport(x=y0, cost=0.0, status="max-iter",
+                                         iterations=0, kkt_residual=0.0,
+                                         constraint_violation=0.0,
+                                         worst_family=None))
+        calls = []
+        for name in ("statics_minnorm", "evaluate_statics"):
+            original = getattr(ergoopt, name)
+
+            def wrapper(*args, original=original, name=name, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(ergoopt, name, wrapper)
+        sol = solve(problem, y)
+        assert sorted(calls) == ["evaluate_statics"] * 2 + ["statics_minnorm"]
+        models = problem.system.subsystem_models(problem.hardware_params(y))
+        for k, tasks in enumerate(sol.task_values):
+            q = problem.configurations(y, k)
+            trees = [kinematics(m, qi) for m, qi in zip(models, q.qs)]
+            _, _, t1, t3 = problem._height_tasks(
+                q, trees, coupled.coupled_poses(problem.system, trees))
+            assert tasks["torque"] == pytest.approx(float(t1), rel=1e-12)
+            assert tasks["cop"] == pytest.approx(float(t3), rel=1e-12)
