@@ -49,6 +49,7 @@ its projections factor a sparse system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -240,8 +241,20 @@ class ErgoProblem:
     # -- pieces ----------------------------------------------------------
 
     def _shared_terms(self, y, models):
+        """Density and CoM-height tasks of the hardware in y and models."""
+        if self.layout.frozen_hardware:
+            return self._nominal_shared_terms
+        return self._hardware_terms(self.group_values(y), models)
+
+    @cached_property
+    def _nominal_shared_terms(self):
+        """The shared terms of the nominal hardware, once per problem."""
+        return self._hardware_terms(self.nominal_groups,
+                                    self.system.subsystem_models())
+
+    def _hardware_terms(self, groups, models):
         w = self.scenario.weights
-        densities = [rho for rho, _ in self.group_values(y).values()]
+        densities = [rho for rho, _ in groups.values()]
         t2 = task_density(densities, self.scenario.preferred_densities)
         t4 = task_com_height(models[self.system.parametrized_index])
         return w.density * t2 + w.com_height * t4
@@ -506,21 +519,24 @@ def solve(problem: ErgoProblem, warm_start=None,
     problem._hess_cache = None
     params = problem.hardware_params(report.x)
     models = problem.system.subsystem_models(params)
-    statics = []
-    for k in range(len(problem.heights)):
-        q = problem.configurations(report.x, k)
-        try:
-            res = evaluate_statics(problem.system, q, params,
-                                   trees=_trees(models, q))
-        except (SingularConstraintError, UnloadedFootError):
-            res = None
-        statics.append(res)
-    # the tasks of every height from one pass over the stacked postures
+    # one tree per subsystem over the stacked postures: the tasks of
+    # every height from one pass, the statics of each on its rows
     q = problem._configurations(problem.height_blocks(report.x))
     trees = _trees(models, q)
     _, _, t1, t3 = problem._height_tasks(
         q, trees, coupled_poses(problem.system, trees))
     tasks = [{"torque": float(a), "cop": float(b)} for a, b in zip(t1, t3)]
+    statics = []
+    for k in range(len(problem.heights)):
+        rows = [t.row(k) for t in trees]
+        try:
+            res = evaluate_statics(
+                problem.system,
+                CoupledConfiguration(tuple(t.q for t in rows)), params,
+                trees=rows)
+        except (SingularConstraintError, UnloadedFootError):
+            res = None
+        statics.append(res)
     hardware = None
     if not problem.layout.frozen_hardware:
         values = problem.group_values(report.x)

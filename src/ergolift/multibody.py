@@ -505,7 +505,9 @@ class KinTree:
     per-link length multipliers the poses were computed with (None when
     all are 1.0).  The mounts of each tuple of frames are gathered once
     per tree and kept, since the poses, ``frame_jacobian``,
-    ``generalized_force`` and ``frame_twists`` of one pass all read them.
+    ``generalized_force`` and ``frame_twists`` of one pass all read them;
+    ``value`` and ``row`` hand the kept gathers on to the trees they
+    derive.
     """
 
     model: Model
@@ -517,14 +519,26 @@ class KinTree:
     lms: object = None
     _gathered: dict = field(default_factory=dict, init=False, repr=False)
 
+    def _map(self, f, lms):
+        """The tree with f applied to every posture array and kept gather."""
+        q = self.q
+        tree = KinTree(self.model,
+                       Configuration(f(q.base_pos), f(q.base_rot), f(q.s)),
+                       f(self.rot), f(self.pos), f(self.axis_w),
+                       f(self.pivot_w), lms)
+        tree._gathered.update(
+            (names, (links, f(R), rotations, f(p)))
+            for names, (links, R, rotations, p) in self._gathered.items())
+        return tree
+
     def value(self):
         """The same tree on plain arrays, the values of its Duals."""
-        v, q = fad.value, self.q
-        return KinTree(self.model,
-                       Configuration(v(q.base_pos), v(q.base_rot), v(q.s)),
-                       v(self.rot), v(self.pos), v(self.axis_w),
-                       v(self.pivot_w),
-                       None if self.lms is None else v(self.lms))
+        return self._map(fad.value,
+                         None if self.lms is None else fad.value(self.lms))
+
+    def row(self, k):
+        """Posture k of a tree over stacked postures (the leading axis)."""
+        return self._map(lambda x: x[k], self.lms)
 
     def _mounts(self, names):
         """Links of named frames, their world rotations and mounting points."""

@@ -11,10 +11,22 @@ height: each iteration takes one whole-tree kinematics pass, one batched
 ``frame_jacobian`` and ``frame_poses`` call and one stacked
 ``np.linalg.solve`` for every height at once, and clips each height's
 step on its own.  A float height gives one unstacked posture.
+
+The inverse kinematics is deterministic, so ``warm_start_configuration``
+memoizes each agent's posture in a least-recently-used memo of
+``WARM_START_MEMO_SIZE`` entries.  An entry's key is the agent's
+``Model`` object (by identity: ``apply_hardware`` variants share their
+``Topology`` but not their link lengths), its grasp points, the side of
+the payload it holds, and the shape and values of the heights, as the
+payload positions (a float height and a one-element array give
+different postures).  Repeated solves of one scenario, which differ
+only in their jitter seed, so run the inverse kinematics once.  The
+memo hands out the same arrays to every caller, so they are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,24 +266,60 @@ def _agent_warm_start(model, y_stand, yaw, grasp_world):
     return _ik_solve(model, q0, pose_targets, point_targets, s_ref=s_ref)
 
 
+# agent postures the warm-start memo keeps; solving one scenario again
+# needs two of them, the human's and the robot's
+WARM_START_MEMO_SIZE = 8
+
+
+def _array_key(a):
+    """Exact hashable key ``(shape, bytes)`` of a float array."""
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+@functools.lru_cache(maxsize=WARM_START_MEMO_SIZE)
+def _agent_posture(model, y_side, grasps, payload_pos):
+    """One agent's warm start, memoized, as read-only arrays.
+
+    ``grasps`` (the agent's [left, right] points in the payload frame)
+    and ``payload_pos`` (the payload positions ``(..., 3)`` of the
+    heights) come as ``_array_key``s; ``y_side`` is the sign of the
+    payload edge the agent holds.
+    """
+    grasps, payload_pos = (np.frombuffer(data).reshape(shape)
+                           for shape, data in (grasps, payload_pos))
+    yaw = y_side * (-np.pi / 2.0)  # human faces +y, robot faces -y
+    q = _agent_warm_start(model, y_side * 0.6, yaw,
+                          payload_pos[..., None, :] + grasps)
+    for a in (q.base_pos, q.base_rot, q.s):
+        a.flags.writeable = False
+    return q
+
+
+def clear_warm_start_memo():
+    """Forget every memoized warm-start posture."""
+    _agent_posture.cache_clear()
+
+
 def warm_start_configuration(scenario: Scenario, sys: CoupledSystem,
                              heights) -> CoupledConfiguration:
     """Deterministic initial pose for each target height.
 
     A float height gives one posture per subsystem; an array of ``H``
     heights gives postures stacked ``(H, ...)``, from one inverse
-    kinematics pass per agent.
+    kinematics pass per agent.  Each agent's posture comes from the
+    memo (see the module docstring) when its model object, grasp
+    points, side and heights' shape and values match an entry of the
+    last ``WARM_START_MEMO_SIZE``; its arrays are read-only.
     """
     heights = np.asarray(heights, dtype=float)
     zero = np.zeros(heights.shape)
     payload_pos = np.stack([zero, zero, heights], axis=-1)
-    qs = []
-    for agent, (model, grasps, y_side) in enumerate(
-            ((scenario.human, scenario.grasps_human, -1.0),
-             (scenario.robot, scenario.grasps_robot, 1.0))):
-        yaw = y_side * (-np.pi / 2.0)  # human faces +y, robot faces -y
-        grasp_world = payload_pos[..., None, :] + np.asarray(grasps)
-        qs.append(_agent_warm_start(model, y_side * 0.6, yaw, grasp_world))
+    qs = [_agent_posture(model, y_side, _array_key(grasps),
+                         _array_key(payload_pos))
+          for model, grasps, y_side in (
+              (scenario.human, scenario.grasps_human, -1.0),
+              (scenario.robot, scenario.grasps_robot, 1.0))]
     qs.append(Configuration(payload_pos,
                             np.broadcast_to(np.eye(3), heights.shape + (3, 3)),
                             np.zeros(heights.shape + (0,))))

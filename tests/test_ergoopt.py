@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,9 +201,9 @@ class TestSubsystemDirections:
 
     def test_coupled_frames_gathered_once_per_tree(self, paper_problem,
                                                    monkeypatch):
-        # each subsystem's tuple is gathered on its Dual tree (poses and
-        # statics tangents share it) and on the plain tree the coupling
-        # matrix reads, once each
+        # each subsystem's tuple is gathered once, on its Dual tree: the
+        # poses and statics tangents share it, and the plain tree the
+        # coupling matrix reads takes its values
         problem, y = paper_problem
         gathered = []
         original = multibody.Topology.mounts
@@ -215,7 +217,57 @@ class TestSubsystemDirections:
         sys = problem.system
         for model, names in zip(sys.subsystem_models(),
                                 sys.coupled_frame_names):
-            assert gathered.count((model.topology, names)) == 2, model.name
+            assert gathered.count((model.topology, names)) == 1, model.name
+
+    def test_coupling_matrix_of_kept_gathers_matches_fresh_ones(
+            self, paper_problem, monkeypatch):
+        problem, y = paper_problem
+        seen = []
+        original = coupled.coupling_matrix
+
+        def wrapper(sys, trees):
+            out = original(sys, trees)
+            seen.append((trees, out))
+            return out
+
+        monkeypatch.setattr(coupled, "coupling_matrix", wrapper)
+        problem.value_and_derivatives(y)
+        [(trees, Q)] = seen
+        assert all(t._gathered for t in trees)
+        # the same plain trees without kept gathers gather afresh
+        fresh = [dataclasses.replace(t) for t in trees]
+        assert not any(t._gathered for t in fresh)
+        np.testing.assert_array_equal(Q, original(problem.system, fresh))
+
+
+class TestSharedTerms:
+    def test_frozen_hardware_terms_computed_once(self, frozen_problem,
+                                                 monkeypatch):
+        # the nominal robot's null-posture CoM height is a constant of a
+        # frozen-hardware problem: one pass serves every evaluation
+        problem, y = frozen_problem
+        fresh = assemble_nlp(problem.scenario, problem.system,
+                             freeze_hardware=True)
+        calls = []
+        original = ergoopt.com_height_null_config
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ergoopt, "com_height_null_config", wrapper)
+        cost = fresh.value_and_derivatives(y)[0]
+        assert fresh.value(y)[0] == pytest.approx(cost, rel=1e-12)
+        fresh.value_and_derivatives(y)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        sc = problem.scenario
+        robot = problem.system.parametrized_model
+        densities = [rho for rho, _ in robot.group_hardware().values()]
+        want = (sc.weights.density
+                * ergoopt.task_density(densities, sc.preferred_densities)
+                + sc.weights.com_height * ergoopt.task_com_height(robot))
+        assert fresh._shared_terms(y, None) == want
 
 
 class TestOnePass:
@@ -470,17 +522,25 @@ class TestSolutionTail:
                                          constraint_violation=0.0,
                                          worst_family=None))
         calls = []
-        for name in ("statics_minnorm", "evaluate_statics"):
-            original = getattr(ergoopt, name)
+        for owner, name in ((ergoopt, "statics_minnorm"),
+                            (ergoopt, "evaluate_statics"),
+                            (ergoopt, "kinematics"), (coupled, "kinematics"),
+                            (multibody, "kinematics")):
+            original = getattr(owner, name)
 
             def wrapper(*args, original=original, name=name, **kwargs):
                 calls.append(name)
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(ergoopt, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
         sol = solve(problem, y)
-        assert sorted(calls) == ["evaluate_statics"] * 2 + ["statics_minnorm"]
-        models = problem.system.subsystem_models(problem.hardware_params(y))
+        # the stacked trees, one per subsystem, serve the statics of each
+        # height as well as the tasks of all of them
+        assert sorted(calls) == (["evaluate_statics"] * 2
+                                 + ["kinematics"] * 3 + ["statics_minnorm"])
+        monkeypatch.undo()
+        params = problem.hardware_params(y)
+        models = problem.system.subsystem_models(params)
         for k, tasks in enumerate(sol.task_values):
             q = problem.configurations(y, k)
             trees = [kinematics(m, qi) for m, qi in zip(models, q.qs)]
@@ -488,3 +548,14 @@ class TestSolutionTail:
                 q, trees, coupled.coupled_poses(problem.system, trees))
             assert tasks["torque"] == pytest.approx(float(t1), rel=1e-12)
             assert tasks["cop"] == pytest.approx(float(t3), rel=1e-12)
+            # each height's statics on its rows of the stacked trees are
+            # those of its own trees
+            res, ref = sol.statics[k], evaluate_statics(problem.system, q,
+                                                        params)
+            np.testing.assert_array_equal(res.tau, ref.tau)
+            np.testing.assert_array_equal(res.wrenches, ref.wrenches)
+            assert res.cops.keys() == ref.cops.keys()
+            for label, cop in ref.cops.items():
+                np.testing.assert_array_equal(res.cops[label], cop)
+            assert res.projected_residual == ref.projected_residual
+            assert res.equilibrium_residual == ref.equilibrium_residual

@@ -1,0 +1,114 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ergolift import scenario
+from ergolift.ergoopt import assemble_nlp, warm_start_vector
+from ergolift.multibody import apply_hardware, group_params
+from ergolift.scenario import build_system, make_scenario, \
+    warm_start_configuration
+
+FIELDS = ("base_pos", "base_rot", "s")
+
+
+@pytest.fixture
+def ik_calls(monkeypatch):
+    """Names of the models each inverse kinematics pass ran on."""
+    calls = []
+    original = scenario._ik_solve
+
+    def wrapper(model, *args, **kwargs):
+        calls.append(model.name)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "_ik_solve", wrapper)
+    return calls
+
+
+def jitter_vector(problem, jitter=0.01):
+    """The joint jitter ``warm_start_vector`` draws from the seed."""
+    rng = np.random.default_rng(problem.scenario.seed)
+    out = np.zeros(problem.layout.dim)
+    for k in range(len(problem.heights)):
+        for i in range(len(problem.layout.sub_dims)):
+            sl = problem.layout.sub_slice(k, i)
+            if sl.stop - sl.start > 6:
+                out[sl.start + 6:sl.stop] = rng.normal(
+                    size=sl.stop - sl.start - 6) * jitter
+    return out
+
+
+class TestWarmStartMemo:
+    def test_repeat_call_runs_no_ik(self, ik_calls):
+        sc = make_scenario(heights=(0.9, 1.3))
+        sys = build_system(sc)
+        heights = np.array(sc.heights)
+        first = warm_start_configuration(sc, sys, heights)
+        assert ik_calls == [sc.human.name, sc.robot.name]
+        again = warm_start_configuration(sc, sys, heights)
+        assert len(ik_calls) == 2
+        scenario.clear_warm_start_memo()
+        uncached = warm_start_configuration(sc, sys, heights)
+        assert len(ik_calls) == 4
+        for q1, q2, q3 in zip(first.qs, again.qs, uncached.qs):
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(q2, name),
+                                              getattr(q1, name))
+                np.testing.assert_array_equal(getattr(q2, name),
+                                              getattr(q3, name))
+
+    def test_height_shape_is_part_of_the_key(self, ik_calls):
+        sc = make_scenario(heights=(1.0,))
+        sys = build_system(sc)
+        single = warm_start_configuration(sc, sys, 1.0)
+        stacked = warm_start_configuration(sc, sys, np.array([1.0]))
+        assert len(ik_calls) == 4
+        for q1, qs in zip(single.qs, stacked.qs):
+            assert np.shape(q1.s) == np.shape(qs.s)[1:]
+
+    def test_hardware_variant_misses(self, ik_calls):
+        sc = make_scenario(heights=(1.0,))
+        sys = build_system(sc)
+        robot = sc.robot
+        scaled = apply_hardware(robot, group_params(
+            robot, {g.name: (2000.0, 1.2) for g in robot.groups}))
+        assert scaled.topology is robot.topology
+        nominal = warm_start_configuration(sc, sys, 1.0)
+        variant = warm_start_configuration(
+            dataclasses.replace(sc, robot=scaled), sys, 1.0)
+        # the human hits, the scaled robot runs its own pass
+        assert ik_calls == [sc.human.name, robot.name, robot.name]
+        np.testing.assert_array_equal(variant.qs[0].s, nominal.qs[0].s)
+        assert not np.array_equal(variant.qs[1].s, nominal.qs[1].s)
+
+    def test_cached_arrays_refuse_writes(self):
+        sc = make_scenario(heights=(1.0,))
+        q = warm_start_configuration(sc, build_system(sc), 1.0)
+        for qi in q.qs[:2]:
+            for name in FIELDS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(qi, name)[...] = 0.0
+
+    def test_seeds_share_one_ik_and_differ_by_the_jitter(self, ik_calls):
+        sc = make_scenario(heights=(0.8, 1.2))
+        sys = build_system(sc)
+        plain = warm_start_vector(assemble_nlp(sc, sys), jitter=0.0)
+        for seed in (1, 2):
+            problem = assemble_nlp(dataclasses.replace(sc, seed=seed), sys)
+            y = warm_start_vector(problem)
+            np.testing.assert_array_equal(
+                y, np.clip(plain + jitter_vector(problem),
+                           problem.lb + 1e-9, problem.ub - 1e-9))
+        assert ik_calls == [sc.human.name, sc.robot.name]
+
+    def test_memo_is_bounded(self, ik_calls):
+        sc = make_scenario(heights=(1.0,))
+        sys = build_system(sc)
+        for h in np.linspace(0.8, 1.4, scenario.WARM_START_MEMO_SIZE):
+            warm_start_configuration(sc, sys, h)
+        info = scenario._agent_posture.cache_info()
+        assert info.currsize == scenario.WARM_START_MEMO_SIZE
+        # the first height's postures were the least recently used
+        warm_start_configuration(sc, sys, 0.8)
+        assert len(ik_calls) == 2 * scenario.WARM_START_MEMO_SIZE + 2
