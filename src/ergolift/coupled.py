@@ -18,8 +18,10 @@ contact set of full row rank its solution does not depend on the mass
 matrix.  ``_saddle_solve`` solves it on plain arrays;
 ``evaluate_statics`` adds the rank check, both residuals and the CoPs,
 and ``statics_minnorm`` adds the tangent rule the optimizer
-differentiates through.  ``static_torques`` and ``contact_wrenches`` are
-thin views.
+differentiates through.  ``static_torques`` reads the torques of
+``statics_minnorm``.  ``contact_wrenches`` is a separate route: the
+least-squares wrenches ``f`` with ``Q^T f = g - B tau`` for a given
+``tau``, through the SVD of ``Q``.
 
 The tangent rule differentiates the saddle system with ``lam`` and
 ``f`` held fixed: ``A sol' = [g'; 0] - [Q'^T f; Q' lam]``.  Its two
@@ -246,8 +248,7 @@ def coupling_matrix(sys: CoupledSystem, trees):
     for s, frames in enumerate(sys.coupling_frames):
         if not frames:
             continue
-        J = frame_jacobian(trees[s].model, trees[s].q,
-                           sys.coupled_frame_names[s], trees[s])
+        J = frame_jacobian(trees[s], sys.coupled_frame_names[s])
         if isinstance(J, fad.Dual):
             raise TypeError("coupling_matrix takes plain trees only")
         cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
@@ -271,8 +272,8 @@ def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
     if trees is None:
         trees = coupled_trees(sys, q, params)
     return fad.concatenate([
-        _widen(gravity_vector(t.model, qi, t), dirs, s)
-        for s, (qi, t) in enumerate(zip(q.qs, trees))], axis=-1)
+        _widen(gravity_vector(t), dirs, s) for s, t in enumerate(trees)],
+        axis=-1)
 
 
 def coupled_poses(sys: CoupledSystem, trees, dirs=None):

@@ -492,7 +492,12 @@ def warm_start_vector(problem: ErgoProblem, jitter: float = 0.01) -> np.ndarray:
 
 @dataclass(eq=False)
 class Solution:
-    """NLP outcome plus the per-height static analysis at the optimum."""
+    """NLP outcome plus the per-height static analysis at the optimum.
+
+    ``statics[k]`` is None where the analysis of height k was refused;
+    ``refusals[k]`` then names the refusal (``"UnloadedFootError"`` or
+    ``"SingularConstraintError"``), and is None where it was analysed.
+    """
 
     y: np.ndarray
     status: str
@@ -503,6 +508,7 @@ class Solution:
     worst_family: Optional[str]
     heights: tuple
     statics: list
+    refusals: list
     task_values: list
     hardware: Optional[dict]
 
@@ -526,17 +532,19 @@ def solve(problem: ErgoProblem, warm_start=None,
     _, _, t1, t3 = problem._height_tasks(
         q, trees, coupled_poses(problem.system, trees))
     tasks = [{"torque": float(a), "cop": float(b)} for a, b in zip(t1, t3)]
-    statics = []
+    statics, refusals = [], []
     for k in range(len(problem.heights)):
         rows = [t.row(k) for t in trees]
+        res = refused = None
         try:
             res = evaluate_statics(
                 problem.system,
                 CoupledConfiguration(tuple(t.q for t in rows)), params,
                 trees=rows)
-        except (SingularConstraintError, UnloadedFootError):
-            res = None
+        except (SingularConstraintError, UnloadedFootError) as exc:
+            refused = type(exc).__name__
         statics.append(res)
+        refusals.append(refused)
     hardware = None
     if not problem.layout.frozen_hardware:
         values = problem.group_values(report.x)
@@ -548,4 +556,5 @@ def solve(problem: ErgoProblem, warm_start=None,
         cost=report.cost, kkt_residual=report.kkt_residual,
         constraint_violation=report.constraint_violation,
         worst_family=report.worst_family, heights=problem.heights,
-        statics=statics, task_values=tasks, hardware=hardware)
+        statics=statics, refusals=refusals, task_values=tasks,
+        hardware=hardware)

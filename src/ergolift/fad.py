@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Dual", "value", "seed", "widen", "jacobian",
+    "Dual", "value", "seed", "widen",
     "sin", "cos", "absolute", "maximum", "where",
     "stack", "concatenate", "assemble", "cross3", "sumsq", "mT",
     "rotx", "roty", "rotz", "rpy_matrix",
@@ -390,21 +390,3 @@ def widen(x, rows, ndir):
     dot = np.zeros((ndir,) + x.shape)
     dot[rows] = x.dot
     return Dual(x.val, dot)
-
-
-def jacobian(fn, x):
-    """Dense Jacobian of fn at x via one vectorized forward pass.
-
-    fn maps a 1-D array to a scalar or 1-D array; returns (value, jac)
-    where jac has shape (out_dim, len(x)) or (len(x),) for scalar fn.
-    """
-    out = fn(seed(np.asarray(x, dtype=float)))
-    if isinstance(out, Dual):
-        if out.val.ndim == 0:
-            return float(out.val), out.dot.reshape(-1).copy()
-        return out.val.copy(), out.dot.T.copy()
-    out = np.asarray(out, dtype=float)
-    z = np.zeros((np.asarray(x).size,) + out.shape)
-    if out.ndim == 0:
-        return float(out), z.reshape(-1)
-    return out, z.T

@@ -1,9 +1,9 @@
 """Floating-base kinematic trees parametrized by link hardware.
 
-A ``Model`` is an ordered list of links connected by 1-DoF joints, plus
-named attachment frames (hands, feet, grasp points).  Link geometry and
-inertia are functions of the per-link hardware (density, length
-multiplier).  Joint and frame offsets are given at unit multiplier; where
+A ``Model`` is an ordered list of links connected by revolute joints,
+plus named attachment frames (hands, feet, grasp points).  Link
+geometry and inertia are functions of the per-link hardware (density,
+length multiplier).  Joint and frame offsets are given at unit multiplier; where
 poses are computed, their z component is scaled by the multiplier of the
 link they are mounted on, so a longer link carries its child joints and
 attachment frames along its growth axis.  ``apply_hardware`` therefore
@@ -21,16 +21,16 @@ its mass and CoM (``Link.mass_com``), which only the links given new
 hardware derive again; its inertia about its origin
 (``Link.inertial``) is derived only where ``mass_matrix`` reads it.
 The index tables of a tree (name maps, the links x dofs path mask,
-revolute flags, the depth levels with their stacked joint constants,
-the mounts of named frames) live on a ``Topology`` that every hardware
-variant of a model shares.
+the depth levels with their stacked joint constants, the mounts of
+named frames) live on a ``Topology`` that every hardware variant of a
+model shares.
 
-Every pass works on whole-tree arrays.  ``kinematics`` walks the tree
-one depth level at a time and returns stacked ``(L, 3, 3)`` rotations
-and ``(L, 3)`` positions; ``KinTree.frame_poses`` and
-``frame_jacobian`` gather a tuple of frames at once, the Jacobians as
-``(F, 6, 6 + n)`` from one masked cross product over the stacked joint
-axes and pivots; ``gravity_vector`` sums the link mass moments over
+Every pass works on whole-tree arrays and takes the ``KinTree`` it
+reads.  ``kinematics`` walks the tree one depth level at a time and
+returns stacked ``(L, 3, 3)`` rotations and ``(L, 3)`` positions;
+``KinTree.frame_poses`` and ``frame_jacobian`` gather a tuple of
+frames at once, the Jacobians as ``(F, 6, 6 + n)`` from one masked
+cross product over the stacked joint axes and pivots; ``gravity_vector`` sums the link mass moments over
 subtrees with one matmul, the composite-body bookkeeping of
 Featherstone, *Rigid Body Dynamics Algorithms* (2008).  The mass matrix
 is ``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the
@@ -99,17 +99,16 @@ def _rpy_const(rpy):
 
 @dataclass(frozen=True, eq=False)
 class Joint:
-    """1-DoF joint attaching a link to its parent.
+    """Revolute joint attaching a link to its parent.
 
     ``offset`` is expressed in the parent frame at unit length
     multiplier; poses scale its z component by the parent's multiplier.
     ``rpy`` is the fixed rotation applied after the offset, and ``axis``
     is the motion axis in the child frame.  ``rotation`` is the matrix
     of ``rpy``, and ``K``, ``K2`` are ``S(axis)`` and its square, the
-    Rodrigues terms of a revolute joint.
+    Rodrigues terms of the joint's rotation.
     """
 
-    kind: str  # "revolute" | "prismatic"
     axis: np.ndarray
     offset: np.ndarray
     rpy: np.ndarray
@@ -119,8 +118,6 @@ class Joint:
     K2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("revolute", "prismatic"):
-            raise ModelError(f"unknown joint kind {self.kind!r}")
         axis = np.asarray(self.axis, dtype=float)
         n = np.linalg.norm(axis)
         if not np.isfinite(n) or n < 1e-12:
@@ -214,7 +211,6 @@ class _Level:
     K: np.ndarray
     K2: np.ndarray
     axis: np.ndarray
-    revolute: np.ndarray
 
 
 class Topology:
@@ -251,11 +247,6 @@ class Topology:
             mask[i] = mask[link.parent]
             mask[i, i - 1] = True
         return mask
-
-    @cached_property
-    def revolute(self):
-        return np.array([l.joint.kind == "revolute" for l in self._links[1:]],
-                        dtype=bool)
 
     @cached_property
     def subtree(self):
@@ -315,8 +306,7 @@ class Topology:
                 rotation=np.stack([j.rotation for j in joints]),
                 K=np.stack([j.K for j in joints]),
                 K2=np.stack([j.K2 for j in joints]),
-                axis=np.stack([j.axis for j in joints]),
-                revolute=np.array([j.kind == "revolute" for j in joints])))
+                axis=np.stack([j.axis for j in joints])))
             prev = {i: r for r, i in enumerate(idx)}
         return tuple(out)
 
@@ -500,10 +490,11 @@ class KinTree:
     """World poses of every link plus per-joint world axes and pivots.
 
     ``rot`` ``(..., L, 3, 3)`` and ``pos`` ``(..., L, 3)`` stack one row
-    per link in link order, ``axis_w`` and ``pivot_w`` one row per joint,
-    ``(..., n, 3)``; each is a plain array or a ``Dual``.  ``lms`` are the
-    per-link length multipliers the poses were computed with (None when
-    all are 1.0).  The mounts of each tuple of frames are gathered once
+    per link in link order, ``axis_w`` one row per joint, ``(..., n, 3)``;
+    each is a plain array or a ``Dual``.  A joint turns about its child
+    link's origin, so ``pivot_w`` is ``pos`` without the base row.
+    ``lms`` are the per-link length multipliers the poses were computed
+    with (None when all are 1.0).  The mounts of each tuple of frames are gathered once
     per tree and kept, since the poses, ``frame_jacobian``,
     ``generalized_force`` and ``frame_twists`` of one pass all read them;
     ``value`` and ``row`` hand the kept gathers on to the trees they
@@ -515,17 +506,19 @@ class KinTree:
     rot: object
     pos: object
     axis_w: object
-    pivot_w: object
     lms: object = None
     _gathered: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def pivot_w(self):
+        return self.pos[..., 1:, :]
 
     def _map(self, f, lms):
         """The tree with f applied to every posture array and kept gather."""
         q = self.q
         tree = KinTree(self.model,
                        Configuration(f(q.base_pos), f(q.base_rot), f(q.s)),
-                       f(self.rot), f(self.pos), f(self.axis_w),
-                       f(self.pivot_w), lms)
+                       f(self.rot), f(self.pos), f(self.axis_w), lms)
         tree._gathered.update(
             (names, (links, f(R), rotations, f(p)))
             for names, (links, R, rotations, p) in self._gathered.items())
@@ -587,69 +580,55 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
     """World poses of the whole tree, one depth level at a time.
 
     Each level gathers its parents' rows and applies the level's stacked
-    joint constants at once: a revolute joint turns by the Rodrigues
-    rotation about its fixed axis, a prismatic one slides along it.  The
-    levels' rows are concatenated and put in link order by one gather.
+    joint constants at once: each joint turns by the Rodrigues rotation
+    about its fixed axis.  The levels' rows are concatenated and put in
+    link order by one gather.
     """
     topo = model.topology
     lms = model._multipliers
     # R, p: the previous level's rotations and positions
     R, p = q.base_rot[..., None, :, :], q.base_pos[..., None, :]
-    rots, poss, axes, pivots = [R], [p], [], []
+    rots, poss, axes = [R], [p], []
     for lv in topo.levels:
         Rp, pp = R[..., lv.rows, :, :], p[..., lv.rows, :]
         offset = lv.offset if lms is None else _scale_z(
             lv.offset, lms[lv.parents][:, None])
-        p_joint = pp + _rows(Rp, offset)
+        p = pp + _rows(Rp, offset)
         R_pre = Rp @ lv.rotation
         s = q.s[..., lv.dofs]
         R = R_pre @ (_EYE3 + fad.sin(s)[..., None, None] * lv.K
                      + (1.0 - fad.cos(s))[..., None, None] * lv.K2)
-        p = p_joint
-        if not lv.revolute.all():
-            R = fad.where(lv.revolute[:, None, None], R, R_pre)
-            p = fad.where(lv.revolute[:, None], p_joint,
-                          p_joint + _rows(R_pre, lv.axis * s[..., None]))
         rots.append(R)
         poss.append(p)
         axes.append(_rows(R_pre, lv.axis))
-        pivots.append(p_joint)
     links, dofs = topo.level_rows
     if axes:
         axis_w = fad.concatenate(axes, axis=-2)[..., dofs, :]
-        pivot_w = fad.concatenate(pivots, axis=-2)[..., dofs, :]
     else:  # a single rigid body
-        axis_w = pivot_w = np.zeros(np.shape(q.s) + (3,))
+        axis_w = np.zeros(np.shape(q.s) + (3,))
     return KinTree(model=model, q=q,
                    rot=fad.concatenate(rots, axis=-3)[..., links, :, :],
                    pos=fad.concatenate(poss, axis=-2)[..., links, :],
-                   axis_w=axis_w, pivot_w=pivot_w, lms=lms)
+                   axis_w=axis_w, lms=lms)
 
 
-def forward_kinematics(model: Model, q: Configuration, frame: str):
-    """World (rotation, position) of a named frame, or of a link frame."""
-    return kinematics(model, q).frame_pose(frame)
-
-
-def _point_jacobians(model, tree, links, points):
+def _point_jacobians(tree, links, points):
     """Mixed Jacobians ``(..., F, 6, 6 + n)`` of points riding given links.
 
     One masked cross product over the stacked joint axes and pivots: a
-    revolute dof on a link's path moves its point by
-    ``a x (p - pivot)`` and turns it about ``a``, a prismatic one slides
-    it along ``a``, and every dof off the path gives a zero column.  The
-    base columns hold the identity blocks and the lever ``-S(p - p0)``.
+    dof on a link's path moves its point by ``a x (p - pivot)`` and
+    turns it about ``a``, and every dof off the path gives a zero
+    column.  The base columns hold the identity blocks and the lever
+    ``-S(p - p0)``.
     """
-    topo = model.topology
     d = points - tree.pos[..., :1, :]
-    # (F, n, 1) masks against (..., F, n, 3) joint-by-point vectors
-    on = topo.path_mask[links][..., None]
-    rev = on & topo.revolute[:, None]
+    # (F, n, 1) mask against (..., F, n, 3) joint-by-point vectors
+    on = tree.model.topology.path_mask[links][..., None]
     axes = tree.axis_w[..., None, :, :]
     arm = points[..., :, None, :] - tree.pivot_w[..., None, :, :]
-    lin = fad.where(rev, fad.cross3(axes, arm), fad.where(on, axes, 0.0))
-    ang = fad.where(rev, axes, 0.0)
-    shape = points.shape[:-2] + (len(links), 6, 6 + model.n_joints)
+    lin = fad.where(on, fad.cross3(axes, arm), 0.0)
+    ang = fad.where(on, axes, 0.0)
+    shape = points.shape[:-2] + (len(links), 6, 6 + tree.model.n_joints)
     return fad.assemble(shape, [
         ((..., slice(0, 3), slice(0, 3)), _EYE3),
         ((..., slice(3, 6), slice(3, 6)), _EYE3),
@@ -660,19 +639,16 @@ def _point_jacobians(model, tree, links, points):
         ((..., slice(3, 6), slice(6, None)), fad.mT(ang))])
 
 
-def frame_jacobian(model: Model, q: Configuration, frames,
-                   tree: Optional[KinTree] = None):
+def frame_jacobian(tree: KinTree, frames):
     """Mixed Jacobians mapping nu to frames' world twists.
 
     ``frames`` names one frame (or link), giving ``(..., 6, 6 + n)``, or
     is a tuple of names, giving ``(..., F, 6, 6 + n)`` from one batched
     pass.
     """
-    if tree is None:
-        tree = kinematics(model, q)
     single = isinstance(frames, str)
     links, _, _, points = tree._mounts((frames,) if single else tuple(frames))
-    J = _point_jacobians(model, tree, links, points)
+    J = _point_jacobians(tree, links, points)
     return J[..., 0, :, :] if single else J
 
 
@@ -694,11 +670,8 @@ def generalized_force(tree: KinTree, frames, wrenches):
     S = np.vstack([np.ones(len(links)), topo.path_mask[links].T])
     fsub, msub = S @ force, S @ moment
     ang = msub[..., 0, :] - fad.cross3(tree.pos[..., 0, :], fsub[..., 0, :])
-    a, f_joint = tree.axis_w, fsub[..., 1:, :]
-    joints = fad.where(
-        topo.revolute,
-        _dot3(a, msub[..., 1:, :] - fad.cross3(tree.pivot_w, f_joint)),
-        _dot3(a, f_joint))
+    joints = _dot3(tree.axis_w, msub[..., 1:, :]
+                   - fad.cross3(tree.pivot_w, fsub[..., 1:, :]))
     return fad.concatenate([fsub[..., 0, :], ang, joints], axis=-1)
 
 
@@ -711,14 +684,11 @@ def frame_twists(tree: KinTree, frames, nu):
     formed.  Dual-safe; with a ``Dual`` tree and plain ``nu`` the tangent
     is ``dJ_k nu``.
     """
-    topo = tree.model.topology
     links, _, _, points = tree._mounts(tuple(frames))
     v, w, sd = nu[..., None, :3], nu[..., None, 3:6], nu[..., 6:, None]
-    a = tree.axis_w
-    rev = topo.revolute[:, None]
-    w_joint = fad.where(rev, a * sd, 0.0)
-    v_joint = fad.where(rev, fad.cross3(tree.pivot_w, w_joint), a * sd)
-    P = topo.path_mask[links].astype(float)
+    w_joint = tree.axis_w * sd
+    v_joint = fad.cross3(tree.pivot_w, w_joint)
+    P = tree.model.topology.path_mask[links].astype(float)
     w_path, v_path = P @ w_joint, P @ v_joint
     lin = (v + fad.cross3(w, points - tree.pos[..., :1, :])
            + fad.cross3(w_path, points) + v_path)
@@ -738,8 +708,7 @@ def _mixed_spatial_inertia(inertial, R):
     return assemble_spatial_inertia(m, c_w, I_w)
 
 
-def mass_matrix(model: Model, q: Configuration,
-                tree: Optional[KinTree] = None) -> np.ndarray:
+def mass_matrix(tree: KinTree) -> np.ndarray:
     """Mass matrix in mixed coordinates, ``M = sum_i J_i^T M_i J_i``.
 
     ``J_i`` is the Jacobian of link i's origin and ``M_i`` the link's
@@ -747,10 +716,9 @@ def mass_matrix(model: Model, q: Configuration,
     The statics do not need it; the tests' projector reference and the
     benchmark's traced layers read it.
     """
-    if tree is None:
-        tree = kinematics(model, q)
+    model = tree.model
     n = model.n_joints
-    J = fad.value(_point_jacobians(model, tree, np.arange(len(model.links)),
+    J = fad.value(_point_jacobians(tree, np.arange(len(model.links)),
                                    tree.pos))
     M = np.zeros((6 + n, 6 + n))
     for i, link in enumerate(model.links):
@@ -758,45 +726,37 @@ def mass_matrix(model: Model, q: Configuration,
     return M
 
 
-def _mass_moments(model, tree):
+def _mass_moments(tree):
     """Link masses ``(L,)`` and world mass moments ``m * com``
     ``(..., L, 3)``."""
-    m, c = model._mass_table
+    m, c = tree.model._mass_table
     return m, m[:, None] * (tree.pos + _rows(tree.rot, c))
 
 
-def gravity_vector(model: Model, q: Configuration,
-                   tree: Optional[KinTree] = None):
+def gravity_vector(tree: KinTree):
     """Generalized gravity g(q): static equilibrium reads g = B tau + J^T f.
 
     The subtree sums of the link masses and mass moments come from one
     matmul with ``Topology.subtree``; the base rows and every joint row
     follow from them as array expressions, and it is dual-safe.
     """
-    if tree is None:
-        tree = kinematics(model, q)
-    m, moments = _mass_moments(model, tree)
-    D = model.topology.subtree
+    m, moments = _mass_moments(tree)
+    D = tree.model.topology.subtree
     msub, csub = D @ m, D @ moments
     lin = GRAVITY * msub[0] * E3 + np.zeros(tree.pos.shape[:-2] + (3,))
     ang = GRAVITY * fad.cross3(csub[..., 0, :] - msub[0] * tree.pos[..., 0, :],
                                E3)
     u = csub[..., 1:, :] - msub[1:, None] * tree.pivot_w
     a = tree.axis_w
-    # revolute: z component of a x u; prismatic: the lift along a
-    joints = fad.where(
-        model.topology.revolute,
-        GRAVITY * (a[..., 0] * u[..., 1] - a[..., 1] * u[..., 0]),
-        GRAVITY * msub[1:] * a[..., 2])
+    # the z component of a x u
+    joints = GRAVITY * (a[..., 0] * u[..., 1] - a[..., 1] * u[..., 0])
     return fad.concatenate([lin, ang, joints], axis=-1)
 
 
-def com(model: Model, q: Configuration, tree: Optional[KinTree] = None):
+def com(tree: KinTree):
     """World center of mass and total mass."""
-    if tree is None:
-        tree = kinematics(model, q)
-    m, moments = _mass_moments(model, tree)
-    ones = np.ones(len(model.links))
+    m, moments = _mass_moments(tree)
+    ones = np.ones(len(m))
     total = ones @ m
     return (ones @ moments) / total, total
 
@@ -813,7 +773,7 @@ def com_height_null_config(model: Model,
     q0 = Configuration(np.zeros(3), np.eye(3),
                        np.zeros(scaled.n_joints))
     tree = kinematics(scaled, q0)
-    c, _ = com(scaled, q0, tree)
+    c, _ = com(tree)
     feet = [scaled.frame(n) for role in _FOOT_ROLES
             for n in scaled.frames_with_role(role)]
     if not feet:

@@ -197,7 +197,7 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     w = np.array([t[-1] for t in targets], dtype=float)
     for _ in range(iters):
         tree = kinematics(model, q)
-        J = w[:, None, None] * frame_jacobian(model, q, frames, tree)
+        J = w[:, None, None] * frame_jacobian(tree, frames)
         R, p = tree.frame_poses(frames)
         err = w[:, None] * (p_t - p)
         pose_rhs = np.concatenate([
@@ -311,6 +311,9 @@ def warm_start_configuration(scenario: Scenario, sys: CoupledSystem,
     memo (see the module docstring) when its model object, grasp
     points, side and heights' shape and values match an entry of the
     last ``WARM_START_MEMO_SIZE``; its arrays are read-only.
+
+    ``sys`` is not read: the postures depend on the scenario alone.  The
+    argument stays because existing callers pass it positionally.
     """
     heights = np.asarray(heights, dtype=float)
     zero = np.zeros(heights.shape)

@@ -105,14 +105,6 @@ class Wrench:
         object.__setattr__(self, "force", _ro(self.force, (3,)))
         object.__setattr__(self, "torque", _ro(self.torque, (3,)))
 
-    def as_vector(self):
-        return np.concatenate([self.force, self.torque])
-
-    @staticmethod
-    def from_vector(w, frame=""):
-        w = np.asarray(w, dtype=float)
-        return Wrench(w[:3], w[3:], frame)
-
 
 def assemble_spatial_inertia(mass, com, inertia):
     """6x6 inertia [[m 1, -m S(c)], [m S(c), I]] about the body frame origin.

@@ -3,7 +3,7 @@
 Both agents share one topology: a pelvis base, a pitching torso, 6-DoF
 arms (shoulder pitch/roll, elbow, wrist pitch/roll/yaw) and 6-DoF legs
 (hip pitch/roll/yaw, knee, ankle pitch/roll).  Multi-DoF joints are
-realized as stacks of 1-DoF joints through small connector spheres.
+realized as stacks of revolute joints through small connector spheres.
 Legs carry all six DoF so that double support is a well-posed rigid
 contact set, and arms carry six so that welding both hands to a shared
 payload stays a full-rank constraint set away from singular postures.
@@ -98,7 +98,7 @@ def build_humanoid(spec=None) -> Model:
         parent = -1
         if parent_name is not None:
             parent = index[parent_name]
-            joint = Joint(kind="revolute", axis=AXIS[axis],
+            joint = Joint(axis=AXIS[axis],
                           offset=np.asarray(offset, float),
                           rpy=np.asarray(rpy, float), limits=limits)
         index[name] = len(links)

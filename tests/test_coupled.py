@@ -32,7 +32,7 @@ def composite_matrices(sys, q, params=None):
     M = np.zeros((int(offsets[-1]),) * 2)
     for i, t in enumerate(trees):
         sl = slice(int(offsets[i]), int(offsets[i + 1]))
-        M[sl, sl] = mass_matrix(t.model, t.q, t)
+        M[sl, sl] = mass_matrix(t)
     g = np.asarray(composite_gravity(sys, q, params, trees=trees))
     return M, g, sys.selector()
 
@@ -71,15 +71,14 @@ def projector_statics(sys, q, params=None):
 # differentiated with its whole tangent, dQ^T f and dQ lam.
 
 
-def dual_coupling_matrix(sys, q, trees):
+def dual_coupling_matrix(sys, trees):
     """Q with the tangents of the Dual trees' frame Jacobians."""
     dims, offsets = sys.velocity_layout()
     parts = []
     for s, frames in enumerate(sys.coupling_frames):
         if not frames:
             continue
-        J = frame_jacobian(trees[s].model, q.qs[s],
-                           tuple(f for f, _, _ in frames), trees[s])
+        J = frame_jacobian(trees[s], tuple(f for f, _, _ in frames))
         cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
         parts.extend(((slice(6 * row, 6 * row + 6), cols),
                       J[k] if sign > 0 else -J[k])
@@ -91,7 +90,7 @@ def dual_coupling_matrix(sys, q, trees):
 def dual_coupling_statics(sys, q, params):
     """Torques and wrenches of one posture, tangents through the Dual Q."""
     trees = coupled_trees(sys, q, params)
-    Q = dual_coupling_matrix(sys, q, trees)
+    Q = dual_coupling_matrix(sys, trees)
     g = composite_gravity(sys, q, params, trees=trees)
     B = sys.selector()
     n_vel = B.shape[0]
@@ -150,8 +149,8 @@ def pendulum_system(axis=(0, -1, 0)):
     links = (
         Link("ground", Box(0.2, 0.2, 0.05), LinkHardware(2000.0)),
         Link("arm", Sphere(1.0), LinkHardware(3.0 / (4.0 * np.pi)), parent=0,
-             joint=Joint(kind="revolute", axis=np.array(axis, float),
-                         offset=np.zeros(3), rpy=np.array([0.0, np.pi / 2, 0]),
+             joint=Joint(axis=np.array(axis, float), offset=np.zeros(3),
+                         rpy=np.array([0.0, np.pi / 2, 0]),
                          limits=(-3.0, 3.0))),
     )
     frames = (FrameDef("anchor", 0, np.zeros(3), np.zeros(3)),)
@@ -204,8 +203,7 @@ class TestStaticTorques:
         links = (
             Link("ground", Box(0.2, 0.2, 0.05), LinkHardware(1e-12)),
             Link("arm", Sphere(1.0), LinkHardware(1e-12), parent=0,
-                 joint=Joint(kind="revolute", axis=np.array([0.0, -1, 0]),
-                             offset=np.zeros(3),
+                 joint=Joint(axis=np.array([0.0, -1, 0]), offset=np.zeros(3),
                              rpy=np.array([0.0, np.pi / 2, 0]),
                              limits=(-3.0, 3.0))),
         )

@@ -490,9 +490,11 @@ class TestSolve:
             q = problem.configurations(sol.y, k)
             if res is None:
                 with pytest.raises((SingularConstraintError,
-                                    UnloadedFootError)):
+                                    UnloadedFootError)) as refusal:
                     evaluate_statics(problem.system, q, params)
+                assert sol.refusals[k] == type(refusal.value).__name__
                 continue
+            assert sol.refusals[k] is None
             fresh = evaluate_statics(problem.system, q, params)
             np.testing.assert_array_equal(res.tau, fresh.tau)
             np.testing.assert_array_equal(res.wrenches, fresh.wrenches)
@@ -509,6 +511,15 @@ class TestSolve:
             solve(problem, sol.y, SolverOptions(max_iter=1))
 
 
+def stop_at_start(monkeypatch):
+    """Make ``solve`` return its start at once, so only its tail runs."""
+    monkeypatch.setattr(ergoopt, "solve_nlp", lambda p, y0, options:
+                        SolverReport(x=y0, cost=0.0, status="max-iter",
+                                     iterations=0, kkt_residual=0.0,
+                                     constraint_violation=0.0,
+                                     worst_family=None))
+
+
 class TestSolutionTail:
     def test_tasks_of_every_height_from_one_statics_solve(self, monkeypatch):
         # evaluate_statics analyses each height; the task values of all
@@ -516,11 +527,7 @@ class TestSolutionTail:
         sc = make_scenario(heights=(0.8, 1.2))
         problem = assemble_nlp(sc, build_system(sc))
         y = warm_start_vector(problem)
-        monkeypatch.setattr(ergoopt, "solve_nlp", lambda p, y0, options:
-                            SolverReport(x=y0, cost=0.0, status="max-iter",
-                                         iterations=0, kkt_residual=0.0,
-                                         constraint_violation=0.0,
-                                         worst_family=None))
+        stop_at_start(monkeypatch)
         calls = []
         for owner, name in ((ergoopt, "statics_minnorm"),
                             (ergoopt, "evaluate_statics"),
@@ -559,3 +566,25 @@ class TestSolutionTail:
                 np.testing.assert_array_equal(res.cops[label], cop)
             assert res.projected_residual == ref.projected_residual
             assert res.equilibrium_residual == ref.equilibrium_residual
+        assert sol.refusals == [None, None]
+
+    @pytest.mark.parametrize("error", [UnloadedFootError,
+                                       SingularConstraintError])
+    def test_refusal_named_at_its_height(self, monkeypatch, error):
+        sc = make_scenario(heights=(0.8, 1.0, 1.2))
+        problem = assemble_nlp(sc, build_system(sc), freeze_hardware=True)
+        stop_at_start(monkeypatch)
+        original = ergoopt.evaluate_statics
+        calls = []
+
+        def refuse_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error("refused as posed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ergoopt, "evaluate_statics", refuse_second)
+        sol = solve(problem, warm_start_vector(problem))
+        assert sol.refusals == [None, error.__name__, None]
+        assert sol.statics[1] is None
+        assert sol.statics[0] is not None and sol.statics[2] is not None

@@ -1,16 +1,27 @@
-"""Every name a module imports at top level is used in that module.
+"""Every name a module imports is used, and every name the benchmark
+reaches in the program exists.
 
-No linter runs with the tests, so this stands in for the unused-import
-rule.  It reads each module with ``ast`` and does not import it.
-``__init__.py`` is skipped because its imports are re-exports.
+No linter runs with the tests, so the first check stands in for the
+unused-import rule.  It reads each module with ``ast`` and does not
+import it.  ``__init__.py`` is skipped because its imports are
+re-exports.
+
+The benchmark under ``perfbench/`` is only read, also with ``ast``: the
+functions its traced runs rebind by name (``tracing.TRACED``) and the
+calls it makes through the program's modules must resolve in
+``ergolift`` and accept the arguments it passes, so that a deletion or a
+changed signature fails here rather than in a benchmark run.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 MODULES = sorted(p for p in [*ROOT.glob("src/ergolift/*.py"),
                              *ROOT.glob("tests/*.py")]
                  if p.name != "__init__.py")
@@ -40,3 +51,79 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def resolve(module, attr):
+    """``ergolift.<module>.<attr>``, where attr may be ``Class.method``."""
+    owner = importlib.import_module(f"ergolift.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def traced_names():
+    """The ``TRACED`` pairs of ``perfbench/tracing.py``."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TRACED")
+
+
+def test_traced_names_resolve():
+    # a traced benchmark run rebinds each of these by name; deleting one
+    # must fail here, not only in that run
+    for module, attr in traced_names():
+        assert callable(resolve(module, attr)), f"{module}.{attr}"
+
+
+def program_mismatches(source):
+    """Uses of ``from ergolift import m`` modules (``m.f``, ``m.f(...)``)
+    that do not resolve, or calls whose arguments do not bind."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "ergolift" for alias in node.names}
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            continue
+        name = f"{node.value.id}.{node.attr}"
+        try:
+            target = resolve(node.value.id, node.attr)
+        except AttributeError:
+            out.append((node.lineno, f"{name} does not exist"))
+            continue
+        call = calls.get(id(node))
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords):
+            continue
+        try:
+            inspect.signature(target).bind(
+                *call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            out.append((node.lineno, f"{name}: {exc}"))
+    return [f"line {line}: {message}" for line, message in sorted(out)]
+
+
+def test_detects_program_mismatches():
+    source = ("from ergolift import fad, scenario\n"
+              "fad.seed([1.0])\n"
+              "scenario.warm_start_configuration(None, None)\n"
+              "fad.widen(1, 2, 3, nope=4)\n"
+              "fad.no_such_helper\n")
+    assert [m.split(":")[0] for m in program_mismatches(source)] == [
+        "line 3", "line 4", "line 5"]
+
+
+def test_benchmark_uses_of_the_program_resolve():
+    paths = sorted(PERFBENCH.glob("*.py"))
+    assert any("from ergolift import" in p.read_text() for p in paths)
+    for path in paths:
+        assert program_mismatches(path.read_text()) == [], path.name

@@ -6,25 +6,20 @@ from ergolift.coupled import CoupledConfiguration, coupled_trees, \
     coupling_matrix
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 ModelError, UnknownFrameError, apply_hardware,
-                                com, com_height_null_config, forward_kinematics,
-                                frame_jacobian, frame_twists,
-                                generalized_force, gravity_vector,
-                                group_params, kinematics, mass_matrix,
-                                perturb_configuration, random_configuration)
+                                com, com_height_null_config, frame_jacobian,
+                                frame_twists, generalized_force,
+                                gravity_vector, group_params, kinematics,
+                                mass_matrix, perturb_configuration,
+                                random_configuration)
 from ergolift.shapes import (Box, Cylinder, LinkHardware, Sphere, shape_com,
                              shape_inertia_origin, shape_mass)
 from ergolift.scenario import build_system, make_scenario, rpy_from_matrix
 from ergolift.spatial import GRAVITY, assemble_spatial_inertia, skew
 from ergolift.templates import default_human, default_robot
 
-REV = "revolute"
-PRI = "prismatic"
-
-
-def joint(axis, offset, rpy=(0, 0, 0), kind=REV, limits=(-3.0, 3.0)):
-    return Joint(kind=kind, axis=np.array(axis, float),
-                 offset=np.array(offset, float), rpy=np.array(rpy, float),
-                 limits=limits)
+def joint(axis, offset, rpy=(0, 0, 0), limits=(-3.0, 3.0)):
+    return Joint(axis=np.array(axis, float), offset=np.array(offset, float),
+                 rpy=np.array(rpy, float), limits=limits)
 
 
 def single_body(shape=None, hw=None):
@@ -47,8 +42,12 @@ def planar_2r():
     return Model(name="2r", links=links, frames=frames).validate()
 
 
-def mixed_chain():
-    """Branching chain with revolute and prismatic joints."""
+def branching_chain():
+    """Chain that branches at link a into b (then d) and c.
+
+    b and c share a depth level with different axes, so one batched
+    level turns joints about different axes.
+    """
     links = (
         Link("base", Box(0.2, 0.15, 0.1), LinkHardware(900.0)),
         Link("a", Cylinder(0.04, 0.3), LinkHardware(1500.0), parent=0,
@@ -56,8 +55,8 @@ def mixed_chain():
         Link("b", Cylinder(0.03, 0.25), LinkHardware(2000.0), parent=1,
              joint=joint([1, 0, 0], [0, 0, 0.3], rpy=(0, -0.3, 0.1))),
         Link("c", Sphere(0.05), LinkHardware(800.0), parent=1,
-             joint=joint([0, 0, 1], [0, 0.02, 0.3], kind=PRI,
-                         limits=(-0.5, 0.5))),
+             joint=joint([0, 0, 1], [0, 0.02, 0.3], rpy=(0.4, 0, 0),
+                         limits=(-1.5, 1.5))),
         Link("d", Box(0.06, 0.04, 0.2), LinkHardware(1100.0), parent=2,
              joint=joint([0, 1, 0], [0, 0, 0.25])),
     )
@@ -112,12 +111,8 @@ def loop_point_jacobian(model, tree, link_idx, point_w):
             ang_cols[6 + j] = zeros3
             continue
         a = tree.axis_w[j]
-        if model.links[j + 1].joint.kind == REV:
-            lin_cols[6 + j] = fad.cross3(a, point_w - tree.pivot_w[j])
-            ang_cols[6 + j] = a
-        else:
-            lin_cols[6 + j] = a
-            ang_cols[6 + j] = zeros3
+        lin_cols[6 + j] = fad.cross3(a, point_w - tree.pivot_w[j])
+        ang_cols[6 + j] = a
     return fad.concatenate([fad.stack(lin_cols, axis=1),
                             fad.stack(ang_cols, axis=1)], axis=0)
 
@@ -142,15 +137,9 @@ def loop_kinematics(model, q):
         p_joint = pp + Rp @ offset
         R_pre = Rp @ j.rotation
         sj = q.s[i - 1]
-        if j.kind == REV:
-            R_i = R_pre @ (np.eye(3) + fad.sin(sj) * j.K
-                           + (1.0 - fad.cos(sj)) * j.K2)
-            p_i = p_joint
-        else:
-            R_i = R_pre
-            p_i = p_joint + R_pre @ (j.axis * sj)
-        rot.append(R_i)
-        pos.append(p_i)
+        rot.append(R_pre @ (np.eye(3) + fad.sin(sj) * j.K
+                            + (1.0 - fad.cos(sj)) * j.K2))
+        pos.append(p_joint)
         axis_w.append(R_pre @ j.axis)
         pivot_w.append(p_joint)
     if not axis_w:
@@ -178,11 +167,8 @@ def loop_gravity_vector(model, tree):
     for j in range(model.n_joints):
         i = j + 1
         a = tree.axis_w[j]
-        if model.links[i].joint.kind == REV:
-            u = csub[i] - msub[i] * tree.pivot_w[j]
-            joint_rows.append(GRAVITY * (a[0] * u[1] - a[1] * u[0]))
-        else:
-            joint_rows.append(GRAVITY * msub[i] * a[2])
+        u = csub[i] - msub[i] * tree.pivot_w[j]
+        joint_rows.append(GRAVITY * (a[0] * u[1] - a[1] * u[0]))
     if joint_rows:
         rows.append(fad.stack(joint_rows))
     return fad.concatenate(rows)
@@ -200,10 +186,8 @@ def crba_mass_matrix(model, tree):
         comp[par] = comp[par] + V.T @ comp[i] @ V
 
     def motion_vector(j):
-        a = np.asarray(fad.value(tree.axis_w[j]))
-        if model.links[j + 1].joint.kind == REV:
-            return np.concatenate([np.zeros(3), a])
-        return np.concatenate([a, np.zeros(3)])
+        return np.concatenate([np.zeros(3),
+                               np.asarray(fad.value(tree.axis_w[j]))])
 
     n = model.n_joints
     M = np.zeros((6 + n, 6 + n))
@@ -262,16 +246,16 @@ def seeded_configurations(model, q):
 
 class TestForwardKinematics:
     def test_base_pose_is_configuration(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         q = random_configuration(model, rng)
-        R, p = forward_kinematics(model, q, "base")
+        R, p = kinematics(model, q).frame_pose("base")
         np.testing.assert_array_equal(R, q.base_rot)
         np.testing.assert_array_equal(p, q.base_pos)
 
     def test_zero_angle_child_is_fixed_offset(self):
         model = planar_2r()
         q = Configuration.neutral(model)
-        R, p = forward_kinematics(model, q, "l2")
+        R, p = kinematics(model, q).frame_pose("l2")
         np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
         np.testing.assert_allclose(p, [1, 0, 0], atol=1e-15)
 
@@ -279,19 +263,20 @@ class TestForwardKinematics:
         model = planar_2r()
         q = Configuration(np.zeros(3), np.eye(3),
                           np.array([np.pi / 2, np.pi / 2]))
-        _, p = forward_kinematics(model, q, "ee")
+        _, p = kinematics(model, q).frame_pose("ee")
         np.testing.assert_allclose(p, [-1.0, 1.0, 0.0], atol=1e-12)
 
     def test_unknown_frame(self):
+        model = planar_2r()
         with pytest.raises(UnknownFrameError):
-            forward_kinematics(planar_2r(), Configuration.neutral(planar_2r()),
-                               "nope")
+            kinematics(model, Configuration.neutral(model)).frame_pose("nope")
 
 
 class TestLevelKinematics:
     def test_matches_per_link_loop(self, rng):
-        # b (revolute) and c (prismatic) share mixed_chain's depth-2 level
-        for model in (mixed_chain(), planar_2r(), single_body(),
+        # b and c turn about different axes on branching_chain's depth-2
+        # level
+        for model in (branching_chain(), planar_2r(), single_body(),
                       dual_length_robot()):
             for _ in range(3):
                 q = random_configuration(model, rng)
@@ -307,7 +292,7 @@ class TestLevelKinematics:
                         assert_same(tree.pos[i], pos[i])
 
     def test_stacked_shapes(self):
-        model = mixed_chain()
+        model = branching_chain()
         tree = kinematics(model, Configuration.neutral(model))
         assert tree.rot.shape == (5, 3, 3) and tree.pos.shape == (5, 3)
         assert tree.axis_w.shape == tree.pivot_w.shape == (4, 3)
@@ -319,7 +304,7 @@ class TestLevelKinematics:
 class TestFrameJacobian:
     def test_tuple_matches_single_frames(self, rng):
         # frames on different branches, a link frame and the base
-        cases = ((mixed_chain(), ("tip", "side", "base", "c")),
+        cases = ((branching_chain(), ("tip", "side", "base", "c")),
                  (dual_length_robot(), ("palm_left", "sole_right", "pelvis",
                                         "palm_right", "forearm_left")))
         for model, names in cases:
@@ -327,32 +312,31 @@ class TestFrameJacobian:
                 q = random_configuration(model, rng)
                 for qd in seeded_configurations(model, q):
                     tree = kinematics(model, qd)
-                    J = frame_jacobian(model, qd, names, tree)
+                    J = frame_jacobian(tree, names)
                     assert J.shape == (len(names), 6, 6 + model.n_joints)
                     for k, name in enumerate(names):
-                        assert_same(J[k], frame_jacobian(model, qd, name,
-                                                         tree))
+                        assert_same(J[k], frame_jacobian(tree, name))
 
     def test_unknown_frame_in_tuple(self):
-        model = mixed_chain()
+        model = branching_chain()
         with pytest.raises(UnknownFrameError):
-            frame_jacobian(model, Configuration.neutral(model),
+            frame_jacobian(kinematics(model, Configuration.neutral(model)),
                            ("tip", "nope"))
 
     def test_base_frame_identity(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         q = random_configuration(model, rng)
-        J = frame_jacobian(model, q, "base")
+        J = frame_jacobian(kinematics(model, q), "base")
         np.testing.assert_allclose(J[:, :6], np.eye(6), atol=1e-12)
         np.testing.assert_allclose(J[:, 6:], 0.0, atol=1e-15)
 
     def test_finite_difference_agreement(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         h = 1e-7
         for _ in range(100):
             q = random_configuration(model, rng)
             tree = kinematics(model, q)
-            J = np.asarray(frame_jacobian(model, q, "tip", tree))
+            J = np.asarray(frame_jacobian(tree, "tip"))
             d = rng.normal(size=6 + model.n_joints)
             Rp, pp = kinematics(model, perturb_configuration(q, h * d)), None
             Rm = kinematics(model, perturb_configuration(q, -h * d))
@@ -364,11 +348,11 @@ class TestFrameJacobian:
             assert np.linalg.norm(lin - lin_fd) / denom <= 1e-5
 
     def test_angular_rows_match_rotation_rate(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         h = 1e-7
         for _ in range(20):
             q = random_configuration(model, rng)
-            J = np.asarray(frame_jacobian(model, q, "tip"))
+            J = np.asarray(frame_jacobian(kinematics(model, q), "tip"))
             d = rng.normal(size=6 + model.n_joints)
             R_plus, _ = kinematics(
                 model, perturb_configuration(q, h * d)).frame_pose("tip")
@@ -383,10 +367,10 @@ class TestFrameJacobian:
             assert np.linalg.norm(w - w_fd) / denom <= 1e-5
 
     def test_off_path_columns_are_zero(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         q = random_configuration(model, rng)
         # frame "side" rides link c (dof 2); dofs 1 ("b") and 3 ("d") are off path
-        J = np.asarray(frame_jacobian(model, q, "side"))
+        J = np.asarray(frame_jacobian(kinematics(model, q), "side"))
         np.testing.assert_array_equal(J[:, 6 + 1], np.zeros(6))
         np.testing.assert_array_equal(J[:, 6 + 3], np.zeros(6))
         assert np.abs(J[:, 6 + 2]).max() > 0
@@ -395,8 +379,8 @@ class TestFrameJacobian:
     def test_matches_joint_loop_reference(self, rng):
         # the masked kernel does the loop's arithmetic element for element
         lm = fad.seed(np.array([1.3]))[0]
-        for model in (mixed_chain(), payload_body(),
-                      apply_hardware(mixed_chain(), {
+        for model in (branching_chain(), payload_body(),
+                      apply_hardware(branching_chain(), {
                           "a": LinkHardware(1500.0, lm)}, validate=False)):
             for _ in range(5):
                 q = random_configuration(model, rng)
@@ -406,9 +390,8 @@ class TestFrameJacobian:
                               for i in range(len(model.links))]
                     points += [(f.link, tree.frame_pose(f.name)[1])
                                for f in model.frames]
-                    jacs = [frame_jacobian(model, qd, l.name, tree)
-                            for l in model.links]
-                    jacs += [frame_jacobian(model, qd, f.name, tree)
+                    jacs = [frame_jacobian(tree, l.name) for l in model.links]
+                    jacs += [frame_jacobian(tree, f.name)
                              for f in model.frames]
                     for (i, p), J in zip(points, jacs):
                         ref = loop_point_jacobian(model, tree, i, p)
@@ -464,27 +447,27 @@ class TestStackedPostures:
     """A leading stack axis gives each posture's own result, bit for bit."""
 
     def test_passes_match_per_posture(self, rng):
-        cases = ((mixed_chain(), ("tip", "side", "base", "c")),
+        cases = ((branching_chain(), ("tip", "side", "base", "c")),
                  (dual_length_robot(), ("palm_left", "sole_right", "pelvis",
                                         "palm_right", "forearm_left")))
         for model, names in cases:
             qs = [random_configuration(model, rng) for _ in range(3)]
             for stack, singles in stacked_configurations(model, qs):
                 tree = kinematics(model, stack)
-                J = frame_jacobian(model, stack, names, tree)
+                J = frame_jacobian(tree, names)
                 R, p = tree.frame_poses(names)
-                g = gravity_vector(model, stack, tree)
+                g = gravity_vector(tree)
                 assert tree.rot.shape == (3, len(model.links), 3, 3)
                 assert J.shape == (3, len(names), 6, 6 + model.n_joints)
                 for k, q in enumerate(singles):
                     one = kinematics(model, q)
                     for name in ("rot", "pos", "axis_w", "pivot_w"):
                         assert_row(getattr(tree, name), k, getattr(one, name))
-                    assert_row(J, k, frame_jacobian(model, q, names, one))
+                    assert_row(J, k, frame_jacobian(one, names))
                     R1, p1 = one.frame_poses(names)
                     assert_row(R, k, R1)
                     assert_row(p, k, p1)
-                    assert_row(g, k, gravity_vector(model, q, one))
+                    assert_row(g, k, gravity_vector(one))
 
     def test_frame_poses_match_link_poses(self, rng):
         model = dual_length_robot()
@@ -507,7 +490,7 @@ class TestContractions:
     """generalized_force and frame_twists against the frame Jacobians."""
 
     def test_match_jacobian_products(self, rng):
-        cases = ((mixed_chain(), ("tip", "side", "c")),
+        cases = ((branching_chain(), ("tip", "side", "c")),
                  (dual_length_robot(), ("palm_left", "sole_right",
                                         "sole_left", "forearm_left")),
                  (payload_body(), ("grip", "box")))
@@ -517,7 +500,7 @@ class TestContractions:
             nu = rng.normal(size=(2, 6 + model.n_joints))
             for stack, _ in stacked_configurations(model, qs):
                 tree = kinematics(model, stack)
-                J = frame_jacobian(model, stack, names, tree)
+                J = frame_jacobian(tree, names)
                 force = generalized_force(tree, names, w)
                 twists = frame_twists(tree, names, nu)
                 ref_force = fad.value(J).swapaxes(-1, -2)
@@ -542,45 +525,43 @@ class TestMassMatrix:
     def test_matches_composite_rigid_body_reference(self, rng):
         # the sum over links reorders the arithmetic of the CRBA walk
         rtol = 1e-12
-        for model in (mixed_chain(), planar_2r(), single_body(),
+        for model in (branching_chain(), planar_2r(), single_body(),
                       default_robot()):
             for _ in range(5):
                 q = random_configuration(model, rng)
                 tree = kinematics(model, q)
-                M = mass_matrix(model, q, tree)
+                M = mass_matrix(tree)
                 ref = crba_mass_matrix(model, tree)
                 assert np.abs(M - ref).max() <= rtol * np.abs(ref).max()
 
     def test_single_floating_body(self, rng):
         model = single_body()
         q = random_configuration(model, rng)
-        M = mass_matrix(model, q)
+        M = mass_matrix(kinematics(model, q))
         expected = mixed_inertia_world(model.links[0], q.base_rot)
         np.testing.assert_allclose(M, expected, atol=1e-12)
 
     def test_symmetry_and_positive_definite(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         for _ in range(25):
             q = random_configuration(model, rng)
-            M = mass_matrix(model, q)
+            M = mass_matrix(kinematics(model, q))
             assert np.abs(M - M.T).max() <= 1e-9
             assert np.linalg.eigvalsh(M).min() > 0
 
     def test_kinetic_energy_oracle(self, rng):
         # independent route: sum per-link 1/2 v^T M_link v with v from the
         # link Jacobians
-        model = mixed_chain()
+        model = branching_chain()
         for _ in range(10):
             q = random_configuration(model, rng)
             tree = kinematics(model, q)
-            M = mass_matrix(model, q)
-            # a prebuilt tree gives the same matrix bit for bit
-            np.testing.assert_array_equal(mass_matrix(model, q, tree), M)
+            M = mass_matrix(tree)
             nu = rng.normal(size=6 + model.n_joints)
             ke_mass = 0.5 * nu @ M @ nu
             ke_links = 0.0
             for i, link in enumerate(model.links):
-                J = np.asarray(frame_jacobian(model, q, link.name, tree))
+                J = np.asarray(frame_jacobian(tree, link.name))
                 v = J @ nu
                 Mi = mixed_inertia_world(link, np.asarray(tree.rot[i]))
                 ke_links += 0.5 * v @ Mi @ v
@@ -591,13 +572,13 @@ class TestGravityVector:
     def test_matches_subtree_loop(self, rng):
         # one subtree matmul reorders the loop's sums
         rtol = 1e-12
-        for model in (mixed_chain(), planar_2r(), single_body(),
+        for model in (branching_chain(), planar_2r(), single_body(),
                       payload_body(), dual_length_robot()):
             for _ in range(3):
                 q = random_configuration(model, rng)
                 for qd in seeded_configurations(model, q):
                     tree = kinematics(model, qd)
-                    g = gravity_vector(model, qd, tree)
+                    g = gravity_vector(tree)
                     ref = loop_gravity_vector(model, tree)
                     ndir = max(getattr(g, "ndir", 0), getattr(ref, "ndir", 0))
                     for a, b in ((fad.value(g), fad.value(ref)),
@@ -608,15 +589,16 @@ class TestGravityVector:
     def test_weightless_limit(self, rng):
         links = tuple(
             Link(l.name, l.shape, LinkHardware(1e-9, l.hardware.length_multiplier),
-                 l.parent, l.joint) for l in mixed_chain().links)
+                 l.parent, l.joint) for l in branching_chain().links)
         model = Model(name="air", links=links)
         q = random_configuration(model, rng)
-        assert np.abs(np.asarray(gravity_vector(model, q))).max() <= 1e-8
+        g = gravity_vector(kinematics(model, q))
+        assert np.abs(np.asarray(g)).max() <= 1e-8
 
     def test_single_body_rows(self, rng):
         model = single_body()
         q = random_configuration(model, rng)
-        g = np.asarray(gravity_vector(model, q))
+        g = np.asarray(gravity_vector(kinematics(model, q)))
         link = model.links[0]
         m = float(shape_mass(link.shape, link.hardware))
         c_w = q.base_rot @ np.asarray(shape_com(link.shape, link.hardware))
@@ -625,16 +607,16 @@ class TestGravityVector:
             g[3:6], GRAVITY * np.cross(m * c_w, [0, 0, 1]), atol=1e-12)
 
     def test_potential_energy_gradient_oracle(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         h = 1e-6
 
         def potential(q):
-            c, total = com(model, q)
+            c, total = com(kinematics(model, q))
             return float(total * GRAVITY * np.asarray(c)[2])
 
         for _ in range(20):
             q = random_configuration(model, rng)
-            g = np.asarray(gravity_vector(model, q))
+            g = np.asarray(gravity_vector(kinematics(model, q)))
             for j in rng.choice(model.n_joints, size=2, replace=False):
                 d = np.zeros(6 + model.n_joints)
                 d[6 + j] = 1.0
@@ -646,20 +628,20 @@ class TestGravityVector:
     def test_matches_jacobian_sum(self, rng):
         # second independent route: g = -sum_i J_i^T w_i with the gravity
         # wrench of each link expressed at its origin
-        model = mixed_chain()
+        model = branching_chain()
         q = random_configuration(model, rng)
         tree = kinematics(model, q)
         g_sum = np.zeros(6 + model.n_joints)
         for i, link in enumerate(model.links):
-            J = np.asarray(frame_jacobian(model, q, link.name, tree))
+            J = np.asarray(frame_jacobian(tree, link.name))
             m = float(shape_mass(link.shape, link.hardware))
             c_w = np.asarray(tree.rot[i]) @ np.asarray(
                 shape_com(link.shape, link.hardware))
             f = np.array([0.0, 0, -m * GRAVITY])
             w = np.concatenate([f, np.cross(c_w, f)])
             g_sum -= J.T @ w
-        np.testing.assert_allclose(np.asarray(gravity_vector(model, q)),
-                                   g_sum, atol=1e-10)
+        np.testing.assert_allclose(np.asarray(gravity_vector(tree)), g_sum,
+                                   atol=1e-10)
 
 
 def check_mount(point, R, p, offset, lm):
@@ -680,19 +662,18 @@ def check_mount(point, R, p, offset, lm):
 
 class TestApplyHardware:
     def test_identity_is_bitwise_noop(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         same = apply_hardware(
             model, {"a": model.links[1].hardware})
         q = random_configuration(model, rng)
-        np.testing.assert_array_equal(
-            np.asarray(forward_kinematics(model, q, "tip")[1]),
-            np.asarray(forward_kinematics(same, q, "tip")[1]))
-        np.testing.assert_array_equal(mass_matrix(model, q),
-                                      mass_matrix(same, q))
+        tree, same_tree = kinematics(model, q), kinematics(same, q)
+        np.testing.assert_array_equal(tree.frame_pose("tip")[1],
+                                      same_tree.frame_pose("tip")[1])
+        np.testing.assert_array_equal(mass_matrix(tree), mass_matrix(same_tree))
 
     def test_child_offset_scales_along_parent_axis(self, rng):
         # b and c hang from a at [0, 0, 0.3] and [0, 0.02, 0.3]
-        model = mixed_chain()
+        model = branching_chain()
         for lm in (2.0, fad.seed(np.array([2.0]))[0]):
             scaled = apply_hardware(model, {"a": LinkHardware(1500.0, lm)})
             for q in (Configuration.neutral(model),
@@ -703,17 +684,16 @@ class TestApplyHardware:
                                 tree.pos[1], model.links[i].joint.offset, lm)
 
     def test_density_change_keeps_kinematics(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         heavier = apply_hardware(model, {"b": LinkHardware(4000.0, 1.0)})
         q = random_configuration(model, rng)
-        np.testing.assert_array_equal(
-            np.asarray(forward_kinematics(model, q, "tip")[1]),
-            np.asarray(forward_kinematics(heavier, q, "tip")[1]))
-        assert not np.array_equal(mass_matrix(model, q),
-                                  mass_matrix(heavier, q))
+        tree, heavy_tree = kinematics(model, q), kinematics(heavier, q)
+        np.testing.assert_array_equal(tree.frame_pose("tip")[1],
+                                      heavy_tree.frame_pose("tip")[1])
+        assert not np.array_equal(mass_matrix(tree), mass_matrix(heavy_tree))
 
     def test_total_mass_bookkeeping(self):
-        model = mixed_chain()
+        model = branching_chain()
         params = {"a": LinkHardware(3000.0, 1.4), "d": LinkHardware(600.0, 0.7)}
         scaled = apply_hardware(model, params)
         expected = sum(
@@ -723,7 +703,7 @@ class TestApplyHardware:
 
     def test_frame_offset_scales_with_its_link(self, rng):
         # tip sits on d at [0, 0, 0.2]
-        model = mixed_chain()
+        model = branching_chain()
         for lm in (1.5, fad.seed(np.array([1.5]))[0]):
             scaled = apply_hardware(model, {"d": LinkHardware(1100.0, lm)})
             for q in (Configuration.neutral(model),
@@ -752,7 +732,7 @@ class TestApplyHardware:
                 assert l is l0
 
     def test_topology_tables_built_on_first_use(self):
-        model = mixed_chain()
+        model = branching_chain()
         scaled = apply_hardware(model, {"a": LinkHardware(1500.0, 1.2)})
         assert "levels" not in model.topology.__dict__
         kinematics(scaled, Configuration.neutral(scaled))
@@ -760,7 +740,7 @@ class TestApplyHardware:
             [1], [2, 3], [4]]
 
     def test_errors(self):
-        model = mixed_chain()
+        model = branching_chain()
         with pytest.raises(UnknownFrameError):
             apply_hardware(model, {"nope": LinkHardware(1000.0)})
         with pytest.raises(ValueError):
@@ -818,8 +798,8 @@ class TestDerivedOnce:
             tree = kinematics(model, q)
             for f in model.frames:
                 tree.frame_pose(f.name)
-                frame_jacobian(model, q, f.name, tree)
-                frame_jacobian(model, q, f.name)
+                frame_jacobian(tree, f.name)
+                frame_jacobian(kinematics(model, q), f.name)
         assert calls == []
 
     def test_link_inertial_derives_mass_and_com_once(self, monkeypatch):
@@ -839,11 +819,11 @@ class TestDerivedOnce:
     def test_apply_hardware_derives_only_rebuilt_links(self, monkeypatch):
         robot = default_robot()
         q = Configuration.neutral(robot)
-        gravity_vector(robot, q)
+        gravity_vector(kinematics(robot, q))
         calls = counting(monkeypatch, multibody, "shape_mass")
         scaled = apply_hardware(
             robot, group_params(robot, {"upper_arm": (1500.0, 1.3)}))
-        gravity_vector(scaled, q)
+        gravity_vector(kinematics(scaled, q))
         rebuilt = [l for l, l0 in zip(scaled.links, robot.links)
                    if l is not l0]
         # the two upper arms; the forearms' joints ride them unchanged
@@ -861,7 +841,7 @@ class TestComHeight:
             model, {"ball": LinkHardware(1000.0, 1.5)}) == pytest.approx(0.3)
 
     def test_uniform_density_scaling_invariance(self):
-        model = mixed_chain()
+        model = branching_chain()
         h0 = com_height_null_config(model)
         params = {l.name: LinkHardware(3.0 * l.hardware.density,
                                        l.hardware.length_multiplier)
@@ -899,7 +879,7 @@ class TestModelValidation:
 class TestDualPathConsistency:
     def test_fk_with_dual_configuration(self, rng):
         # the same pipeline must evaluate identically under dual tracing
-        model = mixed_chain()
+        model = branching_chain()
         q = random_configuration(model, rng)
         x = np.concatenate([q.base_pos, [0.1, -0.2, 0.3], q.s])
 
@@ -912,7 +892,7 @@ class TestDualPathConsistency:
             _, p = tree.frame_pose("tip")
             return p[2]
 
-        val, grad = fad.jacobian(tip_z, x)
+        grad = tip_z(fad.seed(x)).dot
         assert np.isfinite(grad).all()
         h = 1e-6
         fd = np.zeros_like(x)
@@ -923,14 +903,14 @@ class TestDualPathConsistency:
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
     def test_gravity_vector_dual(self, rng):
-        model = mixed_chain()
+        model = branching_chain()
         q = random_configuration(model, rng)
 
         def g_first(s):
             qd = Configuration(q.base_pos, q.base_rot, s)
-            return gravity_vector(model, qd)[6]
+            return gravity_vector(kinematics(model, qd))[6]
 
-        val, grad = fad.jacobian(g_first, np.asarray(q.s))
+        grad = g_first(fad.seed(np.asarray(q.s))).dot
         h = 1e-6
         for j in range(model.n_joints):
             e = np.zeros(model.n_joints)
