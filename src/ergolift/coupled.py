@@ -264,13 +264,10 @@ def _widen(x, dirs, s):
     return x if dirs is None else fad.widen(x, dirs[0][s], dirs[1])
 
 
-def composite_gravity(sys: CoupledSystem, q: CoupledConfiguration,
-                      params: Optional[Mapping] = None, trees=None,
-                      dirs=None):
-    """Stacked generalized gravity of the subsystems; ``dirs`` as in the
-    module docstring."""
-    if trees is None:
-        trees = coupled_trees(sys, q, params)
+def composite_gravity(sys: CoupledSystem, trees, dirs=None):
+    """Stacked generalized gravity of the subsystems' trees (one per
+    subsystem, as from ``coupled_trees``); ``dirs`` as in the module
+    docstring."""
     return fad.concatenate([
         _widen(gravity_vector(t), dirs, s) for s, t in enumerate(trees)],
         axis=-1)
@@ -348,7 +345,7 @@ def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
     """Least-squares contact wrenches ``f`` with ``Q^T f = g - B tau``."""
     trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, trees)
-    g = fad.value(composite_gravity(sys, q, params, trees=trees))
+    g = fad.value(composite_gravity(sys, trees))
     U, sv, Vt = _constraint_svd(Q, sys.wrench_labels)
     return U @ ((Vt @ (g - sys.selector() @ tau)) / sv)
 
@@ -370,7 +367,7 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     if trees is None:
         trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, [t.value() for t in trees])
-    g = composite_gravity(sys, q, params, trees=trees, dirs=dirs)
+    g = composite_gravity(sys, trees, dirs)
     B = sys.selector()
     n_vel = B.shape[0]
     A, lam, f = _saddle_solve(Q, fad.value(g), B)
@@ -472,7 +469,7 @@ def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
     if trees is None:
         trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, trees)
-    g = fad.value(composite_gravity(sys, q, params, trees=trees))
+    g = fad.value(composite_gravity(sys, trees))
     B = sys.selector()
     _, _, Vt = _constraint_svd(Q, sys.wrench_labels)
     _, lam, f = _saddle_solve(Q, g, B)

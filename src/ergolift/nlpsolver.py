@@ -11,6 +11,18 @@ as a CSR matrix, so each projection onto the constraints' null space
 factors the sparse augmented system ``[[I, A^T], [A, 0]]`` (Gould,
 Hribar and Nocedal, 2001) with one sparse LU, and no dense SVD of the
 slack-extended Jacobian runs.
+
+Each point the backend visits costs one ``value_and_derivatives`` pass,
+and the solver never calls the problem's ``value``.  The constraint
+reaches trust-constr without a ``hess``, so trust-constr keeps a
+quasi-Newton model of the constraint curvature, and updating that model
+computes the constraint Jacobian at every point it evaluates, trial
+points included.  So a value pass at a point would always be followed
+by a derivative pass at the same point, and the derivative pass alone
+gives the same cost and rows.  An exact constraint ``hess`` would let
+trust-constr skip the Jacobian of a rejected trial point, where a value
+pass would then be the cheaper one; such points are rare in today's
+solves.
 """
 
 from __future__ import annotations
@@ -44,34 +56,37 @@ class SolverReport:
 
 
 class _Cache:
-    """Memoizes the last few evaluations keyed by the iterate bytes."""
+    """Memoizes the last few full evaluations keyed by the iterate bytes.
+
+    Every point gets one ``value_and_derivatives`` pass; ``value`` reads
+    its cost and constraint rows, which equal ``problem.value``'s bit for
+    bit, so no separate value pass runs (see the module docstring).
+    """
 
     def __init__(self, problem):
         self.problem = problem
-        self.values = {}
-        self.derivs = {}
+        self.evals = {}
 
     def _key(self, y):
         return np.asarray(y, dtype=float).tobytes()
 
-    def value(self, y):
+    def evaluate(self, y):
+        """Cost, gradient, constraint rows and Jacobian at y."""
         k = self._key(y)
-        if k not in self.values:
-            if len(self.values) > 64:
-                self.values.clear()
-            self.values[k] = self.problem.value(np.asarray(y, dtype=float))
-        return self.values[k]
+        if k not in self.evals:
+            if len(self.evals) > 16:
+                self.evals.clear()
+            self.evals[k] = self.problem.value_and_derivatives(
+                np.asarray(y, dtype=float))
+        return self.evals[k]
+
+    def value(self, y):
+        cost, _, cons, _ = self.evaluate(y)
+        return cost, cons
 
     def derivatives(self, y):
-        k = self._key(y)
-        if k not in self.derivs:
-            if len(self.derivs) > 16:
-                self.derivs.clear()
-            cost, grad, cons, jac = self.problem.value_and_derivatives(
-                np.asarray(y, dtype=float))
-            self.values[k] = (cost, cons)
-            self.derivs[k] = (grad, jac)
-        return self.derivs[k]
+        _, grad, _, jac = self.evaluate(y)
+        return grad, jac
 
 
 def kkt_residual(grad, jac, x, lb, ub, active_tol=1e-8):
@@ -124,14 +139,15 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
     """Minimize the problem's cost subject to its equality rows and bounds.
 
     ``problem`` is an ``ergoopt.ErgoProblem``: it provides ``lb``, ``ub``,
-    ``n_cons``, ``families``, ``value``, ``value_and_derivatives`` and the
-    Gauss-Newton ``hessian``.  Internally the variables are rescaled by a
-    quarter of their bound range, so radians, meters and densities
-    present comparable steps to the curvature model.  KKT stationarity
-    is measured in the scaled coordinates, relative to the cost gradient
-    magnitude.  The constraint Jacobian goes to trust-constr as CSR, so
-    its projections factor the sparse augmented system; ``_Cache`` and
-    ``kkt_residual`` keep it dense.
+    ``n_cons``, ``families``, ``value_and_derivatives`` and the
+    Gauss-Newton ``hessian`` (its ``value`` is never called).
+    Internally the variables are rescaled by a quarter of their bound
+    range, so radians, meters and densities present comparable steps to
+    the curvature model.  KKT stationarity is measured in the scaled
+    coordinates, relative to the cost gradient magnitude.  The
+    constraint Jacobian goes to trust-constr as CSR, so its projections
+    factor the sparse augmented system; ``_Cache`` and ``kkt_residual``
+    keep it dense.
     """
     cache = _Cache(problem)
     x0 = np.clip(np.asarray(x0, dtype=float), problem.lb, problem.ub)
@@ -164,9 +180,9 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
             return False
         y = to_y(zk)
         key = cache._key(y)
-        if key not in cache.derivs or key not in cache.values:
+        if key not in cache.evals:
             return False
-        _, cons = cache.values[key]
+        _, _, cons, _ = cache.evals[key]
         viol = float(np.abs(cons).max()) if cons.size else 0.0
         if viol > 0.5 * options.tol_feas:
             return False

@@ -10,7 +10,13 @@ The inverse kinematics runs on a stack of postures, one per target
 height: each iteration takes one whole-tree kinematics pass, one batched
 ``frame_jacobian`` and ``frame_poses`` call and one stacked
 ``np.linalg.solve`` for every height at once, and clips each height's
-step on its own.  A float height gives one unstacked posture.
+step on its own.  A float height gives one unstacked posture.  The loop
+stops once every height's step in one iteration is at most
+``IK_STEP_TOL`` long, and after 80 iterations otherwise.  Every height
+takes its step in every iteration, so one height that does not converge
+keeps the whole stack iterating to the 80th.
+``warm_start_report`` tells, per agent and height, whether the IK
+converged and how far its hands and feet ended from their targets.
 
 The inverse kinematics is deterministic, so ``warm_start_configuration``
 memoizes each agent's posture in a least-recently-used memo of
@@ -21,7 +27,8 @@ the payload it holds, and the shape and values of the heights, as the
 payload positions (a float height and a one-element array give
 different postures).  Repeated solves of one scenario, which differ
 only in their jitter seed, so run the inverse kinematics once.  The
-memo hands out the same arrays to every caller, so they are read-only.
+memo keeps each posture's ``IKReach`` with it, and hands out the same
+arrays to every caller, so they are read-only.
 """
 
 from __future__ import annotations
@@ -169,6 +176,11 @@ def _norm(v):
     return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
+# a posture's inverse kinematics has converged once its step is at most
+# this long (far below the 0.5 clip, so such a step was never clipped)
+IK_STEP_TOL = 1e-10
+
+
 def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
               damping=1e-3, posture_weight=0.05):
     """Damped least-squares IK toward frame poses and points.
@@ -178,9 +190,16 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     the Jacobians and poses of every target frame, pose targets first,
     from one batched ``frame_jacobian`` and ``frame_poses`` call; a point
     target uses only the linear rows.  Each posture's step is solved and
-    clipped to length 0.5 on its own.  Deterministic: fixed iteration
-    count and step rule.  Returns the reached configuration; callers
-    treat it as a warm start, not as an exact solve.
+    clipped to length 0.5 on its own, and every posture takes its step
+    in every iteration.  Deterministic: the loop ends once every posture
+    of the stack has taken a step of at most ``IK_STEP_TOL`` in the same
+    iteration, or after ``iters`` iterations.
+
+    Returns ``(q, converged, error)``: the reached configuration, whether
+    each posture's last step was at most ``IK_STEP_TOL``, and each
+    posture's largest distance in meters from a target frame (a hand or
+    a foot) to its target position at ``q``.  Callers treat ``q`` as a
+    warm start, not as an exact solve.
     """
     q = q0
     n = model.n_joints
@@ -195,11 +214,15 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     p_t = np.stack([np.asarray(t[0], dtype=float) for t in targets], axis=-2)
     R_t = np.stack([R for _, R, _ in pose_targets.values()])
     w = np.array([t[-1] for t in targets], dtype=float)
-    for _ in range(iters):
+    converged = np.zeros(batch, dtype=bool)
+    for it in range(iters + 1):
         tree = kinematics(model, q)
-        J = w[:, None, None] * frame_jacobian(tree, frames)
         R, p = tree.frame_poses(frames)
-        err = w[:, None] * (p_t - p)
+        gap = p_t - p
+        if it == iters or converged.all():
+            break
+        err = w[:, None] * gap
+        J = w[:, None, None] * frame_jacobian(tree, frames)
         pose_rhs = np.concatenate([
             err[..., :n_pose, :],
             w[:n_pose, None] * _orientation_error(R[..., :n_pose, :, :], R_t)],
@@ -214,11 +237,13 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
         At = np.swapaxes(A, -1, -2)
         step = np.linalg.solve(At @ A + damping * np.eye(6 + n),
                                At @ b[..., None])[..., 0]
-        step = step * (0.5 / np.maximum(_norm(step), 0.5))
+        length = _norm(step)
+        converged = length[..., 0] <= IK_STEP_TOL
+        step = step * (0.5 / np.maximum(length, 0.5))
         q = perturb_configuration(q, step)
         q = Configuration(q.base_pos, q.base_rot,
                           np.clip(q.s, lo + 1e-3, hi - 1e-3))
-    return q
+    return q, converged, _norm(gap)[..., 0].max(axis=-1)
 
 
 def _agent_warm_start(model, y_stand, yaw, grasp_world):
@@ -277,9 +302,24 @@ def _array_key(a):
     return a.shape, a.tobytes()
 
 
+@dataclass(frozen=True, eq=False)
+class IKReach:
+    """What one agent's warm-start IK reached, per posture of the stack.
+
+    ``converged`` (bool) holds where the posture's last step was at most
+    ``IK_STEP_TOL``; ``error`` is its largest distance in meters from a
+    hand or foot frame to its target position (see ``_ik_solve``).  Both
+    have the shape of the heights.
+    """
+
+    converged: np.ndarray
+    error: np.ndarray
+
+
 @functools.lru_cache(maxsize=WARM_START_MEMO_SIZE)
 def _agent_posture(model, y_side, grasps, payload_pos):
-    """One agent's warm start, memoized, as read-only arrays.
+    """One agent's warm start and its ``IKReach``, memoized, as
+    read-only arrays.
 
     ``grasps`` (the agent's [left, right] points in the payload frame)
     and ``payload_pos`` (the payload positions ``(..., 3)`` of the
@@ -289,16 +329,32 @@ def _agent_posture(model, y_side, grasps, payload_pos):
     grasps, payload_pos = (np.frombuffer(data).reshape(shape)
                            for shape, data in (grasps, payload_pos))
     yaw = y_side * (-np.pi / 2.0)  # human faces +y, robot faces -y
-    q = _agent_warm_start(model, y_side * 0.6, yaw,
-                          payload_pos[..., None, :] + grasps)
-    for a in (q.base_pos, q.base_rot, q.s):
+    q, converged, error = _agent_warm_start(
+        model, y_side * 0.6, yaw, payload_pos[..., None, :] + grasps)
+    converged, error = np.asarray(converged), np.asarray(error)
+    for a in (q.base_pos, q.base_rot, q.s, converged, error):
         a.flags.writeable = False
-    return q
+    return q, IKReach(converged, error)
 
 
 def clear_warm_start_memo():
     """Forget every memoized warm-start posture."""
     _agent_posture.cache_clear()
+
+
+def _agent_postures(scenario: Scenario, payload_pos):
+    """The memo's (posture, ``IKReach``) of the human, then the robot."""
+    return [_agent_posture(model, y_side, _array_key(grasps),
+                           _array_key(payload_pos))
+            for model, grasps, y_side in (
+                (scenario.human, scenario.grasps_human, -1.0),
+                (scenario.robot, scenario.grasps_robot, 1.0))]
+
+
+def _payload_positions(heights):
+    heights = np.asarray(heights, dtype=float)
+    zero = np.zeros(heights.shape)
+    return np.stack([zero, zero, heights], axis=-1)
 
 
 def warm_start_configuration(scenario: Scenario, sys: CoupledSystem,
@@ -315,15 +371,22 @@ def warm_start_configuration(scenario: Scenario, sys: CoupledSystem,
     ``sys`` is not read: the postures depend on the scenario alone.  The
     argument stays because existing callers pass it positionally.
     """
-    heights = np.asarray(heights, dtype=float)
-    zero = np.zeros(heights.shape)
-    payload_pos = np.stack([zero, zero, heights], axis=-1)
-    qs = [_agent_posture(model, y_side, _array_key(grasps),
-                         _array_key(payload_pos))
-          for model, grasps, y_side in (
-              (scenario.human, scenario.grasps_human, -1.0),
-              (scenario.robot, scenario.grasps_robot, 1.0))]
+    payload_pos = _payload_positions(heights)
+    batch = payload_pos.shape[:-1]
+    qs = [q for q, _ in _agent_postures(scenario, payload_pos)]
     qs.append(Configuration(payload_pos,
-                            np.broadcast_to(np.eye(3), heights.shape + (3, 3)),
-                            np.zeros(heights.shape + (0,))))
+                            np.broadcast_to(np.eye(3), batch + (3, 3)),
+                            np.zeros(batch + (0,))))
     return CoupledConfiguration(tuple(qs))
+
+
+def warm_start_report(scenario: Scenario, heights):
+    """``IKReach`` of the human and of the robot at the heights.
+
+    Reads the same memo entries as ``warm_start_configuration`` with the
+    same heights, so after it (or before it) no second IK runs.  A
+    posture that did not converge is a warm start, not an IK solution:
+    its targets may be out of the agent's reach.
+    """
+    return tuple(reach for _, reach in
+                 _agent_postures(scenario, _payload_positions(heights)))

@@ -33,7 +33,7 @@ def composite_matrices(sys, q, params=None):
     for i, t in enumerate(trees):
         sl = slice(int(offsets[i]), int(offsets[i + 1]))
         M[sl, sl] = mass_matrix(t)
-    g = np.asarray(composite_gravity(sys, q, params, trees=trees))
+    g = np.asarray(composite_gravity(sys, trees))
     return M, g, sys.selector()
 
 
@@ -91,7 +91,7 @@ def dual_coupling_statics(sys, q, params):
     """Torques and wrenches of one posture, tangents through the Dual Q."""
     trees = coupled_trees(sys, q, params)
     Q = dual_coupling_matrix(sys, trees)
-    g = composite_gravity(sys, q, params, trees=trees)
+    g = composite_gravity(sys, trees)
     B = sys.selector()
     n_vel = B.shape[0]
     A, lam, f = _saddle_solve(Q.val, g.val, B)
@@ -419,8 +419,9 @@ class TestContactWrenches:
         q = perturbed(sys, q0, rng)
         tau = static_torques(sys, q)
         f = contact_wrenches(sys, q, None, tau)
-        Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
-        g = np.asarray(composite_gravity(sys, q))
+        trees = coupled_trees(sys, q)
+        Q = np.asarray(coupling_matrix(sys, trees))
+        g = np.asarray(composite_gravity(sys, trees))
         resid = Q.T @ f - g
         weight = sys.payload.total_mass() * GRAVITY
         # payload block: grasp wrenches balance payload gravity exactly

@@ -167,6 +167,24 @@ def frozen_problem():
     return problem, y
 
 
+class TestValueOfTheDerivativePass:
+    """The solver reads the cost and rows of every point from its
+    derivative pass, so ``value`` must give the same numbers bit for
+    bit."""
+
+    @pytest.mark.parametrize("fixture", ["paper_problem", "frozen_problem"])
+    def test_value_equals_derivative_pass(self, fixture, request):
+        problem, y = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            yk = np.clip(y + rng.normal(size=y.size) * 0.01,
+                         problem.lb + 1e-9, problem.ub - 1e-9)
+            cost, cons = problem.value(yk)
+            d_cost, _, d_cons, _ = problem.value_and_derivatives(yk)
+            assert cost == d_cost
+            np.testing.assert_array_equal(cons, d_cons)
+
+
 class TestSubsystemDirections:
     """Each subsystem's trees carry only its own tangent directions."""
 

@@ -22,18 +22,38 @@ class BoxedProjection:
     def __init__(self, nan_constraint=False):
         self.nan_constraint = nan_constraint
 
-    def value(self, y):
+    def _cost_and_rows(self, y):
         cost = (y[0] - 1.0) ** 2 + (y[1] - 2.0) ** 2
         cons = np.array([np.nan if self.nan_constraint else y[0] - y[1]])
         return cost, cons
 
+    def value(self, y):
+        return self._cost_and_rows(y)
+
     def value_and_derivatives(self, y):
-        cost, cons = self.value(y)
+        cost, cons = self._cost_and_rows(y)
         grad = np.array([2.0 * (y[0] - 1.0), 2.0 * (y[1] - 2.0)])
         return cost, grad, cons, np.array([[1.0, -1.0]])
 
     def hessian(self, y):
         return 2.0 * np.eye(2)
+
+
+class CountingProjection(BoxedProjection):
+    """BoxedProjection that records every evaluation the solver asks for."""
+
+    def __init__(self):
+        super().__init__()
+        self.value_calls = 0
+        self.passes = []
+
+    def value(self, y):
+        self.value_calls += 1
+        return super().value(y)
+
+    def value_and_derivatives(self, y):
+        self.passes.append(np.array(y, dtype=float))
+        return super().value_and_derivatives(y)
 
 
 class TestKKTResidual:
@@ -105,3 +125,17 @@ class TestSparseJacobian:
         assert scipy.sparse.issparse(jac)
         _, _, _, dense = p.value_and_derivatives(z0 * s)
         np.testing.assert_array_equal(jac.toarray(), dense * s)
+
+
+class TestOnePassPerPoint:
+    def test_one_derivative_pass_per_point_and_no_value_pass(self):
+        """trust-constr needs the constraint Jacobian at every point it
+        evaluates, so each point gets one full pass and no value pass."""
+        p = CountingProjection()
+        rep = solve_nlp(p, np.array([0.0, 0.0]), SolverOptions(max_iter=200))
+        assert rep.status == "converged"
+        np.testing.assert_allclose(rep.x, [1.2, 1.2], atol=1e-6)
+        assert p.value_calls == 0
+        points = [y.tobytes() for y in p.passes]
+        assert len(points) > 1
+        assert len(set(points)) == len(points)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -24,6 +25,22 @@ def ik_calls(monkeypatch):
 
     monkeypatch.setattr(scenario, "_ik_solve", wrapper)
     return calls
+
+
+@pytest.fixture
+def ik_iterations(monkeypatch):
+    """Inverse kinematics iterations per model name: each iteration
+    takes one batched ``frame_jacobian`` call, and nothing else in
+    ``scenario`` calls it."""
+    counts = collections.Counter()
+    original = scenario.frame_jacobian
+
+    def wrapper(tree, *args, **kwargs):
+        counts[tree.model.name] += 1
+        return original(tree, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "frame_jacobian", wrapper)
+    return counts
 
 
 def jitter_vector(problem, jitter=0.01):
@@ -112,3 +129,74 @@ class TestWarmStartMemo:
         # the first height's postures were the least recently used
         warm_start_configuration(sc, sys, 0.8)
         assert len(ik_calls) == 2 * scenario.WARM_START_MEMO_SIZE + 2
+
+
+class TestIKStop:
+    def test_reachable_height_stops_early(self, ik_iterations):
+        sc = make_scenario(heights=(1.0,))
+        warm_start_configuration(sc, build_system(sc), 1.0)
+        assert 0 < ik_iterations[sc.robot.name] < 80
+        _, robot = scenario.warm_start_report(sc, 1.0)
+        assert robot.converged
+
+    def test_more_iterations_move_no_coordinate(self, monkeypatch):
+        runs = []
+        original = scenario._ik_solve
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            runs.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(scenario, "_ik_solve", wrapper)
+        sc = make_scenario(heights=(1.0,))
+        warm_start_configuration(sc, build_system(sc), np.array([1.0]))
+        assert len(runs) == 2
+        # a step tolerance no step meets: all 80 iterations run
+        monkeypatch.setattr(scenario, "IK_STEP_TOL", -1.0)
+        for (model, _, *targets), kwargs, (q, converged, _) in runs:
+            assert converged.all()
+            again, _, _ = original(model, q, *targets, **kwargs)
+            for name in FIELDS:
+                moved = np.abs(getattr(again, name) - getattr(q, name))
+                assert moved.max() <= 1e-9
+
+    def test_paper_stack_runs_every_iteration(self, ik_iterations):
+        # the human at 0.8 m and the robot at 1.2 and 1.5 m never
+        # converge, so each agent's stack runs the whole cap
+        sc = make_scenario()
+        warm_start_configuration(sc, build_system(sc), np.array(sc.heights))
+        assert ik_iterations == {sc.human.name: 80, sc.robot.name: 80}
+
+
+class TestWarmStartReport:
+    def test_paper_heights(self):
+        sc = make_scenario()
+        human, robot = scenario.warm_start_report(sc, np.array(sc.heights))
+        np.testing.assert_array_equal(human.converged,
+                                      [False, True, True, True])
+        np.testing.assert_array_equal(robot.converged,
+                                      [True, True, False, False])
+        for reach in (human, robot):
+            assert reach.error.shape == (4,)
+            assert reach.error[reach.converged].max() <= 2.5e-3
+        # out of reach: the hands end centimeters from their grasp points
+        np.testing.assert_allclose(human.error[0], 0.0278, rtol=0.05)
+        np.testing.assert_allclose(robot.error[2:], [0.0265, 0.129],
+                                   rtol=0.05)
+
+    def test_no_ik_on_a_memo_hit(self, ik_calls):
+        sc = make_scenario(heights=(0.9, 1.3))
+        sys = build_system(sc)
+        heights = np.array(sc.heights)
+        warm_start_configuration(sc, sys, heights)
+        reach = scenario.warm_start_report(sc, heights)
+        assert len(ik_calls) == 2
+        scenario.clear_warm_start_memo()
+        assert scenario.warm_start_report(sc, heights)[0].error.shape == (2,)
+        warm_start_configuration(sc, sys, heights)
+        assert len(ik_calls) == 4
+        for r in reach:
+            for a in (r.converged, r.error):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
