@@ -35,6 +35,11 @@ of ``lam`` gives ``Q' lam``, each a masked sum over the tree.
 (``multibody``'s batch axes), so one call serves every target height;
 ``evaluate_statics`` analyses one posture.
 
+Every center of pressure comes from ``cop_smooth``: the optimizer's CoP
+task and ``evaluate_statics``, which first refuses any foot whose
+sole-frame normal force is below ``MIN_NORMAL`` and so reports the
+unfloored CoP.
+
 Each subsystem's configuration may carry only its own tangent
 directions.  ``statics_minnorm``, ``composite_gravity`` and
 ``coupled_poses`` then take ``dirs = (rows, ndir)``: ``rows[s]`` places
@@ -61,7 +66,14 @@ import numpy as np
 from . import fad
 from .multibody import (Model, apply_hardware, frame_jacobian, frame_twists,
                         generalized_force, gravity_vector, kinematics)
-from .spatial import Wrench
+
+# a foot's sole-frame normal force (N) below which it counts as unloaded:
+# evaluate_statics refuses it and cop_smooth floors it here
+MIN_NORMAL = 1.0
+
+# the contact rows are dependent once the coupling matrix's smallest
+# singular value is at most this share of its largest
+RANK_TOL = 1e-10
 
 
 class SingularConstraintError(ValueError):
@@ -73,7 +85,8 @@ class SingularConstraintError(ValueError):
 
 
 class UnloadedFootError(ValueError):
-    """A center of pressure was requested for an unloaded foot."""
+    """A foot carries a normal force below ``MIN_NORMAL``, so it has no
+    center of pressure; the message names its wrench label and force."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,18 +305,19 @@ def coupled_poses(sys: CoupledSystem, trees, dirs=None):
 # statics
 
 
-def _constraint_svd(Q: np.ndarray, labels=None, rel_tol=1e-10):
+def _constraint_svd(Q: np.ndarray, labels):
     """Thin SVD of the coupling matrix; fails when its rows are dependent.
 
     The rows of the returned ``Vt`` are an orthonormal basis of
     ``range(Q^T)``, the generalized forces the contacts can exert.
-    Raises SingularConstraintError naming the dominant constraint rows
-    when the contact set is rank deficient.
+    Raises SingularConstraintError naming (by ``labels``, one per 6-row
+    block) the dominant constraint rows when the contact set is rank
+    deficient, that is when ``sv[-1] <= RANK_TOL * sv[0]``.
     """
     U, sv, Vt = np.linalg.svd(Q, full_matrices=False)
-    if sv.size and sv[-1] <= rel_tol * sv[0]:
+    if sv.size and sv[-1] <= RANK_TOL * sv[0]:
         bad = np.argsort(-np.abs(U[:, -1]))[:6]
-        names = [labels[b // 6] if labels else f"row {b}" for b in sorted(bad)]
+        names = [labels[b // 6] for b in sorted(bad)]
         raise SingularConstraintError(
             "rank-deficient contact constraints; dominant rows: "
             + ", ".join(dict.fromkeys(names)))
@@ -411,60 +425,36 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
 # center of pressure
 
 
-def center_of_pressure(foot_wrench: Wrench, min_normal: float = 1.0):
-    """CoP [-tau_y / f_z, tau_x / f_z] of a wrench given in the sole frame."""
-    fz = float(foot_wrench.force[2])
-    if fz < min_normal:
-        raise UnloadedFootError(
-            f"foot normal force {fz:.3f} N below {min_normal} N")
-    return np.array([-foot_wrench.torque[1] / fz,
-                     foot_wrench.torque[0] / fz])
-
-
-def cop_smooth(wrench6, sole_rot, min_normal: float = 1.0):
+def cop_smooth(wrench6, sole_rot):
     """Differentiable CoP of mixed-frame wrenches, normal force floored.
 
     ``wrench6`` ``(..., 6)`` and ``sole_rot`` ``(..., 3, 3)`` give CoPs
-    ``(..., 2)``.  The floor only engages for (physically meaningless)
-    unloaded feet, keeping solver iterates finite; at any reported
-    solution the foot load is far above it and the value matches
-    ``center_of_pressure``.
+    ``(..., 2)``: ``[-tau_y / f_z, tau_x / f_z]`` of the wrench in the
+    sole frame, with ``f_z`` floored at ``MIN_NORMAL``.  The floor only
+    engages for (physically meaningless) unloaded feet, keeping solver
+    iterates finite; ``evaluate_statics`` refuses such feet, so the CoPs
+    it reports are never floored.
     """
     Rt = fad.mT(sole_rot)
     f_sole = (Rt @ wrench6[..., :3, None])[..., 0]
     t_sole = (Rt @ wrench6[..., 3:, None])[..., 0]
-    fz = fad.maximum(f_sole[..., 2], min_normal)
+    fz = fad.maximum(f_sole[..., 2], MIN_NORMAL)
     return fad.stack([-t_sole[..., 1] / fz, t_sole[..., 0] / fz], axis=-1)
-
-
-def foot_cops(sys: CoupledSystem, q: CoupledConfiguration,
-              params: Optional[Mapping], f: np.ndarray,
-              min_normal: float = 1.0, trees=None):
-    """CoP per environment contact of one posture, keyed by wrench label."""
-    if trees is None:
-        trees = coupled_trees(sys, q, params)
-    R, _ = coupled_poses(sys, trees)
-    R = fad.value(R)[sys.frame_slots[0]]
-    out = {}
-    labels = sys.wrench_labels
-    for k, (_, frame) in enumerate(sys.env_contacts):
-        w = fad.value(f[6 * k: 6 * k + 6])
-        wrench = Wrench(R[k].T @ w[:3], R[k].T @ w[3:], frame=frame)
-        out[labels[k]] = center_of_pressure(wrench, min_normal)
-    return out
 
 
 def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
                      params: Optional[Mapping] = None,
-                     min_normal: float = 1.0, trees=None) -> StaticsResult:
+                     trees=None) -> StaticsResult:
     """Full static analysis from the saddle system, with residual checks.
 
     ``projected_residual`` is the largest entry of the part of
     ``g - B tau`` off ``range(Q^T)``, which no contact wrench can
     balance; ``equilibrium_residual`` is the largest entry of
-    ``B tau + Q^T f - g``.  Raises SingularConstraintError for a
-    rank-deficient contact set or a body held by no contact, and
-    UnloadedFootError when a foot carries less than ``min_normal``.
+    ``B tau + Q^T f - g``.  ``cops`` maps each environment contact's
+    wrench label to its ``cop_smooth`` CoP.  Raises
+    SingularConstraintError for a rank-deficient contact set or a body
+    held by no contact, and UnloadedFootError, naming the first such
+    foot, when a foot's sole-frame normal force is below ``MIN_NORMAL``.
     """
     if trees is None:
         trees = coupled_trees(sys, q, params)
@@ -477,6 +467,17 @@ def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
     r = g - B @ tau
     proj = float(np.abs(r - Vt.T @ (Vt @ r)).max())
     full = float(np.abs(B @ tau + Q.T @ f - g).max())
-    cops = foot_cops(sys, q, params, f, min_normal, trees=trees)
+    env = sys.frame_slots[0]
+    R = coupled_poses(sys, trees)[0][env]
+    w = f[:6 * len(env)].reshape(len(env), 6)
+    fz = (fad.mT(R) @ w[:, :3, None])[:, 2, 0]
+    labels = sys.wrench_labels[:len(env)]
+    unloaded = np.flatnonzero(fz < MIN_NORMAL)
+    if unloaded.size:
+        k = unloaded[0]
+        raise UnloadedFootError(
+            f"{labels[k]}: sole normal force {fz[k]:.3f} N below "
+            f"{MIN_NORMAL} N")
+    cops = dict(zip(labels, cop_smooth(w, R)))
     return StaticsResult(tau=tau, wrenches=f, cops=cops,
                          projected_residual=proj, equilibrium_residual=full)

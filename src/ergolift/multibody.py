@@ -640,16 +640,11 @@ def _point_jacobians(tree, links, points):
 
 
 def frame_jacobian(tree: KinTree, frames):
-    """Mixed Jacobians mapping nu to frames' world twists.
-
-    ``frames`` names one frame (or link), giving ``(..., 6, 6 + n)``, or
-    is a tuple of names, giving ``(..., F, 6, 6 + n)`` from one batched
-    pass.
-    """
-    single = isinstance(frames, str)
-    links, _, _, points = tree._mounts((frames,) if single else tuple(frames))
-    J = _point_jacobians(tree, links, points)
-    return J[..., 0, :, :] if single else J
+    """Mixed Jacobians ``(..., F, 6, 6 + n)`` mapping nu to the world
+    twists of the frames (or links) named in the tuple ``frames``, from
+    one batched pass."""
+    links, _, _, points = tree._mounts(tuple(frames))
+    return _point_jacobians(tree, links, points)
 
 
 def generalized_force(tree: KinTree, frames, wrenches):

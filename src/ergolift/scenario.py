@@ -12,9 +12,9 @@ height: each iteration takes one whole-tree kinematics pass, one batched
 ``np.linalg.solve`` for every height at once, and clips each height's
 step on its own.  A float height gives one unstacked posture.  The loop
 stops once every height's step in one iteration is at most
-``IK_STEP_TOL`` long, and after 80 iterations otherwise.  Every height
-takes its step in every iteration, so one height that does not converge
-keeps the whole stack iterating to the 80th.
+``IK_STEP_TOL`` long, and after ``IK_ITERS`` (80) iterations otherwise.
+Every height takes its step in every iteration, so one height that does
+not converge keeps the whole stack iterating to the last.
 ``warm_start_report`` tells, per agent and height, whether the IK
 converged and how far its hands and feet ended from their targets.
 
@@ -179,10 +179,14 @@ def _norm(v):
 # a posture's inverse kinematics has converged once its step is at most
 # this long (far below the 0.5 clip, so such a step was never clipped)
 IK_STEP_TOL = 1e-10
+# the IK's iteration cap, its Levenberg-Marquardt damping and the weight
+# of the rows pulling the joints toward the reference posture
+IK_ITERS = 80
+IK_DAMPING = 1e-3
+IK_POSTURE_WEIGHT = 0.05
 
 
-def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
-              damping=1e-3, posture_weight=0.05):
+def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
     """Damped least-squares IK toward frame poses and points.
 
     ``q0`` may stack postures; target positions ``(..., 3)`` stack with
@@ -193,7 +197,7 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     clipped to length 0.5 on its own, and every posture takes its step
     in every iteration.  Deterministic: the loop ends once every posture
     of the stack has taken a step of at most ``IK_STEP_TOL`` in the same
-    iteration, or after ``iters`` iterations.
+    iteration, or after ``IK_ITERS`` iterations.
 
     Returns ``(q, converged, error)``: the reached configuration, whether
     each posture's last step was at most ``IK_STEP_TOL``, and each
@@ -206,7 +210,7 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     lo, hi = model.joint_limits()
     batch = np.shape(q0.s)[:-1]
     reg = np.zeros((n, 6 + n))
-    reg[:, 6:] = posture_weight * np.eye(n)
+    reg[:, 6:] = IK_POSTURE_WEIGHT * np.eye(n)
     reg = np.broadcast_to(reg, batch + reg.shape)
     frames = (*pose_targets, *point_targets)
     n_pose = len(pose_targets)
@@ -215,11 +219,11 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
     R_t = np.stack([R for _, R, _ in pose_targets.values()])
     w = np.array([t[-1] for t in targets], dtype=float)
     converged = np.zeros(batch, dtype=bool)
-    for it in range(iters + 1):
+    for it in range(IK_ITERS + 1):
         tree = kinematics(model, q)
         R, p = tree.frame_poses(frames)
         gap = p_t - p
-        if it == iters or converged.all():
+        if it == IK_ITERS or converged.all():
             break
         err = w[:, None] * gap
         J = w[:, None, None] * frame_jacobian(tree, frames)
@@ -233,9 +237,9 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref, iters=80,
             axis=-2)
         b = np.concatenate([pose_rhs.reshape(batch + (-1,)),
                             err[..., n_pose:, :].reshape(batch + (-1,)),
-                            posture_weight * (s_ref - q.s)], axis=-1)
+                            IK_POSTURE_WEIGHT * (s_ref - q.s)], axis=-1)
         At = np.swapaxes(A, -1, -2)
-        step = np.linalg.solve(At @ A + damping * np.eye(6 + n),
+        step = np.linalg.solve(At @ A + IK_DAMPING * np.eye(6 + n),
                                At @ b[..., None])[..., 0]
         length = _norm(step)
         converged = length[..., 0] <= IK_STEP_TOL

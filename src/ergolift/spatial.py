@@ -1,8 +1,9 @@
 """6D spatial algebra for the statics of rigid bodies.
 
 The package analyses bodies at rest, so this module holds what statics
-needs: skew matrices and rotations, wrenches, and the 6x6 spatial
-inertia with its physical-consistency checks.
+needs: skew matrices and rotations, and the 6x6 spatial inertia with
+its physical-consistency checks.  Wrenches are plain ``(..., 6)``
+arrays, ``[force; torque]``.
 
 Conventions used throughout the package:
 
@@ -13,22 +14,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fad
 
 GRAVITY = 9.81  # m/s^2, world -z
-
-
-def _ro(a, shape=None):
-    """Read-only float array (our value types are immutable)."""
-    out = np.array(a, dtype=float)
-    if shape is not None and out.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {out.shape}")
-    out.flags.writeable = False
-    return out
 
 
 # S(e_x), S(e_y), S(e_z) flattened: S(v) = sum_k v[k] S(e_k) is one
@@ -91,19 +81,6 @@ def exp_so3(w):
     if small.any():
         out = np.where(small, np.eye(3) + skew(w), out)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Wrench:
-    """6D force/torque pair with a tag naming its expression frame."""
-
-    force: np.ndarray
-    torque: np.ndarray
-    frame: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", _ro(self.force, (3,)))
-        object.__setattr__(self, "torque", _ro(self.torque, (3,)))
 
 
 def assemble_spatial_inertia(mass, com, inertia):

@@ -1,20 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
 from ergolift import fad
-from ergolift.coupled import (CoupledConfiguration, CoupledSystem,
-                              SingularConstraintError, UnloadedFootError,
-                              _constraint_svd, _saddle_solve,
-                              center_of_pressure, composite_gravity,
-                              contact_wrenches, coupled_trees, coupling_matrix,
-                              evaluate_statics, foot_cops, static_torques,
-                              statics_minnorm)
+from ergolift.coupled import (MIN_NORMAL, CoupledConfiguration,
+                              CoupledSystem, SingularConstraintError,
+                              UnloadedFootError, _constraint_svd,
+                              _saddle_solve, composite_gravity,
+                              contact_wrenches, cop_smooth, coupled_trees,
+                              coupling_matrix, evaluate_statics,
+                              static_torques, statics_minnorm)
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 frame_jacobian, group_params, mass_matrix)
 from ergolift.scenario import (build_system, make_scenario, rpy_from_matrix,
                                warm_start_configuration)
 from ergolift.shapes import Box, LinkHardware, Sphere
-from ergolift.spatial import GRAVITY, Wrench
+from ergolift.spatial import GRAVITY
 from ergolift.templates import build_payload, default_human
 
 
@@ -37,7 +39,7 @@ def composite_matrices(sys, q, params=None):
     return M, g, sys.selector()
 
 
-def nullspace_projector(M, Q, labels=None):
+def nullspace_projector(M, Q, labels):
     """Projector 1 - Q^T (Q M^-1 Q^T)^-1 Q M^-1 onto admissible dynamics."""
     n = M.shape[0]
     if Q.shape[0] == 0:
@@ -63,6 +65,28 @@ def projector_statics(sys, q, params=None):
     rhs = Q @ np.linalg.solve(M, g - B @ tau)
     f = np.linalg.solve(Q @ np.linalg.solve(M, Q.T), rhs)
     return tau, f
+
+
+# The center of pressure foot by foot, kept as the reference the stacked
+# cop_smooth of evaluate_statics is held against: each environment
+# contact's mixed wrench turned into its sole's axes, then
+# [-tau_y / f_z, tau_x / f_z].
+
+
+def sole_wrenches(sys, q, f):
+    """Force and torque of each environment contact in its sole's axes."""
+    trees = coupled_trees(sys, q)
+    out = []
+    for k, (agent, frame) in enumerate(sys.env_contacts):
+        R, _ = trees[agent].frame_pose(frame)
+        R = np.asarray(R)
+        out.append((R.T @ f[6 * k: 6 * k + 3], R.T @ f[6 * k + 3: 6 * k + 6]))
+    return out
+
+
+def reference_cop(force, torque):
+    """CoP of a wrench given in the sole frame."""
+    return np.array([-torque[1] / force[2], torque[0] / force[2]])
 
 
 # The tangent rule through a Dual coupling matrix, kept as the reference
@@ -273,7 +297,7 @@ class TestStaticTorques:
             f = contact_wrenches(sys, q, None, tau)
             M, g, B = composite_matrices(sys, q)
             Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
-            N = nullspace_projector(M, Q)
+            N = nullspace_projector(M, Q, sys.wrench_labels)
             assert np.abs(N @ (g - B @ tau)).max() <= 1e-6
             assert np.abs(B @ tau + Q.T @ f - g).max() <= 1e-6
 
@@ -371,7 +395,7 @@ class TestNullspaceProjector:
     def test_empty_constraints(self):
         M = np.diag([2.0, 3.0, 4.0])
         np.testing.assert_array_equal(
-            nullspace_projector(M, np.zeros((0, 3))), np.eye(3))
+            nullspace_projector(M, np.zeros((0, 3)), ()), np.eye(3))
 
     def test_idempotent_and_annihilates(self, desk, rng):
         _, sys, q0 = desk
@@ -379,7 +403,7 @@ class TestNullspaceProjector:
             q = perturbed(sys, q0, rng)
             M, _, _ = composite_matrices(sys, q)
             Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
-            N = nullspace_projector(M, Q)
+            N = nullspace_projector(M, Q, sys.wrench_labels)
             assert np.abs(N @ N - N).max() <= 1e-8
             assert np.abs(N @ Q.T).max() <= 1e-8
 
@@ -430,36 +454,36 @@ class TestContactWrenches:
 
 class TestCenterOfPressure:
     def test_centered_load(self):
-        w = Wrench(np.array([0.0, 0, 100.0]), np.zeros(3))
-        np.testing.assert_array_equal(center_of_pressure(w), [0.0, 0.0])
+        w = np.array([0.0, 0, 100.0, 0, 0, 0])
+        np.testing.assert_array_equal(cop_smooth(w, np.eye(3)), [0.0, 0.0])
 
     def test_formula(self):
-        w = Wrench(np.array([0.0, 0, 100.0]), np.array([0.0, -5.0, 0.0]))
-        cop = center_of_pressure(w)
+        w = np.array([0.0, 0, 100.0, 0.0, -5.0, 0.0])
+        cop = cop_smooth(w, np.eye(3))
         assert cop[0] == pytest.approx(0.05)
         assert cop[1] == pytest.approx(0.0)
 
-    def test_frame_shift_moves_cop(self, rng):
+    def test_frame_shift_moves_cop(self):
         f = np.array([3.0, -2.0, 200.0])
         tau = np.array([0.4, -0.3, 0.05])
-        w = Wrench(f, tau)
         d = 0.04
-        shifted = Wrench(f, tau + np.cross(np.array([-d, 0.0, 0.0]), f))
-        cop0 = center_of_pressure(w)
-        cop1 = center_of_pressure(shifted)
+        shifted = tau + np.cross(np.array([-d, 0.0, 0.0]), f)
+        cop0 = cop_smooth(np.concatenate([f, tau]), np.eye(3))
+        cop1 = cop_smooth(np.concatenate([f, shifted]), np.eye(3))
         assert cop1[0] == pytest.approx(cop0[0] - d, abs=1e-12)
         assert cop1[1] == pytest.approx(cop0[1], abs=1e-12)
 
-    def test_unloaded_foot_raises(self):
-        with pytest.raises(UnloadedFootError):
-            center_of_pressure(Wrench(np.array([0.0, 0, 0.5]), np.zeros(3)))
+    def test_unloaded_foot_floored(self):
+        # below MIN_NORMAL the normal force is floored; evaluate_statics
+        # refuses such a foot instead (TestEvaluateStatics)
+        w = np.array([0.0, 0, 0.5, 0.2, -0.1, 0.0])
+        np.testing.assert_array_equal(cop_smooth(w, np.eye(3)),
+                                      [0.1 / MIN_NORMAL, 0.2 / MIN_NORMAL])
 
     def test_desk_cops_inside_feet(self, desk):
         sc, sys, q = desk
-        tau = static_torques(sys, q)
-        f = contact_wrenches(sys, q, None, tau)
-        cops = foot_cops(sys, q, None, f)
-        assert len(cops) == 4
+        cops = evaluate_statics(sys, q).cops
+        assert list(cops) == list(sys.wrench_labels[:4])
         for label, cop in cops.items():
             assert np.abs(cop).max() < 0.4
 
@@ -478,10 +502,36 @@ class TestEvaluateStatics:
             fscale = max(np.abs(res.wrenches).max(), 1.0)
             assert res.projected_residual <= 1e-8 * fscale
             assert res.equilibrium_residual <= 1e-8 * fscale
-            cops = foot_cops(sys, q, None, res.wrenches)
-            assert res.cops.keys() == cops.keys()
-            for label, cop in cops.items():
-                np.testing.assert_array_equal(res.cops[label], cop)
+            soles = sole_wrenches(sys, q, res.wrenches)
+            assert list(res.cops) == list(sys.wrench_labels[:len(soles)])
+            for cop, (force, torque) in zip(res.cops.values(), soles):
+                np.testing.assert_allclose(cop, reference_cop(force, torque),
+                                           rtol=1e-12, atol=1e-15)
+
+    def test_refusal_names_the_unloaded_foot(self, desk, rng):
+        # after larger moves the minimum-norm split pulls on some foot;
+        # the refusal names the first foot, in env_contacts order, whose
+        # reference sole normal force is below MIN_NORMAL, and that force
+        _, sys, q0 = desk
+        refused = 0
+        for _ in range(8):
+            q = perturbed(sys, q0, rng)
+            _, f_ref = projector_statics(sys, q)
+            fz = [force[2] for force, _ in sole_wrenches(sys, q, f_ref)]
+            unloaded = [k for k, v in enumerate(fz) if v < MIN_NORMAL]
+            if not unloaded:
+                evaluate_statics(sys, q)
+                continue
+            k = unloaded[0]
+            with pytest.raises(UnloadedFootError) as refusal:
+                evaluate_statics(sys, q)
+            m = re.fullmatch(re.escape(sys.wrench_labels[k])
+                             + rf": sole normal force (\S+) N below "
+                             rf"{MIN_NORMAL} N", str(refusal.value))
+            assert m, str(refusal.value)
+            assert float(m[1]) == pytest.approx(fz[k], abs=1e-3)
+            refused += 1
+        assert refused >= 2
 
     def test_duplicate_contact_raises(self, desk):
         _, sys, q = desk

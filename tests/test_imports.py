@@ -4,7 +4,10 @@ reaches in the program exists.
 No linter runs with the tests, so the first check stands in for the
 unused-import rule.  It reads each module with ``ast`` and does not
 import it.  ``__init__.py`` is skipped because its imports are
-re-exports.
+re-exports.  A second ``ast`` check holds every private (``_name``)
+module-level function, class or constant of ``ergolift`` to be
+referenced somewhere in the package, so a helper does not outlive its
+last caller.
 
 The benchmark under ``perfbench/`` is only read, also with ``ast``: the
 functions its traced runs rebind by name (``tracing.TRACED``) and the
@@ -51,6 +54,54 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source):
+    """Line of each private module-level function, class or constant."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node.lineno) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def unreferenced_private_names(sources):
+    """``(module, line, name)`` of each private module-level definition
+    in ``sources`` (module name to source) that no source reads, by
+    name or as an attribute."""
+    used = set()
+    for source in sources.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return sorted((module, line, name) for module, source in sources.items()
+                  for name, line in private_definitions(source).items()
+                  if name not in used)
+
+
+def test_detects_unreferenced_private_names():
+    sources = {"a": "_TOL = 1\n_kept = 2\n\ndef _gone():\n    pass\n\n"
+                    "class _Old:\n    pass\n\n__version__ = '1'\n",
+               "b": "from a import _kept\nx = _kept\n"}
+    assert unreferenced_private_names(sources) == [
+        ("a", 1, "_TOL"), ("a", 4, "_gone"), ("a", 7, "_Old")]
+
+
+def test_private_names_are_referenced():
+    sources = {p.stem: p.read_text()
+               for p in sorted(ROOT.glob("src/ergolift/*.py"))}
+    assert unreferenced_private_names(sources) == []
 
 
 def resolve(module, attr):

@@ -315,7 +315,8 @@ class TestFrameJacobian:
                     J = frame_jacobian(tree, names)
                     assert J.shape == (len(names), 6, 6 + model.n_joints)
                     for k, name in enumerate(names):
-                        assert_same(J[k], frame_jacobian(tree, name))
+                        one = frame_jacobian(tree, (name,))
+                        assert_same(J[k], one[..., 0, :, :])
 
     def test_unknown_frame_in_tuple(self):
         model = branching_chain()
@@ -326,7 +327,7 @@ class TestFrameJacobian:
     def test_base_frame_identity(self, rng):
         model = branching_chain()
         q = random_configuration(model, rng)
-        J = frame_jacobian(kinematics(model, q), "base")
+        J = frame_jacobian(kinematics(model, q), ("base",))[..., 0, :, :]
         np.testing.assert_allclose(J[:, :6], np.eye(6), atol=1e-12)
         np.testing.assert_allclose(J[:, 6:], 0.0, atol=1e-15)
 
@@ -336,7 +337,7 @@ class TestFrameJacobian:
         for _ in range(100):
             q = random_configuration(model, rng)
             tree = kinematics(model, q)
-            J = np.asarray(frame_jacobian(tree, "tip"))
+            J = np.asarray(frame_jacobian(tree, ("tip",))[..., 0, :, :])
             d = rng.normal(size=6 + model.n_joints)
             Rp, pp = kinematics(model, perturb_configuration(q, h * d)), None
             Rm = kinematics(model, perturb_configuration(q, -h * d))
@@ -352,7 +353,8 @@ class TestFrameJacobian:
         h = 1e-7
         for _ in range(20):
             q = random_configuration(model, rng)
-            J = np.asarray(frame_jacobian(kinematics(model, q), "tip"))
+            J = np.asarray(
+                frame_jacobian(kinematics(model, q), ("tip",))[..., 0, :, :])
             d = rng.normal(size=6 + model.n_joints)
             R_plus, _ = kinematics(
                 model, perturb_configuration(q, h * d)).frame_pose("tip")
@@ -370,7 +372,8 @@ class TestFrameJacobian:
         model = branching_chain()
         q = random_configuration(model, rng)
         # frame "side" rides link c (dof 2); dofs 1 ("b") and 3 ("d") are off path
-        J = np.asarray(frame_jacobian(kinematics(model, q), "side"))
+        J = np.asarray(
+            frame_jacobian(kinematics(model, q), ("side",))[..., 0, :, :])
         np.testing.assert_array_equal(J[:, 6 + 1], np.zeros(6))
         np.testing.assert_array_equal(J[:, 6 + 3], np.zeros(6))
         assert np.abs(J[:, 6 + 2]).max() > 0
@@ -390,8 +393,9 @@ class TestFrameJacobian:
                               for i in range(len(model.links))]
                     points += [(f.link, tree.frame_pose(f.name)[1])
                                for f in model.frames]
-                    jacs = [frame_jacobian(tree, l.name) for l in model.links]
-                    jacs += [frame_jacobian(tree, f.name)
+                    jacs = [frame_jacobian(tree, (l.name,))[..., 0, :, :]
+                            for l in model.links]
+                    jacs += [frame_jacobian(tree, (f.name,))[..., 0, :, :]
                              for f in model.frames]
                     for (i, p), J in zip(points, jacs):
                         ref = loop_point_jacobian(model, tree, i, p)
@@ -561,7 +565,7 @@ class TestMassMatrix:
             ke_mass = 0.5 * nu @ M @ nu
             ke_links = 0.0
             for i, link in enumerate(model.links):
-                J = np.asarray(frame_jacobian(tree, link.name))
+                J = np.asarray(frame_jacobian(tree, (link.name,)))[0]
                 v = J @ nu
                 Mi = mixed_inertia_world(link, np.asarray(tree.rot[i]))
                 ke_links += 0.5 * v @ Mi @ v
@@ -633,7 +637,7 @@ class TestGravityVector:
         tree = kinematics(model, q)
         g_sum = np.zeros(6 + model.n_joints)
         for i, link in enumerate(model.links):
-            J = np.asarray(frame_jacobian(tree, link.name))
+            J = np.asarray(frame_jacobian(tree, (link.name,)))[0]
             m = float(shape_mass(link.shape, link.hardware))
             c_w = np.asarray(tree.rot[i]) @ np.asarray(
                 shape_com(link.shape, link.hardware))
@@ -798,8 +802,8 @@ class TestDerivedOnce:
             tree = kinematics(model, q)
             for f in model.frames:
                 tree.frame_pose(f.name)
-                frame_jacobian(tree, f.name)
-                frame_jacobian(kinematics(model, q), f.name)
+                frame_jacobian(tree, (f.name,))
+                frame_jacobian(kinematics(model, q), (f.name,))
         assert calls == []
 
     def test_link_inertial_derives_mass_and_com_once(self, monkeypatch):
