@@ -8,18 +8,20 @@ groups, which ``ErgoProblem.group_values`` decodes.  The cost sums the
 torque and center-of-pressure tasks over heights and adds the
 density-preference and center-of-mass-height tasks once; it is
 normalized by the sum of task weights, so uniformly scaling all weights
-leaves the iterate path bit-for-bit identical.
+leaves the iterate path bit-for-bit identical.  The center-of-pressure
+task measures each sole's CoP from its sole-frame origin, and the
+density task prefers ``scenario.PREFERRED_DENSITIES``.
 
-Constraints per height, 3 + 3 * grasps + 3 * contacts rows (27 for the
-lifting scenario): ``[payload tilt (2), payload height (1), hand
-positions (3 per grasp), foot heights (1 per contact), foot tilts (2 per
-contact)]``.  An upright frame is encoded by the two tilt components
-``z_x = z_y = 0`` of its z axis rather than by the single row
-``z_z - 1 = 0``.  The feasible set is the same on the upright branch the
-solver operates in, but the tilt rows keep full-rank gradients at
-feasibility where ``z_z - 1`` is quadratically degenerate, and
-``|z_z - 1| <= z_x^2 + z_y^2``, so meeting them to a tolerance meets the
-single-row encoding too.
+Constraints per height (``_row_families``), 3 + 3 * grasps + 3 *
+contacts rows (27 for the lifting scenario): ``[payload tilt (2),
+payload height (1), hand positions (3 per grasp), foot heights (1 per
+contact), foot tilts (2 per contact)]``.  An upright frame is encoded by
+the two tilt components ``z_x = z_y = 0`` of its z axis rather than by
+the single row ``z_z - 1 = 0``.  The feasible set is the same on the
+upright branch the solver operates in, but the tilt rows keep full-rank
+gradients at feasibility where ``z_z - 1`` is quadratically degenerate,
+and ``|z_z - 1| <= z_x^2 + z_y^2``, so meeting them to a tolerance meets
+the single-row encoding too.
 
 Every evaluation makes one pass over all heights: the posture blocks
 are stacked ``(H, height_dim)``, so configurations, trees, statics and
@@ -61,8 +63,8 @@ from .coupled import (CoupledConfiguration, CoupledSystem,
 from .multibody import (Configuration, Model, com_height_null_config,
                         group_params, kinematics)
 from .nlpsolver import SolverOptions, SolverReport, solve_nlp
-from .scenario import Scenario, build_system, rpy_from_matrix, \
-    warm_start_configuration
+from .scenario import PREFERRED_DENSITIES, Scenario, build_system, \
+    rpy_from_matrix, warm_start_configuration
 
 
 class DegenerateModelError(ValueError):
@@ -255,7 +257,7 @@ class ErgoProblem:
     def _hardware_terms(self, groups, models):
         w = self.scenario.weights
         densities = [rho for rho, _ in groups.values()]
-        t2 = task_density(densities, self.scenario.preferred_densities)
+        t2 = task_density(densities, PREFERRED_DENSITIES)
         t4 = task_com_height(models[self.system.parametrized_index])
         return w.density * t2 + w.com_height * t4
 
@@ -265,8 +267,9 @@ class ErgoProblem:
         ``q``, ``trees`` and their ``coupled_poses`` may stack postures;
         ``dirs`` as in ``_directions``, or None when every Dual carries
         all directions.  Returns the torques, the foot CoPs
-        ``(..., E, 2)``, the squared torque norm and the summed squared
-        CoP deviations from the target.
+        ``(..., E, 2)`` in their sole frames, the squared torque norm and
+        the summed squared CoPs: the CoP task centres each CoP on its
+        sole-frame origin.
         """
         sys = self.system
         tau, f = statics_minnorm(sys, q, trees=trees, dirs=dirs)
@@ -274,11 +277,12 @@ class ErgoProblem:
         batch = tau.shape[:-1]
         wrenches = f[..., :6 * len(env)].reshape(batch + (len(env), 6))
         cops = cop_smooth(wrenches, poses[0][..., env, :, :])
-        dev = cops - np.asarray(self.scenario.cop_target, dtype=float)
-        return tau, cops, fad.sumsq(tau), fad.sumsq(dev.reshape(batch + (-1,)))
+        return (tau, cops, fad.sumsq(tau),
+                fad.sumsq(cops.reshape(batch + (-1,))))
 
     def _residual_rows(self, q, heights, poses, dirs=None):
-        """Equality rows per posture, upright frames as tilt rows.
+        """Equality rows per posture, upright frames as tilt rows, in the
+        order and widths of ``_row_families``.
 
         ``heights`` are the payload height targets of the postures;
         ``dirs`` as in ``_height_tasks``.
@@ -391,26 +395,23 @@ class ErgoProblem:
         return cached[1]
 
 
-FAMILY_NAMES = ("load_orientation", "load_height", "hand_position",
-                "foot_height", "foot_orientation")
+def _row_families(n_grasps, n_env):
+    """``(family, width)`` of one height's constraint rows, in the order
+    ``ErgoProblem._residual_rows`` stacks them; an upright frame takes 2
+    tilt rows (see the module docstring)."""
+    return (("load_orientation", 2), ("load_height", 1),
+            ("hand_position", 3 * n_grasps), ("foot_height", n_env),
+            ("foot_orientation", 2 * n_env))
 
 
-def _families(heights, n_grasps, n_env):
-    # 2 tilt rows per upright frame, see the module docstring
-    per = 3 + 3 * n_grasps + 3 * n_env
-    out = []
-    for k, h in enumerate(heights):
-        base = k * per
-        spans = {
-            "load_orientation": (0, 2),
-            "load_height": (2, 3),
-            "hand_position": (3, 3 + 3 * n_grasps),
-            "foot_height": (3 + 3 * n_grasps, 3 + 3 * n_grasps + n_env),
-            "foot_orientation": (3 + 3 * n_grasps + n_env, per),
-        }
-        for name in FAMILY_NAMES:
-            lo, hi = spans[name]
-            out.append((f"{name}@{h:g}m", slice(base + lo, base + hi)))
+def _families(heights, rows):
+    """``(family@height, slice)`` of every constraint row, height by
+    height, from one height's ``_row_families``."""
+    out, start = [], 0
+    for h in heights:
+        for name, width in rows:
+            out.append((f"{name}@{h:g}m", slice(start, start + width)))
+            start += width
     return tuple(out)
 
 
@@ -456,18 +457,25 @@ def assemble_nlp(scenario: Scenario, system: Optional[CoupledSystem] = None,
         lb[sl.start + g: sl.stop] = rho_b[0]
         ub[sl.start + g: sl.stop] = rho_b[1]
 
-    n_cons = len(heights) * (3 + 3 * len(system.grasps)
-                             + 3 * len(system.env_contacts))
+    rows = _row_families(len(system.grasps), len(system.env_contacts))
     return ErgoProblem(
         scenario=scenario, system=system, heights=heights, layout=layout,
-        lb=lb, ub=ub,
-        families=_families(heights, len(system.grasps),
-                           len(system.env_contacts)),
-        nominal_groups=nominal, n_cons=n_cons)
+        lb=lb, ub=ub, families=_families(heights, rows),
+        nominal_groups=nominal,
+        n_cons=len(heights) * sum(width for _, width in rows))
 
 
-def warm_start_vector(problem: ErgoProblem, jitter: float = 0.01) -> np.ndarray:
-    """Deterministic initial decision vector (seeded joint jitter)."""
+# standard deviation (rad) of the seeded joint jitter of a warm start
+WARM_START_JITTER = 0.01
+
+
+def warm_start_vector(problem: ErgoProblem) -> np.ndarray:
+    """Deterministic initial decision vector.
+
+    The warm-start postures, each joint jittered by a normal draw of
+    standard deviation ``WARM_START_JITTER`` from the scenario's seed,
+    and the nominal hardware.
+    """
     rng = np.random.default_rng(problem.scenario.seed)
     q = warm_start_configuration(problem.scenario, problem.system,
                                  np.asarray(problem.heights, dtype=float))
@@ -477,8 +485,9 @@ def warm_start_vector(problem: ErgoProblem, jitter: float = 0.01) -> np.ndarray:
     for k in range(len(problem.heights)):
         for stack in packed:
             block = stack[k]
-            if jitter and block.size > 6:
-                block[6:] += rng.normal(size=block.size - 6) * jitter
+            if block.size > 6:
+                jitter = rng.normal(size=block.size - 6) * WARM_START_JITTER
+                block[6:] += jitter
             parts.append(block)
     if problem.layout.pi_dim:
         g = problem.layout.n_groups
@@ -514,10 +523,8 @@ class Solution:
 
 
 def solve(problem: ErgoProblem, warm_start=None,
-          options: SolverOptions = None) -> Solution:
+          options: SolverOptions = SolverOptions()) -> Solution:
     """Run the co-design NLP and evaluate the solution statics."""
-    if options is None:
-        options = problem.scenario.solver
     y0 = warm_start if warm_start is not None else warm_start_vector(problem)
     report: SolverReport = solve_nlp(problem, y0, options)
     # the Gauss-Newton cache serves only the solver's curvature calls; a

@@ -371,12 +371,10 @@ def rpy_matrix(roll, pitch, yaw):
 
 # -- drivers ------------------------------------------------------------
 
-def seed(x, directions=None):
-    """Wrap x as a Dual seeded with identity (or given) directions."""
+def seed(x):
+    """Wrap x as a Dual seeded with one identity direction per entry."""
     x = np.asarray(x, dtype=float)
-    if directions is None:
-        directions = np.eye(x.size).reshape((x.size,) + x.shape)
-    return Dual(x, directions)
+    return Dual(x, np.eye(x.size).reshape((x.size,) + x.shape))
 
 
 def widen(x, rows, ndir):

@@ -64,8 +64,7 @@ import numpy as np
 from . import fad
 from .shapes import (LinkHardware, Shape, parallel_axis, shape_com,
                      shape_inertia_cm, shape_mass)
-from .spatial import (GRAVITY, assemble_spatial_inertia, ensure_rotation,
-                      exp_so3, skew)
+from .spatial import GRAVITY, assemble_spatial_inertia, exp_so3, skew
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -75,9 +74,6 @@ _EYE3.flags.writeable = False
 
 ROLE_LEFT_FOOT = "left_foot"
 ROLE_RIGHT_FOOT = "right_foot"
-ROLE_LEFT_HAND = "left_hand"
-ROLE_RIGHT_HAND = "right_hand"
-ROLE_GRASP = "grasp"
 
 _FOOT_ROLES = (ROLE_LEFT_FOOT, ROLE_RIGHT_FOOT)
 
@@ -792,12 +788,12 @@ def perturb_configuration(q: Configuration, delta) -> Configuration:
     )
 
 
-def random_configuration(model: Model, rng, pos_scale=0.5) -> Configuration:
+def random_configuration(model: Model, rng) -> Configuration:
     lo, hi = model.joint_limits()
     s = rng.uniform(lo, hi)
     w = rng.normal(size=3) * 0.3
     return Configuration(
-        base_pos=rng.normal(size=3) * pos_scale,
-        base_rot=ensure_rotation(exp_so3(w)),
+        base_pos=rng.normal(size=3) * 0.5,
+        base_rot=exp_so3(w),
         s=s,
     )

@@ -5,6 +5,10 @@ The solve contract is what matters to callers: the reported status is
 constraint violation both sit below their tolerances, measured here
 with our own multiplier estimate rather than trusting the backend.
 Everything is deterministic: same inputs, same iterates, same report.
+The tolerances are fixed: ``TOL_KKT`` and ``TOL_FEAS`` (both 1e-6), and
+``ACTIVE_TOL`` (1e-8, relative) for a coordinate to count as at its
+bound; only the iteration budget (``SolverOptions.max_iter``) is set per
+solve.
 
 The backend is scipy's trust-constr.  The constraint Jacobian reaches it
 as a CSR matrix, so each projection onto the constraints' null space
@@ -35,12 +39,17 @@ from scipy.optimize import Bounds, NonlinearConstraint, minimize
 from scipy.sparse import csr_array
 
 
+# a solve converges once its KKT residual (see ``kkt_residual``) and its
+# largest constraint violation are at most these
+TOL_KKT = 1e-6
+TOL_FEAS = 1e-6
+# a coordinate within ACTIVE_TOL * max(1, |x|) of a bound counts as at it
+ACTIVE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iter: int = 3000
-    tol_kkt: float = 1e-6
-    tol_feas: float = 1e-6
-    verbose: bool = False
 
 
 @dataclass(eq=False)
@@ -89,19 +98,20 @@ class _Cache:
         return grad, jac
 
 
-def kkt_residual(grad, jac, x, lb, ub, active_tol=1e-8):
+def kkt_residual(grad, jac, x, lb, ub):
     """Stationarity residual with least-squares multiplier estimate.
 
-    Bound multipliers are implied: coordinates pinned at a bound only
-    count when the residual pushes into the feasible box, and
-    coordinates pinned at both bounds never count.  Equality multipliers
-    are fit to the Lagrangian gradient on the free coordinates only,
-    since a pinned coordinate's bound multiplier absorbs its part.  A
-    non-finite gradient or Jacobian gives NaN, never a passing value.
+    Bound multipliers are implied: a coordinate within ``ACTIVE_TOL``
+    (relative) of a bound is pinned there and only counts when the
+    residual pushes into the feasible box, and coordinates pinned at
+    both bounds never count.  Equality multipliers are fit to the
+    Lagrangian gradient on the free coordinates only, since a pinned
+    coordinate's bound multiplier absorbs its part.  A non-finite
+    gradient or Jacobian gives NaN, never a passing value.
     """
     if not (np.isfinite(grad).all() and np.isfinite(jac).all()):
         return np.nan
-    tol = active_tol * np.maximum(1.0, np.abs(x))
+    tol = ACTIVE_TOL * np.maximum(1.0, np.abs(x))
     at_lo = x - lb <= tol
     at_hi = ub - x <= tol
     free = ~(at_lo | at_hi)
@@ -184,16 +194,15 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
             return False
         _, _, cons, _ = cache.evals[key]
         viol = float(np.abs(cons).max()) if cons.size else 0.0
-        if viol > 0.5 * options.tol_feas:
+        if viol > 0.5 * TOL_FEAS:
             return False
-        return kkt_scaled(y) <= 0.5 * options.tol_kkt
+        return kkt_scaled(y) <= 0.5 * TOL_KKT
 
     scipy_options = {
         "maxiter": options.max_iter,
         "gtol": 0.0,
         "xtol": 1e-12,
         "barrier_tol": 1e-12,
-        "verbose": 3 if options.verbose else 0,
     }
     res = minimize(
         lambda z: cache.value(to_y(z))[0], x0 / s,
@@ -212,9 +221,9 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
     kkt = kkt_scaled(x)
     worst_viol, worst_family = _worst_family(problem, cons)
 
-    if viol <= options.tol_feas and kkt <= options.tol_kkt:
+    if viol <= TOL_FEAS and kkt <= TOL_KKT:
         status = "converged"
-    elif not viol <= options.tol_feas:  # NaN is infeasible
+    elif not viol <= TOL_FEAS:  # NaN is infeasible
         status = "infeasible"
     else:
         status = "max-iter"

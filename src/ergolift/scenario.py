@@ -4,7 +4,10 @@ Builds the coupled system (environment contacts at the four soles,
 rigid grasps pairing each hand with a payload grasp point) and provides
 the deterministic warm-start generator: a damped least-squares inverse
 kinematics pass that plants the feet, reaches the hands toward their
-grasp points, and crouches as needed.
+grasp points, and crouches as needed.  Every scenario lifts the same
+``PAYLOAD_SIZE`` box, holds it at the ``default_grasps`` points and
+prefers the ``PREFERRED_DENSITIES`` materials; its payload mass,
+heights, task weights and jitter seed are its own.
 
 The inverse kinematics runs on a stack of postures, one per target
 height: each iteration takes one whole-tree kinematics pass, one batched
@@ -41,7 +44,6 @@ import numpy as np
 from .coupled import CoupledConfiguration, CoupledSystem, GraspPair
 from .multibody import (Configuration, Model, frame_jacobian, kinematics,
                         perturb_configuration)
-from .nlpsolver import SolverOptions
 from .templates import (build_payload, default_human, default_robot,
                         stance_dimensions)
 
@@ -57,23 +59,28 @@ class TaskWeights:
         return self.torque + self.density + self.cop + self.com_height
 
 
+# the payload box (x, y, z extents in m) every scenario lifts, and the
+# materials (kg/m^3) the density task prefers
+PAYLOAD_SIZE = (0.5, 0.5, 0.025)
+PREFERRED_DENSITIES = (1000.0, 2700.0)
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything needed to pose and solve the co-design problem."""
+    """Everything needed to pose and solve the co-design problem.
+
+    The payload is a ``PAYLOAD_SIZE`` box; the grasp points are its
+    [left hand, right hand] points per agent, in the payload frame
+    (origin at the bottom-face center), from ``default_grasps``.
+    """
 
     human: Model
     robot: Model
     heights: tuple
-    payload_size: tuple = (0.5, 0.5, 0.025)
     payload_mass: float = 5.0
-    # grasp points on the payload, [left hand, right hand] per agent,
-    # expressed in the payload frame (origin at bottom-face center)
     grasps_human: tuple = ()
     grasps_robot: tuple = ()
     weights: TaskWeights = field(default_factory=TaskWeights)
-    preferred_densities: tuple = (1000.0, 2700.0)
-    cop_target: tuple = (0.0, 0.0)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     seed: int = 0
 
     def __post_init__(self):
@@ -83,16 +90,14 @@ class Scenario:
             raise ValueError("heights must be sorted ascending")
         if any(h <= 0 for h in self.heights):
             raise ValueError("heights must be positive")
-        if not self.preferred_densities:
-            raise ValueError("scenario needs at least one preferred density")
         if any(w < 0 for w in (self.weights.torque, self.weights.density,
                                self.weights.cop, self.weights.com_height)):
             raise ValueError("task weights must be nonnegative")
-        if self.payload_mass <= 0 or any(s <= 0 for s in self.payload_size):
-            raise ValueError("payload must have positive size and mass")
+        if self.payload_mass <= 0:
+            raise ValueError("payload must have positive mass")
 
 
-def default_grasps(agent: Model, side: float, payload_size) -> tuple:
+def default_grasps(agent: Model, side: float) -> tuple:
     """Left/right grasp points on one payload edge, shoulder width apart.
 
     ``side`` is the sign of the payload-frame y edge the agent holds.
@@ -101,9 +106,9 @@ def default_grasps(agent: Model, side: float, payload_size) -> tuple:
     tree = kinematics(agent, q)
     _, hl = tree.frame_pose(agent.frames_with_role("left_hand")[0])
     _, hr = tree.frame_pose(agent.frames_with_role("right_hand")[0])
-    half = min(abs(float(hl[1] - hr[1])) / 2.0, 0.45 * payload_size[0])
-    y = side * payload_size[1] / 2.0
-    z = payload_size[2] / 2.0
+    half = min(abs(float(hl[1] - hr[1])) / 2.0, 0.45 * PAYLOAD_SIZE[0])
+    y = side * PAYLOAD_SIZE[1] / 2.0
+    z = PAYLOAD_SIZE[2] / 2.0
     # points are ordered [left, right]; the agent faces the payload, so
     # on the y < 0 edge it faces +y and rotz(+pi/2) maps its left (+y)
     # to world -x, while on the y > 0 edge rotz(-pi/2) maps it to +x
@@ -116,16 +121,9 @@ def make_scenario(heights=(0.8, 1.0, 1.2, 1.5), human=None, robot=None,
                   **kwargs) -> Scenario:
     human = human if human is not None else default_human()
     robot = robot if robot is not None else default_robot()
-    payload_size = kwargs.pop("payload_size", (0.5, 0.5, 0.025))
-    grasps_h = kwargs.pop("grasps_human", None)
-    grasps_r = kwargs.pop("grasps_robot", None)
-    if grasps_h is None:
-        grasps_h = default_grasps(human, -1.0, payload_size)
-    if grasps_r is None:
-        grasps_r = default_grasps(robot, +1.0, payload_size)
     return Scenario(human=human, robot=robot, heights=tuple(heights),
-                    payload_size=payload_size, grasps_human=tuple(grasps_h),
-                    grasps_robot=tuple(grasps_r), **kwargs)
+                    grasps_human=default_grasps(human, -1.0),
+                    grasps_robot=default_grasps(robot, +1.0), **kwargs)
 
 
 GRASP_FRAMES = (("g_human_l", "g_human_r"), ("g_robot_l", "g_robot_r"))
@@ -136,8 +134,7 @@ def build_system(scenario: Scenario) -> CoupledSystem:
     for (names, pts) in zip(GRASP_FRAMES,
                             (scenario.grasps_human, scenario.grasps_robot)):
         points[names[0]], points[names[1]] = pts
-    payload = build_payload(scenario.payload_size, scenario.payload_mass,
-                            points)
+    payload = build_payload(PAYLOAD_SIZE, scenario.payload_mass, points)
     env = tuple((a, s) for a in (0, 1) for s in ("sole_left", "sole_right"))
     agents = (scenario.human, scenario.robot)
     grasps = tuple(

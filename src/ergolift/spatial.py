@@ -39,33 +39,6 @@ def skew(v):
     return (v @ _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
 
 
-def rotation_defect(R):
-    """Max of the orthonormality residual and |det - 1|."""
-    R = np.asarray(R, dtype=float)
-    ortho = np.abs(R.T @ R - np.eye(3)).max()
-    return max(ortho, abs(np.linalg.det(R) - 1.0))
-
-
-def is_rotation(R, tol=1e-9):
-    return rotation_defect(R) <= tol
-
-
-def project_rotation(R):
-    """Closest rotation matrix (polar factor via SVD)."""
-    U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
-    out = U @ Vt
-    if np.linalg.det(out) < 0:
-        out = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return out
-
-
-def ensure_rotation(R, tol=1e-9):
-    """Return R, re-projected onto SO(3) if drift exceeds tol."""
-    if is_rotation(R, tol):
-        return np.asarray(R, dtype=float)
-    return project_rotation(R)
-
-
 def exp_so3(w):
     """Rotation matrices ``(..., 3, 3)`` of rotation vectors ``(..., 3)``.
 

@@ -13,8 +13,8 @@ from ergolift.coupled import (MIN_NORMAL, CoupledConfiguration,
                               static_torques, statics_minnorm)
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 frame_jacobian, group_params, mass_matrix)
-from ergolift.scenario import (build_system, make_scenario, rpy_from_matrix,
-                               warm_start_configuration)
+from ergolift.scenario import (PAYLOAD_SIZE, build_system, make_scenario,
+                               rpy_from_matrix, warm_start_configuration)
 from ergolift.shapes import Box, LinkHardware, Sphere
 from ergolift.spatial import GRAVITY
 from ergolift.templates import build_payload, default_human
@@ -354,7 +354,7 @@ class TestCouplingMatrix:
             _, p_hand = trees[g.agent].frame_pose(g.agent_frame)
             points[g.payload_frame] = np.asarray(q3.base_rot).T @ (
                 np.asarray(p_hand) - np.asarray(q3.base_pos))
-        payload = build_payload(sc.payload_size, sc.payload_mass, points)
+        payload = build_payload(PAYLOAD_SIZE, sc.payload_mass, points)
         sys2 = CoupledSystem(agents=sys.agents, payload=payload,
                              env_contacts=sys.env_contacts, grasps=sys.grasps)
         Q = np.asarray(coupling_matrix(sys2, coupled_trees(sys2, q)))

@@ -9,8 +9,8 @@ from ergolift.coupled import SingularConstraintError, UnloadedFootError, \
 from ergolift.ergoopt import assemble_nlp, solve, warm_start_vector
 from ergolift.multibody import kinematics
 from ergolift.nlpsolver import SolverOptions, SolverReport
-from ergolift.scenario import build_system, make_scenario, \
-    warm_start_configuration
+from ergolift.scenario import PREFERRED_DENSITIES, build_system, \
+    make_scenario, warm_start_configuration
 
 
 def per_height_derivatives(problem, y):
@@ -25,7 +25,6 @@ def per_height_derivatives(problem, y):
     layout = problem.layout
     sys = problem.system
     w = problem.scenario.weights
-    target = np.asarray(problem.scenario.cop_target, dtype=float)
     rows = problem.n_cons // layout.n_heights
     grad = np.zeros(n)
     cons = np.zeros(problem.n_cons)
@@ -54,7 +53,7 @@ def per_height_derivatives(problem, y):
         for c, (agent, frame) in enumerate(sys.env_contacts):
             R, _ = trees[agent].frame_pose(frame)
             cop = cop_smooth(f[6 * c: 6 * c + 6], R)
-            t3 = t3 + fad.sumsq(cop - target)
+            t3 = t3 + fad.sumsq(cop)
             block += 2.0 * w.cop * (cop.dot @ cop.dot.T)
         ck = w.torque * fad.sumsq(tau) + w.cop * t3
         q3 = q.qs[payload]
@@ -283,7 +282,7 @@ class TestSharedTerms:
         robot = problem.system.parametrized_model
         densities = [rho for rho, _ in robot.group_hardware().values()]
         want = (sc.weights.density
-                * ergoopt.task_density(densities, sc.preferred_densities)
+                * ergoopt.task_density(densities, PREFERRED_DENSITIES)
                 + sc.weights.com_height * ergoopt.task_com_height(robot))
         assert fresh._shared_terms(y, None) == want
 
@@ -475,17 +474,36 @@ class TestSolve:
         # 3 + 3 * grasps + 3 * contacts tilt-encoded rows, as documented
         problem, sol, _ = solved
         sys = problem.system
-        per = 3 + 3 * len(sys.grasps) + 3 * len(sys.env_contacts)
+        n_env = len(sys.env_contacts)
+        layout = (("load_orientation", 2), ("load_height", 1),
+                  ("hand_position", 3 * len(sys.grasps)),
+                  ("foot_height", n_env), ("foot_orientation", 2 * n_env))
+        per = sum(width for _, width in layout)
         assert per == 27
         _, cons = problem.value(sol.y)
         assert cons.size == problem.n_cons == per * len(problem.heights)
-        assert problem.families[-1][1].stop == problem.n_cons
+        families = iter(problem.families)
+        start = 0
+        for k, h in enumerate(problem.heights):
+            spans = {}
+            for name, width in layout:
+                assert next(families) == (f"{name}@{h:g}m",
+                                          slice(start, start + width))
+                spans[name] = slice(start, start + width)
+                start += width
+            q = problem.configurations(sol.y, k)
+            trees = coupled_trees(sys, q)
+            assert cons[spans["load_height"]] == [q.qs[2].base_pos[2] - h]
+            feet = [trees[a].frame_pose(f)[1][2]
+                    for a, f in sys.env_contacts]
+            np.testing.assert_allclose(cons[spans["foot_height"]], feet,
+                                       rtol=0, atol=1e-15)
+        assert next(families, None) is None and start == problem.n_cons
 
     def test_task_values_from_saddle_statics(self, solved):
         problem, sol, _ = solved
         sys = problem.system
         params = problem.hardware_params(sol.y)
-        target = np.asarray(problem.scenario.cop_target, dtype=float)
         assert len(sol.task_values) == len(problem.heights)
         for k, tasks in enumerate(sol.task_values):
             q = problem.configurations(sol.y, k)
@@ -494,7 +512,7 @@ class TestSolve:
             cop = 0.0
             for c, (agent, frame) in enumerate(sys.env_contacts):
                 R, _ = trees[agent].frame_pose(frame)
-                d = fad.value(cop_smooth(f[6 * c: 6 * c + 6], R)) - target
+                d = fad.value(cop_smooth(f[6 * c: 6 * c + 6], R))
                 cop += float(d @ d)
             assert tasks["torque"] == pytest.approx(float(tau @ tau),
                                                     rel=1e-12)

@@ -73,6 +73,19 @@ class TestKKTResidual:
         r = kkt_residual(grad, np.array([[1.0, -1.0]]), x, p.lb, p.ub)
         assert r == pytest.approx(2.0 / 1.6)
 
+    @pytest.mark.parametrize("lb", [0.0, 100.0])
+    def test_active_tolerance(self, lb):
+        # the gradient pushes x out through its lower bound: within
+        # ACTIVE_TOL * max(1, |x|) of it the bound absorbs the residual,
+        # beyond that x is free and its whole gradient counts
+        scale = max(1.0, lb)
+        grad, jac = np.array([1.0]), np.zeros((0, 1))
+        lo, hi = np.array([lb]), np.array([lb + 5.0])
+        inside = np.array([lb + 0.5e-8 * scale])
+        outside = np.array([lb + 2e-8 * scale])
+        assert kkt_residual(grad, jac, inside, lo, hi) == 0.0
+        assert kkt_residual(grad, jac, outside, lo, hi) == 1.0
+
     @pytest.mark.parametrize("jac", [np.zeros((0, 2)), np.array([[1.0, -1.0]])])
     def test_nan_gradient_is_nan(self, jac):
         p = BoxedProjection()

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ergolift import scenario
+from ergolift import ergoopt, scenario
 from ergolift.ergoopt import assemble_nlp, warm_start_vector
 from ergolift.multibody import apply_hardware, group_params
 from ergolift.scenario import build_system, make_scenario, \
@@ -43,8 +43,9 @@ def ik_iterations(monkeypatch):
     return counts
 
 
-def jitter_vector(problem, jitter=0.01):
-    """The joint jitter ``warm_start_vector`` draws from the seed."""
+def jitter_vector(problem):
+    """The joint jitter ``warm_start_vector`` draws from the seed, 0.01
+    rad standard deviation."""
     rng = np.random.default_rng(problem.scenario.seed)
     out = np.zeros(problem.layout.dim)
     for k in range(len(problem.heights)):
@@ -52,7 +53,7 @@ def jitter_vector(problem, jitter=0.01):
             sl = problem.layout.sub_slice(k, i)
             if sl.stop - sl.start > 6:
                 out[sl.start + 6:sl.stop] = rng.normal(
-                    size=sl.stop - sl.start - 6) * jitter
+                    size=sl.stop - sl.start - 6) * 0.01
     return out
 
 
@@ -107,10 +108,13 @@ class TestWarmStartMemo:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(qi, name)[...] = 0.0
 
-    def test_seeds_share_one_ik_and_differ_by_the_jitter(self, ik_calls):
+    def test_seeds_share_one_ik_and_differ_by_the_jitter(self, ik_calls,
+                                                         monkeypatch):
         sc = make_scenario(heights=(0.8, 1.2))
         sys = build_system(sc)
-        plain = warm_start_vector(assemble_nlp(sc, sys), jitter=0.0)
+        with monkeypatch.context() as m:
+            m.setattr(ergoopt, "WARM_START_JITTER", 0.0)
+            plain = warm_start_vector(assemble_nlp(sc, sys))
         for seed in (1, 2):
             problem = assemble_nlp(dataclasses.replace(sc, seed=seed), sys)
             y = warm_start_vector(problem)

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from ergolift import fad
 from ergolift.spatial import (assemble_spatial_inertia, check_physical_inertia,
-                              ensure_rotation, exp_so3, is_rotation,
-                              project_rotation, skew,
-                              triangle_inequality_defect)
+                              exp_so3, skew, triangle_inequality_defect)
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=3, max_size=3).map(np.array)
-
-
-def random_rotation(rng):
-    return ensure_rotation(exp_so3(rng.normal(size=3)))
 
 
 class TestSkew:
@@ -113,15 +108,18 @@ class TestSpatialInertia:
         assert triangle_inequality_defect(np.diag([1.0, 0.2, 0.2])) > 0
 
 
-class TestRotationRepair:
-    def test_project_restores_orthonormality(self, rng):
-        R = random_rotation(rng)
-        drifted = R + 1e-6 * rng.normal(size=(3, 3))
-        repaired = project_rotation(drifted)
-        assert is_rotation(repaired, 1e-12)
-        assert np.abs(repaired - R).max() < 1e-5
+class TestExpSO3:
+    def test_stacked_rotations(self, rng):
+        w = rng.normal(size=(4, 5, 3)) * 2.0
+        R = exp_so3(w)
+        ref = Rotation.from_rotvec(w.reshape(-1, 3)).as_matrix()
+        np.testing.assert_allclose(R.reshape(-1, 3, 3), ref, rtol=0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(np.swapaxes(R, -1, -2) @ R,
+                                   np.broadcast_to(np.eye(3), R.shape),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.det(R), 1.0, rtol=0, atol=1e-14)
 
-    def test_ensure_rotation_passthrough(self, rng):
-        R = random_rotation(rng)
-        assert ensure_rotation(R) is not None
-        np.testing.assert_allclose(ensure_rotation(R), R, atol=1e-12)
+    def test_small_angle_is_first_order(self):
+        w = np.array([[1e-13, -2e-13, 0.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(exp_so3(w), np.eye(3) + skew(w))
