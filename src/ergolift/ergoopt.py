@@ -416,10 +416,10 @@ def _families(heights, rows):
 
 
 def assemble_nlp(scenario: Scenario, system: Optional[CoupledSystem] = None,
-                 heights=None, freeze_hardware: bool = False) -> ErgoProblem:
-    """Build the multi-height co-design NLP over the given scenario."""
+                 freeze_hardware: bool = False) -> ErgoProblem:
+    """Build the co-design NLP over the scenario's heights."""
     system = system if system is not None else build_system(scenario)
-    heights = tuple(heights if heights is not None else scenario.heights)
+    heights = tuple(scenario.heights)
     models = system.subsystem_models()
     robot = system.parametrized_model
     nominal = robot.group_hardware()

@@ -10,11 +10,14 @@ The tolerances are fixed: ``TOL_KKT`` and ``TOL_FEAS`` (both 1e-6), and
 bound; only the iteration budget (``SolverOptions.max_iter``) is set per
 solve.
 
-The backend is scipy's trust-constr.  The constraint Jacobian reaches it
-as a CSR matrix, so each projection onto the constraints' null space
-factors the sparse augmented system ``[[I, A^T], [A, 0]]`` (Gould,
-Hribar and Nocedal, 2001) with one sparse LU, and no dense SVD of the
-slack-extended Jacobian runs.
+The backend is scipy's trust-constr.  ``solve_nlp`` imports it when it
+runs, and nothing else in the package imports scipy, so a process that
+only evaluates statics never loads the optimizer; a process that solves
+pays the import once, at its first solve.  The constraint Jacobian
+reaches trust-constr as a CSR matrix, so each projection onto the
+constraints' null space factors the sparse augmented system
+``[[I, A^T], [A, 0]]`` (Gould, Hribar and Nocedal, 2001) with one sparse
+LU, and no dense SVD of the slack-extended Jacobian runs.
 
 Each point the backend visits costs one ``value_and_derivatives`` pass,
 and the solver never calls the problem's ``value``.  The constraint
@@ -35,8 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import Bounds, NonlinearConstraint, minimize
-from scipy.sparse import csr_array
 
 
 # a solve converges once its KKT residual (see ``kkt_residual``) and its
@@ -159,6 +160,10 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
     factor the sparse augmented system; ``_Cache`` and ``kkt_residual``
     keep it dense.
     """
+    # imported here, so that only a solve loads scipy (module docstring)
+    from scipy.optimize import Bounds, NonlinearConstraint, minimize
+    from scipy.sparse import csr_array
+
     cache = _Cache(problem)
     x0 = np.clip(np.asarray(x0, dtype=float), problem.lb, problem.ub)
     s = _variable_scales(problem.lb, problem.ub)

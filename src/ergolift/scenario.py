@@ -5,9 +5,10 @@ rigid grasps pairing each hand with a payload grasp point) and provides
 the deterministic warm-start generator: a damped least-squares inverse
 kinematics pass that plants the feet, reaches the hands toward their
 grasp points, and crouches as needed.  Every scenario lifts the same
-``PAYLOAD_SIZE`` box, holds it at the ``default_grasps`` points and
-prefers the ``PREFERRED_DENSITIES`` materials; its payload mass,
-heights, task weights and jitter seed are its own.
+``PAYLOAD_SIZE`` box, holds it at the ``default_grasps`` points of its
+agent models (derived from the models, not stored) and prefers the
+``PREFERRED_DENSITIES`` materials; its payload mass, heights, task
+weights and jitter seed are its own.
 
 The inverse kinematics runs on a stack of postures, one per target
 height: each iteration takes one whole-tree kinematics pass, one batched
@@ -63,23 +64,22 @@ class TaskWeights:
 # materials (kg/m^3) the density task prefers
 PAYLOAD_SIZE = (0.5, 0.5, 0.025)
 PREFERRED_DENSITIES = (1000.0, 2700.0)
+# the sign of the payload-frame y edge each agent holds: human, robot
+AGENT_SIDES = (-1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Everything needed to pose and solve the co-design problem.
 
-    The payload is a ``PAYLOAD_SIZE`` box; the grasp points are its
-    [left hand, right hand] points per agent, in the payload frame
-    (origin at the bottom-face center), from ``default_grasps``.
+    The payload is a ``PAYLOAD_SIZE`` box.  The grasp points are not
+    stored: ``grasps`` derives them from the agent models.
     """
 
     human: Model
     robot: Model
     heights: tuple
     payload_mass: float = 5.0
-    grasps_human: tuple = ()
-    grasps_robot: tuple = ()
     weights: TaskWeights = field(default_factory=TaskWeights)
     seed: int = 0
 
@@ -95,6 +95,14 @@ class Scenario:
             raise ValueError("task weights must be nonnegative")
         if self.payload_mass <= 0:
             raise ValueError("payload must have positive mass")
+
+    @functools.cached_property
+    def grasps(self):
+        """[left hand, right hand] grasp points of the human, then of the
+        robot, in the payload frame (origin at the bottom-face center),
+        from ``default_grasps`` on the agents' ``AGENT_SIDES`` edges."""
+        return tuple(default_grasps(agent, side) for agent, side in
+                     zip((self.human, self.robot), AGENT_SIDES))
 
 
 def default_grasps(agent: Model, side: float) -> tuple:
@@ -122,8 +130,7 @@ def make_scenario(heights=(0.8, 1.0, 1.2, 1.5), human=None, robot=None,
     human = human if human is not None else default_human()
     robot = robot if robot is not None else default_robot()
     return Scenario(human=human, robot=robot, heights=tuple(heights),
-                    grasps_human=default_grasps(human, -1.0),
-                    grasps_robot=default_grasps(robot, +1.0), **kwargs)
+                    **kwargs)
 
 
 GRASP_FRAMES = (("g_human_l", "g_human_r"), ("g_robot_l", "g_robot_r"))
@@ -131,8 +138,7 @@ GRASP_FRAMES = (("g_human_l", "g_human_r"), ("g_robot_l", "g_robot_r"))
 
 def build_system(scenario: Scenario) -> CoupledSystem:
     points = {}
-    for (names, pts) in zip(GRASP_FRAMES,
-                            (scenario.grasps_human, scenario.grasps_robot)):
+    for names, pts in zip(GRASP_FRAMES, scenario.grasps):
         points[names[0]], points[names[1]] = pts
     payload = build_payload(PAYLOAD_SIZE, scenario.payload_mass, points)
     env = tuple((a, s) for a in (0, 1) for s in ("sole_left", "sole_right"))
@@ -347,9 +353,9 @@ def _agent_postures(scenario: Scenario, payload_pos):
     """The memo's (posture, ``IKReach``) of the human, then the robot."""
     return [_agent_posture(model, y_side, _array_key(grasps),
                            _array_key(payload_pos))
-            for model, grasps, y_side in (
-                (scenario.human, scenario.grasps_human, -1.0),
-                (scenario.robot, scenario.grasps_robot, 1.0))]
+            for model, grasps, y_side in zip(
+                (scenario.human, scenario.robot), scenario.grasps,
+                AGENT_SIDES)]
 
 
 def _payload_positions(heights):

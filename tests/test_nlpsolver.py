@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 
-from ergolift import nlpsolver
 from ergolift.nlpsolver import (SolverOptions, _variable_scales,
                                 _worst_family, kkt_residual, solve_nlp)
 
@@ -122,14 +128,14 @@ class TestSparseJacobian:
         """trust-constr gets a CSR Jacobian, so it projects through the
         sparse augmented system; the values are the scaled dense ones."""
         seen = []
-        original = nlpsolver.minimize
+        original = scipy.optimize.minimize
 
         def spy(fun, x0, **kwargs):
             (con,) = kwargs["constraints"]
             seen.append((x0, con.jac(x0)))
             return original(fun, x0, **kwargs)
 
-        monkeypatch.setattr(nlpsolver, "minimize", spy)
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
         p = BoxedProjection()
         x0 = np.array([0.0, 0.0])
         solve_nlp(p, x0, SolverOptions(max_iter=5))
@@ -152,3 +158,37 @@ class TestOnePassPerPoint:
         points = [y.tobytes() for y in p.passes]
         assert len(points) > 1
         assert len(set(points)) == len(points)
+
+
+class TestImportBoundary:
+    def test_statics_load_no_scipy_and_a_solve_still_runs(self):
+        """Importing the program and evaluating statics loads no scipy
+        module: ``solve_nlp`` imports trust-constr when it runs.  A fresh
+        interpreter shows it, since this one has loaded scipy already."""
+        script = textwrap.dedent("""
+            import sys
+            from ergolift import coupled, ergoopt, nlpsolver, scenario
+            from ergolift import templates
+            sc = scenario.make_scenario()
+            system = scenario.build_system(sc)
+            coupled.evaluate_statics(
+                system, scenario.warm_start_configuration(sc, system, 1.0))
+            loaded = sorted(m for m in sys.modules
+                            if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, f"{len(loaded)} scipy modules: {loaded[:3]}"
+            sc = scenario.make_scenario(heights=(1.0,),
+                                        human=templates.default_human(),
+                                        robot=templates.default_robot())
+            problem = ergoopt.assemble_nlp(sc, scenario.build_system(sc),
+                                           freeze_hardware=True)
+            report = nlpsolver.solve_nlp(
+                problem, ergoopt.warm_start_vector(problem),
+                nlpsolver.SolverOptions(max_iter=2))
+            print(report.iterations, "scipy.optimize" in sys.modules)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "True"]

@@ -204,3 +204,29 @@ class TestWarmStartReport:
             for a in (r.converged, r.error):
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
+
+
+class TestGrasps:
+    def test_direct_scenario_matches_make_scenario(self, ik_calls):
+        """The grasp points derive from the agent models, so a
+        ``Scenario`` built directly couples and poses like
+        ``make_scenario``'s, down to the warm-start memo key."""
+        made = make_scenario(heights=(0.9, 1.3))
+        direct = scenario.Scenario(made.human, made.robot, (0.9, 1.3))
+        systems = [build_system(sc) for sc in (made, direct)]
+        pairs = [[(g.agent, g.agent_frame, g.payload_frame)
+                  for g in s.grasps] for s in systems]
+        assert pairs[1] == pairs[0]
+        frames = [{f.name: f.offset for f in s.payload.frames}
+                  for s in systems]
+        assert sorted(frames[1]) == sorted(sum(scenario.GRASP_FRAMES, ()))
+        for name, offset in frames[0].items():
+            np.testing.assert_array_equal(frames[1][name], offset)
+        heights = np.array(made.heights)
+        poses = [warm_start_configuration(sc, s, heights)
+                 for sc, s in zip((made, direct), systems)]
+        assert len(ik_calls) == 2  # the direct scenario hits the memo
+        for q1, q2 in zip(*(p.qs for p in poses)):
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(q2, name),
+                                              getattr(q1, name))
