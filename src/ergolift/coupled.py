@@ -6,7 +6,8 @@ environment contact (frame twist pinned to zero) and per grasp (agent
 hand twist equal to the payload grasp-point twist), so contact wrenches
 enter the dynamics as ``Q^T f`` with action-reaction built in.  It takes
 the Jacobians of all of a subsystem's coupled frames from one batched
-``frame_jacobian`` call and writes them into ``Q`` by slice assignment.
+``frame_jacobian`` call and writes them, times their signs, into ``Q``
+at that subsystem's rows of ``CoupledSystem.coupling_blocks``.
 ``coupling_matrix`` is plain only: a ``Dual`` tree raises TypeError.
 
 Static joint torques resolve the actuation redundancy with the
@@ -21,7 +22,8 @@ and ``statics_minnorm`` adds the tangent rule the optimizer
 differentiates through.  ``static_torques`` reads the torques of
 ``statics_minnorm``.  ``contact_wrenches`` is a separate route: the
 least-squares wrenches ``f`` with ``Q^T f = g - B tau`` for a given
-``tau``, through the SVD of ``Q``.
+``tau``, through the SVD of ``Q``.  The 0/1 ``B`` is never formed:
+``B B^T``, ``B^T lam`` and ``B tau`` index ``CoupledSystem.actuated``.
 
 The tangent rule differentiates the saddle system with ``lam`` and
 ``f`` held fixed: ``A sol' = [g'; 0] - [Q'^T f; Q' lam]``.  Its two
@@ -89,6 +91,11 @@ class UnloadedFootError(ValueError):
     center of pressure; the message names its wrench label and force."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GraspPair:
     """Rigid coupling of an agent hand frame with a payload frame."""
@@ -107,6 +114,9 @@ class CoupledSystem:
     ``env_contacts`` then ``grasps``, 6 rows each.
     ``parametrized_agent`` names the subsystem whose hardware responds
     to optimization parameters (the robot).
+
+    Every table that depends only on the system is a cached property,
+    built once; its arrays are read-only, since every call shares them.
     """
 
     agents: tuple
@@ -141,31 +151,22 @@ class CoupledSystem:
             models.append(self.payload)
         return models
 
+    @cached_property
     def velocity_layout(self):
-        dims = [6 + m.n_joints for m in self.agents]
-        if self.payload is not None:
-            dims.append(6)
-        offsets = np.concatenate([[0], np.cumsum(dims)])
-        return dims, offsets
+        """Velocity dimension of each subsystem and their offsets."""
+        dims = tuple(6 + m.n_joints for m in self.subsystem_models())
+        return dims, _read_only(np.concatenate([[0], np.cumsum(dims)]))
 
-    def selector(self):
-        """Composite actuation selector B of shape (n_vel, n_act)."""
-        dims, offsets = self.velocity_layout()
-        n_vel = offsets[-1]
-        n_act = sum(m.n_joints for m in self.agents)
-        B = np.zeros((int(n_vel), n_act))
-        col = 0
-        for i, m in enumerate(self.agents):
-            rows = np.arange(offsets[i] + 6, offsets[i] + 6 + m.n_joints)
-            B[rows, col + np.arange(m.n_joints)] = 1.0
-            col += m.n_joints
-        return B
+    @cached_property
+    def actuated(self):
+        """Composite velocity rows of the joints: ``tau = lam[actuated]``."""
+        _, offsets = self.velocity_layout
+        return _read_only(np.concatenate([
+            np.arange(o + 6, o + 6 + m.n_joints)
+            for o, m in zip(offsets, self.agents)]))
 
     def torque_labels(self):
-        out = []
-        for i, m in enumerate(self.agents):
-            out.extend(f"{m.name}:{j}" for j in m.joint_names)
-        return out
+        return [f"{m.name}:{j}" for m in self.agents for j in m.joint_names]
 
     @cached_property
     def coupling_frames(self):
@@ -174,7 +175,7 @@ class CoupledSystem:
         Blocks follow ``env_contacts`` then ``grasps``; a grasp couples
         the agent frame (+) with the payload frame (-) in one block.
         """
-        out = [[] for _ in range(len(self.agents) + (self.payload is not None))]
+        out = [[] for _ in self.velocity_layout[0]]
         for k, (agent, frame) in enumerate(self.env_contacts):
             out[agent].append((frame, k, 1))
         for k, g in enumerate(self.grasps, start=len(self.env_contacts)):
@@ -183,10 +184,18 @@ class CoupledSystem:
         return tuple(tuple(frames) for frames in out)
 
     @cached_property
-    def coupled_frame_names(self):
-        """Per subsystem, the names of its ``coupling_frames``."""
-        return tuple(tuple(f for f, _, _ in frames)
-                     for frames in self.coupling_frames)
+    def coupling_blocks(self):
+        """Per subsystem with ``coupling_frames``: its index, the frame
+        names, their ``(F, 6)`` rows of ``Q`` (and of the wrenches) and
+        their ``(F, 1)`` signs."""
+        out = []
+        for s, frames in enumerate(self.coupling_frames):
+            if frames:
+                names, blocks, signs = zip(*frames)
+                rows = 6 * np.array(blocks)[:, None] + np.arange(6)
+                out.append((s, names, _read_only(rows),
+                            _read_only(np.array(signs, dtype=float)[:, None])))
+        return tuple(out)
 
     @cached_property
     def frame_slots(self):
@@ -198,9 +207,10 @@ class CoupledSystem:
             slots[row, sign] = k
         E = len(self.env_contacts)
         grasp_rows = range(E, E + len(self.grasps))
-        return (np.array([slots[r, 1] for r in range(E)], dtype=int),
-                np.array([slots[r, 1] for r in grasp_rows], dtype=int),
-                np.array([slots[r, -1] for r in grasp_rows], dtype=int))
+        return tuple(_read_only(np.array(ks, dtype=int)) for ks in (
+            [slots[r, 1] for r in range(E)],
+            [slots[r, 1] for r in grasp_rows],
+            [slots[r, -1] for r in grasp_rows]))
 
     @cached_property
     def wrench_labels(self):
@@ -216,10 +226,6 @@ class CoupledConfiguration:
     """One configuration per subsystem, payload last."""
 
     qs: tuple
-
-    @staticmethod
-    def of(*qs):
-        return CoupledConfiguration(tuple(qs))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -249,27 +255,21 @@ def coupling_matrix(sys: CoupledSystem, trees):
     """Stacked contact constraint matrix over the composite velocity.
 
     One ``frame_jacobian`` call per subsystem gives the Jacobians of all
-    its contact and grasp frames, ``(..., F, 6, 6 + n)``; they are copied
-    into a preallocated ``Q`` by slice assignment, a payload grasp
-    frame's with a minus sign.  Plain only: ``trees`` (from
+    its contact and grasp frames, ``(..., F, 6, 6 + n)``; times their
+    signs they are written into a preallocated ``Q`` at the rows of
+    ``CoupledSystem.coupling_blocks``.  Plain only: ``trees`` (from
     ``coupled_trees``) must hold plain arrays, since the statics take the
     tangents of ``Q`` by contraction; a ``Dual`` tree raises TypeError.
     """
-    dims, offsets = sys.velocity_layout()
+    dims, offsets = sys.velocity_layout
     n_rows = 6 * (len(sys.env_contacts) + len(sys.grasps))
-    parts = []
-    for s, frames in enumerate(sys.coupling_frames):
-        if not frames:
-            continue
-        J = frame_jacobian(trees[s], sys.coupled_frame_names[s])
+    Q = np.zeros(trees[0].pos.shape[:-2] + (n_rows, int(offsets[-1])))
+    for s, names, rows, sign in sys.coupling_blocks:
+        J = frame_jacobian(trees[s], names)
         if isinstance(J, fad.Dual):
             raise TypeError("coupling_matrix takes plain trees only")
-        cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
-        parts.extend(((..., slice(6 * row, 6 * row + 6), cols),
-                      J[..., k, :, :] if sign > 0 else -J[..., k, :, :])
-                     for k, (_, row, sign) in enumerate(frames))
-    batch = trees[0].pos.shape[:-2]
-    return fad.assemble(batch + (n_rows, int(offsets[-1])), parts)
+        Q[..., rows, offsets[s]:offsets[s] + dims[s]] = sign[..., None] * J
+    return Q
 
 
 def _widen(x, dirs, s):
@@ -294,9 +294,8 @@ def coupled_poses(sys: CoupledSystem, trees, dirs=None):
     ``CoupledSystem.frame_slots`` locates the contacts and grasps.
     ``dirs`` as in the module docstring.
     """
-    poses = [tuple(_widen(x, dirs, s) for x in t.frame_poses(names))
-             for s, (t, names) in enumerate(
-                 zip(trees, sys.coupled_frame_names))]
+    poses = [tuple(_widen(x, dirs, s) for x in trees[s].frame_poses(names))
+             for s, names, _, _ in sys.coupling_blocks]
     return (fad.concatenate([R for R, _ in poses], axis=-3),
             fad.concatenate([p for _, p in poses], axis=-2))
 
@@ -324,18 +323,18 @@ def _constraint_svd(Q: np.ndarray, labels):
     return U, sv, Vt
 
 
-def _saddle_solve(Q: np.ndarray, g: np.ndarray, B: np.ndarray):
+def _saddle_solve(Q: np.ndarray, g: np.ndarray, act: np.ndarray):
     """Solve ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` on plain arrays.
 
     ``Q`` ``(..., n_c, n_vel)`` and ``g`` ``(..., n_vel)`` may stack
-    postures.  Returns the saddle matrix ``A`` (for tangent solves),
-    ``lam`` and ``f``.  ``f`` is a copy, so a kept result does not hold
-    the whole solution vector.  A singular ``A`` means some body is held
-    by no contact.
+    postures; ``B B^T`` has its ones at the ``act`` rows.  Returns the
+    saddle matrix ``A`` (for tangent solves), ``lam`` and ``f``.  ``f`` is
+    a copy, so a kept result does not hold the whole solution vector.  A
+    singular ``A`` means some body is held by no contact.
     """
-    n_vel, n_c = B.shape[0], Q.shape[-2]
+    n_c, n_vel = Q.shape[-2:]
     A = np.zeros(Q.shape[:-2] + (n_vel + n_c, n_vel + n_c))
-    A[..., :n_vel, :n_vel] = B @ B.T
+    A[..., act, act] = 1.0
     A[..., :n_vel, n_vel:] = np.swapaxes(Q, -1, -2)
     A[..., n_vel:, :n_vel] = Q
     rhs = np.concatenate([g, np.zeros(g.shape[:-1] + (n_c,))], axis=-1)
@@ -361,7 +360,9 @@ def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
     Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, trees))
     U, sv, Vt = _constraint_svd(Q, sys.wrench_labels)
-    return U @ ((Vt @ (g - sys.selector() @ tau)) / sv)
+    B_tau = np.zeros_like(g)
+    B_tau[sys.actuated] = tau
+    return U @ ((Vt @ (g - B_tau)) / sv)
 
 
 def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
@@ -382,33 +383,29 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
         trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, [t.value() for t in trees])
     g = composite_gravity(sys, trees, dirs)
-    B = sys.selector()
-    n_vel = B.shape[0]
-    A, lam, f = _saddle_solve(Q, fad.value(g), B)
+    act = sys.actuated
+    A, lam, f = _saddle_solve(Q, fad.value(g), act)
+    # take, not lam[..., act]: indexing the last axis of a stack returns
+    # a non-C-contiguous array, which fad.sumsq then rounds differently
+    tau = lam.take(act, axis=-1)
     if not isinstance(g, fad.Dual):
-        return lam @ B, f
+        return tau, f
     # tangent rule: A sol_dot = rhs_dot - A_dot sol, with A_dot carrying
     # only the coupling blocks; solved against the same A
-    dims, offsets = sys.velocity_layout()
+    dims, offsets = sys.velocity_layout
+    n_vel = offsets[-1]
     rhs_dot = np.zeros(g.dot.shape[:-1] + (A.shape[-1],))
     rhs_dot[..., :n_vel] = g.dot
-    for s, frames in enumerate(sys.coupling_frames):
-        if not frames:
-            continue
-        tree, names = trees[s], sys.coupled_frame_names[s]
-        cols = slice(int(offsets[s]), int(offsets[s]) + dims[s])
-        sign = np.array([float(sg) for _, _, sg in frames])[:, None]
-        # (F, 6) rows of each frame's wrench block in f
-        block = 6 * np.array([row for _, row, _ in frames])[:, None] \
-            + np.arange(6)
+    for s, names, block, sign in sys.coupling_blocks:
+        cols = slice(offsets[s], offsets[s] + dims[s])
         # the subsystem's directions of rhs_dot: a copy with dirs, which
         # is written back, since two index arrays do not combine
         rows = slice(None) if dirs is None else dirs[0][s]
         sub = rhs_dot[rows]
-        force = generalized_force(tree, names, sign * f[..., block])
+        force = generalized_force(trees[s], names, sign * f[..., block])
         if isinstance(force, fad.Dual):
             sub[..., cols] -= force.dot
-        twists = frame_twists(tree, names, lam[..., cols])
+        twists = frame_twists(trees[s], names, lam[..., cols])
         if isinstance(twists, fad.Dual):
             d = sign * twists.dot
             sub[..., n_vel + block.ravel()] -= d.reshape(
@@ -416,9 +413,8 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
         rhs_dot[rows] = sub
     sol_dot = np.moveaxis(
         np.linalg.solve(A, np.moveaxis(rhs_dot, 0, -1)), -1, 0)
-    lam_d = fad.Dual(lam, sol_dot[..., :n_vel])
-    f_d = fad.Dual(f, sol_dot[..., n_vel:])
-    return lam_d @ B, f_d
+    return (fad.Dual(tau, sol_dot.take(act, axis=-1)),
+            fad.Dual(f, sol_dot[..., n_vel:]))
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +456,15 @@ def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
         trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, trees))
-    B = sys.selector()
     _, _, Vt = _constraint_svd(Q, sys.wrench_labels)
-    _, lam, f = _saddle_solve(Q, g, B)
-    tau = B.T @ lam
-    r = g - B @ tau
+    _, lam, f = _saddle_solve(Q, g, sys.actuated)
+    tau = lam.take(sys.actuated, axis=-1)
+    B_tau = np.zeros_like(g)
+    B_tau[sys.actuated] = tau
+    r = g - B_tau
     proj = float(np.abs(r - Vt.T @ (Vt @ r)).max())
-    full = float(np.abs(B @ tau + Q.T @ f - g).max())
+    # summed as B tau + Q^T f - g, not Q^T f - r, which rounds otherwise
+    full = float(np.abs(B_tau + Q.T @ f - g).max())
     env = sys.frame_slots[0]
     R = coupled_poses(sys, trees)[0][env]
     w = f[:6 * len(env)].reshape(len(env), 6)

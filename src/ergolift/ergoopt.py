@@ -7,8 +7,9 @@ joint positions]``; after all heights, the shared hardware block
 groups, which ``ErgoProblem.group_values`` decodes.  The cost sums the
 torque and center-of-pressure tasks over heights and adds the
 density-preference and center-of-mass-height tasks once; it is
-normalized by the sum of task weights, so uniformly scaling all weights
-leaves the iterate path bit-for-bit identical.  The center-of-pressure
+normalized by the sum of task weights: scaling all weights by a power of
+two leaves values, derivatives and iterates bit-for-bit identical, any
+other factor changes them only by rounding.  The center-of-pressure
 task measures each sole's CoP from its sole-frame origin, and the
 density task prefers ``scenario.PREFERRED_DENSITIES``.
 
@@ -138,10 +139,9 @@ class DecisionLayout:
 
     def active_indices(self, k):
         """Decision coordinates the height-k terms depend on."""
-        idx = list(range(self.height_slice(k).start, self.height_slice(k).stop))
-        sl = self.pi_slice()
-        idx.extend(range(sl.start, sl.stop))
-        return np.array(idx, dtype=int)
+        h, pi = self.height_slice(k), self.pi_slice()
+        return np.concatenate([np.arange(h.start, h.stop),
+                               np.arange(pi.start, pi.stop)])
 
 
 def _sub_configuration(y_block):
@@ -490,11 +490,9 @@ def warm_start_vector(problem: ErgoProblem) -> np.ndarray:
                 block[6:] += jitter
             parts.append(block)
     if problem.layout.pi_dim:
-        g = problem.layout.n_groups
-        lm = [problem.nominal_groups[name][1] for name in problem.nominal_groups]
-        rho = [problem.nominal_groups[name][0] for name in problem.nominal_groups]
-        parts.append(np.asarray(lm, dtype=float))
-        parts.append(np.asarray(rho, dtype=float))
+        groups = problem.nominal_groups.values()
+        parts.append(np.asarray([lm for _, lm in groups], dtype=float))
+        parts.append(np.asarray([rho for rho, _ in groups], dtype=float))
     y0 = np.concatenate(parts)
     return np.clip(y0, problem.lb + 1e-9, problem.ub - 1e-9)
 

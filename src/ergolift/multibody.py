@@ -1,13 +1,13 @@
 """Floating-base kinematic trees parametrized by link hardware.
 
 A ``Model`` is an ordered list of links connected by revolute joints,
-plus named attachment frames (hands, feet, grasp points).  Link
-geometry and inertia are functions of the per-link hardware (density,
-length multiplier).  Joint and frame offsets are given at unit multiplier; where
-poses are computed, their z component is scaled by the multiplier of the
-link they are mounted on, so a longer link carries its child joints and
-attachment frames along its growth axis.  ``apply_hardware`` therefore
-only puts new hardware on links and shares everything else.
+plus named attachment frames (hands, feet, grasp points).  Link geometry
+and inertia are functions of the per-link hardware (density, length
+multiplier).  Joint and frame offsets are given at unit multiplier;
+where poses are computed, their z component is scaled by the multiplier
+of the link they are mounted on, so a longer link carries its child
+joints and attachment frames along its growth axis.  ``apply_hardware``
+therefore only puts new hardware on links and shares everything else.
 
 Velocity convention is mixed/world-aligned: the base twist is the world
 linear velocity of the base origin stacked with the world angular
@@ -28,14 +28,14 @@ model shares.
 Every pass works on whole-tree arrays and takes the ``KinTree`` it
 reads.  ``kinematics`` walks the tree one depth level at a time and
 returns stacked ``(L, 3, 3)`` rotations and ``(L, 3)`` positions;
-``KinTree.frame_poses`` and ``frame_jacobian`` gather a tuple of
-frames at once, the Jacobians as ``(F, 6, 6 + n)`` from one masked
-cross product over the stacked joint axes and pivots; ``gravity_vector`` sums the link mass moments over
-subtrees with one matmul, the composite-body bookkeeping of
-Featherstone, *Rigid Body Dynamics Algorithms* (2008).  The mass matrix
-is ``M = sum_i J_i^T M_i J_i`` over the links, with ``J_i`` the
-Jacobian of link i's origin and ``M_i`` its spatial inertia about that
-origin.
+``KinTree.frame_poses`` and ``frame_jacobian`` gather a tuple of frames
+at once, the Jacobians as ``(F, 6, 6 + n)`` from one masked cross
+product over the stacked joint axes and pivots; ``gravity_vector`` sums
+the link mass moments over subtrees with one matmul, the composite-body
+bookkeeping of Featherstone, *Rigid Body Dynamics Algorithms* (2008).
+The mass matrix is ``M = sum_i J_i^T M_i J_i`` over the links, with
+``J_i`` the Jacobian of link i's origin and ``M_i`` its spatial inertia
+about that origin.
 
 Two contractions give products with the frame Jacobians without forming
 them: ``generalized_force`` is ``sum_k J_k^T w_k`` for wrenches ``w_k``
@@ -443,15 +443,16 @@ def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
         return model
     for name in params:
         if name not in model.topology.link_map:
-            raise UnknownFrameError(f"unknown link {name!r} in hardware params")
+            raise UnknownFrameError(
+                f"unknown link {name!r} in hardware params")
     if validate:
         lo_lm, hi_lm = model.bounds.length_multiplier
         lo_rho, hi_rho = model.bounds.density
         for name, hw in params.items():
             if isinstance(hw.density, (int, float)) and not (
                     lo_rho <= hw.density <= hi_rho):
-                raise ValueError(
-                    f"density for {name!r} outside bounds [{lo_rho}, {hi_rho}]")
+                raise ValueError(f"density for {name!r} outside bounds "
+                                 f"[{lo_rho}, {hi_rho}]")
             if isinstance(hw.length_multiplier, (int, float)) and not (
                     lo_lm <= hw.length_multiplier <= hi_lm):
                 raise ValueError(
@@ -490,8 +491,8 @@ class KinTree:
     each is a plain array or a ``Dual``.  A joint turns about its child
     link's origin, so ``pivot_w`` is ``pos`` without the base row.
     ``lms`` are the per-link length multipliers the poses were computed
-    with (None when all are 1.0).  The mounts of each tuple of frames are gathered once
-    per tree and kept, since the poses, ``frame_jacobian``,
+    with (None when all are 1.0).  The mounts of each tuple of frames are
+    gathered once per tree and kept, since the poses, ``frame_jacobian``,
     ``generalized_force`` and ``frame_twists`` of one pass all read them;
     ``value`` and ``row`` hand the kept gathers on to the trees they
     derive.

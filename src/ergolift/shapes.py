@@ -75,7 +75,8 @@ class LinkHardware:
     def __post_init__(self):
         if _is_concrete(self.density) and self.density <= 0:
             raise ValueError("density must be positive")
-        if _is_concrete(self.length_multiplier) and self.length_multiplier <= 0:
+        lm = self.length_multiplier
+        if _is_concrete(lm) and lm <= 0:
             raise ValueError("length multiplier must be positive")
 
 

@@ -74,7 +74,7 @@ def assemble_spatial_inertia(mass, com, inertia):
 
 
 def triangle_inequality_defect(inertia_cm):
-    """How far the eigenvalues of a CoM inertia are from lam_i <= lam_j + lam_k.
+    """How far a CoM inertia's eigenvalues are from lam_i <= lam_j + lam_k.
 
     Nonpositive means physically realizable by some mass distribution.
     """

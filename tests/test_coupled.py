@@ -27,16 +27,25 @@ from ergolift.templates import build_payload, default_human
 # on M whenever the contact set has full row rank.
 
 
+def selector(sys):
+    """The 0/1 actuation matrix B ``(n_vel, n_act)``: a one in each
+    column at that joint's row of ``sys.actuated``."""
+    act = sys.actuated
+    B = np.zeros((int(sys.velocity_layout[1][-1]), act.size))
+    B[act, np.arange(act.size)] = 1.0
+    return B
+
+
 def composite_matrices(sys, q, params=None):
     """Block-diagonal mass matrix, stacked gravity and selector matrix."""
     trees = coupled_trees(sys, q, params)
-    _, offsets = sys.velocity_layout()
+    _, offsets = sys.velocity_layout
     M = np.zeros((int(offsets[-1]),) * 2)
     for i, t in enumerate(trees):
         sl = slice(int(offsets[i]), int(offsets[i + 1]))
         M[sl, sl] = mass_matrix(t)
     g = np.asarray(composite_gravity(sys, trees))
-    return M, g, sys.selector()
+    return M, g, selector(sys)
 
 
 def nullspace_projector(M, Q, labels):
@@ -97,7 +106,7 @@ def reference_cop(force, torque):
 
 def dual_coupling_matrix(sys, trees):
     """Q with the tangents of the Dual trees' frame Jacobians."""
-    dims, offsets = sys.velocity_layout()
+    dims, offsets = sys.velocity_layout
     parts = []
     for s, frames in enumerate(sys.coupling_frames):
         if not frames:
@@ -116,9 +125,9 @@ def dual_coupling_statics(sys, q, params):
     trees = coupled_trees(sys, q, params)
     Q = dual_coupling_matrix(sys, trees)
     g = composite_gravity(sys, trees)
-    B = sys.selector()
+    B = selector(sys)
     n_vel = B.shape[0]
-    A, lam, f = _saddle_solve(Q.val, g.val, B)
+    A, lam, f = _saddle_solve(Q.val, g.val, sys.actuated)
     rhs_dot = np.zeros((g.ndir, A.shape[0]))
     rhs_dot[:, :n_vel] = g.dot - np.einsum("dij,i->dj", Q.dot, f)
     rhs_dot[:, n_vel:] = -(Q.dot @ lam)
@@ -180,7 +189,7 @@ def pendulum_system(axis=(0, -1, 0)):
     frames = (FrameDef("anchor", 0, np.zeros(3), np.zeros(3)),)
     model = Model(name="pendulum", links=links, frames=frames).validate()
     sys = CoupledSystem(agents=(model,), env_contacts=((0, "anchor"),))
-    q = CoupledConfiguration.of(Configuration.neutral(model))
+    q = CoupledConfiguration((Configuration.neutral(model),))
     return sys, q
 
 
@@ -190,7 +199,7 @@ def standing_human_system():
                         env_contacts=((0, "sole_left"), (0, "sole_right")))
     q0 = Configuration(np.array([0.0, 0.0, 0.83]), np.eye(3),
                        np.zeros(human.n_joints))
-    return sys, CoupledConfiguration.of(q0)
+    return sys, CoupledConfiguration((q0,))
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +243,7 @@ class TestStaticTorques:
         frames = (FrameDef("anchor", 0, np.zeros(3), np.zeros(3)),)
         model = Model(name="air", links=links, frames=frames)
         sys = CoupledSystem(agents=(model,), env_contacts=((0, "anchor"),))
-        q = CoupledConfiguration.of(Configuration.neutral(model))
+        q = CoupledConfiguration((Configuration.neutral(model),))
         tau = static_torques(sys, q)
         assert np.abs(tau).max() <= 1e-9
         # and the residual weight torque is exactly m g l
@@ -328,8 +337,20 @@ class TestCouplingMatrix:
         _, sys, q = desk
         Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
         n_rows = 6 * (len(sys.env_contacts) + len(sys.grasps))
-        dims, offsets = sys.velocity_layout()
+        dims, offsets = sys.velocity_layout
         assert Q.shape == (n_rows, int(offsets[-1]))
+
+    def test_shared_tables_are_read_only(self, desk):
+        # every call reads the cached tables, so an in-place edit raises
+        _, sys, _ = desk
+        dims, offsets = sys.velocity_layout
+        assert isinstance(dims, tuple)
+        arrays = [offsets, sys.actuated, *sys.frame_slots]
+        for _, _, rows, signs in sys.coupling_blocks:
+            arrays += [rows, signs]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0
 
     def test_dual_trees_raise(self, desk, rng):
         _, sys, q0 = desk
@@ -507,6 +528,23 @@ class TestEvaluateStatics:
             for cop, (force, torque) in zip(res.cops.values(), soles):
                 np.testing.assert_allclose(cop, reference_cop(force, torque),
                                            rtol=1e-12, atol=1e-15)
+
+    def test_shares_the_saddle_of_statics_minnorm(self, desk, rng):
+        # both routes read one saddle solve: plain statics_minnorm gives
+        # the same torques and wrenches bit for bit, with and without
+        # robot hardware
+        _, sys, q0 = desk
+        robot = sys.parametrized_model
+        for k in range(5):
+            q = q0 if k == 0 else perturbed(sys, q0, rng, joint_scale=0.02,
+                                            base_scale=0.0)
+            params = None if k < 2 else group_params(robot, {
+                g.name: (rng.uniform(1500.0, 3000.0), rng.uniform(0.8, 1.3))
+                for g in robot.groups})
+            res = evaluate_statics(sys, q, params)
+            tau, f = statics_minnorm(sys, q, params)
+            np.testing.assert_array_equal(res.tau, tau)
+            np.testing.assert_array_equal(res.wrenches, f)
 
     def test_refusal_names_the_unloaded_foot(self, desk, rng):
         # after larger moves the minimum-norm split pulls on some foot;

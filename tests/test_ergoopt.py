@@ -9,8 +9,8 @@ from ergolift.coupled import SingularConstraintError, UnloadedFootError, \
 from ergolift.ergoopt import assemble_nlp, solve, warm_start_vector
 from ergolift.multibody import kinematics
 from ergolift.nlpsolver import SolverOptions, SolverReport
-from ergolift.scenario import PREFERRED_DENSITIES, build_system, \
-    make_scenario, warm_start_configuration
+from ergolift.scenario import PREFERRED_DENSITIES, TaskWeights, \
+    build_system, make_scenario, warm_start_configuration
 
 
 def per_height_derivatives(problem, y):
@@ -232,9 +232,11 @@ class TestSubsystemDirections:
         monkeypatch.setattr(multibody.Topology, "mounts", wrapper)
         problem.value_and_derivatives(y)
         sys = problem.system
-        for model, names in zip(sys.subsystem_models(),
-                                sys.coupled_frame_names):
-            assert gathered.count((model.topology, names)) == 1, model.name
+        models = sys.subsystem_models()
+        assert len(sys.coupling_blocks) == len(models)
+        for s, names, _, _ in sys.coupling_blocks:
+            assert gathered.count((models[s].topology, names)) == 1, \
+                models[s].name
 
     def test_coupling_matrix_of_kept_gathers_matches_fresh_ones(
             self, paper_problem, monkeypatch):
@@ -285,6 +287,36 @@ class TestSharedTerms:
                 * ergoopt.task_density(densities, PREFERRED_DENSITIES)
                 + sc.weights.com_height * ergoopt.task_com_height(robot))
         assert fresh._shared_terms(y, None) == want
+
+
+class TestWeightScaling:
+    """The cost is normalized by the sum of the task weights."""
+
+    @pytest.fixture(scope="class")
+    def warm_start_pass(self):
+        sc = make_scenario()
+        system = build_system(sc)
+        y0 = warm_start_vector(assemble_nlp(sc, system))
+
+        def derivatives(factor):
+            w = TaskWeights(**{f.name: factor * getattr(sc.weights, f.name)
+                               for f in dataclasses.fields(TaskWeights)})
+            problem = assemble_nlp(dataclasses.replace(sc, weights=w),
+                                   system)
+            return problem.value_and_derivatives(y0)
+
+        return derivatives
+
+    def test_power_of_two_factor_is_exact(self, warm_start_pass):
+        for got, want in zip(warm_start_pass(2.0), warm_start_pass(1.0)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_other_factor_agrees_to_rounding(self, warm_start_pass):
+        # relative to each output's largest entry, since an entry that
+        # cancels to near zero keeps only an absolute agreement
+        for got, want in zip(warm_start_pass(3.0), warm_start_pass(1.0)):
+            np.testing.assert_allclose(
+                got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestOnePass:

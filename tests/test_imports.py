@@ -4,7 +4,8 @@ reaches in the program exists.
 No linter runs with the tests, so the first check stands in for the
 unused-import rule.  It reads each module with ``ast`` and does not
 import it.  ``__init__.py`` is skipped because its imports are
-re-exports.  A second ``ast`` check holds every private (``_name``)
+re-exports.  Next to it, no line of the program is longer than 79
+characters.  A second ``ast`` check holds every private (``_name``)
 module-level function, class or constant of ``ergolift`` to be
 referenced somewhere in the package, so a helper does not outlive its
 last caller.
@@ -54,6 +55,25 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+MAX_LINE = 79
+
+
+def long_lines(source):
+    """Numbers of the lines longer than ``MAX_LINE`` characters."""
+    return [n for n, line in enumerate(source.splitlines(), start=1)
+            if len(line) > MAX_LINE]
+
+
+def test_detects_long_lines():
+    assert long_lines("x = 1\n" + "#" * 80 + "\n" + "#" * 79 + "\n") == [2]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/ergolift/*.py")),
+                         ids=lambda p: p.name)
+def test_no_long_lines(path):
+    assert long_lines(path.read_text()) == []
 
 
 def private_definitions(source):
