@@ -12,21 +12,48 @@ at that subsystem's rows of ``CoupledSystem.coupling_blocks``.
 
 Static joint torques resolve the actuation redundancy with the
 minimum-norm distribution.  One route computes them together with the
-contact wrenches: the symmetric saddle system
-``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` of the equivalent
+contact wrenches: the symmetric saddle system ``A [lam; f] = [g; 0]``,
+``A = [[B B^T, Q^T], [Q, 0]]``, of the equivalent
 equality-constrained least-norm problem, with ``tau = B^T lam``.  For a
 contact set of full row rank its solution does not depend on the mass
-matrix.  ``_saddle_solve`` solves it on plain arrays;
+matrix.  ``_saddle_statics`` solves it on plain arrays;
 ``evaluate_statics`` adds the rank check, both residuals and the CoPs,
 and ``statics_minnorm`` adds the tangent rule the optimizer
 differentiates through.  ``static_torques`` reads the torques of
 ``statics_minnorm``.  ``contact_wrenches`` is a separate route: the
 least-squares wrenches ``f`` with ``Q^T f = g - B tau`` for a given
 ``tau``, through the SVD of ``Q``.  The 0/1 ``B`` is never formed:
-``B B^T``, ``B^T lam`` and ``B tau`` index ``CoupledSystem.actuated``.
+``B^T lam`` and ``B tau`` index ``CoupledSystem.actuated``.
+
+The saddle system is solved in reduced form.  ``B B^T`` is the
+identity on the actuated rows ``a`` (``CoupledSystem.actuated``, the
+joints) and zero on the unactuated rows ``b``
+(``CoupledSystem.unactuated``, the floating bases).  For a right-hand
+side ``[r_a; r_b; r_c]`` the actuated rows read
+``lam_a + Q_a^T f = r_a``, so ``tau = lam_a = r_a - Q_a^T f``, where
+``Q_a`` and ``Q_b`` are the actuated and unactuated columns of ``Q``.
+Putting ``lam_a`` into the constraint rows
+``Q_a lam_a + Q_b lam_b = r_c`` and keeping the unactuated rows
+``Q_b^T f = r_b`` leaves the kernel
+
+    K [f; lam_b] = [r_c - Q_a r_a; r_b],
+    K = [[-Q_a Q_a^T, Q_b], [Q_b^T, 0]],
+
+48 + 18 = 66 unknowns for the lifting system against the saddle
+system's 116.  The eliminated block is an identity, so ``K`` is the
+saddle matrix's Schur complement up to a symmetric permutation and
+``det K = det A``: ``K`` is singular exactly when the saddle system is.
+It is invertible when the contact rows are independent (``Q`` has full
+row rank, which ``evaluate_statics`` checks) and every floating base is
+held by some contact (``Q_b`` has full column rank); otherwise the
+solve raises SingularConstraintError.  ``_saddle_statics`` builds ``K``
+once per posture, and ``_saddle_solve`` solves it for the value
+right-hand side ``[g; 0]`` and, in ``statics_minnorm``, for the
+tangent right-hand sides, so both use one ``K``.
 
 The tangent rule differentiates the saddle system with ``lam`` and
-``f`` held fixed: ``A sol' = [g'; 0] - [Q'^T f; Q' lam]``.  Its two
+``f`` held fixed: ``A sol' = [g'; 0] - [Q'^T f; Q' lam]``, solved
+through the same ``K`` with one column per direction.  Its two
 coupling terms come by contraction, never from a ``Dual`` ``Q``: per
 subsystem, ``multibody.generalized_force`` of the signed block wrenches
 gives ``Q'^T f`` and ``multibody.frame_twists`` of the subsystem's part
@@ -164,6 +191,13 @@ class CoupledSystem:
         return _read_only(np.concatenate([
             np.arange(o + 6, o + 6 + m.n_joints)
             for o, m in zip(offsets, self.agents)]))
+
+    @cached_property
+    def unactuated(self):
+        """Composite velocity rows of the floating bases, the rows that
+        ``actuated`` leaves out."""
+        n_vel = int(self.velocity_layout[1][-1])
+        return _read_only(np.setdiff1d(np.arange(n_vel), self.actuated))
 
     def torque_labels(self):
         return [f"{m.name}:{j}" for m in self.agents for j in m.joint_names]
@@ -323,27 +357,51 @@ def _constraint_svd(Q: np.ndarray, labels):
     return U, sv, Vt
 
 
-def _saddle_solve(Q: np.ndarray, g: np.ndarray, act: np.ndarray):
-    """Solve ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` on plain arrays.
+def _saddle_solve(sys: CoupledSystem, K, Qa, rhs):
+    """Solve ``[[B B^T, Q^T], [Q, 0]] [lam; f] = rhs`` through ``K``.
 
-    ``Q`` ``(..., n_c, n_vel)`` and ``g`` ``(..., n_vel)`` may stack
-    postures; ``B B^T`` has its ones at the ``act`` rows.  Returns the
-    saddle matrix ``A`` (for tangent solves), ``lam`` and ``f``.  ``f`` is
-    a copy, so a kept result does not hold the whole solution vector.  A
-    singular ``A`` means some body is held by no contact.
+    ``rhs`` ``(..., n_vel + n_c, m)`` holds m right-hand sides as
+    columns; ``K`` and ``Qa`` come from ``_saddle_statics``.  Returns
+    ``tau = lam[actuated]``, ``lam[unactuated]`` and ``f``, each with
+    the m columns.  A singular ``K`` means some body is held by no
+    contact.
     """
-    n_c, n_vel = Q.shape[-2:]
-    A = np.zeros(Q.shape[:-2] + (n_vel + n_c, n_vel + n_c))
-    A[..., act, act] = 1.0
-    A[..., :n_vel, n_vel:] = np.swapaxes(Q, -1, -2)
-    A[..., n_vel:, :n_vel] = Q
-    rhs = np.concatenate([g, np.zeros(g.shape[:-1] + (n_c,))], axis=-1)
+    n_c = Qa.shape[-2]
+    r_vel, r_c = rhs[..., :-n_c, :], rhs[..., -n_c:, :]
+    r_a = r_vel[..., sys.actuated, :]
+    reduced = np.concatenate([r_c - Qa @ r_a,
+                              r_vel[..., sys.unactuated, :]], axis=-2)
     try:
-        sol = np.linalg.solve(A, rhs[..., None])[..., 0]
+        sol = np.linalg.solve(K, reduced)
     except np.linalg.LinAlgError as exc:
         raise SingularConstraintError(
             "singular statics: some body is held by no contact") from exc
-    return A, sol[..., :n_vel], sol[..., n_vel:].copy()
+    f = sol[..., :n_c, :]
+    return r_a - np.swapaxes(Qa, -1, -2) @ f, sol[..., n_c:, :], f
+
+
+def _saddle_statics(sys: CoupledSystem, Q: np.ndarray, g: np.ndarray):
+    """The saddle system with right-hand side ``[g; 0]`` on plain arrays.
+
+    ``Q`` ``(..., n_c, n_vel)`` and ``g`` ``(..., n_vel)`` may stack
+    postures.  Builds ``K = [[-Q_a Q_a^T, Q_b], [Q_b^T, 0]]`` from the
+    actuated and unactuated columns of ``Q`` and returns ``K``, ``Q_a``
+    (for tangent solves), ``tau``, ``lam`` and ``f``.  ``f`` is a copy,
+    so a kept result does not hold the whole solution.
+    """
+    act, unact = sys.actuated, sys.unactuated
+    n_c = Q.shape[-2]
+    Qa, Qb = Q[..., act], Q[..., unact]
+    K = np.zeros(Q.shape[:-2] + (n_c + unact.size,) * 2)
+    K[..., :n_c, :n_c] = -(Qa @ np.swapaxes(Qa, -1, -2))
+    K[..., :n_c, n_c:] = Qb
+    K[..., n_c:, :n_c] = np.swapaxes(Qb, -1, -2)
+    rhs = np.concatenate([g, np.zeros(g.shape[:-1] + (n_c,))], axis=-1)
+    tau, lam_b, f = _saddle_solve(sys, K, Qa, rhs[..., None])
+    lam = np.empty_like(g)
+    lam[..., act] = tau[..., 0]
+    lam[..., unact] = lam_b[..., 0]
+    return K, Qa, tau[..., 0], lam, f[..., 0].copy()
 
 
 def static_torques(sys: CoupledSystem, q: CoupledConfiguration,
@@ -370,31 +428,30 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
                     dirs=None):
     """Static torques and wrenches from the least-norm saddle system.
 
-    Solves ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` and reads
-    ``tau = B^T lam``, for one posture or a stack of them.  The solution
-    is smooth in every input, and with ``Dual`` inputs the tangents
-    follow from differentiating the saddle system (the tangent rule by
-    contraction in the module docstring), so this is the formulation the
-    optimizer differentiates through.  With ``dirs`` each subsystem's
-    tree may carry only its own directions (see the module docstring);
-    the results carry all ``ndir``.
+    Solves ``[[B B^T, Q^T], [Q, 0]] [lam; f] = [g; 0]`` through its
+    reduced kernel ``K`` and reads ``tau = B^T lam``, for one posture or
+    a stack of them.  The solution is smooth in every input, and with
+    ``Dual`` inputs the tangents follow from differentiating the saddle
+    system (the tangent rule by contraction in the module docstring), so
+    this is the formulation the optimizer differentiates through.  With
+    ``dirs`` each subsystem's tree may carry only its own directions
+    (see the module docstring); the results carry all ``ndir``.
     """
     if trees is None:
         trees = coupled_trees(sys, q, params)
     Q = coupling_matrix(sys, [t.value() for t in trees])
     g = composite_gravity(sys, trees, dirs)
-    act = sys.actuated
-    A, lam, f = _saddle_solve(Q, fad.value(g), act)
-    # take, not lam[..., act]: indexing the last axis of a stack returns
-    # a non-C-contiguous array, which fad.sumsq then rounds differently
-    tau = lam.take(act, axis=-1)
+    K, Qa, tau, lam, f = _saddle_statics(sys, Q, fad.value(g))
     if not isinstance(g, fad.Dual):
         return tau, f
     # tangent rule: A sol_dot = rhs_dot - A_dot sol, with A_dot carrying
-    # only the coupling blocks; solved against the same A
+    # only the coupling blocks, solved through the same K; the
+    # directions are rhs's last axis, and rhs_dot is a view with them
+    # first
     dims, offsets = sys.velocity_layout
     n_vel = offsets[-1]
-    rhs_dot = np.zeros(g.dot.shape[:-1] + (A.shape[-1],))
+    rhs = np.zeros(g.val.shape[:-1] + (n_vel + f.shape[-1], g.ndir))
+    rhs_dot = np.moveaxis(rhs, -1, 0)
     rhs_dot[..., :n_vel] = g.dot
     for s, names, block, sign in sys.coupling_blocks:
         cols = slice(offsets[s], offsets[s] + dims[s])
@@ -411,10 +468,10 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
             sub[..., n_vel + block.ravel()] -= d.reshape(
                 d.shape[:-2] + (-1,))
         rhs_dot[rows] = sub
-    sol_dot = np.moveaxis(
-        np.linalg.solve(A, np.moveaxis(rhs_dot, 0, -1)), -1, 0)
-    return (fad.Dual(tau, sol_dot.take(act, axis=-1)),
-            fad.Dual(f, sol_dot[..., n_vel:]))
+    tau_dot, _, f_dot = _saddle_solve(sys, K, Qa, rhs)
+    # the tangents in C order, directions first
+    return (fad.Dual(tau, np.ascontiguousarray(np.moveaxis(tau_dot, -1, 0))),
+            fad.Dual(f, np.ascontiguousarray(np.moveaxis(f_dot, -1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +514,7 @@ def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
     Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, trees))
     _, _, Vt = _constraint_svd(Q, sys.wrench_labels)
-    _, lam, f = _saddle_solve(Q, g, sys.actuated)
-    tau = lam.take(sys.actuated, axis=-1)
+    _, _, tau, _, f = _saddle_statics(sys, Q, g)
     B_tau = np.zeros_like(g)
     B_tau[sys.actuated] = tau
     r = g - B_tau

@@ -13,6 +13,18 @@ The vector and matrix helpers (``cross3``, ``sumsq``, ``mT``, matmul and
 the rotations) act on the trailing axes and broadcast over leading ones,
 so one call serves a single operand or a stack of them.
 
+Three rules are fused: ``cross3``, ``rodrigues`` (the joint rotation
+``I + sin(s) K + (1 - cos s) K^2``) and ``rpy_matrix`` each form their
+value and tangent as a few whole-array expressions instead of composing
+component ``Dual`` operations, stacks and matmuls, since the cost of a
+derivative pass is mostly Python per operation.  ``cross3`` and
+``rodrigues`` repeat the composition's products and sums in the same
+order and equal it bit for bit; ``rpy_matrix`` is written in closed
+form and agrees with ``Rz @ Ry @ Rx`` to about 1e-16.  Their tangents
+are new C-ordered arrays.  numpy's matmul may round differently by the
+memory layout of its operands, so a later product of such a tangent can
+differ in the last bits from the same product of a strided one.
+
 Duals that meet must carry the same directions: a tangent with one
 direction broadcasts, but two different widths, neither of them one,
 raise ValueError.  ``widen`` places a narrower tangent's rows among
@@ -23,11 +35,14 @@ from __future__ import annotations
 
 import numpy as np
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 __all__ = [
     "Dual", "value", "seed", "widen",
     "sin", "cos", "absolute", "maximum", "where",
     "stack", "concatenate", "assemble", "cross3", "sumsq", "mT",
-    "rotx", "roty", "rotz", "rpy_matrix",
+    "rodrigues", "rpy_matrix",
 ]
 
 
@@ -314,16 +329,36 @@ def assemble(shape, parts):
     return out if dot is None else Dual(out, dot)
 
 
+# (NEXT, PREV) rolls of the last axis: component i of a x b is
+# a[NEXT[i]] b[PREV[i]] - a[PREV[i]] b[NEXT[i]]
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+
+
 def cross3(a, b):
     """Cross product of 3-vectors along the last axis, dual-safe.
 
-    The leading axes of ``a`` and ``b`` broadcast like arrays.
+    The leading axes of ``a`` and ``b`` broadcast like arrays.  The
+    rolled products are formed once on whole arrays, with the products
+    and sums of the componentwise rule in the same order, so every
+    entry equals that rule's bit for bit.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return stack([a1 * b2 - a2 * b1,
-                  a2 * b0 - a0 * b2,
-                  a0 * b1 - a1 * b0], axis=-1)
+    av, ad = _split(a)
+    bv, bd = _split(b, a)
+    out = av[..., _NEXT] * bv[..., _PREV] - av[..., _PREV] * bv[..., _NEXT]
+    if ad is None and bd is None:
+        return out
+    if ad is not None:
+        ad = _pad(ad, out.ndim)
+    if bd is not None:
+        bd = _pad(bd, out.ndim)
+
+    def dot(i, j):  # tangent of a[..., i] * b[..., j]
+        if ad is None:
+            return av[..., i] * bd[..., j]
+        t = ad[..., i] * bv[..., j]
+        return t if bd is None else t + av[..., i] * bd[..., j]
+
+    return Dual(out, dot(_NEXT, _PREV) - dot(_PREV, _NEXT))
 
 
 def sumsq(x):
@@ -333,40 +368,66 @@ def sumsq(x):
 
 # -- rotations ----------------------------------------------------------
 
-def _zero_one_like(t):
-    zero = t * 0.0
-    return zero, zero + 1.0
+def rodrigues(s, K, K2):
+    """Rotations ``I + sin(s) K + (1 - cos s) K^2`` by angles ``s``.
+
+    ``s`` ``(..., m)`` turns about m fixed unit axes whose cross-product
+    matrices ``K`` and squares ``K2`` are ``(m, 3, 3)``; the result is
+    ``(..., m, 3, 3)``.  The tangent is ``(cos(s) s') K + (sin(s) s')
+    K^2``, the same sums and products as composing the rule from
+    ``sin``, ``cos`` and Dual arithmetic, so values and tangents equal
+    that composition's bit for bit.
+    """
+    sv, sd = _split(s)
+    sn = np.sin(sv)[..., None, None]
+    cs = np.cos(sv)[..., None, None]
+    out = _EYE3 + sn * K + (1.0 - cs) * K2
+    if sd is None:
+        return out
+    sd = sd[..., None, None]
+    return Dual(out, (cs * sd) * K + (sn * sd) * K2)
 
 
-def _matrix(rows):
-    """3x3 matrices ``(..., 3, 3)`` from nested rows of same-shape entries."""
-    return stack([stack(r, axis=-1) for r in rows], axis=-2)
-
-
-def rotx(t):
-    c, s = cos(t), sin(t)
-    zero, one = _zero_one_like(t)
-    return _matrix([[one, zero, zero], [zero, c, -s], [zero, s, c]])
-
-
-def roty(t):
-    c, s = cos(t), sin(t)
-    zero, one = _zero_one_like(t)
-    return _matrix([[c, zero, s], [zero, one, zero], [-s, zero, c]])
-
-
-def rotz(t):
-    c, s = cos(t), sin(t)
-    zero, one = _zero_one_like(t)
-    return _matrix([[c, -s, zero], [s, c, zero], [zero, zero, one]])
+def _mat33(*entries):
+    """3x3 matrices ``(..., 3, 3)`` from nine same-shape entries, row by
+    row."""
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
 def rpy_matrix(roll, pitch, yaw):
-    """ZYX convention: R = Rz(yaw) @ Ry(pitch) @ Rx(roll).
+    """ZYX convention: R = Rz(yaw) @ Ry(pitch) @ Rx(roll), in closed form.
 
-    Angle arrays of shape ``S`` give rotations of shape ``(*S, 3, 3)``.
+    Angle arrays broadcast to a shape ``S`` and give rotations
+    ``(*S, 3, 3)``.  The tangent is one rule over the three angles: the
+    sum of each Dual angle's tangent times R's partial derivative in
+    that angle, ``R Kx`` for roll and ``Kz R`` for yaw, with ``Kx`` and
+    ``Kz`` the cross-product matrices of the x and z axes.
     """
-    return _matmul(_matmul(rotz(yaw), roty(pitch)), rotx(roll))
+    angles = (roll, pitch, yaw)
+    ndir = _common_ndir(angles)
+    r, p, y = np.broadcast_arrays(*(value(a) for a in angles))
+    sr, cr = np.sin(r), np.cos(r)
+    sp, cp = np.sin(p), np.cos(p)
+    sy, cy = np.sin(y), np.cos(y)
+    R = _mat33(cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+               sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+               -sp, cp * sr, cp * cr)
+    if ndir is None:
+        return R
+    zero = np.zeros_like(r)
+    partials = (
+        _mat33(zero, R[..., 0, 2], -R[..., 0, 1],
+               zero, R[..., 1, 2], -R[..., 1, 1],
+               zero, R[..., 2, 2], -R[..., 2, 1]),
+        _mat33(-cy * sp, cy * cp * sr, cy * cp * cr,
+               -sy * sp, sy * cp * sr, sy * cp * cr,
+               -cp, -sp * sr, -sp * cr),
+        _mat33(-R[..., 1, 0], -R[..., 1, 1], -R[..., 1, 2],
+               R[..., 0, 0], R[..., 0, 1], R[..., 0, 2],
+               zero, zero, zero))
+    dot = sum(_pad(a.dot, r.ndim)[..., None, None] * d
+              for a, d in zip(angles, partials) if isinstance(a, Dual))
+    return Dual(R, dot)
 
 
 # -- drivers ------------------------------------------------------------

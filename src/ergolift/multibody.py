@@ -578,8 +578,8 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
 
     Each level gathers its parents' rows and applies the level's stacked
     joint constants at once: each joint turns by the Rodrigues rotation
-    about its fixed axis.  The levels' rows are concatenated and put in
-    link order by one gather.
+    about its fixed axis, one ``fad.rodrigues`` call per level.  The
+    levels' rows are concatenated and put in link order by one gather.
     """
     topo = model.topology
     lms = model._multipliers
@@ -593,8 +593,7 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
         p = pp + _rows(Rp, offset)
         R_pre = Rp @ lv.rotation
         s = q.s[..., lv.dofs]
-        R = R_pre @ (_EYE3 + fad.sin(s)[..., None, None] * lv.K
-                     + (1.0 - fad.cos(s))[..., None, None] * lv.K2)
+        R = R_pre @ fad.rodrigues(s, lv.K, lv.K2)
         rots.append(R)
         poss.append(p)
         axes.append(_rows(R_pre, lv.axis))

@@ -7,10 +7,10 @@ from ergolift import fad
 from ergolift.coupled import (MIN_NORMAL, CoupledConfiguration,
                               CoupledSystem, SingularConstraintError,
                               UnloadedFootError, _constraint_svd,
-                              _saddle_solve, composite_gravity,
-                              contact_wrenches, cop_smooth, coupled_trees,
-                              coupling_matrix, evaluate_statics,
-                              static_torques, statics_minnorm)
+                              composite_gravity, contact_wrenches,
+                              cop_smooth, coupled_trees, coupling_matrix,
+                              evaluate_statics, static_torques,
+                              statics_minnorm)
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 frame_jacobian, group_params, mass_matrix)
 from ergolift.scenario import (PAYLOAD_SIZE, build_system, make_scenario,
@@ -121,13 +121,23 @@ def dual_coupling_matrix(sys, trees):
 
 
 def dual_coupling_statics(sys, q, params):
-    """Torques and wrenches of one posture, tangents through the Dual Q."""
+    """Torques and wrenches of one posture, tangents through the Dual Q.
+
+    The full saddle system is built and solved here, from ``Q``, ``g``
+    and the 0/1 ``B``, so it stays independent of the reduced kernel of
+    ``statics_minnorm``.
+    """
     trees = coupled_trees(sys, q, params)
     Q = dual_coupling_matrix(sys, trees)
     g = composite_gravity(sys, trees)
     B = selector(sys)
-    n_vel = B.shape[0]
-    A, lam, f = _saddle_solve(Q.val, g.val, sys.actuated)
+    n_c, n_vel = Q.shape
+    A = np.zeros((n_vel + n_c, n_vel + n_c))
+    A[:n_vel, :n_vel] = B @ B.T
+    A[:n_vel, n_vel:] = Q.val.T
+    A[n_vel:, :n_vel] = Q.val
+    sol = np.linalg.solve(A, np.concatenate([g.val, np.zeros(n_c)]))
+    lam, f = sol[:n_vel], sol[n_vel:]
     rhs_dot = np.zeros((g.ndir, A.shape[0]))
     rhs_dot[:, :n_vel] = g.dot - np.einsum("dij,i->dj", Q.dot, f)
     rhs_dot[:, n_vel:] = -(Q.dot @ lam)
@@ -345,12 +355,23 @@ class TestCouplingMatrix:
         _, sys, _ = desk
         dims, offsets = sys.velocity_layout
         assert isinstance(dims, tuple)
-        arrays = [offsets, sys.actuated, *sys.frame_slots]
+        arrays = [offsets, sys.actuated, sys.unactuated, *sys.frame_slots]
         for _, _, rows, signs in sys.coupling_blocks:
             arrays += [rows, signs]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = 0
+
+    def test_actuation_tables_partition_the_rows(self, desk):
+        # the statics kernel eliminates the actuated rows and keeps the
+        # unactuated ones, the 6 floating-base rows of each subsystem
+        _, sys, _ = desk
+        _, offsets = sys.velocity_layout
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([sys.actuated, sys.unactuated])),
+            np.arange(offsets[-1]))
+        np.testing.assert_array_equal(
+            sys.unactuated, (offsets[:-1, None] + np.arange(6)).ravel())
 
     def test_dual_trees_raise(self, desk, rng):
         _, sys, q0 = desk

@@ -319,6 +319,50 @@ class TestWeightScaling:
                 got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.fixture(scope="module")
+def two_height_problem():
+    """Free hardware at two heights, near the warm start."""
+    sc = make_scenario(heights=(0.9, 1.3), payload_mass=7.0)
+    problem = assemble_nlp(sc, build_system(sc))
+    y0 = warm_start_vector(problem)
+    rng = np.random.default_rng(5)
+    y = np.clip(y0 + rng.normal(size=y0.size) * 0.02,
+                problem.lb + 1e-9, problem.ub - 1e-9)
+    return problem, y
+
+
+class TestDerivativesAgainstCentralDifferences:
+    """The gradient and constraint Jacobian of the derivative pass match
+    central differences of ``value``, column by column.
+
+    Decision j steps by ``h_j = 1e-6 max(1, |y_j|)`` and its column is
+    compared per unit relative change (times ``max(1, |y_j|)``), so the
+    density columns count as much as the angles.  The tolerance, 1e-6 of
+    the largest such entry, sits well above the differences' truncation
+    and rounding error (about 1e-10 of it here) and well below what a
+    dropped tangent term costs.
+    """
+
+    REL = 1e-6
+
+    @pytest.mark.parametrize("fixture", ["frozen_problem",
+                                         "two_height_problem"])
+    def test_gradient_and_jacobian(self, fixture, request):
+        problem, y = request.getfixturevalue(fixture)
+        _, grad, _, jac = problem.value_and_derivatives(y)
+        scale = np.maximum(1.0, np.abs(y))
+        fd_grad = np.zeros_like(grad)
+        fd_jac = np.zeros_like(jac)
+        for j, h in enumerate(1e-6 * scale):
+            step = np.zeros_like(y)
+            step[j] = h
+            up, down = problem.value(y + step), problem.value(y - step)
+            fd_grad[j] = (up[0] - down[0]) / (2 * h)
+            fd_jac[:, j] = (up[1] - down[1]) / (2 * h)
+        assert_rel(grad * scale, fd_grad * scale, self.REL)
+        assert_rel(jac * scale, fd_jac * scale, self.REL)
+
+
 class TestOnePass:
     """One pass over every height gives the per-height loop's answers."""
 

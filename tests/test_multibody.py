@@ -770,9 +770,10 @@ class TestWholeTreeCalls:
     """Each pass makes one batched call per tree, not one per joint."""
 
     def test_kinematics_one_sin_per_depth_level(self, monkeypatch, rng):
+        # one fad.rodrigues call, so one sine, per depth level
         for model in (default_human(), default_robot()):
             q = random_configuration(model, rng)
-            calls = counting(monkeypatch, fad, "sin")
+            calls = counting(monkeypatch, fad, "rodrigues")
             kinematics(model, q)
             assert len(calls) == 7, model.name
 
