@@ -137,7 +137,8 @@ class CoupledSystem:
     """Agents, optional payload, environment contacts and grasps.
 
     ``env_contacts`` lists (agent index, frame name) pairs welded to the
-    world; wrench ordering in every stacked result follows
+    world, and grasps hold the payload; both name an index of
+    ``agents``.  Wrench ordering in every stacked result follows
     ``env_contacts`` then ``grasps``, 6 rows each.
     ``parametrized_agent`` names the subsystem whose hardware responds
     to optimization parameters (the robot).
@@ -155,6 +156,10 @@ class CoupledSystem:
     def __post_init__(self):
         if self.payload is not None and self.payload.n_joints != 0:
             raise ValueError("payload must be a single rigid body")
+        for agent, frame in self.env_contacts:
+            if not 0 <= agent < len(self.agents):
+                raise ValueError(f"environment contact {frame!r} references "
+                                 f"missing agent {agent}")
         for g in self.grasps:
             if self.payload is None:
                 raise ValueError("grasps require a payload")
@@ -198,9 +203,6 @@ class CoupledSystem:
         ``actuated`` leaves out."""
         n_vel = int(self.velocity_layout[1][-1])
         return _read_only(np.setdiff1d(np.arange(n_vel), self.actuated))
-
-    def torque_labels(self):
-        return [f"{m.name}:{j}" for m in self.agents for j in m.joint_names]
 
     @cached_property
     def coupling_frames(self):
@@ -404,17 +406,18 @@ def _saddle_statics(sys: CoupledSystem, Q: np.ndarray, g: np.ndarray):
     return K, Qa, tau[..., 0], lam, f[..., 0].copy()
 
 
-def static_torques(sys: CoupledSystem, q: CoupledConfiguration,
-                   params: Optional[Mapping] = None) -> np.ndarray:
-    """Minimum-norm joint torques sustaining the configuration at rest."""
-    tau, _ = statics_minnorm(sys, q, params)
+def static_torques(sys: CoupledSystem, q: CoupledConfiguration) -> np.ndarray:
+    """Minimum-norm joint torques sustaining the configuration at rest,
+    on the nominal hardware."""
+    tau, _ = statics_minnorm(sys, q)
     return tau
 
 
 def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
-                     params: Optional[Mapping], tau: np.ndarray) -> np.ndarray:
-    """Least-squares contact wrenches ``f`` with ``Q^T f = g - B tau``."""
-    trees = coupled_trees(sys, q, params)
+                     tau: np.ndarray) -> np.ndarray:
+    """Least-squares contact wrenches ``f`` with ``Q^T f = g - B tau``, on
+    the nominal hardware."""
+    trees = coupled_trees(sys, q)
     Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, trees))
     U, sv, Vt = _constraint_svd(Q, sys.wrench_labels)

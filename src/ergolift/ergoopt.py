@@ -4,9 +4,9 @@ Decision vector layout, per target height: for every subsystem (human,
 robot, payload) a block ``[base position (3), base roll-pitch-yaw (3),
 joint positions]``; after all heights, the shared hardware block
 ``[length multipliers..., densities...]`` over the robot's optimization
-groups, which ``ErgoProblem.group_values`` decodes.  The cost sums the
-torque and center-of-pressure tasks over heights and adds the
-density-preference and center-of-mass-height tasks once; it is
+groups, which ``_decision_vector`` writes and ``group_values`` reads.
+The cost sums the torque and center-of-pressure tasks over heights and
+adds the density-preference and center-of-mass-height tasks once; it is
 normalized by the sum of task weights: scaling all weights by a power of
 two leaves values, derivatives and iterates bit-for-bit identical, any
 other factor changes them only by rounding.  The center-of-pressure
@@ -64,8 +64,8 @@ from .coupled import (CoupledConfiguration, CoupledSystem,
 from .multibody import (Configuration, Model, com_height_null_config,
                         group_params, kinematics)
 from .nlpsolver import SolverOptions, SolverReport, solve_nlp
-from .scenario import PREFERRED_DENSITIES, Scenario, build_system, \
-    rpy_from_matrix, warm_start_configuration
+from .scenario import PREFERRED_DENSITIES, Scenario, rpy_from_matrix, \
+    warm_start_configuration
 
 
 class DegenerateModelError(ValueError):
@@ -91,12 +91,13 @@ def task_density(densities, preferred):
     return total
 
 
-def task_com_height(robot: Model, params=None):
-    """Inverse squared CoM height of the robot at the null posture."""
-    z = com_height_null_config(robot, params)
-    if not isinstance(z, fad.Dual) and float(z) <= 0:
+def task_com_height(robot: Model):
+    """Inverse squared CoM height of the robot at the null posture; a
+    height that is not positive, plain or ``Dual``, raises."""
+    z = com_height_null_config(robot)
+    if fad.value(z) <= 0:
         raise DegenerateModelError(
-            f"null-posture CoM height {float(z):.4f} m is not positive")
+            f"null-posture CoM height {fad.value(z):.4f} m is not positive")
     return 1.0 / (z * z)
 
 
@@ -121,26 +122,14 @@ class DecisionLayout:
     def pi_dim(self):
         return 0 if self.frozen_hardware else 2 * self.n_groups
 
-    @property
-    def dim(self):
-        return self.n_heights * self.height_dim + self.pi_dim
-
-    def height_slice(self, k):
-        w = self.height_dim
-        return slice(k * w, (k + 1) * w)
-
-    def sub_slice(self, k, i):
-        off = k * self.height_dim + int(np.sum(self.sub_dims[:i]))
-        return slice(off, off + self.sub_dims[i])
-
     def pi_slice(self):
         off = self.n_heights * self.height_dim
         return slice(off, off + self.pi_dim)
 
     def active_indices(self, k):
         """Decision coordinates the height-k terms depend on."""
-        h, pi = self.height_slice(k), self.pi_slice()
-        return np.concatenate([np.arange(h.start, h.stop),
+        w, pi = self.height_dim, self.pi_slice()
+        return np.concatenate([np.arange(k * w, (k + 1) * w),
                                np.arange(pi.start, pi.stop)])
 
 
@@ -192,7 +181,8 @@ class ErgoProblem:
                                                       L.height_dim)
 
     def configurations(self, y, k) -> CoupledConfiguration:
-        return self._configurations(y[self.layout.height_slice(k)])
+        """Configurations of height k's posture block of y."""
+        return self._configurations(self.height_blocks(y)[k])
 
     def _sub_blocks(self, blocks):
         """Each subsystem's columns of blocks ``(..., height_dim)``."""
@@ -415,10 +405,20 @@ def _families(heights, rows):
     return tuple(out)
 
 
-def assemble_nlp(scenario: Scenario, system: Optional[CoupledSystem] = None,
+def _decision_vector(layout: DecisionLayout, blocks, groups):
+    """Decisions of posture blocks ``(H, height_dim)`` and hardware
+    ``{group: (density, multiplier)}``, the shared block in the order
+    ``group_values`` reads (and none when the hardware is frozen)."""
+    parts = [np.reshape(blocks, -1)]
+    if layout.pi_dim:
+        parts.append([lm for _, lm in groups.values()])
+        parts.append([rho for rho, _ in groups.values()])
+    return np.concatenate(parts)
+
+
+def assemble_nlp(scenario: Scenario, system: CoupledSystem,
                  freeze_hardware: bool = False) -> ErgoProblem:
     """Build the co-design NLP over the scenario's heights."""
-    system = system if system is not None else build_system(scenario)
     heights = tuple(scenario.heights)
     models = system.subsystem_models()
     robot = system.parametrized_model
@@ -432,30 +432,21 @@ def assemble_nlp(scenario: Scenario, system: Optional[CoupledSystem] = None,
         n_groups=len(nominal),
         frozen_hardware=freeze_hardware)
 
-    lb = np.full(layout.dim, -np.inf)
-    ub = np.full(layout.dim, np.inf)
+    # one height's posture bounds, subsystem by subsystem
     top = max(heights) + 2.0
-    for k in range(len(heights)):
-        for i, m in enumerate(models):
-            sl = layout.sub_slice(k, i)
-            lo = np.empty(layout.sub_dims[i])
-            hi = np.empty(layout.sub_dims[i])
-            lo[:3], hi[:3] = (-3.0, -3.0, 0.02), (3.0, 3.0, top)
-            lo[3:6] = (-np.pi / 3, -np.pi / 3, -np.pi)
-            hi[3:6] = (np.pi / 3, np.pi / 3, np.pi)
-            if m.n_joints:
-                jlo, jhi = m.joint_limits()
-                lo[6:], hi[6:] = jlo, jhi
-            lb[sl], ub[sl] = lo, hi
-    if layout.pi_dim:
-        sl = layout.pi_slice()
-        g = layout.n_groups
-        lm_b = robot.bounds.length_multiplier
-        rho_b = robot.bounds.density
-        lb[sl.start: sl.start + g] = lm_b[0]
-        ub[sl.start: sl.start + g] = lm_b[1]
-        lb[sl.start + g: sl.stop] = rho_b[0]
-        ub[sl.start + g: sl.stop] = rho_b[1]
+    lo, hi = [], []
+    for m in models:
+        jlo, jhi = m.joint_limits()
+        lo.append(np.concatenate([(-3.0, -3.0, 0.02),
+                                  (-np.pi / 3, -np.pi / 3, -np.pi), jlo]))
+        hi.append(np.concatenate([(3.0, 3.0, top),
+                                  (np.pi / 3, np.pi / 3, np.pi), jhi]))
+    lm_b, rho_b = robot.bounds.length_multiplier, robot.bounds.density
+    H = len(heights)
+    lb = _decision_vector(layout, np.tile(np.concatenate(lo), (H, 1)),
+                          dict.fromkeys(nominal, (rho_b[0], lm_b[0])))
+    ub = _decision_vector(layout, np.tile(np.concatenate(hi), (H, 1)),
+                          dict.fromkeys(nominal, (rho_b[1], lm_b[1])))
 
     rows = _row_families(len(system.grasps), len(system.env_contacts))
     return ErgoProblem(
@@ -479,40 +470,27 @@ def warm_start_vector(problem: ErgoProblem) -> np.ndarray:
     rng = np.random.default_rng(problem.scenario.seed)
     q = warm_start_configuration(problem.scenario, problem.system,
                                  np.asarray(problem.heights, dtype=float))
-    packed = [_pack_configuration(qi) for qi in q.qs]
-    parts = []
-    # jitter drawn height by height, subsystem by subsystem
-    for k in range(len(problem.heights)):
-        for stack in packed:
-            block = stack[k]
-            if block.size > 6:
-                jitter = rng.normal(size=block.size - 6) * WARM_START_JITTER
-                block[6:] += jitter
-            parts.append(block)
-    if problem.layout.pi_dim:
-        groups = problem.nominal_groups.values()
-        parts.append(np.asarray([lm for _, lm in groups], dtype=float))
-        parts.append(np.asarray([rho for rho, _ in groups], dtype=float))
-    y0 = np.concatenate(parts)
+    blocks = np.concatenate([_pack_configuration(qi) for qi in q.qs],
+                            axis=-1)
+    # the joint columns of a height's block; one draw, height by height
+    joints = np.concatenate([
+        cols[6:] for cols in problem._sub_blocks(np.arange(blocks.shape[1]))])
+    blocks[:, joints] += (rng.normal(size=(blocks.shape[0], joints.size))
+                          * WARM_START_JITTER)
+    y0 = _decision_vector(problem.layout, blocks, problem.nominal_groups)
     return np.clip(y0, problem.lb + 1e-9, problem.ub - 1e-9)
 
 
-@dataclass(eq=False)
-class Solution:
-    """NLP outcome plus the per-height static analysis at the optimum.
+@dataclass(eq=False, kw_only=True)
+class Solution(SolverReport):
+    """The solver's report, plus per height the tasks and the static
+    analysis at ``y``, and the hardware (None when frozen).
 
     ``statics[k]`` is None where the analysis of height k was refused;
     ``refusals[k]`` then names the refusal (``"UnloadedFootError"`` or
     ``"SingularConstraintError"``), and is None where it was analysed.
     """
 
-    y: np.ndarray
-    status: str
-    iterations: int
-    cost: float
-    kkt_residual: float
-    constraint_violation: float
-    worst_family: Optional[str]
     heights: tuple
     statics: list
     refusals: list
@@ -520,46 +498,40 @@ class Solution:
     hardware: Optional[dict]
 
 
-def solve(problem: ErgoProblem, warm_start=None,
-          options: SolverOptions = SolverOptions()) -> Solution:
-    """Run the co-design NLP and evaluate the solution statics."""
-    y0 = warm_start if warm_start is not None else warm_start_vector(problem)
-    report: SolverReport = solve_nlp(problem, y0, options)
+def solve(problem: ErgoProblem, warm_start,
+          options: SolverOptions) -> Solution:
+    """Run the co-design NLP from ``warm_start`` and evaluate the solution
+    statics."""
+    report = solve_nlp(problem, warm_start, options)
     # the Gauss-Newton cache serves only the solver's curvature calls; a
     # problem kept with its solution should not hold an n x n matrix
     problem._hess_cache = None
-    params = problem.hardware_params(report.x)
+    params = problem.hardware_params(report.y)
     models = problem.system.subsystem_models(params)
     # one tree per subsystem over the stacked postures: the tasks of
     # every height from one pass, the statics of each on its rows
-    q = problem._configurations(problem.height_blocks(report.x))
+    q = problem._configurations(problem.height_blocks(report.y))
     trees = _trees(models, q)
     _, _, t1, t3 = problem._height_tasks(
         q, trees, coupled_poses(problem.system, trees))
     tasks = [{"torque": float(a), "cop": float(b)} for a, b in zip(t1, t3)]
     statics, refusals = [], []
     for k in range(len(problem.heights)):
-        rows = [t.row(k) for t in trees]
         res = refused = None
         try:
             res = evaluate_statics(
-                problem.system,
-                CoupledConfiguration(tuple(t.q for t in rows)), params,
-                trees=rows)
+                problem.system, problem.configurations(report.y, k), params,
+                trees=[t.row(k) for t in trees])
         except (SingularConstraintError, UnloadedFootError) as exc:
             refused = type(exc).__name__
         statics.append(res)
         refusals.append(refused)
     hardware = None
     if not problem.layout.frozen_hardware:
-        values = problem.group_values(report.x)
+        values = problem.group_values(report.y)
         hardware = {name: {"length_multiplier": float(lm),
                            "density": float(rho)}
                     for name, (rho, lm) in values.items()}
-    return Solution(
-        y=report.x, status=report.status, iterations=report.iterations,
-        cost=report.cost, kkt_residual=report.kkt_residual,
-        constraint_violation=report.constraint_violation,
-        worst_family=report.worst_family, heights=problem.heights,
-        statics=statics, refusals=refusals, task_values=tasks,
-        hardware=hardware)
+    return Solution(**vars(report), heights=problem.heights,
+                    statics=statics, refusals=refusals, task_values=tasks,
+                    hardware=hardware)

@@ -499,7 +499,6 @@ class KinTree:
     """
 
     model: Model
-    q: Configuration
     rot: object
     pos: object
     axis_w: object
@@ -512,10 +511,8 @@ class KinTree:
 
     def _map(self, f, lms):
         """The tree with f applied to every posture array and kept gather."""
-        q = self.q
-        tree = KinTree(self.model,
-                       Configuration(f(q.base_pos), f(q.base_rot), f(q.s)),
-                       f(self.rot), f(self.pos), f(self.axis_w), lms)
+        tree = KinTree(self.model, f(self.rot), f(self.pos), f(self.axis_w),
+                       lms)
         tree._gathered.update(
             (names, (links, f(R), rotations, f(p)))
             for names, (links, R, rotations, p) in self._gathered.items())
@@ -602,7 +599,7 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
         axis_w = fad.concatenate(axes, axis=-2)[..., dofs, :]
     else:  # a single rigid body
         axis_w = np.zeros(np.shape(q.s) + (3,))
-    return KinTree(model=model, q=q,
+    return KinTree(model=model,
                    rot=fad.concatenate(rots, axis=-3)[..., links, :, :],
                    pos=fad.concatenate(poss, axis=-2)[..., links, :],
                    axis_w=axis_w, lms=lms)
@@ -752,21 +749,17 @@ def com(tree: KinTree):
     return (ones @ moments) / total, total
 
 
-def com_height_null_config(model: Model,
-                           params: Optional[Mapping] = None):
+def com_height_null_config(model: Model):
     """Whole-body CoM height at zero joint positions, feet on the ground.
 
     With foot frames present the base is lowered so the mean sole height
     is zero (the two are equal for symmetric models); without feet the
     base frame itself sits on the ground plane.
     """
-    scaled = apply_hardware(model, params, validate=False)
-    q0 = Configuration(np.zeros(3), np.eye(3),
-                       np.zeros(scaled.n_joints))
-    tree = kinematics(scaled, q0)
+    tree = kinematics(model, Configuration.neutral(model))
     c, _ = com(tree)
-    feet = [scaled.frame(n) for role in _FOOT_ROLES
-            for n in scaled.frames_with_role(role)]
+    feet = [model.frame(n) for role in _FOOT_ROLES
+            for n in model.frames_with_role(role)]
     if not feet:
         return c[2]
     _, sole = tree.frame_poses(tuple(f.name for f in feet))

@@ -55,14 +55,18 @@ class SolverOptions:
 
 @dataclass(eq=False)
 class SolverReport:
-    x: np.ndarray
+    """The last iterate ``y`` (within the bounds) and its cost; ``status``
+    is ``"converged"``, ``"infeasible"`` (naming the ``worst_family``)
+    or ``"max-iter"``, and ``message`` is trust-constr's own."""
+
+    y: np.ndarray
     cost: float
-    status: str  # "converged" | "infeasible" | "max-iter"
+    status: str
     iterations: int
     kkt_residual: float
     constraint_violation: float
     worst_family: Optional[str]
-    message: str = ""
+    message: str
 
 
 class _Cache:
@@ -146,7 +150,7 @@ def _variable_scales(lb, ub):
     return scales
 
 
-def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
+def solve_nlp(problem, y0, options: SolverOptions):
     """Minimize the problem's cost subject to its equality rows and bounds.
 
     ``problem`` is an ``ergoopt.ErgoProblem``: it provides ``lb``, ``ub``,
@@ -165,7 +169,7 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
     from scipy.sparse import csr_array
 
     cache = _Cache(problem)
-    x0 = np.clip(np.asarray(x0, dtype=float), problem.lb, problem.ub)
+    y0 = np.clip(np.asarray(y0, dtype=float), problem.lb, problem.ub)
     s = _variable_scales(problem.lb, problem.ub)
 
     def to_y(z):
@@ -210,7 +214,7 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
         "barrier_tol": 1e-12,
     }
     res = minimize(
-        lambda z: cache.value(to_y(z))[0], x0 / s,
+        lambda z: cache.value(to_y(z))[0], y0 / s,
         jac=lambda z: cache.derivatives(to_y(z))[0] * s,
         # Gauss-Newton curvature of the sum-of-squares cost, rescaled
         hess=lambda z: (problem.hessian(to_y(z)) * s) * s[:, None],
@@ -220,10 +224,10 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
         callback=early_stop,
         options=scipy_options)
 
-    x = np.clip(to_y(res.x), problem.lb, problem.ub)
-    cost, cons = cache.value(x)
+    y = np.clip(to_y(res.x), problem.lb, problem.ub)
+    cost, cons = cache.value(y)
     viol = float(np.abs(cons).max()) if cons.size else 0.0
-    kkt = kkt_scaled(x)
+    kkt = kkt_scaled(y)
     worst_viol, worst_family = _worst_family(problem, cons)
 
     if viol <= TOL_FEAS and kkt <= TOL_KKT:
@@ -233,7 +237,7 @@ def solve_nlp(problem, x0, options: SolverOptions = SolverOptions()):
     else:
         status = "max-iter"
     return SolverReport(
-        x=x, cost=cost, status=status, iterations=int(res.niter),
+        y=y, cost=cost, status=status, iterations=int(res.niter),
         kkt_residual=kkt, constraint_violation=viol,
         worst_family=worst_family if status == "infeasible" else None,
         message=str(res.message))

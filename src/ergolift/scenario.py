@@ -38,6 +38,7 @@ arrays to every caller, so they are read-only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,15 +87,19 @@ class Scenario:
     def __post_init__(self):
         if not self.heights:
             raise ValueError("scenario needs at least one target height")
+        # chained comparisons, so that NaN fails them
+        if not all(0 < h < math.inf for h in self.heights):
+            raise ValueError("heights must be positive and finite")
         if list(self.heights) != sorted(self.heights):
             raise ValueError("heights must be sorted ascending")
-        if any(h <= 0 for h in self.heights):
-            raise ValueError("heights must be positive")
-        if any(w < 0 for w in (self.weights.torque, self.weights.density,
-                               self.weights.cop, self.weights.com_height)):
-            raise ValueError("task weights must be nonnegative")
-        if self.payload_mass <= 0:
-            raise ValueError("payload must have positive mass")
+        w = self.weights
+        if not all(0 <= x < math.inf for x in (
+                w.torque, w.density, w.cop, w.com_height)):
+            raise ValueError("task weights must be nonnegative and finite")
+        if not w.total() > 0:
+            raise ValueError("task weights must not all be zero")
+        if not 0 < self.payload_mass < math.inf:
+            raise ValueError("payload must have positive, finite mass")
 
     @functools.cached_property
     def grasps(self):

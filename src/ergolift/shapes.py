@@ -111,13 +111,11 @@ def shape_com(shape: Shape, hw: LinkHardware):
     return fad.stack([zc * 0.0, zc * 0.0, zc])
 
 
-def shape_inertia_cm(shape: Shape, hw: LinkHardware, m=None):
+def shape_inertia_cm(shape: Shape, hw: LinkHardware, m):
     """Rotational inertia about the centroid, in the shape's principal axes.
 
-    ``m`` is the shape's mass, for a caller that already derived it.
+    ``m`` is the shape's mass, which callers have already derived.
     """
-    if m is None:
-        m = shape_mass(shape, hw)
     lm = hw.length_multiplier
     if isinstance(shape, Sphere):
         d = 0.4 * (shape.radius * lm) ** 2
@@ -213,7 +211,7 @@ def _voxel_integrals(shape: Shape, density: float, multiplier: float,
 
 
 def voxel_inertia_oracle(shape: Shape, hw: LinkHardware,
-                         resolution: int = 256) -> LinkInertialSummary:
+                         resolution: int) -> LinkInertialSummary:
     """Numerically integrated mass/centroid/CoM-inertia of a scaled link.
 
     Converges to the closed forms as the grid resolution grows; used as

@@ -82,7 +82,11 @@ def triangle_inequality_defect(inertia_cm):
     return float(lam[2] - (lam[0] + lam[1]))
 
 
-def check_physical_inertia(mass, com, inertia_origin, tol=1e-9):
+# check_physical_inertia's tolerance, relative to the largest eigenvalue
+INERTIA_TOL = 1e-9
+
+
+def check_physical_inertia(mass, com, inertia_origin):
     """Validate a positive-mass body: symmetric PSD CoM inertia obeying the
     eigenvalue triangle inequalities."""
     I = np.asarray(inertia_origin, dtype=float)
@@ -94,8 +98,8 @@ def check_physical_inertia(mass, com, inertia_origin, tol=1e-9):
     I_cm = I + mass * (Sc @ Sc)
     lam = np.linalg.eigvalsh(I_cm)
     scale = max(1.0, float(np.abs(lam).max()))
-    if lam[0] < -tol * scale:
+    if lam[0] < -INERTIA_TOL * scale:
         raise ValueError("CoM inertia is not positive semidefinite")
-    if triangle_inequality_defect(I_cm) > tol * scale:
+    if triangle_inequality_defect(I_cm) > INERTIA_TOL * scale:
         raise ValueError("CoM inertia violates the triangle inequalities")
 

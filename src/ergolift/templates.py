@@ -84,8 +84,9 @@ AXIS = {"x": np.array([1.0, 0, 0]), "y": np.array([0.0, 1, 0]),
         "z": np.array([0.0, 0, 1])}
 
 
-def build_humanoid(spec=None) -> Model:
-    spec = dict(DEFAULT_HUMAN if spec is None else spec)
+def build_humanoid(spec) -> Model:
+    """Humanoid of the shared topology from a ``DEFAULT_HUMAN``-style
+    spec."""
     conn_shape = Sphere(spec["connector"]["r"])
     conn_hw = LinkHardware(spec["connector"]["rho"])
 

@@ -5,7 +5,8 @@ import pytest
 
 from ergolift import fad
 from ergolift.coupled import (MIN_NORMAL, CoupledConfiguration,
-                              CoupledSystem, SingularConstraintError,
+                              CoupledSystem, GraspPair,
+                              SingularConstraintError,
                               UnloadedFootError, _constraint_svd,
                               composite_gravity, contact_wrenches,
                               cop_smooth, coupled_trees, coupling_matrix,
@@ -267,7 +268,7 @@ class TestStaticTorques:
             tau_ref, f_ref = projector_statics(sys, q)
             tau = static_torques(sys, q)
             assert_rel_close(tau, tau_ref, 1e-10)
-            assert_rel_close(contact_wrenches(sys, q, None, tau), f_ref, 1e-10)
+            assert_rel_close(contact_wrenches(sys, q, tau), f_ref, 1e-10)
 
     def test_symmetric_stance_symmetric_torques(self, desk):
         sc, sys, q0 = desk
@@ -298,7 +299,7 @@ class TestStaticTorques:
                 R, s))
         q = CoupledConfiguration(tuple(qs))
         tau = static_torques(sys, q)
-        labels = sys.torque_labels()
+        labels = [f"{m.name}:{j}" for m in sys.agents for j in m.joint_names]
         for i, lab in enumerate(labels):
             if lab.endswith("_left"):
                 j = labels.index(lab[:-5] + "_right")
@@ -313,7 +314,7 @@ class TestStaticTorques:
         for _ in range(10):
             q = perturbed(sys, q0, rng)
             tau = static_torques(sys, q)
-            f = contact_wrenches(sys, q, None, tau)
+            f = contact_wrenches(sys, q, tau)
             M, g, B = composite_matrices(sys, q)
             Q = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
             N = nullspace_projector(M, Q, sys.wrench_labels)
@@ -334,6 +335,29 @@ class TestTangentRule:
                              (tau_s[k], tau_ref), (f_s[k], f_ref)):
                 assert_rel_close(got.val, ref.val, 1e-12)
                 assert_rel_close(got.dot, ref.dot, 1e-12)
+
+
+class TestSystemValidation:
+    """Every contact and grasp names one of the agents."""
+
+    @pytest.mark.parametrize("agent", [-1, 2])
+    def test_env_contact_of_missing_agent_raises(self, desk, agent):
+        # agent -1 would weld the payload's grasp frame to the world
+        _, sys, _ = desk
+        with pytest.raises(ValueError, match="missing agent"):
+            CoupledSystem(agents=sys.agents, payload=sys.payload,
+                          env_contacts=((agent, "g_human_l"),),
+                          grasps=sys.grasps)
+
+    @pytest.mark.parametrize("agent", [-1, 2])
+    def test_grasp_of_missing_agent_raises(self, desk, agent):
+        _, sys, _ = desk
+        g = sys.grasps[0]
+        with pytest.raises(ValueError, match="missing agent"):
+            CoupledSystem(agents=sys.agents, payload=sys.payload,
+                          env_contacts=sys.env_contacts,
+                          grasps=(GraspPair(agent, g.agent_frame,
+                                            g.payload_frame),))
 
 
 class TestCouplingMatrix:
@@ -465,7 +489,7 @@ class TestContactWrenches:
     def test_single_standing_body_balance(self):
         sys, q = standing_human_system()
         tau = static_torques(sys, q)
-        f = contact_wrenches(sys, q, None, tau)
+        f = contact_wrenches(sys, q, tau)
         total = sys.agents[0].total_mass() * GRAVITY
         assert f[2] + f[8] == pytest.approx(total, rel=1e-9)
 
@@ -476,7 +500,7 @@ class TestContactWrenches:
         for _ in range(5):
             q = perturbed(sys, q0, rng)
             tau = static_torques(sys, q)
-            f = contact_wrenches(sys, q, None, tau)
+            f = contact_wrenches(sys, q, tau)
             fz = sum(f[6 * k + 2] for k in range(len(sys.env_contacts)))
             assert fz == pytest.approx(total, rel=1e-6)
 
@@ -484,7 +508,7 @@ class TestContactWrenches:
         _, sys, q0 = desk
         q = perturbed(sys, q0, rng)
         tau = static_torques(sys, q)
-        f = contact_wrenches(sys, q, None, tau)
+        f = contact_wrenches(sys, q, tau)
         trees = coupled_trees(sys, q)
         Q = np.asarray(coupling_matrix(sys, trees))
         g = np.asarray(composite_gravity(sys, trees))
@@ -643,8 +667,8 @@ class TestScaling:
         tau = static_torques(sys, q)
         tau_k = static_torques(scaled_sys, q)
         np.testing.assert_allclose(tau_k, k * tau, rtol=1e-9, atol=1e-10)
-        f = contact_wrenches(sys, q, None, tau)
-        f_k = contact_wrenches(scaled_sys, q, None, tau_k)
+        f = contact_wrenches(sys, q, tau)
+        f_k = contact_wrenches(scaled_sys, q, tau_k)
         np.testing.assert_allclose(f_k, k * f, rtol=1e-9, atol=1e-10)
         Q1 = np.asarray(coupling_matrix(sys, coupled_trees(sys, q)))
         Q2 = np.asarray(coupling_matrix(scaled_sys,

@@ -6,9 +6,11 @@ import pytest
 from ergolift import coupled, ergoopt, fad, multibody, shapes
 from ergolift.coupled import SingularConstraintError, UnloadedFootError, \
     cop_smooth, coupled_trees, evaluate_statics, statics_minnorm
-from ergolift.ergoopt import assemble_nlp, solve, warm_start_vector
-from ergolift.multibody import kinematics
-from ergolift.nlpsolver import SolverOptions, SolverReport
+from ergolift.ergoopt import DegenerateModelError, assemble_nlp, solve, \
+    task_com_height, warm_start_vector
+from ergolift.multibody import FrameDef, Link, Model, kinematics
+from ergolift.nlpsolver import SolverOptions, SolverReport, solve_nlp
+from ergolift.shapes import Box, LinkHardware
 from ergolift.scenario import PREFERRED_DENSITIES, TaskWeights, \
     build_system, make_scenario, warm_start_configuration
 
@@ -133,7 +135,7 @@ def leaves(x):
         for item in x:
             yield from leaves(item)
     elif isinstance(x, multibody.KinTree):
-        yield from leaves([x.q, x.rot, x.pos, x.axis_w, x.pivot_w, x.lms])
+        yield from leaves([x.rot, x.pos, x.axis_w, x.pivot_w, x.lms])
     elif isinstance(x, multibody.Configuration):
         yield from leaves([x.base_pos, x.base_rot, x.s])
     elif isinstance(x, coupled.CoupledConfiguration):
@@ -287,6 +289,44 @@ class TestSharedTerms:
                 * ergoopt.task_density(densities, PREFERRED_DENSITIES)
                 + sc.weights.com_height * ergoopt.task_com_height(robot))
         assert fresh._shared_terms(y, None) == want
+
+
+def box_on_soles(lift):
+    """A 10 cm box (its CoM 5 cm above its base origin) with both sole
+    frames ``lift`` m above that origin."""
+    soles = tuple(FrameDef(f"sole_{side}", 0, np.array([0.0, 0.0, lift]),
+                           np.zeros(3), role=f"{side}_foot")
+                  for side in ("left", "right"))
+    base = Link("box", Box(0.1, 0.1, 0.1), LinkHardware(1000.0))
+    return Model(name="box", links=(base,), frames=soles).validate()
+
+
+def dual_hardware(model):
+    """The model with its density and multiplier as two directions."""
+    hw = LinkHardware(fad.Dual(1000.0, [1.0, 0.0]), fad.Dual(1.0, [0.0, 1.0]))
+    return multibody.apply_hardware(model, {"box": hw}, validate=False)
+
+
+class TestDegenerateModel:
+    """The CoM-height task refuses a model whose null-posture CoM sits
+    below its soles, with plain hardware and with the ``Dual`` hardware
+    of a derivative pass."""
+
+    @pytest.mark.parametrize("lift", [0.06, 0.3])
+    @pytest.mark.parametrize("hardware", [lambda m: m, dual_hardware],
+                             ids=["plain", "dual"])
+    def test_collapsed_model_refused(self, lift, hardware):
+        model = hardware(box_on_soles(lift))
+        with pytest.raises(DegenerateModelError, match="not positive"):
+            task_com_height(model)
+
+    def test_upright_model_priced(self):
+        # soles 10 cm below the origin: the CoM stands 15 cm above them
+        plain = task_com_height(box_on_soles(-0.1))
+        dual = task_com_height(dual_hardware(box_on_soles(-0.1)))
+        assert plain == pytest.approx(1.0 / 0.15 ** 2, rel=1e-12)
+        assert dual.val == plain
+        assert dual.ndir == 2
 
 
 class TestWeightScaling:
@@ -480,7 +520,7 @@ class TestSolveFreeHardware:
 
     def test_deterministic(self, solved_free):
         problem, a, b = solved_free
-        assert problem.layout.dim == 78
+        assert problem.lb.size == 78
         np.testing.assert_array_equal(a.y, b.y)
         assert a.cost == b.cost
         assert a.hardware == b.hardware
@@ -540,6 +580,19 @@ class TestSolve:
         np.testing.assert_array_equal(a.y, b.y)
         assert a.cost == b.cost
         assert a.task_values == b.task_values
+
+    def test_report_fields_are_the_solvers(self, solved):
+        # a Solution is the solver's report, its stop message included,
+        # plus five fields of its own
+        problem, sol, _ = solved
+        names = [f.name for f in dataclasses.fields(SolverReport)]
+        assert [f.name for f in dataclasses.fields(sol)] == names + [
+            "heights", "statics", "refusals", "task_values", "hardware"]
+        report = solve_nlp(problem, warm_start_vector(problem),
+                           SolverOptions(max_iter=3))
+        assert report.message and sol.message == report.message
+        for name in names:
+            np.testing.assert_equal(getattr(sol, name), getattr(report, name))
 
     def test_status_is_documented(self, solved):
         _, sol, _ = solved
@@ -626,10 +679,10 @@ class TestSolve:
 def stop_at_start(monkeypatch):
     """Make ``solve`` return its start at once, so only its tail runs."""
     monkeypatch.setattr(ergoopt, "solve_nlp", lambda p, y0, options:
-                        SolverReport(x=y0, cost=0.0, status="max-iter",
+                        SolverReport(y=y0, cost=0.0, status="max-iter",
                                      iterations=0, kkt_residual=0.0,
                                      constraint_violation=0.0,
-                                     worst_family=None))
+                                     worst_family=None, message="stub"))
 
 
 class TestSolutionTail:
@@ -652,7 +705,7 @@ class TestSolutionTail:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
-        sol = solve(problem, y)
+        sol = solve(problem, y, SolverOptions(max_iter=1))
         # the stacked trees, one per subsystem, serve the statics of each
         # height as well as the tasks of all of them
         assert sorted(calls) == (["evaluate_statics"] * 2
@@ -696,7 +749,8 @@ class TestSolutionTail:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ergoopt, "evaluate_statics", refuse_second)
-        sol = solve(problem, warm_start_vector(problem))
+        sol = solve(problem, warm_start_vector(problem),
+                    SolverOptions(max_iter=1))
         assert sol.refusals == [None, error.__name__, None]
         assert sol.statics[1] is None
         assert sol.statics[0] is not None and sol.statics[2] is not None

@@ -8,7 +8,10 @@ re-exports.  Next to it, no line of the program is longer than 79
 characters.  A second ``ast`` check holds every private (``_name``)
 module-level function, class or constant of ``ergolift`` to be
 referenced somewhere in the package, so a helper does not outlive its
-last caller.
+last caller.  A third holds every public module-level function or class
+and every public method to be read somewhere in ``src/`` or
+``perfbench/``, a ``tracing.TRACED`` entry counting as a reader; the
+test-support names in ``TEST_SUPPORT`` are the only exceptions.
 
 The benchmark under ``perfbench/`` is only read, also with ``ast``: the
 functions its traced runs rebind by name (``tracing.TRACED``) and the
@@ -198,3 +201,78 @@ def test_benchmark_uses_of_the_program_resolve():
     assert any("from ergolift import" in p.read_text() for p in paths)
     for path in paths:
         assert program_mismatches(path.read_text()) == [], path.name
+
+
+# public names that only the tests read, each with why it stays
+TEST_SUPPORT = {
+    "multibody.Model.total_mass":
+        "the reference total the CoM and payload tests check against",
+    "multibody.random_configuration":
+        "draws the random postures of the kinematics and statics tests",
+    "scenario.clear_warm_start_memo":
+        "lets the memo tests count inverse kinematics passes afresh",
+    "scenario.warm_start_report":
+        "says per height how far the warm-start IK reached (ROADMAP 5, 7)",
+    "shapes.shape_inertia_origin":
+        "the independent origin inertia Link.inertial is held against",
+    "shapes.voxel_inertia_oracle":
+        "the numerical ground truth of the closed-form inertias",
+    "spatial.check_physical_inertia":
+        "the physical-consistency check of the derived inertias",
+}
+
+
+def public_definitions(source):
+    """``(qualified name, line)`` of each public module-level function
+    or class and each public method of a module-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        out.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{item.name}", item.lineno)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")]
+    return out
+
+
+def unread_public_names(sources, readers, extra=()):
+    """``(module, line, name)`` of each public definition in ``sources``
+    (module name to source) that no source in ``readers`` reads, by name
+    or as an attribute; ``extra`` are names read elsewhere."""
+    used = set(extra)
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return sorted((module, line, name) for module, source in sources.items()
+                  for name, line in public_definitions(source)
+                  if name.rsplit(".", 1)[-1] not in used)
+
+
+def test_detects_unread_public_names():
+    sources = {"a": "def kept():\n    pass\n\ndef gone():\n    pass\n\n"
+                    "class Kept:\n    def read(self):\n        pass\n\n"
+                    "    def unread(self):\n        pass\n\n"
+                    "    def _private(self):\n        pass\n\n"
+                    "class Traced:\n    pass\n"}
+    readers = [*sources.values(), "import a\na.kept()\nx = a.Kept().read\n"]
+    assert unread_public_names(sources, readers, extra={"Traced"}) == [
+        ("a", 4, "gone"), ("a", 11, "Kept.unread")]
+
+
+def test_public_names_are_read_outside_the_tests():
+    sources = {p.stem: p.read_text()
+               for p in sorted(ROOT.glob("src/ergolift/*.py"))}
+    readers = [*sources.values(),
+               *(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))]
+    traced = {part for module, attr in traced_names()
+              for part in attr.split(".")}
+    unread = {f"{module}.{name}" for module, _, name in
+              unread_public_names(sources, readers, traced)}
+    assert unread == set(TEST_SUPPORT)

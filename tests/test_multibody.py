@@ -842,8 +842,8 @@ class TestComHeight:
         model = Model(name="ball",
                       links=(Link("ball", Sphere(0.2), LinkHardware(1000.0)),))
         assert com_height_null_config(model) == pytest.approx(0.2)
-        assert com_height_null_config(
-            model, {"ball": LinkHardware(1000.0, 1.5)}) == pytest.approx(0.3)
+        scaled = apply_hardware(model, {"ball": LinkHardware(1000.0, 1.5)})
+        assert com_height_null_config(scaled) == pytest.approx(0.3)
 
     def test_uniform_density_scaling_invariance(self):
         model = branching_chain()
@@ -851,8 +851,8 @@ class TestComHeight:
         params = {l.name: LinkHardware(3.0 * l.hardware.density,
                                        l.hardware.length_multiplier)
                   for l in model.links}
-        assert com_height_null_config(model, params) == pytest.approx(
-            h0, rel=1e-12)
+        scaled = apply_hardware(model, params, validate=False)
+        assert com_height_null_config(scaled) == pytest.approx(h0, rel=1e-12)
 
 
 class TestModelValidation:

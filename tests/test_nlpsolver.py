@@ -105,7 +105,7 @@ class TestSolveStatus:
         p = BoxedProjection()
         rep = solve_nlp(p, np.array([0.0, 0.0]), SolverOptions(max_iter=200))
         assert rep.status == "converged"
-        np.testing.assert_allclose(rep.x, [1.2, 1.2], atol=1e-6)
+        np.testing.assert_allclose(rep.y, [1.2, 1.2], atol=1e-6)
 
     def test_nan_violation_is_infeasible(self):
         p = BoxedProjection(nan_constraint=True)
@@ -153,7 +153,7 @@ class TestOnePassPerPoint:
         p = CountingProjection()
         rep = solve_nlp(p, np.array([0.0, 0.0]), SolverOptions(max_iter=200))
         assert rep.status == "converged"
-        np.testing.assert_allclose(rep.x, [1.2, 1.2], atol=1e-6)
+        np.testing.assert_allclose(rep.y, [1.2, 1.2], atol=1e-6)
         assert p.value_calls == 0
         points = [y.tobytes() for y in p.passes]
         assert len(points) > 1

@@ -7,7 +7,7 @@ import pytest
 from ergolift import ergoopt, scenario
 from ergolift.ergoopt import assemble_nlp, warm_start_vector
 from ergolift.multibody import apply_hardware, group_params
-from ergolift.scenario import build_system, make_scenario, \
+from ergolift.scenario import TaskWeights, build_system, make_scenario, \
     warm_start_configuration
 
 FIELDS = ("base_pos", "base_rot", "s")
@@ -45,15 +45,17 @@ def ik_iterations(monkeypatch):
 
 def jitter_vector(problem):
     """The joint jitter ``warm_start_vector`` draws from the seed, 0.01
-    rad standard deviation."""
+    rad standard deviation, drawn block by block: height by height,
+    subsystem by subsystem."""
     rng = np.random.default_rng(problem.scenario.seed)
-    out = np.zeros(problem.layout.dim)
-    for k in range(len(problem.heights)):
-        for i in range(len(problem.layout.sub_dims)):
-            sl = problem.layout.sub_slice(k, i)
-            if sl.stop - sl.start > 6:
-                out[sl.start + 6:sl.stop] = rng.normal(
-                    size=sl.stop - sl.start - 6) * 0.01
+    out = np.zeros(problem.lb.size)
+    start = 0
+    for _ in problem.heights:
+        for width in problem.layout.sub_dims:
+            if width > 6:
+                out[start + 6:start + width] = rng.normal(
+                    size=width - 6) * 0.01
+            start += width
     return out
 
 
@@ -230,3 +232,35 @@ class TestGrasps:
             for name in FIELDS:
                 np.testing.assert_array_equal(getattr(q2, name),
                                               getattr(q1, name))
+
+
+class TestScenarioValidation:
+    """A scenario whose weights or values cannot be used is refused when
+    it is built, not by a division in the first derivative pass."""
+
+    @pytest.fixture(scope="class")
+    def made(self):
+        return make_scenario(heights=(1.0,))
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(weights=TaskWeights(0.0, 0.0, 0.0, 0.0)), "all be zero"),
+        (dict(weights=TaskWeights(torque=np.nan)), "nonnegative and finite"),
+        (dict(weights=TaskWeights(cop=np.inf)), "nonnegative and finite"),
+        (dict(weights=TaskWeights(density=-1.0)), "nonnegative and finite"),
+        (dict(payload_mass=np.nan), "positive, finite mass"),
+        (dict(payload_mass=np.inf), "positive, finite mass"),
+        (dict(payload_mass=0.0), "positive, finite mass"),
+        (dict(heights=(np.nan,)), "positive and finite"),
+        (dict(heights=(0.8, np.nan)), "positive and finite"),
+        (dict(heights=(np.inf,)), "positive and finite"),
+        (dict(heights=(0.0, 1.0)), "positive and finite"),
+        (dict(heights=(1.2, 0.8)), "sorted ascending"),
+        (dict(heights=()), "at least one"),
+    ])
+    def test_rejects(self, made, change, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(made, **change)
+
+    def test_one_positive_weight_suffices(self, made):
+        sc = dataclasses.replace(made, weights=TaskWeights(0.0, 0.0, 0.0, 1.0))
+        assert sc.weights.total() == 1.0

@@ -54,14 +54,15 @@ class TestInertia:
     def test_unit_sphere(self):
         # rho chosen so the sphere has unit mass
         hw = LinkHardware(3.0 / (4.0 * np.pi))
-        I = shape_inertia_cm(Sphere(1.0), hw)
+        s = Sphere(1.0)
+        I = shape_inertia_cm(s, hw, shape_mass(s, hw))
         np.testing.assert_allclose(I, 0.4 * np.eye(3), atol=1e-12)
 
     def test_cylinder_disc_limit(self):
         s = Cylinder(0.2, 1e-9)
         hw = LinkHardware(1000.0)
         m = shape_mass(s, hw)
-        I = shape_inertia_cm(s, hw)
+        I = shape_inertia_cm(s, hw, m)
         assert I[2, 2] == pytest.approx(m * 0.2**2 / 2.0, rel=1e-12)
         assert I[0, 0] == pytest.approx(m * 3 * 0.2**2 / 12.0, rel=1e-6)
 
@@ -69,15 +70,15 @@ class TestInertia:
         s = Box(0.2, 0.2, 0.2)
         hw = LinkHardware(1000.0)
         assert shape_mass(s, hw) == pytest.approx(8.0, rel=1e-12)
-        I = shape_inertia_cm(s, hw)
+        I = shape_inertia_cm(s, hw, shape_mass(s, hw))
         np.testing.assert_allclose(np.diag(I), 8.0 * 0.08 / 12.0, rtol=1e-12)
 
     @given(rho=densities, lm=multipliers)
     def test_triangle_inequalities(self, rho, lm):
         hw = LinkHardware(rho, lm)
         for s in (Sphere(0.11), Cylinder(0.05, 0.4), Box(0.1, 0.2, 0.3)):
-            assert triangle_inequality_defect(
-                np.asarray(shape_inertia_cm(s, hw))) <= 1e-12
+            I = shape_inertia_cm(s, hw, shape_mass(s, hw))
+            assert triangle_inequality_defect(np.asarray(I)) <= 1e-12
 
 
 class TestCom:
@@ -152,7 +153,7 @@ class TestVoxelOracle:
             ref = voxel_inertia_oracle(s, hw, 256)
             m = shape_mass(s, hw)
             c = np.asarray(shape_com(s, hw))
-            I = np.asarray(shape_inertia_cm(s, hw))
+            I = np.asarray(shape_inertia_cm(s, hw, m))
             assert ref.mass == pytest.approx(m, rel=1e-3)
             np.testing.assert_allclose(ref.com, c, atol=1e-2 * max(c.max(), 0.01))
             assert np.abs(ref.inertia_cm - I).max() <= 1e-2 * np.abs(I).max()
@@ -167,7 +168,8 @@ class TestSpatialInertiaView:
         c = np.asarray(shape_com(s, hw))
         shift = m * (c @ c * np.eye(3) - np.outer(c, c))
         np.testing.assert_allclose(shape_inertia_origin(s, hw),
-                                   np.asarray(shape_inertia_cm(s, hw)) + shift,
+                                   np.asarray(shape_inertia_cm(s, hw, m))
+                                   + shift,
                                    rtol=1e-12, atol=1e-15)
         # the 6x6 assembled from them is symmetric
         M = assemble_spatial_inertia(m, c, shape_inertia_origin(s, hw))
@@ -176,7 +178,7 @@ class TestSpatialInertiaView:
     def test_origin_inertia_exceeds_com_inertia(self):
         s = Box(0.1, 0.1, 0.5)
         hw = LinkHardware(1500.0)
-        I_cm = np.asarray(shape_inertia_cm(s, hw))
+        I_cm = np.asarray(shape_inertia_cm(s, hw, shape_mass(s, hw)))
         I_0 = np.asarray(shape_inertia_origin(s, hw))
         # moving the reference away from the CoM cannot reduce lateral inertia
         assert I_0[0, 0] > I_cm[0, 0]
