@@ -287,6 +287,21 @@ def coupled_trees(sys: CoupledSystem, q: CoupledConfiguration,
     return [kinematics(m, qi) for m, qi in zip(models, q.qs)]
 
 
+def _statics_trees(sys: CoupledSystem, q, params, trees):
+    """The trees a statics call reads: ``trees`` as given, or those of
+    ``q`` on the hardware ``params``.  A call gives one or the other;
+    trees already carry their hardware, so ``params`` never comes with
+    them.  Raises ValueError otherwise."""
+    if trees is None:
+        if q is None:
+            raise ValueError("statics need a configuration or trees")
+        return coupled_trees(sys, q, params)
+    if q is not None or params is not None:
+        raise ValueError("statics take trees or a configuration and "
+                         "hardware, not both")
+    return trees
+
+
 def coupling_matrix(sys: CoupledSystem, trees):
     """Stacked contact constraint matrix over the composite velocity.
 
@@ -426,7 +441,8 @@ def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
     return U @ ((Vt @ (g - B_tau)) / sv)
 
 
-def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
+def statics_minnorm(sys: CoupledSystem,
+                    q: Optional[CoupledConfiguration] = None,
                     params: Optional[Mapping] = None, trees=None,
                     dirs=None):
     """Static torques and wrenches from the least-norm saddle system.
@@ -436,12 +452,13 @@ def statics_minnorm(sys: CoupledSystem, q: CoupledConfiguration,
     a stack of them.  The solution is smooth in every input, and with
     ``Dual`` inputs the tangents follow from differentiating the saddle
     system (the tangent rule by contraction in the module docstring), so
-    this is the formulation the optimizer differentiates through.  With
-    ``dirs`` each subsystem's tree may carry only its own directions
-    (see the module docstring); the results carry all ``ndir``.
+    this is the formulation the optimizer differentiates through.  It
+    reads ``trees`` (from ``coupled_trees``) or builds them from ``q``
+    and ``params``; giving both raises ValueError.  With ``dirs`` each
+    subsystem's tree may carry only its own directions (see the module
+    docstring); the results carry all ``ndir``.
     """
-    if trees is None:
-        trees = coupled_trees(sys, q, params)
+    trees = _statics_trees(sys, q, params, trees)
     Q = coupling_matrix(sys, [t.value() for t in trees])
     g = composite_gravity(sys, trees, dirs)
     K, Qa, tau, lam, f = _saddle_statics(sys, Q, fad.value(g))
@@ -498,7 +515,8 @@ def cop_smooth(wrench6, sole_rot):
     return fad.stack([-t_sole[..., 1] / fz, t_sole[..., 0] / fz], axis=-1)
 
 
-def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
+def evaluate_statics(sys: CoupledSystem,
+                     q: Optional[CoupledConfiguration] = None,
                      params: Optional[Mapping] = None,
                      trees=None) -> StaticsResult:
     """Full static analysis from the saddle system, with residual checks.
@@ -511,9 +529,10 @@ def evaluate_statics(sys: CoupledSystem, q: CoupledConfiguration,
     SingularConstraintError for a rank-deficient contact set or a body
     held by no contact, and UnloadedFootError, naming the first such
     foot, when a foot's sole-frame normal force is below ``MIN_NORMAL``.
+    Like ``statics_minnorm`` it reads ``trees`` or builds them from
+    ``q`` and ``params``, never both.
     """
-    if trees is None:
-        trees = coupled_trees(sys, q, params)
+    trees = _statics_trees(sys, q, params, trees)
     Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, trees))
     _, _, Vt = _constraint_svd(Q, sys.wrench_labels)

@@ -251,10 +251,10 @@ class ErgoProblem:
         t4 = task_com_height(models[self.system.parametrized_index])
         return w.density * t2 + w.com_height * t4
 
-    def _height_tasks(self, q, trees, poses, dirs=None):
+    def _height_tasks(self, trees, poses, dirs=None):
         """Torque and CoP tasks from the saddle statics, per posture.
 
-        ``q``, ``trees`` and their ``coupled_poses`` may stack postures;
+        ``trees`` and their ``coupled_poses`` may stack postures;
         ``dirs`` as in ``_directions``, or None when every Dual carries
         all directions.  Returns the torques, the foot CoPs
         ``(..., E, 2)`` in their sole frames, the squared torque norm and
@@ -262,7 +262,7 @@ class ErgoProblem:
         sole-frame origin.
         """
         sys = self.system
-        tau, f = statics_minnorm(sys, q, trees=trees, dirs=dirs)
+        tau, f = statics_minnorm(sys, trees=trees, dirs=dirs)
         env = sys.frame_slots[0]
         batch = tau.shape[:-1]
         wrenches = f[..., :6 * len(env)].reshape(batch + (len(env), 6))
@@ -304,7 +304,7 @@ class ErgoProblem:
         w = self.scenario.weights
         trees = _trees(models, q)
         poses = coupled_poses(self.system, trees, dirs)
-        tau, cops, t1, t3 = self._height_tasks(q, trees, poses, dirs)
+        tau, cops, t1, t3 = self._height_tasks(trees, poses, dirs)
         cons = self._residual_rows(q, np.asarray(self.heights, dtype=float),
                                    poses, dirs)
         return w.torque * t1 + w.cop * t3, cons, tau, cops
@@ -506,22 +506,21 @@ def solve(problem: ErgoProblem, warm_start,
     # the Gauss-Newton cache serves only the solver's curvature calls; a
     # problem kept with its solution should not hold an n x n matrix
     problem._hess_cache = None
-    params = problem.hardware_params(report.y)
-    models = problem.system.subsystem_models(params)
+    models = problem.system.subsystem_models(
+        problem.hardware_params(report.y))
     # one tree per subsystem over the stacked postures: the tasks of
     # every height from one pass, the statics of each on its rows
-    q = problem._configurations(problem.height_blocks(report.y))
-    trees = _trees(models, q)
+    trees = _trees(models,
+                   problem._configurations(problem.height_blocks(report.y)))
     _, _, t1, t3 = problem._height_tasks(
-        q, trees, coupled_poses(problem.system, trees))
+        trees, coupled_poses(problem.system, trees))
     tasks = [{"torque": float(a), "cop": float(b)} for a, b in zip(t1, t3)]
     statics, refusals = [], []
     for k in range(len(problem.heights)):
         res = refused = None
         try:
-            res = evaluate_statics(
-                problem.system, problem.configurations(report.y, k), params,
-                trees=[t.row(k) for t in trees])
+            res = evaluate_statics(problem.system,
+                                   trees=[t.row(k) for t in trees])
         except (SingularConstraintError, UnloadedFootError) as exc:
             refused = type(exc).__name__
         statics.append(res)

@@ -26,8 +26,9 @@ named frames) live on a ``Topology`` that every hardware variant of a
 model shares.
 
 Every pass works on whole-tree arrays and takes the ``KinTree`` it
-reads.  ``kinematics`` walks the tree one depth level at a time and
-returns stacked ``(L, 3, 3)`` rotations and ``(L, 3)`` positions;
+reads.  ``kinematics`` walks the tree one depth level at a time on
+plain arrays and returns stacked ``(L, 3, 3)`` rotations and ``(L, 3)``
+positions;
 ``KinTree.frame_poses`` and ``frame_jacobian`` gather a tuple of frames
 at once, the Jacobians as ``(F, 6, 6 + n)`` from one masked cross
 product over the stacked joint axes and pivots; ``gravity_vector`` sums
@@ -43,6 +44,24 @@ at frames, a masked subtree sum of the frame forces and moments like
 ``gravity_vector``'s, and ``frame_twists`` is ``J_k nu``, a masked path
 sum of the joint motions.  With a ``Dual`` tree and plain ``w`` or
 ``nu`` their tangents are ``sum_k dJ_k^T w_k`` and ``dJ_k nu``.
+
+Tangents are link twists, the motion-vector form of kinematic
+derivatives (Carpentier and Mansard, "Analytical derivatives of rigid
+body dynamics algorithms", RSS 2018).  When the configuration or the
+length multipliers are ``Dual``, each direction moves the tree like a
+velocity: the base turns at ``w_b = vee(R_b' R_b^T)`` and moves at
+``p_b'``, joint j turns at ``a_j s_j'`` about its pivot ``o_j``, and a
+multiplier slides its children's joints along its link's z axis.  So
+link i turns at ``w_i = w_b + sum_j a_j s_j'`` over the dofs on its
+path, its origin moves at ``p_b' + w_b x (p_i - p_b) + sum_j a_j s_j'
+x (p_i - o_j)`` plus the slides on its path, and a joint axis turns
+with its parent link, ``a_j' = w_parent x a_j``; each sum is a masked
+path sum, as in ``frame_twists``.  A rotation's tangent is then
+``[w_i]x R_i``, which ``KinTree.link_rotations`` forms only for the
+links it is asked for, so no pass builds the whole tree's ``(L, 3, 3)``
+rotation tangents.  The rule needs a ``Dual`` base rotation to carry a
+rotation tangent, ``R_b' R_b^T`` skew, as ``fad.rpy_matrix`` of
+``Dual`` angles gives.
 
 Postures may carry leading batch axes: a ``Configuration`` of
 ``(..., 3)`` base positions, ``(..., 3, 3)`` base rotations and
@@ -243,6 +262,14 @@ class Topology:
             mask[i] = mask[link.parent]
             mask[i, i - 1] = True
         return mask
+
+    @cached_property
+    def joint_mounts(self):
+        """Parent link ``(n,)`` and unit-multiplier offset ``(n, 3)`` of
+        each joint, in dof order."""
+        children = self._links[1:]
+        return (np.array([l.parent for l in children], dtype=int),
+                np.array([l.joint.offset for l in children]).reshape(-1, 3))
 
     @cached_property
     def subtree(self):
@@ -487,32 +514,40 @@ class KinTree:
     """World poses of every link plus per-joint world axes and pivots.
 
     ``rot`` ``(..., L, 3, 3)`` and ``pos`` ``(..., L, 3)`` stack one row
-    per link in link order, ``axis_w`` one row per joint, ``(..., n, 3)``;
-    each is a plain array or a ``Dual``.  A joint turns about its child
-    link's origin, so ``pivot_w`` is ``pos`` without the base row.
-    ``lms`` are the per-link length multipliers the poses were computed
-    with (None when all are 1.0).  The mounts of each tuple of frames are
-    gathered once per tree and kept, since the poses, ``frame_jacobian``,
-    ``generalized_force`` and ``frame_twists`` of one pass all read them;
-    ``value`` and ``row`` hand the kept gathers on to the trees they
-    derive.
+    per link in link order, ``axis_w`` one row per joint, ``(..., n, 3)``.
+    A joint turns about its child link's origin, so ``pivot_w`` is
+    ``pos`` without the base row.  ``lms`` are the per-link length
+    multipliers the poses were computed with (None when all are 1.0).
+
+    ``rot`` is always plain.  ``pos`` and ``axis_w`` are ``Dual`` when
+    the configuration or the multipliers carry tangents, and the
+    rotations' tangents are kept as the links' angular velocities
+    ``omega`` ``(ndir, ..., L, 3)`` (the module docstring), None when no
+    direction turns a link.  ``link_rotations`` forms ``Dual`` rotations
+    ``[omega]x R`` of the links it is given.
+
+    The mounts of each tuple of frames are gathered once per tree and
+    kept, since the poses, ``frame_jacobian``, ``generalized_force`` and
+    ``frame_twists`` of one pass all read them; ``value`` and ``row``
+    hand the kept gathers on to the trees they derive.
     """
 
     model: Model
-    rot: object
+    rot: np.ndarray
     pos: object
     axis_w: object
     lms: object = None
+    omega: Optional[np.ndarray] = None
     _gathered: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def pivot_w(self):
         return self.pos[..., 1:, :]
 
-    def _map(self, f, lms):
+    def _map(self, f, lms, omega):
         """The tree with f applied to every posture array and kept gather."""
         tree = KinTree(self.model, f(self.rot), f(self.pos), f(self.axis_w),
-                       lms)
+                       lms, omega)
         tree._gathered.update(
             (names, (links, f(R), rotations, f(p)))
             for names, (links, R, rotations, p) in self._gathered.items())
@@ -521,11 +556,21 @@ class KinTree:
     def value(self):
         """The same tree on plain arrays, the values of its Duals."""
         return self._map(fad.value,
-                         None if self.lms is None else fad.value(self.lms))
+                         None if self.lms is None else fad.value(self.lms),
+                         None)
 
     def row(self, k):
         """Posture k of a tree over stacked postures (the leading axis)."""
-        return self._map(lambda x: x[k], self.lms)
+        return self._map(lambda x: x[k], self.lms,
+                         None if self.omega is None else self.omega[:, k])
+
+    def link_rotations(self, links):
+        """World rotations ``(..., F, 3, 3)`` of the links ``(F,)``, with
+        tangents ``[omega]x R`` when the tree has ``omega``."""
+        R = self.rot[..., links, :, :]
+        if self.omega is None:
+            return R
+        return fad.Dual(R, _spin(self.omega[..., links, :], R))
 
     def _mounts(self, names):
         """Links of named frames, their world rotations and mounting points."""
@@ -534,7 +579,7 @@ class KinTree:
             links, offsets, rotations = self.model.topology.mounts(names)
             if self.lms is not None:
                 offsets = _scale_z(offsets, self.lms[links][:, None])
-            R = self.rot[..., links, :, :]
+            R = self.link_rotations(links)
             out = (links, R, rotations,
                    self.pos[..., links, :] + _rows(R, offsets))
             self._gathered[names] = out
@@ -549,6 +594,15 @@ class KinTree:
     def frame_pose(self, name):
         R, p = self.frame_poses((name,))
         return R[..., 0, :, :], p[..., 0, :]
+
+
+def _spin(w, R):
+    """Tangents ``[w]x R`` ``(ndir, ..., 3, 3)`` of rotations R turning at
+    angular velocities w ``(ndir, ..., 3)``: column c is ``w x R[:, c]``,
+    from the rolled products of ``fad.cross3``, in C order."""
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    return (w[..., nxt, None] * R[..., prv, :]
+            - w[..., prv, None] * R[..., nxt, :])
 
 
 def _scale_z(offset, lm):
@@ -577,32 +631,90 @@ def kinematics(model: Model, q: Configuration) -> KinTree:
     joint constants at once: each joint turns by the Rodrigues rotation
     about its fixed axis, one ``fad.rodrigues`` call per level.  The
     levels' rows are concatenated and put in link order by one gather.
+    The loop runs on the values only; ``_twists`` adds the tangents.
     """
     topo = model.topology
     lms = model._multipliers
+    lm = None if lms is None else fad.value(lms)
+    s = fad.value(q.s)
     # R, p: the previous level's rotations and positions
-    R, p = q.base_rot[..., None, :, :], q.base_pos[..., None, :]
+    R = fad.value(q.base_rot)[..., None, :, :]
+    p = fad.value(q.base_pos)[..., None, :]
     rots, poss, axes = [R], [p], []
     for lv in topo.levels:
         Rp, pp = R[..., lv.rows, :, :], p[..., lv.rows, :]
-        offset = lv.offset if lms is None else _scale_z(
-            lv.offset, lms[lv.parents][:, None])
+        offset = lv.offset if lm is None else _scale_z(
+            lv.offset, lm[lv.parents][:, None])
         p = pp + _rows(Rp, offset)
         R_pre = Rp @ lv.rotation
-        s = q.s[..., lv.dofs]
-        R = R_pre @ fad.rodrigues(s, lv.K, lv.K2)
+        R = R_pre @ fad.rodrigues(s[..., lv.dofs], lv.K, lv.K2)
         rots.append(R)
         poss.append(p)
         axes.append(_rows(R_pre, lv.axis))
     links, dofs = topo.level_rows
     if axes:
-        axis_w = fad.concatenate(axes, axis=-2)[..., dofs, :]
+        axis_w = np.concatenate(axes, axis=-2)[..., dofs, :]
     else:  # a single rigid body
-        axis_w = np.zeros(np.shape(q.s) + (3,))
-    return KinTree(model=model,
-                   rot=fad.concatenate(rots, axis=-3)[..., links, :, :],
-                   pos=fad.concatenate(poss, axis=-2)[..., links, :],
-                   axis_w=axis_w, lms=lms)
+        axis_w = np.zeros(s.shape + (3,))
+    rot = np.concatenate(rots, axis=-3)[..., links, :, :]
+    pos, axis_w, omega = _twists(
+        model, q, rot, np.concatenate(poss, axis=-2)[..., links, :], axis_w)
+    return KinTree(model=model, rot=rot, pos=pos, axis_w=axis_w, lms=lms,
+                   omega=omega)
+
+
+def _twists(model, q, rot, pos, axis_w):
+    """The poses ``pos`` and axes ``axis_w`` of a tree with their
+    tangents from its link twists, and ``omega``.
+
+    The rule of the module docstring in spatial form, with the
+    directions first: the base and each dof contribute an angular
+    velocity and the velocity they give the world origin, a point
+    riding link i moves at ``v_i + w_i x p`` with ``v_i`` and ``w_i``
+    summed along its path, and ``omega`` is ``(ndir, ..., L, 3)``.
+    Without tangents the arrays come back plain, and ``omega`` None.
+    """
+    topo = model.topology
+    lms = model._multipliers
+    parents, offsets = topo.joint_mounts
+    # the base's (..., 1, 3) and the dofs' (..., n, 3) terms, or None
+    w_base = v_base = w_dof = v_dof = None
+    if isinstance(q.base_rot, fad.Dual):
+        W = q.base_rot.dot @ fad.mT(q.base_rot.val)
+        w_base = np.stack([W[..., 2, 1], W[..., 0, 2], W[..., 1, 0]],
+                          axis=-1)[..., None, :]
+        v_base = -fad.cross3(w_base, pos[..., :1, :])
+    if isinstance(q.base_pos, fad.Dual):
+        v = q.base_pos.dot[..., None, :]
+        v_base = v if v_base is None else v_base + v
+    # a body without joints takes nothing from the tangents of its
+    # (empty) joint positions
+    if isinstance(q.s, fad.Dual) and axis_w.shape[-2]:
+        s_dot = q.s.dot[..., None]
+        w_dof = axis_w * s_dot
+        v_dof = fad.cross3(pos[..., 1:, :], axis_w) * s_dot
+    if isinstance(lms, fad.Dual):
+        # a multiplier slides its children's joints along its z axis,
+        # the column rot[..., :, 2]
+        slide = lms.dot[:, parents] * offsets[:, 2]
+        slide = slide.reshape(slide.shape[:1] + (1,) * (rot.ndim - 3)
+                              + slide.shape[1:] + (1,))
+        v = slide * rot[..., 2][..., parents, :]
+        v_dof = v if v_dof is None else v_dof + v
+    if v_base is None and v_dof is None:
+        return pos, axis_w, None
+    P = topo.path_mask.astype(float)
+    omega = None
+    if w_dof is not None:
+        omega = P @ w_dof if w_base is None else w_base + P @ w_dof
+    elif w_base is not None:
+        omega = np.broadcast_to(w_base, w_base.shape[:-2] + pos.shape[-2:])
+    vel = sum(v for v in (v_base, None if v_dof is None else P @ v_dof,
+                          None if omega is None else fad.cross3(omega, pos))
+              if v is not None)
+    if omega is not None and axis_w.shape[-2]:
+        axis_w = fad.Dual(axis_w, fad.cross3(omega[..., parents, :], axis_w))
+    return fad.Dual(pos, vel), axis_w, omega
 
 
 def _point_jacobians(tree, links, points):
@@ -716,9 +828,21 @@ def mass_matrix(tree: KinTree) -> np.ndarray:
 
 def _mass_moments(tree):
     """Link masses ``(L,)`` and world mass moments ``m * com``
-    ``(..., L, 3)``."""
+    ``(..., L, 3)``.
+
+    The world CoM offsets ``R c`` take the tangent ``omega x (R c) +
+    R c'``, so no rotation tangent is formed; ``R c'`` is one product
+    per link and posture over every direction.
+    """
     m, c = tree.model._mass_table
-    return m, m[:, None] * (tree.pos + _rows(tree.rot, c))
+    Rc = _rows(tree.rot, fad.value(c))
+    dot = None if tree.omega is None else fad.cross3(tree.omega, Rc)
+    if isinstance(c, fad.Dual):
+        t = np.moveaxis(tree.rot @ np.moveaxis(c.dot, 0, -1), -1, 0)
+        dot = t if dot is None else dot + t
+    if dot is not None:
+        Rc = fad.Dual(Rc, dot)
+    return m, m[:, None] * (tree.pos + Rc)
 
 
 def gravity_vector(tree: KinTree):

@@ -304,9 +304,10 @@ class TestStaticTorques:
             if lab.endswith("_left"):
                 j = labels.index(lab[:-5] + "_right")
                 pair = lab.split(":")[1][:-5]
-                sign = -1.0 if ("upper_arm" in pair or "hip_b" in pair
-                                or "upper_leg" in pair or "foot" in pair
-                                or "wrist_b" in pair or "hand" in pair) else 1.0
+                flipped = ("upper_arm" in pair or "hip_b" in pair
+                           or "upper_leg" in pair or "foot" in pair
+                           or "wrist_b" in pair or "hand" in pair)
+                sign = -1.0 if flipped else 1.0
                 assert tau[i] == pytest.approx(sign * tau[j], abs=1e-6), lab
 
     def test_projected_equilibrium_on_random_configs(self, desk, rng):
@@ -428,7 +429,8 @@ class TestCouplingMatrix:
         v, w = rng.normal(size=3), rng.normal(size=3)
         nu = []
         for model, qi in zip(sys2.subsystem_models(), q.qs):
-            base = np.concatenate([v + np.cross(w, np.asarray(qi.base_pos)), w])
+            base = np.concatenate(
+                [v + np.cross(w, np.asarray(qi.base_pos)), w])
             nu.append(np.concatenate([base, np.zeros(model.n_joints)]))
         nu = np.concatenate(nu)
         out = Q @ nu
@@ -642,6 +644,43 @@ class TestEvaluateStatics:
                   for l in human.links}
         with pytest.raises(UnloadedFootError):
             evaluate_statics(sys, q, params)
+
+
+class TestStaticsInputs:
+    """The statics read trees or a configuration with its hardware; a
+    call that gives both, or neither, is refused."""
+
+    @staticmethod
+    def hardware(sys):
+        robot = sys.parametrized_model
+        return group_params(robot, {g.name: (2000.0, 1.1)
+                                    for g in robot.groups})
+
+    @pytest.mark.parametrize("statics", [evaluate_statics, statics_minnorm])
+    def test_refused_combinations(self, desk, statics):
+        _, sys, q = desk
+        params = self.hardware(sys)
+        trees = coupled_trees(sys, q, params)
+        for kwargs, message in (
+                ({}, "need a configuration or trees"),
+                ({"params": params}, "need a configuration or trees"),
+                ({"q": q, "trees": trees}, "not both"),
+                ({"params": params, "trees": trees}, "not both"),
+                ({"q": q, "params": params, "trees": trees}, "not both")):
+            with pytest.raises(ValueError, match=message):
+                statics(sys, **kwargs)
+
+    @pytest.mark.parametrize("statics", [evaluate_statics, statics_minnorm])
+    def test_trees_answer_as_their_configuration(self, desk, statics):
+        _, sys, q = desk
+        params = self.hardware(sys)
+        by_q = statics(sys, q, params)
+        by_trees = statics(sys, trees=coupled_trees(sys, q, params))
+        if statics is evaluate_statics:
+            by_q = (by_q.tau, by_q.wrenches)
+            by_trees = (by_trees.tau, by_trees.wrenches)
+        for a, b in zip(by_q, by_trees):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestScaling:

@@ -49,7 +49,7 @@ def per_height_derivatives(problem, y):
         dirs[np.arange(idx.size), idx] = 1.0
         q = problem.configurations(fad.Dual(y, dirs), k)
         trees = [kinematics(m, qi) for m, qi in zip(models, q.qs)]
-        tau, f = statics_minnorm(sys, q, trees=trees)
+        tau, f = statics_minnorm(sys, trees=trees)
         t3 = 0.0
         block = 2.0 * w.torque * (tau.dot @ tau.dot.T)
         for c, (agent, frame) in enumerate(sys.env_contacts):
@@ -209,7 +209,7 @@ class TestSubsystemDirections:
 
         def wrapper(model, q):
             tree = original(model, q)
-            seen.append((model.name, tree.rot.ndir))
+            seen.append((model.name, tree.link_rotations(slice(None)).ndir))
             return tree
 
         monkeypatch.setattr(ergoopt, "kinematics", wrapper)
@@ -472,6 +472,26 @@ class TestOnePass:
             arrays = list(leaves([out, list(args), list(kwargs.values())]))
             assert not any(isinstance(a, fad.Dual) for a in arrays), name
 
+    def test_no_whole_tree_rotation_tangents(self, paper_problem,
+                                             monkeypatch):
+        # rotation tangents are formed only for named frames, from the
+        # link twists: no Dual of a pass ends in a tree's (L, 3, 3)
+        problem, y = paper_problem
+        shapes_seen = []
+        original = fad.Dual.__init__
+
+        def recording(self, val, dot):
+            original(self, val, dot)
+            shapes_seen.append(self.dot.shape)
+
+        monkeypatch.setattr(fad.Dual, "__init__", recording)
+        problem.value_and_derivatives(y)
+        monkeypatch.undo()
+        assert shapes_seen
+        whole = {(len(m.links), 3, 3)
+                 for m in problem.system.subsystem_models()}
+        assert not [s for s in shapes_seen if s[-3:] in whole]
+
     def test_no_rotational_inertia_on_statics_paths(self, paper_problem,
                                                      monkeypatch):
         # only mass_matrix reads a link's inertia; the statics and the NLP
@@ -717,7 +737,7 @@ class TestSolutionTail:
             q = problem.configurations(y, k)
             trees = [kinematics(m, qi) for m, qi in zip(models, q.qs)]
             _, _, t1, t3 = problem._height_tasks(
-                q, trees, coupled.coupled_poses(problem.system, trees))
+                trees, coupled.coupled_poses(problem.system, trees))
             assert tasks["torque"] == pytest.approx(float(t1), rel=1e-12)
             assert tasks["cop"] == pytest.approx(float(t3), rel=1e-12)
             # each height's statics on its rows of the stacked trees are

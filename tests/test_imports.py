@@ -4,12 +4,12 @@ reaches in the program exists.
 No linter runs with the tests, so the first check stands in for the
 unused-import rule.  It reads each module with ``ast`` and does not
 import it.  ``__init__.py`` is skipped because its imports are
-re-exports.  Next to it, no line of the program is longer than 79
-characters.  A second ``ast`` check holds every private (``_name``)
-module-level function, class or constant of ``ergolift`` to be
-referenced somewhere in the package, so a helper does not outlive its
-last caller.  A third holds every public module-level function or class
-and every public method to be read somewhere in ``src/`` or
+re-exports.  Next to it, no line of the program or of its tests is
+longer than 79 characters.  A second ``ast`` check holds every private
+(``_name``) module-level function, class or constant of ``ergolift`` to
+be referenced somewhere in the package, so a helper does not outlive
+its last caller.  A third holds every public module-level function or
+class and every public method to be read somewhere in ``src/`` or
 ``perfbench/``, a ``tracing.TRACED`` entry counting as a reader; the
 test-support names in ``TEST_SUPPORT`` are the only exceptions.
 
@@ -73,7 +73,8 @@ def test_detects_long_lines():
     assert long_lines("x = 1\n" + "#" * 80 + "\n" + "#" * 79 + "\n") == [2]
 
 
-@pytest.mark.parametrize("path", sorted(ROOT.glob("src/ergolift/*.py")),
+@pytest.mark.parametrize("path", sorted([*ROOT.glob("src/ergolift/*.py"),
+                                         *ROOT.glob("tests/*.py")]),
                          ids=lambda p: p.name)
 def test_no_long_lines(path):
     assert long_lines(path.read_text()) == []

@@ -152,9 +152,10 @@ def loop_gravity_vector(model, tree):
     L = len(model.links)
     msub = []
     csub = []
+    rot = all_rotations(tree)
     for i, (m, c, _) in enumerate(l.inertial for l in model.links):
         msub.append(m)
-        csub.append(m * (tree.pos[i] + tree.rot[i] @ c))
+        csub.append(m * (tree.pos[i] + rot[i] @ c))
     for i in range(L - 1, 0, -1):
         par = model.links[i].parent
         msub[par] = msub[par] + msub[i]
@@ -227,6 +228,25 @@ def assert_same(a, b):
     np.testing.assert_array_equal(tangent(a, ndir), tangent(b, ndir))
 
 
+# the twist rule and the composed Dual products round differently; the
+# tangents here are O(1) (metres, unit vectors), so a few ulps of their
+# sums stay far below this bound
+TANGENT_ATOL = 1e-13
+
+
+def assert_twin(a, b):
+    """Equal values bit for bit, and tangents within ``TANGENT_ATOL``."""
+    np.testing.assert_array_equal(fad.value(a), fad.value(b))
+    ndir = max(getattr(a, "ndir", 0), getattr(b, "ndir", 0))
+    np.testing.assert_allclose(tangent(a, ndir), tangent(b, ndir),
+                               rtol=0, atol=TANGENT_ATOL)
+
+
+def all_rotations(tree):
+    """The tree's link rotations, Duals when it carries ``omega``."""
+    return tree.link_rotations(np.arange(len(tree.model.links)))
+
+
 def dual_length_robot():
     """Default robot with a one-direction Dual upper-arm multiplier."""
     robot = default_robot()
@@ -275,7 +295,8 @@ class TestForwardKinematics:
 class TestLevelKinematics:
     def test_matches_per_link_loop(self, rng):
         # b and c turn about different axes on branching_chain's depth-2
-        # level
+        # level; the values are the loop's bit for bit, the tangents
+        # come from the twist rule
         for model in (branching_chain(), planar_2r(), single_body(),
                       dual_length_robot()):
             for _ in range(3):
@@ -283,13 +304,14 @@ class TestLevelKinematics:
                 for qd in seeded_configurations(model, q):
                     tree = kinematics(model, qd)
                     rot, pos, axis_w, pivot_w = loop_kinematics(model, qd)
-                    assert_same(tree.rot, fad.stack(rot))
-                    assert_same(tree.pos, fad.stack(pos))
-                    assert_same(tree.axis_w, axis_w)
-                    assert_same(tree.pivot_w, pivot_w)
+                    R = all_rotations(tree)
+                    assert_twin(R, fad.stack(rot))
+                    assert_twin(tree.pos, fad.stack(pos))
+                    assert_twin(tree.axis_w, axis_w)
+                    assert_twin(tree.pivot_w, pivot_w)
                     for i in range(len(model.links)):
-                        assert_same(tree.rot[i], rot[i])
-                        assert_same(tree.pos[i], pos[i])
+                        assert_twin(R[i], rot[i])
+                        assert_twin(tree.pos[i], pos[i])
 
     def test_stacked_shapes(self):
         model = branching_chain()
@@ -371,7 +393,8 @@ class TestFrameJacobian:
     def test_off_path_columns_are_zero(self, rng):
         model = branching_chain()
         q = random_configuration(model, rng)
-        # frame "side" rides link c (dof 2); dofs 1 ("b") and 3 ("d") are off path
+        # frame "side" rides link c (dof 2); dofs 1 ("b") and 3 ("d") are
+        # off its path
         J = np.asarray(
             frame_jacobian(kinematics(model, q), ("side",))[..., 0, :, :])
         np.testing.assert_array_equal(J[:, 6 + 1], np.zeros(6))
@@ -467,6 +490,7 @@ class TestStackedPostures:
                     one = kinematics(model, q)
                     for name in ("rot", "pos", "axis_w", "pivot_w"):
                         assert_row(getattr(tree, name), k, getattr(one, name))
+                    assert_row(all_rotations(tree), k, all_rotations(one))
                     assert_row(J, k, frame_jacobian(one, names))
                     R1, p1 = one.frame_poses(names)
                     assert_row(R, k, R1)
@@ -484,7 +508,7 @@ class TestStackedPostures:
                 lm = model.links[f.link].hardware.length_multiplier
                 offset = fad.stack([f.offset[0], f.offset[1],
                                     f.offset[2] * lm])
-                Rl = tree.rot[f.link]
+                Rl = all_rotations(tree)[f.link]
                 assert_same(R[k], Rl @ f.rotation)
                 assert_same(p[k], tree.pos[f.link] + Rl @ offset)
                 assert_same(tree.frame_pose(f.name)[1], p[k])
@@ -518,6 +542,103 @@ class TestContractions:
                         force.dot, np.einsum("dhfij,hfi->dhj", dJ, w), 1e-13)
                     assert_rel_close(
                         twists.dot, np.einsum("dhfij,hj->dhfi", dJ, nu), 1e-13)
+
+
+# central differences with this step lose about eps * |x| / step to
+# rounding and step^2 times the third derivative to truncation, both far
+# below the tolerance (relative to max(1, the largest difference)) on
+# these O(1) poses and O(100) N m gravity rows; both were fixed before
+# the tests first ran
+FD_STEP = 1e-6
+FD_TOL = 1e-7
+
+
+def assert_central_differences(f, x, dirs):
+    """f's Dual outputs at ``Dual(x, dirs)`` against central differences.
+
+    ``f`` maps a parameter array to a list of outputs; ``dirs``
+    ``(ndir, *x.shape)`` are the seed directions, and direction j is
+    differenced as ``f(x + h dirs[j]) - f(x - h dirs[j])``.
+    """
+    outs = f(fad.Dual(x, dirs))
+    ndir = dirs.shape[0]
+    for j in range(ndir):
+        plus = f(x + FD_STEP * dirs[j])
+        minus = f(x - FD_STEP * dirs[j])
+        for out, a, b in zip(outs, plus, minus):
+            fd = (np.asarray(a) - np.asarray(b)) / (2 * FD_STEP)
+            scale = max(1.0, float(np.abs(fd).max(initial=0.0)))
+            err = np.abs(tangent(out, ndir)[j] - fd).max(initial=0.0)
+            assert err <= FD_TOL * scale, (j, err, scale)
+
+
+def twist_outputs(tree, names):
+    """What the twist rule differentiates: link rotations, origins and
+    axes, the frames' rotations and positions, and the gravity rows."""
+    R, p = tree.frame_poses(names)
+    return [all_rotations(tree), tree.pos, tree.axis_w, R, p,
+            gravity_vector(tree)]
+
+
+def scaled_robot(robot, x):
+    """The robot with upper-arm and lower-leg multipliers x[0], x[1]."""
+    return apply_hardware(robot, group_params(
+        robot, {"upper_arm": (2200.0, x[0]), "lower_leg": (2400.0, x[1])}),
+        validate=False)
+
+
+class TestTwistTangents:
+    """The tree's tangents from link twists against central differences."""
+
+    def test_multiplier_base_and_joint_directions(self, rng):
+        # the two multipliers, the base position, its rpy angles through
+        # fad.rpy_matrix and every joint, all at once
+        robot = default_robot()
+        names = ("palm_left", "sole_right", "pelvis", "forearm_left")
+        q = random_configuration(robot, rng)
+        x = np.concatenate([[1.3, 0.9], q.base_pos, [0.1, -0.2, 0.3], q.s])
+
+        def f(x):
+            qx = Configuration(x[2:5], fad.rpy_matrix(x[5], x[6], x[7]),
+                               x[8:])
+            return twist_outputs(kinematics(scaled_robot(robot, x), qx),
+                                 names)
+
+        assert_central_differences(f, x, np.eye(x.size))
+
+    def test_multiplier_directions_alone(self):
+        # a plain posture: the multipliers slide joints and frames but
+        # turn no link, so the tree has no omega
+        robot = default_robot()
+        q = Configuration.neutral(robot)
+
+        def f(x):
+            return twist_outputs(kinematics(scaled_robot(robot, x), q),
+                                 ("palm_left", "sole_right"))
+
+        x = np.array([1.3, 0.9])
+        seeded = scaled_robot(robot, fad.seed(x))
+        assert kinematics(seeded, q).omega is None
+        assert_central_differences(f, x, np.eye(2))
+
+    def test_stacked_postures(self, rng):
+        # direction j of row k is posture k's decision j, as the NLP
+        # seeds them; the base turns through fad.rpy_matrix
+        model = branching_chain()
+        qs = [random_configuration(model, rng) for _ in range(3)]
+        x = np.stack([np.concatenate([q.base_pos,
+                                      rpy_from_matrix(q.base_rot), q.s])
+                      for q in qs])
+        d = x.shape[1]
+        dirs = np.zeros((d,) + x.shape)
+        dirs[np.arange(d), :, np.arange(d)] = 1.0
+
+        def f(x):
+            qx = Configuration(x[..., :3], fad.rpy_matrix(
+                x[..., 3], x[..., 4], x[..., 5]), x[..., 6:])
+            return twist_outputs(kinematics(model, qx), ("tip", "side"))
+
+        assert_central_differences(f, x, dirs)
 
 
 def assert_rel_close(actual, reference, rel):
@@ -592,7 +713,8 @@ class TestGravityVector:
 
     def test_weightless_limit(self, rng):
         links = tuple(
-            Link(l.name, l.shape, LinkHardware(1e-9, l.hardware.length_multiplier),
+            Link(l.name, l.shape,
+                 LinkHardware(1e-9, l.hardware.length_multiplier),
                  l.parent, l.joint) for l in branching_chain().links)
         model = Model(name="air", links=links)
         q = random_configuration(model, rng)
@@ -673,7 +795,8 @@ class TestApplyHardware:
         tree, same_tree = kinematics(model, q), kinematics(same, q)
         np.testing.assert_array_equal(tree.frame_pose("tip")[1],
                                       same_tree.frame_pose("tip")[1])
-        np.testing.assert_array_equal(mass_matrix(tree), mass_matrix(same_tree))
+        np.testing.assert_array_equal(mass_matrix(tree),
+                                      mass_matrix(same_tree))
 
     def test_child_offset_scales_along_parent_axis(self, rng):
         # b and c hang from a at [0, 0, 0.3] and [0, 0.02, 0.3]
@@ -698,7 +821,8 @@ class TestApplyHardware:
 
     def test_total_mass_bookkeeping(self):
         model = branching_chain()
-        params = {"a": LinkHardware(3000.0, 1.4), "d": LinkHardware(600.0, 0.7)}
+        params = {"a": LinkHardware(3000.0, 1.4),
+                  "d": LinkHardware(600.0, 0.7)}
         scaled = apply_hardware(model, params)
         expected = sum(
             float(shape_mass(l.shape, params.get(l.name, l.hardware)))

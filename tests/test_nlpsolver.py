@@ -9,8 +9,10 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 
-from ergolift.nlpsolver import (SolverOptions, _variable_scales,
-                                _worst_family, kkt_residual, solve_nlp)
+from ergolift import ergoopt, scenario
+from ergolift.nlpsolver import (TOL_FEAS, TOL_KKT, SolverOptions,
+                                _variable_scales, _worst_family,
+                                kkt_residual, solve_nlp)
 
 
 class BoxedProjection:
@@ -92,7 +94,8 @@ class TestKKTResidual:
         assert kkt_residual(grad, jac, inside, lo, hi) == 0.0
         assert kkt_residual(grad, jac, outside, lo, hi) == 1.0
 
-    @pytest.mark.parametrize("jac", [np.zeros((0, 2)), np.array([[1.0, -1.0]])])
+    @pytest.mark.parametrize("jac", [np.zeros((0, 2)),
+                                     np.array([[1.0, -1.0]])])
     def test_nan_gradient_is_nan(self, jac):
         p = BoxedProjection()
         x = np.array([0.5, 0.5])
@@ -120,6 +123,70 @@ class TestSolveStatus:
                       ("c", slice(2, 3)))
         worst, name = _worst_family(p, np.array([3.0, np.nan, 5.0]))
         assert np.isnan(worst) and name == "b"
+
+
+@pytest.fixture(scope="module")
+def one_height():
+    """A frozen one-height co-design problem and its warm start."""
+    sc = scenario.make_scenario(heights=(1.2,))
+    problem = ergoopt.assemble_nlp(sc, scenario.build_system(sc),
+                                   freeze_hardware=True)
+    return problem, ergoopt.warm_start_vector(problem)
+
+
+def feasible_start(problem, y):
+    """y moved onto the constraint rows by Gauss-Newton steps."""
+    for _ in range(6):
+        _, _, cons, jac = problem.value_and_derivatives(y)
+        y = y - np.linalg.lstsq(jac, cons, rcond=None)[0]
+    assert np.all(problem.lb <= y) and np.all(y <= problem.ub)
+    assert np.abs(problem.value(y)[1]).max() <= TOL_FEAS
+    return y
+
+
+def scanned_worst(problem, y):
+    """The family with the largest violation at y, scanned afresh from
+    the problem's value rows; the first one wins a tie."""
+    _, cons = problem.value(y)
+    worst = [float(np.abs(cons[sl]).max()) for _, sl in problem.families]
+    k = int(np.argmax(worst))
+    return problem.families[k][0], worst[k]
+
+
+class TestBudgetStatuses:
+    """A 1-3 iteration budget ends in ``max-iter`` from a feasible start
+    and in ``infeasible`` from an infeasible one, on a toy problem and
+    on a frozen one-height co-design problem."""
+
+    # on the co-design rows a second step already leaves the feasible set
+    @pytest.mark.parametrize("name, budget", [("box", 1), ("box", 3),
+                                              ("one_height", 1)])
+    def test_feasible_start_ends_at_max_iter(self, name, budget,
+                                             one_height):
+        if name == "box":
+            problem, feasible = BoxedProjection(), np.array([0.0, 0.0])
+        else:
+            problem, feasible = one_height[0], feasible_start(*one_height)
+        rep = solve_nlp(problem, feasible, SolverOptions(max_iter=budget))
+        assert rep.status == "max-iter"
+        assert rep.iterations == budget
+        assert rep.constraint_violation <= TOL_FEAS
+        assert rep.kkt_residual > TOL_KKT
+        assert rep.worst_family is None
+
+    @pytest.mark.parametrize("name", ["box", "one_height"])
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_infeasible_start_names_the_worst_family(self, name, budget,
+                                                     one_height):
+        problem, infeasible = ((BoxedProjection(), np.array([3.0, -3.0]))
+                               if name == "box" else one_height)
+        rep = solve_nlp(problem, infeasible, SolverOptions(max_iter=budget))
+        assert rep.status == "infeasible"
+        assert np.isfinite(rep.constraint_violation)
+        assert rep.constraint_violation > TOL_FEAS
+        family, worst = scanned_worst(problem, rep.y)
+        assert rep.worst_family == family
+        assert rep.constraint_violation == worst
 
 
 class TestSparseJacobian:

@@ -155,7 +155,8 @@ class TestVoxelOracle:
             c = np.asarray(shape_com(s, hw))
             I = np.asarray(shape_inertia_cm(s, hw, m))
             assert ref.mass == pytest.approx(m, rel=1e-3)
-            np.testing.assert_allclose(ref.com, c, atol=1e-2 * max(c.max(), 0.01))
+            np.testing.assert_allclose(ref.com, c,
+                                       atol=1e-2 * max(c.max(), 0.01))
             assert np.abs(ref.inertia_cm - I).max() <= 1e-2 * np.abs(I).max()
 
 
