@@ -5,6 +5,9 @@ robot, payload) a block ``[base position (3), base roll-pitch-yaw (3),
 joint positions]``; after all heights, the shared hardware block
 ``[length multipliers..., densities...]`` over the robot's optimization
 groups, which ``_decision_vector`` writes and ``group_values`` reads.
+A height's posture block is the system's velocity layout
+(``CoupledSystem.velocity_layout``): the same widths in the same order,
+its joint columns ``CoupledSystem.actuated``.
 The cost sums the torque and center-of-pressure tasks over heights and
 adds the density-preference and center-of-mass-height tasks once; it is
 normalized by the sum of task weights: scaling all weights by a power of
@@ -101,38 +104,6 @@ def task_com_height(robot: Model):
     return 1.0 / (z * z)
 
 
-# ---------------------------------------------------------------------------
-# decision layout
-
-
-@dataclass(frozen=True, eq=False)
-class DecisionLayout:
-    """Index bookkeeping for the stacked decision vector."""
-
-    sub_dims: tuple          # per-subsystem block width (6 + n_joints)
-    n_heights: int
-    n_groups: int
-    frozen_hardware: bool
-
-    @property
-    def height_dim(self):
-        return sum(self.sub_dims)
-
-    @property
-    def pi_dim(self):
-        return 0 if self.frozen_hardware else 2 * self.n_groups
-
-    def pi_slice(self):
-        off = self.n_heights * self.height_dim
-        return slice(off, off + self.pi_dim)
-
-    def active_indices(self, k):
-        """Decision coordinates the height-k terms depend on."""
-        w, pi = self.height_dim, self.pi_slice()
-        return np.concatenate([np.arange(k * w, (k + 1) * w),
-                               np.arange(pi.start, pi.stop)])
-
-
 def _sub_configuration(y_block):
     """Configuration of subsystem blocks ``(..., 6 + n_joints)``."""
     pos = y_block[..., :3]
@@ -163,7 +134,7 @@ class ErgoProblem:
     scenario: Scenario
     system: CoupledSystem
     heights: tuple
-    layout: DecisionLayout
+    frozen_hardware: bool
     lb: np.ndarray
     ub: np.ndarray
     families: tuple
@@ -174,11 +145,30 @@ class ErgoProblem:
 
     # -- decision vector <-> configurations -----------------------------
 
+    @property
+    def height_dim(self):
+        """Width of one height's posture block: the system's velocity
+        dimension."""
+        return int(self.system.velocity_layout[1][-1])
+
+    @property
+    def pi_dim(self):
+        return 0 if self.frozen_hardware else 2 * len(self.nominal_groups)
+
+    def pi_slice(self):
+        off = len(self.heights) * self.height_dim
+        return slice(off, off + self.pi_dim)
+
+    def active_indices(self, k):
+        """Decision coordinates the height-k terms depend on."""
+        w, pi = self.height_dim, self.pi_slice()
+        return np.concatenate([np.arange(k * w, (k + 1) * w),
+                               np.arange(pi.start, pi.stop)])
+
     def height_blocks(self, y):
         """The posture blocks of y, one row per height ``(H, height_dim)``."""
-        L = self.layout
-        return y[:L.n_heights * L.height_dim].reshape(L.n_heights,
-                                                      L.height_dim)
+        H, w = len(self.heights), self.height_dim
+        return y[:H * w].reshape(H, w)
 
     def configurations(self, y, k) -> CoupledConfiguration:
         """Configurations of height k's posture block of y."""
@@ -186,9 +176,8 @@ class ErgoProblem:
 
     def _sub_blocks(self, blocks):
         """Each subsystem's columns of blocks ``(..., height_dim)``."""
-        ends = np.cumsum(self.layout.sub_dims)
-        return [blocks[..., end - width:end]
-                for width, end in zip(self.layout.sub_dims, ends)]
+        dims, offsets = self.system.velocity_layout
+        return [blocks[..., o:o + d] for d, o in zip(dims, offsets)]
 
     def _configurations(self, blocks) -> CoupledConfiguration:
         """Configurations of posture blocks ``(..., height_dim)``."""
@@ -203,12 +192,11 @@ class ErgoProblem:
         ``rows[s]`` lists subsystem s's directions among them: its own
         posture columns and, for the robot, the hardware ones after them.
         """
-        L = self.layout
-        ndir = L.height_dim + L.pi_dim
-        rows = self._sub_blocks(np.arange(L.height_dim))
+        hd = self.height_dim
+        ndir = hd + self.pi_dim
+        rows = self._sub_blocks(np.arange(hd))
         robot = self.system.parametrized_index
-        rows[robot] = np.concatenate([rows[robot],
-                                      np.arange(L.height_dim, ndir)])
+        rows[robot] = np.concatenate([rows[robot], np.arange(hd, ndir)])
         return tuple(rows), ndir
 
     def group_values(self, y):
@@ -216,16 +204,16 @@ class ErgoProblem:
 
         The nominal values when the hardware is frozen.
         """
-        if self.layout.frozen_hardware:
+        if self.frozen_hardware:
             return self.nominal_groups
-        block = y[self.layout.pi_slice()]
-        g = self.layout.n_groups
+        block = y[self.pi_slice()]
+        g = len(self.nominal_groups)
         return {name: (block[g + i], block[i])
                 for i, name in enumerate(self.nominal_groups)}
 
     def hardware_params(self, y):
         """Per-link hardware from the shared block of y (None if frozen)."""
-        if self.layout.frozen_hardware:
+        if self.frozen_hardware:
             return None
         return group_params(self.system.parametrized_model,
                             self.group_values(y))
@@ -234,7 +222,7 @@ class ErgoProblem:
 
     def _shared_terms(self, y, models):
         """Density and CoM-height tasks of the hardware in y and models."""
-        if self.layout.frozen_hardware:
+        if self.frozen_hardware:
             return self._nominal_shared_terms
         return self._hardware_terms(self.group_values(y), models)
 
@@ -324,8 +312,7 @@ class ErgoProblem:
 
     def value_and_derivatives(self, y):
         y = np.asarray(y, dtype=float)
-        L = self.layout
-        n, H = y.size, L.n_heights
+        n, H = y.size, len(self.heights)
         rows = self.n_cons // H
         w = self.scenario.weights
         total = w.total()
@@ -337,10 +324,10 @@ class ErgoProblem:
         dirs = self._directions()
         ndir = dirs[1]
         robot = self.system.parametrized_index
-        width = L.sub_dims[robot]
-        sl_pi = L.pi_slice()
-        hw = np.zeros((width + L.pi_dim, n))
-        hw[np.arange(width, width + L.pi_dim),
+        width = self.system.velocity_layout[0][robot]
+        sl_pi = self.pi_slice()
+        hw = np.zeros((width + self.pi_dim, n))
+        hw[np.arange(width, width + self.pi_dim),
            np.arange(sl_pi.start, sl_pi.stop)] = 1.0
         yd = fad.Dual(y, hw)
         models = self.system.subsystem_models(self.hardware_params(yd))
@@ -367,7 +354,7 @@ class ErgoProblem:
         jac = np.zeros((self.n_cons, n))
         gauss_newton = np.zeros((n, n))
         for k in range(H):
-            idx = L.active_indices(k)
+            idx = self.active_indices(k)
             cost += float(costs.val[k])
             grad[idx] += costs.dot[:, k]
             jac[k * rows:(k + 1) * rows, idx] = cons.dot[:, k].T
@@ -405,12 +392,12 @@ def _families(heights, rows):
     return tuple(out)
 
 
-def _decision_vector(layout: DecisionLayout, blocks, groups):
+def _decision_vector(frozen_hardware, blocks, groups):
     """Decisions of posture blocks ``(H, height_dim)`` and hardware
     ``{group: (density, multiplier)}``, the shared block in the order
     ``group_values`` reads (and none when the hardware is frozen)."""
     parts = [np.reshape(blocks, -1)]
-    if layout.pi_dim:
+    if not frozen_hardware:
         parts.append([lm for _, lm in groups.values()])
         parts.append([rho for rho, _ in groups.values()])
     return np.concatenate(parts)
@@ -426,12 +413,6 @@ def assemble_nlp(scenario: Scenario, system: CoupledSystem,
     if not freeze_hardware and not nominal:
         raise ValueError("robot model declares no optimization groups; "
                          "use freeze_hardware=True")
-    layout = DecisionLayout(
-        sub_dims=tuple(6 + m.n_joints for m in models),
-        n_heights=len(heights),
-        n_groups=len(nominal),
-        frozen_hardware=freeze_hardware)
-
     # one height's posture bounds, subsystem by subsystem
     top = max(heights) + 2.0
     lo, hi = [], []
@@ -443,14 +424,15 @@ def assemble_nlp(scenario: Scenario, system: CoupledSystem,
                                   (np.pi / 3, np.pi / 3, np.pi), jhi]))
     lm_b, rho_b = robot.bounds.length_multiplier, robot.bounds.density
     H = len(heights)
-    lb = _decision_vector(layout, np.tile(np.concatenate(lo), (H, 1)),
+    lb = _decision_vector(freeze_hardware, np.tile(np.concatenate(lo), (H, 1)),
                           dict.fromkeys(nominal, (rho_b[0], lm_b[0])))
-    ub = _decision_vector(layout, np.tile(np.concatenate(hi), (H, 1)),
+    ub = _decision_vector(freeze_hardware, np.tile(np.concatenate(hi), (H, 1)),
                           dict.fromkeys(nominal, (rho_b[1], lm_b[1])))
 
     rows = _row_families(len(system.grasps), len(system.env_contacts))
     return ErgoProblem(
-        scenario=scenario, system=system, heights=heights, layout=layout,
+        scenario=scenario, system=system, heights=heights,
+        frozen_hardware=freeze_hardware,
         lb=lb, ub=ub, families=_families(heights, rows),
         nominal_groups=nominal,
         n_cons=len(heights) * sum(width for _, width in rows))
@@ -473,11 +455,11 @@ def warm_start_vector(problem: ErgoProblem) -> np.ndarray:
     blocks = np.concatenate([_pack_configuration(qi) for qi in q.qs],
                             axis=-1)
     # the joint columns of a height's block; one draw, height by height
-    joints = np.concatenate([
-        cols[6:] for cols in problem._sub_blocks(np.arange(blocks.shape[1]))])
+    joints = problem.system.actuated
     blocks[:, joints] += (rng.normal(size=(blocks.shape[0], joints.size))
                           * WARM_START_JITTER)
-    y0 = _decision_vector(problem.layout, blocks, problem.nominal_groups)
+    y0 = _decision_vector(problem.frozen_hardware, blocks,
+                          problem.nominal_groups)
     return np.clip(y0, problem.lb + 1e-9, problem.ub - 1e-9)
 
 
@@ -526,7 +508,7 @@ def solve(problem: ErgoProblem, warm_start,
         statics.append(res)
         refusals.append(refused)
     hardware = None
-    if not problem.layout.frozen_hardware:
+    if not problem.frozen_hardware:
         values = problem.group_values(report.y)
         hardware = {name: {"length_multiplier": float(lm),
                            "density": float(rho)}

@@ -5,25 +5,27 @@ array of shape ``(ndir, *S)`` holding directional derivatives along
 ``ndir`` independent seed directions.  One evaluation of a numpy-style
 pipeline therefore produces the value and a full Jacobian slice at once.
 
-Every helper in this module accepts either plain arrays/scalars or
-``Dual`` instances, so numerical code written against these helpers runs
-unchanged with and without derivative tracking.
+Every helper in this module but ``rodrigues`` accepts either plain
+arrays/scalars or ``Dual`` instances, so numerical code written against
+these helpers runs unchanged with and without derivative tracking.
 
 The vector and matrix helpers (``cross3``, ``sumsq``, ``mT``, matmul and
 the rotations) act on the trailing axes and broadcast over leading ones,
 so one call serves a single operand or a stack of them.
 
-Three rules are fused: ``cross3``, ``rodrigues`` (the joint rotation
-``I + sin(s) K + (1 - cos s) K^2``) and ``rpy_matrix`` each form their
-value and tangent as a few whole-array expressions instead of composing
-component ``Dual`` operations, stacks and matmuls, since the cost of a
-derivative pass is mostly Python per operation.  ``cross3`` and
-``rodrigues`` repeat the composition's products and sums in the same
-order and equal it bit for bit; ``rpy_matrix`` is written in closed
-form and agrees with ``Rz @ Ry @ Rx`` to about 1e-16.  Their tangents
-are new C-ordered arrays.  numpy's matmul may round differently by the
+Two tangent rules are fused: ``cross3`` and ``rpy_matrix`` each form
+their value and tangent as a few whole-array expressions instead of
+composing component ``Dual`` operations, stacks and matmuls, since the
+cost of a derivative pass is mostly Python per operation.  ``cross3``
+repeats the composition's products and sums in the same order and
+equals it bit for bit; ``rpy_matrix`` is written in closed form and
+agrees with ``Rz @ Ry @ Rx`` to about 1e-16.  Their tangents are new
+C-ordered arrays.  numpy's matmul may round differently by the
 memory layout of its operands, so a later product of such a tangent can
 differ in the last bits from the same product of a strided one.
+``rodrigues``, the joint rotation ``I + sin(s) K + (1 - cos s) K^2``,
+is plain: it takes plain angles only, since ``multibody`` forms the
+joint rotation tangents from the links' twists.
 
 Duals that meet must carry the same directions: a tangent with one
 direction broadcasts, but two different widths, neither of them one,
@@ -65,14 +67,6 @@ class Dual:
         return self.val.shape
 
     @property
-    def ndim(self):
-        return self.val.ndim
-
-    @property
-    def size(self):
-        return self.val.size
-
-    @property
     def ndir(self):
         return self.dot.shape[0]
 
@@ -102,12 +96,9 @@ class Dual:
         return Dual(out, d)
 
     def __rsub__(self, other):
-        ov, od = _split(other, self)
-        out = ov - self.val
-        d = -_pad(self.dot, out.ndim)
-        if od is not None:
-            d = d + _pad(od, out.ndim)
-        return Dual(out, d)
+        # other is plain: a Dual on the left would have run __sub__
+        out = np.asarray(other, dtype=float) - self.val
+        return Dual(out, -_pad(self.dot, out.ndim))
 
     def __neg__(self):
         return Dual(-self.val, -self.dot)
@@ -131,12 +122,11 @@ class Dual:
         return Dual(out, d)
 
     def __rtruediv__(self, other):
-        ov, od = _split(other, self)
+        # other is plain: a Dual on the left would have run __truediv__
+        ov = np.asarray(other, dtype=float)
         out = ov / self.val
-        d = -(ov / (self.val * self.val)) * _pad(self.dot, out.ndim)
-        if od is not None:
-            d = d + _pad(od, out.ndim) / self.val
-        return Dual(out, d)
+        return Dual(out, -(ov / (self.val * self.val))
+                    * _pad(self.dot, out.ndim))
 
     def __pow__(self, n):
         if not np.isscalar(n):
@@ -369,23 +359,20 @@ def sumsq(x):
 # -- rotations ----------------------------------------------------------
 
 def rodrigues(s, K, K2):
-    """Rotations ``I + sin(s) K + (1 - cos s) K^2`` by angles ``s``.
+    """Rotations ``I + sin(s) K + (1 - cos s) K^2`` by plain angles ``s``.
 
     ``s`` ``(..., m)`` turns about m fixed unit axes whose cross-product
     matrices ``K`` and squares ``K2`` are ``(m, 3, 3)``; the result is
-    ``(..., m, 3, 3)``.  The tangent is ``(cos(s) s') K + (sin(s) s')
-    K^2``, the same sums and products as composing the rule from
-    ``sin``, ``cos`` and Dual arithmetic, so values and tangents equal
-    that composition's bit for bit.
+    ``(..., m, 3, 3)``, with the same sums and products as composing the
+    rule from ``sin``, ``cos`` and array arithmetic, so it equals that
+    composition bit for bit.  A Dual angle raises TypeError: the joint
+    rotation tangents come from the links' twists (``multibody``).
     """
-    sv, sd = _split(s)
-    sn = np.sin(sv)[..., None, None]
-    cs = np.cos(sv)[..., None, None]
-    out = _EYE3 + sn * K + (1.0 - cs) * K2
-    if sd is None:
-        return out
-    sd = sd[..., None, None]
-    return Dual(out, (cs * sd) * K + (sn * sd) * K2)
+    if isinstance(s, Dual):
+        raise TypeError("rodrigues takes plain angles, not a Dual")
+    s = np.asarray(s, dtype=float)
+    return (_EYE3 + np.sin(s)[..., None, None] * K
+            + (1.0 - np.cos(s)[..., None, None]) * K2)
 
 
 def _mat33(*entries):

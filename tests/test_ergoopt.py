@@ -24,17 +24,16 @@ def per_height_derivatives(problem, y):
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    layout = problem.layout
     sys = problem.system
     w = problem.scenario.weights
-    rows = problem.n_cons // layout.n_heights
+    rows = problem.n_cons // len(problem.heights)
     grad = np.zeros(n)
     cons = np.zeros(problem.n_cons)
     jac = np.zeros((problem.n_cons, n))
     gauss_newton = np.zeros((n, n))
-    sl = layout.pi_slice()
-    hd = layout.height_dim
-    dirs = np.zeros((hd + layout.pi_dim, n))
+    sl = problem.pi_slice()
+    hd = problem.height_dim
+    dirs = np.zeros((hd + problem.pi_dim, n))
     dirs[np.arange(hd, dirs.shape[0]), np.arange(sl.start, sl.stop)] = 1.0
     yd = fad.Dual(y, dirs)
     models = sys.subsystem_models(problem.hardware_params(yd))
@@ -44,7 +43,7 @@ def per_height_derivatives(problem, y):
         grad[sl] += out.dot[hd:]
     payload = len(sys.agents)
     for k, h in enumerate(problem.heights):
-        idx = layout.active_indices(k)
+        idx = problem.active_indices(k)
         dirs = np.zeros((idx.size, n))
         dirs[np.arange(idx.size), idx] = 1.0
         q = problem.configurations(fad.Dual(y, dirs), k)
@@ -88,12 +87,11 @@ def full_width_derivatives(problem, y):
     Gauss-Newton Hessian.
     """
     y = np.asarray(y, dtype=float)
-    L = problem.layout
-    n, H, hd = y.size, L.n_heights, L.height_dim
-    ndir = hd + L.pi_dim
+    n, H, hd = y.size, len(problem.heights), problem.height_dim
+    ndir = hd + problem.pi_dim
     rows = problem.n_cons // H
     w = problem.scenario.weights
-    sl_pi = L.pi_slice()
+    sl_pi = problem.pi_slice()
     dirs = np.zeros((ndir, n))
     dirs[np.arange(hd, ndir), np.arange(sl_pi.start, sl_pi.stop)] = 1.0
     yd = fad.Dual(y, dirs)
@@ -114,7 +112,7 @@ def full_width_derivatives(problem, y):
     jac = np.zeros((problem.n_cons, n))
     gauss_newton = np.zeros((n, n))
     for k in range(H):
-        idx = L.active_indices(k)
+        idx = problem.active_indices(k)
         cost += float(costs.val[k])
         grad[idx] += costs.dot[:, k]
         jac[k * rows:(k + 1) * rows, idx] = cons.dot[:, k].T
@@ -216,7 +214,7 @@ class TestSubsystemDirections:
         problem.value_and_derivatives(y)
         models = problem.system.subsystem_models()
         assert seen == [(m.name, w) for m, w in zip(models, widths)]
-        assert list(problem.layout.sub_dims) == [31, 31, 6]
+        assert list(problem.system.velocity_layout[0]) == [31, 31, 6]
 
     def test_coupled_frames_gathered_once_per_tree(self, paper_problem,
                                                    monkeypatch):
@@ -547,9 +545,21 @@ class TestSolveFreeHardware:
 
     def test_solved_problem_keeps_no_hessian(self, solved_free):
         # a problem kept with its solution holds no n x n Gauss-Newton
-        # matrix from the solver's last derivative pass
+        # matrix from the solver's last derivative pass, nor any other
+        # array with more entries than the decision vector: its fields
+        # and cached properties, and one level into their tuples and
+        # dicts
         problem, _, _ = solved_free
         assert problem._hess_cache is None
+        held = []
+        for v in vars(problem).values():
+            held.append(v)
+            if isinstance(v, tuple):
+                held.extend(v)
+            elif isinstance(v, dict):
+                held.extend(v.values())
+        sizes = [a.size for a in held if isinstance(a, np.ndarray)]
+        assert sizes and max(sizes) <= problem.lb.size
 
     def test_within_bounds(self, solved_free):
         problem, sol, _ = solved_free

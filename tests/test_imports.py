@@ -11,7 +11,10 @@ be referenced somewhere in the package, so a helper does not outlive
 its last caller.  A third holds every public module-level function or
 class and every public method to be read somewhere in ``src/`` or
 ``perfbench/``, a ``tracing.TRACED`` entry counting as a reader; the
-test-support names in ``TEST_SUPPORT`` are the only exceptions.
+test-support names in ``TEST_SUPPORT`` are the only exceptions.  A
+module-level name counts as read only through its module (``fad.seed``,
+a name imported from ``fad`` or read in it), so ``np.sin`` or
+``problem.scenario.seed`` does not read ``fad.sin`` or ``fad.seed``.
 
 The benchmark under ``perfbench/`` is only read, also with ``ast``: the
 functions its traced runs rebind by name (``tracing.TRACED``) and the
@@ -206,6 +209,12 @@ def test_benchmark_uses_of_the_program_resolve():
 
 # public names that only the tests read, each with why it stays
 TEST_SUPPORT = {
+    "fad.cos":
+        "an oracle of the composed Rodrigues and rpy rules in test_fad",
+    "fad.seed":
+        "seeds the Dual inputs of the fad and multibody tests (13 calls)",
+    "fad.sin":
+        "an oracle of the composed Rodrigues and rpy rules in test_fad",
     "multibody.Model.total_mass":
         "the reference total the CoM and payload tests check against",
     "multibody.random_configuration":
@@ -240,20 +249,58 @@ def public_definitions(source):
     return out
 
 
-def unread_public_names(sources, readers, extra=()):
+def module_imports(tree, modules):
+    """The aliases a parsed source binds to ``modules`` and the bare names
+    it imports from them: ``({alias: module}, {name: (module, name)})``.
+
+    ``modules`` are names within the ``ergolift`` package, imported
+    absolutely or relatively.
+    """
+    aliases, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                module = a.name.removeprefix("ergolift.")
+                if module in modules:
+                    aliases[a.asname or a.name] = module
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("ergolift.")
+            for a in node.names:
+                if base in ("", "ergolift") and a.name in modules:
+                    aliases[a.asname or a.name] = a.name
+                elif base in modules:
+                    names[a.asname or a.name] = (base, a.name)
+    return aliases, names
+
+
+def unread_public_names(sources, readers, traced=()):
     """``(module, line, name)`` of each public definition in ``sources``
-    (module name to source) that no source in ``readers`` reads, by name
-    or as an attribute; ``extra`` are names read elsewhere."""
-    used = set(extra)
-    for source in readers:
-        for n in ast.walk(ast.parse(source)):
+    (module name to source) that no source in ``readers`` (reader name
+    to source) reads, ``traced`` holding ``(module, attr)`` pairs read
+    elsewhere.
+
+    A module-level function or class is read as ``module.name`` on an
+    alias of its module, as a bare name imported from its module or
+    read in it, or through a ``traced`` pair; a method is read wherever
+    its bare name is, or is part of a ``traced`` attr.
+    """
+    read = {(m, attr.split(".")[0]) for m, attr in traced}
+    bare = {part for _, attr in traced for part in attr.split(".")}
+    for reader, source in readers.items():
+        tree = ast.parse(source)
+        aliases, names = module_imports(tree, sources)
+        for n in ast.walk(tree):
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-                used.add(n.id)
+                bare.add(n.id)
+                read.add(names.get(n.id, (reader, n.id)))
             elif isinstance(n, ast.Attribute):
-                used.add(n.attr)
+                bare.add(n.attr)
+                if isinstance(n.value, ast.Name) and n.value.id in aliases:
+                    read.add((aliases[n.value.id], n.attr))
     return sorted((module, line, name) for module, source in sources.items()
                   for name, line in public_definitions(source)
-                  if name.rsplit(".", 1)[-1] not in used)
+                  if ((module, name) not in read if "." not in name
+                      else name.rsplit(".", 1)[-1] not in bare))
 
 
 def test_detects_unread_public_names():
@@ -262,18 +309,24 @@ def test_detects_unread_public_names():
                     "    def unread(self):\n        pass\n\n"
                     "    def _private(self):\n        pass\n\n"
                     "class Traced:\n    pass\n"}
-    readers = [*sources.values(), "import a\na.kept()\nx = a.Kept().read\n"]
-    assert unread_public_names(sources, readers, extra={"Traced"}) == [
-        ("a", 4, "gone"), ("a", 11, "Kept.unread")]
+    readers = {**sources, "b": "import a\na.kept()\nx = a.Kept().read\n"}
+    traced = {("a", "Traced")}
+    unread = [("a", 4, "gone"), ("a", 11, "Kept.unread")]
+    assert unread_public_names(sources, readers, traced) == unread
+    # a module-level name is not read as another object's attribute, nor
+    # as a bare name bound outside its module
+    readers["c"] = "gone = 1\nx = obj.gone + gone\n"
+    assert unread_public_names(sources, readers, traced) == unread
+    readers["d"] = "from a import gone as g\ng()\n"
+    assert unread_public_names(sources, readers, traced) == unread[1:]
 
 
 def test_public_names_are_read_outside_the_tests():
     sources = {p.stem: p.read_text()
                for p in sorted(ROOT.glob("src/ergolift/*.py"))}
-    readers = [*sources.values(),
-               *(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))]
-    traced = {part for module, attr in traced_names()
-              for part in attr.split(".")}
+    readers = {**sources, **{f"perfbench.{p.stem}": p.read_text()
+                             for p in sorted(PERFBENCH.glob("*.py"))}}
+    traced = {(module, attr) for module, attr in traced_names()}
     unread = {f"{module}.{name}" for module, _, name in
               unread_public_names(sources, readers, traced)}
     assert unread == set(TEST_SUPPORT)

@@ -51,7 +51,7 @@ def jitter_vector(problem):
     out = np.zeros(problem.lb.size)
     start = 0
     for _ in problem.heights:
-        for width in problem.layout.sub_dims:
+        for width in problem.system.velocity_layout[0]:
             if width > 6:
                 out[start + 6:start + width] = rng.normal(
                     size=width - 6) * 0.01
