@@ -59,10 +59,10 @@ subsystem, ``multibody.generalized_force`` of the signed block wrenches
 gives ``Q'^T f`` and ``multibody.frame_twists`` of the subsystem's part
 of ``lam`` gives ``Q' lam``, each a masked sum over the tree.
 
-``statics_minnorm``, ``composite_gravity``, ``coupled_poses`` and
-``cop_smooth`` take configurations with a leading stack of postures
-(``multibody``'s batch axes), so one call serves every target height;
-``evaluate_statics`` analyses one posture.
+``statics_minnorm``, ``composite_gravity``, ``coupled_points``,
+``contact_rotations`` and ``cop_smooth`` take configurations with a
+leading stack of postures (``multibody``'s batch axes), so one call
+serves every target height; ``evaluate_statics`` analyses one posture.
 
 Every center of pressure comes from ``cop_smooth``: the optimizer's CoP
 task and ``evaluate_statics``, which first refuses any foot whose
@@ -70,12 +70,13 @@ sole-frame normal force is below ``MIN_NORMAL`` and so reports the
 unfloored CoP.
 
 Each subsystem's configuration may carry only its own tangent
-directions.  ``statics_minnorm``, ``composite_gravity`` and
-``coupled_poses`` then take ``dirs = (rows, ndir)``: ``rows[s]`` places
-subsystem s's directions among the ``ndir`` shared ones.  Its poses and
-gravity are widened (``fad.widen``) where the subsystems are stacked,
-and its ``Q'^T f`` and ``Q' lam`` terms are written into its rows of
-the tangent right-hand side, so each tree pass carries only its own
+directions.  ``statics_minnorm``, ``composite_gravity``,
+``coupled_points`` and ``contact_rotations`` then take ``dirs = (rows,
+ndir)``: ``rows[s]`` places subsystem s's directions among the ``ndir``
+shared ones.  Its frame points, contact rotations and gravity are
+widened (``fad.widen``) where the subsystems are stacked, and its
+``Q'^T f`` and ``Q' lam`` terms are written into its rows of the
+tangent right-hand side, so each tree pass carries only its own
 subsystem's directions.  ``dirs=None`` means every Dual already carries
 the shared directions.
 
@@ -235,7 +236,7 @@ class CoupledSystem:
 
     @cached_property
     def frame_slots(self):
-        """Rows of ``coupled_poses`` for the env contacts ``(E,)``, the
+        """Rows of ``coupled_points`` for the env contacts ``(E,)``, the
         grasps' agent frames ``(G,)`` and their payload frames ``(G,)``."""
         slots = {}
         for k, (_, row, sign) in enumerate(
@@ -337,18 +338,30 @@ def composite_gravity(sys: CoupledSystem, trees, dirs=None):
         axis=-1)
 
 
-def coupled_poses(sys: CoupledSystem, trees, dirs=None):
-    """World rotations ``(..., F, 3, 3)`` and positions ``(..., F, 3)`` of
-    every coupled frame, one ``frame_poses`` gather per subsystem.
+def coupled_points(sys: CoupledSystem, trees, dirs=None):
+    """World positions ``(..., F, 3)`` of every coupled frame, one
+    ``frame_points`` gather per subsystem.
 
     Rows follow ``coupling_frames`` subsystem by subsystem;
     ``CoupledSystem.frame_slots`` locates the contacts and grasps.
     ``dirs`` as in the module docstring.
     """
-    poses = [tuple(_widen(x, dirs, s) for x in trees[s].frame_poses(names))
-             for s, names, _, _ in sys.coupling_blocks]
-    return (fad.concatenate([R for R, _ in poses], axis=-3),
-            fad.concatenate([p for _, p in poses], axis=-2))
+    return fad.concatenate([_widen(trees[s].frame_points(names), dirs, s)
+                            for s, names, _, _ in sys.coupling_blocks],
+                           axis=-2)
+
+
+def contact_rotations(sys: CoupledSystem, trees, dirs=None):
+    """World rotations ``(..., E, 3, 3)`` of the environment contacts, in
+    ``env_contacts`` order, one ``frame_rotations`` call per agent; no
+    other frame's rotation is formed.  ``dirs`` as in the module
+    docstring."""
+    agents = [a for a, _ in sys.env_contacts]
+    R = fad.concatenate([_widen(trees[a].frame_rotations(
+        tuple(f for b, f in sys.env_contacts if b == a)), dirs, a)
+        for a in sorted(set(agents))], axis=-3)
+    # R stacks the contacts agent by agent; put them in env_contacts order
+    return R[..., np.argsort(np.argsort(agents, kind="stable")), :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +556,10 @@ def evaluate_statics(sys: CoupledSystem,
     proj = float(np.abs(r - Vt.T @ (Vt @ r)).max())
     # summed as B tau + Q^T f - g, not Q^T f - r, which rounds otherwise
     full = float(np.abs(B_tau + Q.T @ f - g).max())
-    env = sys.frame_slots[0]
-    R = coupled_poses(sys, trees)[0][env]
-    w = f[:6 * len(env)].reshape(len(env), 6)
+    R = contact_rotations(sys, trees)
+    w = f[:6 * len(R)].reshape(-1, 6)
     fz = (fad.mT(R) @ w[:, :3, None])[:, 2, 0]
-    labels = sys.wrench_labels[:len(env)]
+    labels = sys.wrench_labels[:len(R)]
     unloaded = np.flatnonzero(fz < MIN_NORMAL)
     if unloaded.size:
         k = unloaded[0]

@@ -38,12 +38,13 @@ height's posture block and then the shared hardware block
 seeded with only the directions it depends on: the human with its
 posture columns (31), the robot with its posture columns and then the
 hardware ones (31 + 10, or 31 when the hardware is frozen), the payload
-with its pose (6).  So its kinematics, frame poses and the statics
-contractions over its tree carry its own width, not all 78.
+with its pose (6).  So its kinematics, frame points and rotations and
+the statics contractions over its tree carry its own width, not all 78.
 ``_directions`` gives each subsystem's rows among the shared directions;
 its tangents are widened to all of them (``fad.widen``) only where the
-subsystems meet: the stacked coupled poses and gravity and the statics
-right-hand side (``coupled``'s ``dirs``), and the payload's load rows.
+subsystems meet: the stacked frame points, contact rotations and
+gravity and the statics right-hand side (``coupled``'s ``dirs``), and
+the payload's load rows.
 From there the tangent is ``(height_dim + pi_dim, H, ...)`` and the
 constraint Jacobian stays block-sparse: each height's rows fill only
 that height's columns and the shared hardware columns.  Gradient,
@@ -62,8 +63,9 @@ import numpy as np
 
 from . import fad
 from .coupled import (CoupledConfiguration, CoupledSystem,
-                      SingularConstraintError, UnloadedFootError, cop_smooth,
-                      coupled_poses, evaluate_statics, statics_minnorm)
+                      SingularConstraintError, UnloadedFootError,
+                      contact_rotations, cop_smooth, coupled_points,
+                      evaluate_statics, statics_minnorm)
 from .multibody import (Configuration, Model, com_height_null_config,
                         group_params, kinematics)
 from .nlpsolver import SolverOptions, SolverReport, solve_nlp
@@ -239,34 +241,32 @@ class ErgoProblem:
         t4 = task_com_height(models[self.system.parametrized_index])
         return w.density * t2 + w.com_height * t4
 
-    def _height_tasks(self, trees, poses, dirs=None):
+    def _height_tasks(self, trees, soles, dirs=None):
         """Torque and CoP tasks from the saddle statics, per posture.
 
-        ``trees`` and their ``coupled_poses`` may stack postures;
-        ``dirs`` as in ``_directions``, or None when every Dual carries
-        all directions.  Returns the torques, the foot CoPs
+        ``trees`` and ``soles``, their ``contact_rotations``, may stack
+        postures; ``dirs`` as in ``_directions``, or None when every Dual
+        carries all directions.  Returns the torques, the foot CoPs
         ``(..., E, 2)`` in their sole frames, the squared torque norm and
         the summed squared CoPs: the CoP task centres each CoP on its
         sole-frame origin.
         """
-        sys = self.system
-        tau, f = statics_minnorm(sys, trees=trees, dirs=dirs)
-        env = sys.frame_slots[0]
+        tau, f = statics_minnorm(self.system, trees=trees, dirs=dirs)
         batch = tau.shape[:-1]
-        wrenches = f[..., :6 * len(env)].reshape(batch + (len(env), 6))
-        cops = cop_smooth(wrenches, poses[0][..., env, :, :])
+        E = soles.shape[-3]
+        cops = cop_smooth(f[..., :6 * E].reshape(batch + (E, 6)), soles)
         return (tau, cops, fad.sumsq(tau),
                 fad.sumsq(cops.reshape(batch + (-1,))))
 
-    def _residual_rows(self, q, heights, poses, dirs=None):
+    def _residual_rows(self, q, heights, p, soles, dirs=None):
         """Equality rows per posture, upright frames as tilt rows, in the
         order and widths of ``_row_families``.
 
-        ``heights`` are the payload height targets of the postures;
+        ``heights`` are the payload height targets of the postures, ``p``
+        the ``coupled_points`` and ``soles`` the ``contact_rotations``;
         ``dirs`` as in ``_height_tasks``.
         """
         env, hands, grips = self.system.frame_slots
-        R, p = poses
         payload = len(self.system.agents)
         q3 = q.qs[payload]
         batch = q3.base_pos.shape[:-1]
@@ -280,7 +280,7 @@ class ErgoProblem:
             load,
             hand_gap.reshape(batch + (-1,)),
             p[..., env, 2],
-            R[..., env, :, :][..., :2, 2].reshape(batch + (-1,))], axis=-1)
+            soles[..., :2, 2].reshape(batch + (-1,))], axis=-1)
 
     def _pieces(self, q, models, dirs=None):
         """Cost terms, constraint rows, torques and CoPs of every height.
@@ -291,10 +291,12 @@ class ErgoProblem:
         """
         w = self.scenario.weights
         trees = _trees(models, q)
-        poses = coupled_poses(self.system, trees, dirs)
-        tau, cops, t1, t3 = self._height_tasks(trees, poses, dirs)
+        # the points first: their gathers serve the statics contractions
+        p = coupled_points(self.system, trees, dirs)
+        soles = contact_rotations(self.system, trees, dirs)
+        tau, cops, t1, t3 = self._height_tasks(trees, soles, dirs)
         cons = self._residual_rows(q, np.asarray(self.heights, dtype=float),
-                                   poses, dirs)
+                                   p, soles, dirs)
         return w.torque * t1 + w.cop * t3, cons, tau, cops
 
     # -- NLP interface ----------------------------------------------------
@@ -495,7 +497,7 @@ def solve(problem: ErgoProblem, warm_start,
     trees = _trees(models,
                    problem._configurations(problem.height_blocks(report.y)))
     _, _, t1, t3 = problem._height_tasks(
-        trees, coupled_poses(problem.system, trees))
+        trees, contact_rotations(problem.system, trees))
     tasks = [{"torque": float(a), "cop": float(b)} for a, b in zip(t1, t3)]
     statics, refusals = [], []
     for k in range(len(problem.heights)):

@@ -28,12 +28,13 @@ model shares.
 Every pass works on whole-tree arrays and takes the ``KinTree`` it
 reads.  ``kinematics`` walks the tree one depth level at a time on
 plain arrays and returns stacked ``(L, 3, 3)`` rotations and ``(L, 3)``
-positions;
-``KinTree.frame_poses`` and ``frame_jacobian`` gather a tuple of frames
-at once, the Jacobians as ``(F, 6, 6 + n)`` from one masked cross
-product over the stacked joint axes and pivots; ``gravity_vector`` sums
-the link mass moments over subtrees with one matmul, the composite-body
-bookkeeping of Featherstone, *Rigid Body Dynamics Algorithms* (2008).
+positions; ``KinTree.frame_points`` and ``frame_jacobian`` gather a
+tuple of frames at once, the Jacobians as ``(F, 6, 6 + n)`` from one
+masked cross product over the stacked joint axes and pivots, and
+``KinTree.frame_rotations`` gives the rotations of only the frames it
+is asked for; ``gravity_vector`` sums the link mass moments over
+subtrees with one matmul, the composite-body bookkeeping of
+Featherstone, *Rigid Body Dynamics Algorithms* (2008).
 The mass matrix is ``M = sum_i J_i^T M_i J_i`` over the links, with
 ``J_i`` the Jacobian of link i's origin and ``M_i`` its spatial inertia
 about that origin.
@@ -56,12 +57,15 @@ link i turns at ``w_i = w_b + sum_j a_j s_j'`` over the dofs on its
 path, its origin moves at ``p_b' + w_b x (p_i - p_b) + sum_j a_j s_j'
 x (p_i - o_j)`` plus the slides on its path, and a joint axis turns
 with its parent link, ``a_j' = w_parent x a_j``; each sum is a masked
-path sum, as in ``frame_twists``.  A rotation's tangent is then
-``[w_i]x R_i``, which ``KinTree.link_rotations`` forms only for the
-links it is asked for, so no pass builds the whole tree's ``(L, 3, 3)``
-rotation tangents.  The rule needs a ``Dual`` base rotation to carry a
-rotation tangent, ``R_b' R_b^T`` skew, as ``fad.rpy_matrix`` of
-``Dual`` angles gives.
+path sum, as in ``frame_twists``.  A point fixed in link i at the
+link-frame offset ``o`` (a frame's mounting point, a link's CoM) moves
+at ``p_i' + w_i x (R_i o) + R_i o'``, one rule for both (``_points``).
+A rotation's tangent is ``[w_i]x R_i``, which
+``KinTree.frame_rotations`` forms only for the frames it is asked for,
+so no pass builds the whole tree's ``(L, 3, 3)`` rotation tangents, and
+no point's tangent goes through one.  The rule needs a ``Dual`` base
+rotation to carry a rotation tangent, ``R_b' R_b^T`` skew, as
+``fad.rpy_matrix`` of ``Dual`` angles gives.
 
 Postures may carry leading batch axes: a ``Configuration`` of
 ``(..., 3)`` base positions, ``(..., 3, 3)`` base rotations and
@@ -523,13 +527,14 @@ class KinTree:
     the configuration or the multipliers carry tangents, and the
     rotations' tangents are kept as the links' angular velocities
     ``omega`` ``(ndir, ..., L, 3)`` (the module docstring), None when no
-    direction turns a link.  ``link_rotations`` forms ``Dual`` rotations
-    ``[omega]x R`` of the links it is given.
+    direction turns a link.  ``frame_rotations`` forms ``Dual`` rotations
+    ``[omega]x R`` of the frames (or links) it is given.
 
-    The mounts of each tuple of frames are gathered once per tree and
-    kept, since the poses, ``frame_jacobian``, ``generalized_force`` and
-    ``frame_twists`` of one pass all read them; ``value`` and ``row``
-    hand the kept gathers on to the trees they derive.
+    The links and world mounting points of each tuple of frames are
+    gathered once per tree and kept, since ``frame_points``,
+    ``frame_jacobian``, ``generalized_force`` and ``frame_twists`` of one
+    pass all read them; ``value`` and ``row`` hand the kept gathers on to
+    the trees they derive.
     """
 
     model: Model
@@ -548,9 +553,8 @@ class KinTree:
         """The tree with f applied to every posture array and kept gather."""
         tree = KinTree(self.model, f(self.rot), f(self.pos), f(self.axis_w),
                        lms, omega)
-        tree._gathered.update(
-            (names, (links, f(R), rotations, f(p)))
-            for names, (links, R, rotations, p) in self._gathered.items())
+        tree._gathered.update((names, (links, f(p)))
+                              for names, (links, p) in self._gathered.items())
         return tree
 
     def value(self):
@@ -564,36 +568,30 @@ class KinTree:
         return self._map(lambda x: x[k], self.lms,
                          None if self.omega is None else self.omega[:, k])
 
-    def link_rotations(self, links):
-        """World rotations ``(..., F, 3, 3)`` of the links ``(F,)``, with
-        tangents ``[omega]x R`` when the tree has ``omega``."""
-        R = self.rot[..., links, :, :]
-        if self.omega is None:
-            return R
-        return fad.Dual(R, _spin(self.omega[..., links, :], R))
-
     def _mounts(self, names):
-        """Links of named frames, their world rotations and mounting points."""
+        """Links of named frames and their world mounting points."""
         out = self._gathered.get(names)
         if out is None:
-            links, offsets, rotations = self.model.topology.mounts(names)
+            links, offsets, _ = self.model.topology.mounts(names)
             if self.lms is not None:
                 offsets = _scale_z(offsets, self.lms[links][:, None])
-            R = self.link_rotations(links)
-            out = (links, R, rotations,
-                   self.pos[..., links, :] + _rows(R, offsets))
+            out = links, _points(self, links, offsets)
             self._gathered[names] = out
         return out
 
-    def frame_poses(self, names):
-        """World rotations ``(..., F, 3, 3)`` and positions ``(..., F, 3)``
-        of a tuple of frames, from one gather over the tree."""
-        _, R, rotations, p = self._mounts(tuple(names))
-        return R @ rotations, p
+    def frame_points(self, names):
+        """World positions ``(..., F, 3)`` of a tuple of frames (or
+        links), from one gather over the tree."""
+        return self._mounts(tuple(names))[1]
 
-    def frame_pose(self, name):
-        R, p = self.frame_poses((name,))
-        return R[..., 0, :, :], p[..., 0, :]
+    def frame_rotations(self, names):
+        """World rotations ``(..., F, 3, 3)`` of a tuple of frames (or
+        links), with tangents ``[omega]x R`` when the tree has ``omega``."""
+        links, _, rotations = self.model.topology.mounts(tuple(names))
+        R = self.rot[..., links, :, :]
+        if self.omega is not None:
+            R = fad.Dual(R, _spin(self.omega[..., links, :], R))
+        return R @ rotations
 
 
 def _spin(w, R):
@@ -603,6 +601,26 @@ def _spin(w, R):
     nxt, prv = [1, 2, 0], [2, 0, 1]
     return (w[..., nxt, None] * R[..., prv, :]
             - w[..., prv, None] * R[..., nxt, :])
+
+
+def _points(tree, links, offsets):
+    """World points ``(..., F, 3)`` fixed in the links ``(F,)`` at their
+    link-frame ``offsets`` ``(F, 3)``.
+
+    The tangent is the rule of the module docstring, ``p_i' + w_i x
+    (R_i o) + R_i o'``, so no rotation tangent is formed; ``R_i o'`` is
+    one product per point and posture over every direction.
+    """
+    R = tree.rot[..., links, :, :]
+    Ro = _rows(R, fad.value(offsets))
+    dot = None if tree.omega is None else fad.cross3(
+        tree.omega[..., links, :], Ro)
+    if isinstance(offsets, fad.Dual):
+        t = np.moveaxis(R @ np.moveaxis(offsets.dot, 0, -1), -1, 0)
+        dot = t if dot is None else dot + t
+    if dot is not None:
+        Ro = fad.Dual(Ro, dot)
+    return tree.pos[..., links, :] + Ro
 
 
 def _scale_z(offset, lm):
@@ -748,7 +766,7 @@ def frame_jacobian(tree: KinTree, frames):
     """Mixed Jacobians ``(..., F, 6, 6 + n)`` mapping nu to the world
     twists of the frames (or links) named in the tuple ``frames``, from
     one batched pass."""
-    links, _, _, points = tree._mounts(tuple(frames))
+    links, points = tree._mounts(tuple(frames))
     return _point_jacobians(tree, links, points)
 
 
@@ -763,7 +781,7 @@ def generalized_force(tree: KinTree, frames, wrenches):
     wrenches the tangent is ``sum_k dJ_k^T w_k``.
     """
     topo = tree.model.topology
-    links, _, _, points = tree._mounts(tuple(frames))
+    links, points = tree._mounts(tuple(frames))
     force = wrenches[..., :3]
     moment = wrenches[..., 3:] + fad.cross3(points, force)
     # row 0 sums every frame (the base), row 1 + j the frames below dof j
@@ -784,7 +802,7 @@ def frame_twists(tree: KinTree, frames, nu):
     formed.  Dual-safe; with a ``Dual`` tree and plain ``nu`` the tangent
     is ``dJ_k nu``.
     """
-    links, _, _, points = tree._mounts(tuple(frames))
+    links, points = tree._mounts(tuple(frames))
     v, w, sd = nu[..., None, :3], nu[..., None, 3:6], nu[..., 6:, None]
     w_joint = tree.axis_w * sd
     v_joint = fad.cross3(tree.pivot_w, w_joint)
@@ -828,21 +846,9 @@ def mass_matrix(tree: KinTree) -> np.ndarray:
 
 def _mass_moments(tree):
     """Link masses ``(L,)`` and world mass moments ``m * com``
-    ``(..., L, 3)``.
-
-    The world CoM offsets ``R c`` take the tangent ``omega x (R c) +
-    R c'``, so no rotation tangent is formed; ``R c'`` is one product
-    per link and posture over every direction.
-    """
+    ``(..., L, 3)``, the CoMs as ``_points`` of their links."""
     m, c = tree.model._mass_table
-    Rc = _rows(tree.rot, fad.value(c))
-    dot = None if tree.omega is None else fad.cross3(tree.omega, Rc)
-    if isinstance(c, fad.Dual):
-        t = np.moveaxis(tree.rot @ np.moveaxis(c.dot, 0, -1), -1, 0)
-        dot = t if dot is None else dot + t
-    if dot is not None:
-        Rc = fad.Dual(Rc, dot)
-    return m, m[:, None] * (tree.pos + Rc)
+    return m, m[:, None] * _points(tree, slice(None), c)
 
 
 def gravity_vector(tree: KinTree):
@@ -882,11 +888,11 @@ def com_height_null_config(model: Model):
     """
     tree = kinematics(model, Configuration.neutral(model))
     c, _ = com(tree)
-    feet = [model.frame(n) for role in _FOOT_ROLES
-            for n in model.frames_with_role(role)]
+    feet = tuple(n for role in _FOOT_ROLES
+                 for n in model.frames_with_role(role))
     if not feet:
         return c[2]
-    _, sole = tree.frame_poses(tuple(f.name for f in feet))
+    sole = tree.frame_points(feet)
     ground = sole[:, 2] @ np.ones(len(feet)) / len(feet)
     return c[2] - ground
 

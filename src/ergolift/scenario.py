@@ -12,15 +12,16 @@ weights and jitter seed are its own.
 
 The inverse kinematics runs on a stack of postures, one per target
 height: each iteration takes one whole-tree kinematics pass, one batched
-``frame_jacobian`` and ``frame_poses`` call and one stacked
-``np.linalg.solve`` for every height at once, and clips each height's
-step on its own.  A float height gives one unstacked posture.  The loop
-stops once every height's step in one iteration is at most
-``IK_STEP_TOL`` long, and after ``IK_ITERS`` (80) iterations otherwise.
-Every height takes its step in every iteration, so one height that does
-not converge keeps the whole stack iterating to the last.
-``warm_start_report`` tells, per agent and height, whether the IK
-converged and how far its hands and feet ended from their targets.
+``frame_jacobian`` and ``frame_points`` call, the rotations of the feet
+alone and one stacked ``np.linalg.solve`` for every height at once, and
+clips each height's step on its own.  A float height gives one
+unstacked posture.  The loop stops once every height's step in one
+iteration is at most ``IK_STEP_TOL`` long, and after ``IK_ITERS`` (80)
+iterations otherwise.  Every height takes its step in every iteration,
+so one height that does not converge keeps the whole stack iterating to
+the last.  ``warm_start_report`` tells, per agent and height, whether
+the IK converged and how far its hands and feet ended from their
+targets.
 
 The inverse kinematics is deterministic, so ``warm_start_configuration``
 memoizes each agent's posture in a least-recently-used memo of
@@ -117,8 +118,8 @@ def default_grasps(agent: Model, side: float) -> tuple:
     """
     q = Configuration.neutral(agent)
     tree = kinematics(agent, q)
-    _, hl = tree.frame_pose(agent.frames_with_role("left_hand")[0])
-    _, hr = tree.frame_pose(agent.frames_with_role("right_hand")[0])
+    hl, hr = tree.frame_points((agent.frames_with_role("left_hand")[0],
+                                agent.frames_with_role("right_hand")[0]))
     half = min(abs(float(hl[1] - hr[1])) / 2.0, 0.45 * PAYLOAD_SIZE[0])
     y = side * PAYLOAD_SIZE[1] / 2.0
     z = PAYLOAD_SIZE[2] / 2.0
@@ -199,12 +200,13 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
 
     ``q0`` may stack postures; target positions ``(..., 3)`` stack with
     it, target rotations and weights are shared.  Each iteration takes
-    the Jacobians and poses of every target frame, pose targets first,
-    from one batched ``frame_jacobian`` and ``frame_poses`` call; a point
-    target uses only the linear rows.  Each posture's step is solved and
-    clipped to length 0.5 on its own, and every posture takes its step
-    in every iteration.  Deterministic: the loop ends once every posture
-    of the stack has taken a step of at most ``IK_STEP_TOL`` in the same
+    the Jacobians and points of every target frame, pose targets first,
+    from one batched ``frame_jacobian`` and ``frame_points`` call, and
+    the rotations of the pose targets alone; a point target uses only
+    the linear rows.  Each posture's step is solved and clipped to
+    length 0.5 on its own, and every posture takes its step in every
+    iteration.  Deterministic: the loop ends once every posture of the
+    stack has taken a step of at most ``IK_STEP_TOL`` in the same
     iteration, or after ``IK_ITERS`` iterations.
 
     Returns ``(q, converged, error)``: the reached configuration, whether
@@ -229,16 +231,15 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
     converged = np.zeros(batch, dtype=bool)
     for it in range(IK_ITERS + 1):
         tree = kinematics(model, q)
-        R, p = tree.frame_poses(frames)
-        gap = p_t - p
+        gap = p_t - tree.frame_points(frames)
         if it == IK_ITERS or converged.all():
             break
         err = w[:, None] * gap
         J = w[:, None, None] * frame_jacobian(tree, frames)
         pose_rhs = np.concatenate([
             err[..., :n_pose, :],
-            w[:n_pose, None] * _orientation_error(R[..., :n_pose, :, :], R_t)],
-            axis=-1)
+            w[:n_pose, None] * _orientation_error(
+                tree.frame_rotations(frames[:n_pose]), R_t)], axis=-1)
         A = np.concatenate([
             J[..., :n_pose, :, :].reshape(batch + (-1, 6 + n)),
             J[..., n_pose:, :3, :].reshape(batch + (-1, 6 + n)), reg],
@@ -291,7 +292,7 @@ def _agent_warm_start(model, y_stand, yaw, grasp_world):
 
     feet = tuple(name for role in ("left_foot", "right_foot")
                  for name in model.frames_with_role(role))
-    _, p_feet = kinematics(model, q0).frame_poses(feet)
+    p_feet = kinematics(model, q0).frame_points(feet)
     pose_targets = {
         name: (np.stack([p_feet[..., k, 0], p_feet[..., k, 1], zero], axis=-1),
                R0, 4.0)

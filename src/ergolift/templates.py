@@ -203,13 +203,13 @@ def stance_dimensions(model: Model) -> tuple:
     the shoulder-to-palm distance of the straight left arm.
     """
     tree = kinematics(model, Configuration.neutral(model))
-    soles = [tree.frame_pose(n)[1][2]
-             for role in ("left_foot", "right_foot")
-             for n in model.frames_with_role(role)]
-    base = -float(np.mean(soles)) if soles else 0.0
+    soles = tree.frame_points(tuple(
+        n for role in ("left_foot", "right_foot")
+        for n in model.frames_with_role(role)))
+    base = -float(np.mean(soles[:, 2])) if soles.size else 0.0
     z = [tree.pos[model.link_index(f"shoulder_{s}")][2]
          for s in ("left", "right")]
     sh = tree.pos[model.link_index("shoulder_left")]
-    _, hand = tree.frame_pose(model.frames_with_role("left_hand")[0])
-    reach = float(np.linalg.norm(np.asarray(hand) - np.asarray(sh)))
+    [hand] = tree.frame_points(model.frames_with_role("left_hand")[:1])
+    reach = float(np.linalg.norm(hand - sh))
     return base, float(np.mean(z)) + base, reach

@@ -8,10 +8,10 @@ from ergolift.coupled import (MIN_NORMAL, CoupledConfiguration,
                               CoupledSystem, GraspPair,
                               SingularConstraintError,
                               UnloadedFootError, _constraint_svd,
-                              composite_gravity, contact_wrenches,
-                              cop_smooth, coupled_trees, coupling_matrix,
-                              evaluate_statics, static_torques,
-                              statics_minnorm)
+                              composite_gravity, contact_rotations,
+                              contact_wrenches, cop_smooth, coupled_trees,
+                              coupling_matrix, evaluate_statics,
+                              static_torques, statics_minnorm)
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
                                 frame_jacobian, group_params, mass_matrix)
 from ergolift.scenario import (PAYLOAD_SIZE, build_system, make_scenario,
@@ -88,8 +88,7 @@ def sole_wrenches(sys, q, f):
     trees = coupled_trees(sys, q)
     out = []
     for k, (agent, frame) in enumerate(sys.env_contacts):
-        R, _ = trees[agent].frame_pose(frame)
-        R = np.asarray(R)
+        [R] = trees[agent].frame_rotations((frame,))
         out.append((R.T @ f[6 * k: 6 * k + 3], R.T @ f[6 * k + 3: 6 * k + 6]))
     return out
 
@@ -418,9 +417,9 @@ class TestCouplingMatrix:
         q3 = q.qs[2]
         points = {}
         for g in sys.grasps:
-            _, p_hand = trees[g.agent].frame_pose(g.agent_frame)
+            [p_hand] = trees[g.agent].frame_points((g.agent_frame,))
             points[g.payload_frame] = np.asarray(q3.base_rot).T @ (
-                np.asarray(p_hand) - np.asarray(q3.base_pos))
+                p_hand - np.asarray(q3.base_pos))
         payload = build_payload(PAYLOAD_SIZE, sc.payload_mass, points)
         sys2 = CoupledSystem(agents=sys.agents, payload=payload,
                              env_contacts=sys.env_contacts, grasps=sys.grasps)
@@ -435,6 +434,37 @@ class TestCouplingMatrix:
         nu = np.concatenate(nu)
         out = Q @ nu
         assert np.abs(out[-6 * len(sys2.grasps):]).max() <= 1e-9
+
+
+class TestContactRotations:
+    def test_rows_follow_env_contacts(self, desk):
+        # contacts interleaving the agents: each row is that contact's own
+        # frame rotation bit for bit, plain and widened through dirs
+        _, sys, q = desk
+        env = ((1, "sole_right"), (0, "sole_left"), (1, "sole_left"),
+               (0, "sole_right"))
+        mixed = CoupledSystem(agents=sys.agents, payload=sys.payload,
+                              env_contacts=env, grasps=sys.grasps)
+        dims, offsets = mixed.velocity_layout
+        dirs = (tuple(np.arange(o, o + d) for o, d in zip(offsets, dims)),
+                int(offsets[-1]))
+        seeded = []
+        for qi in q.qs:
+            x = fad.seed(np.concatenate([qi.base_pos,
+                                         rpy_from_matrix(qi.base_rot), qi.s]))
+            seeded.append(Configuration(x[:3], fad.rpy_matrix(*x[3:6]), x[6:]))
+        for qs, d in ((q, None), (CoupledConfiguration(tuple(seeded)), dirs)):
+            trees = coupled_trees(mixed, qs)
+            R = contact_rotations(mixed, trees, d)
+            assert R.shape == (len(env), 3, 3)
+            assert not np.array_equal(fad.value(R[0]), fad.value(R[1]))
+            for k, (agent, frame) in enumerate(env):
+                own = trees[agent].frame_rotations((frame,))[0]
+                np.testing.assert_array_equal(fad.value(R[k]),
+                                              fad.value(own))
+                if d is not None:
+                    own = fad.widen(own, d[0][agent], d[1])
+                    np.testing.assert_array_equal(R[k].dot, own.dot)
 
 
 class TestCompositeMatrices:

@@ -52,7 +52,7 @@ def per_height_derivatives(problem, y):
         t3 = 0.0
         block = 2.0 * w.torque * (tau.dot @ tau.dot.T)
         for c, (agent, frame) in enumerate(sys.env_contacts):
-            R, _ = trees[agent].frame_pose(frame)
+            R = trees[agent].frame_rotations((frame,))[0]
             cop = cop_smooth(f[6 * c: 6 * c + 6], R)
             t3 = t3 + fad.sumsq(cop)
             block += 2.0 * w.cop * (cop.dot @ cop.dot.T)
@@ -60,12 +60,13 @@ def per_height_derivatives(problem, y):
         q3 = q.qs[payload]
         r = [q3.base_rot[0, 2], q3.base_rot[1, 2], q3.base_pos[2] - float(h)]
         for g in sys.grasps:
-            d = (trees[g.agent].frame_pose(g.agent_frame)[1]
-                 - trees[payload].frame_pose(g.payload_frame)[1])
+            d = (trees[g.agent].frame_points((g.agent_frame,))[0]
+                 - trees[payload].frame_points((g.payload_frame,))[0])
             r.extend([d[0], d[1], d[2]])
-        poses = [trees[a].frame_pose(frame) for a, frame in sys.env_contacts]
-        r.extend(p[2] for _, p in poses)
-        for R, _ in poses:
+        for a, frame in sys.env_contacts:
+            r.append(trees[a].frame_points((frame,))[0, 2])
+        for a, frame in sys.env_contacts:
+            R = trees[a].frame_rotations((frame,))[0]
             r.extend([R[0, 2], R[1, 2]])
         rk = fad.stack(r)
         cost += float(ck.val)
@@ -207,7 +208,8 @@ class TestSubsystemDirections:
 
         def wrapper(model, q):
             tree = original(model, q)
-            seen.append((model.name, tree.link_rotations(slice(None)).ndir))
+            links = tuple(link.name for link in model.links)
+            seen.append((model.name, tree.frame_rotations(links).ndir))
             return tree
 
         monkeypatch.setattr(ergoopt, "kinematics", wrapper)
@@ -490,6 +492,34 @@ class TestOnePass:
                  for m in problem.system.subsystem_models()}
         assert not [s for s in shapes_seen if s[-3:] in whole]
 
+    def test_rotations_formed_only_for_contacts(self, paper_problem,
+                                                monkeypatch):
+        # the pass reads the soles' rotations alone: no Dual holds the
+        # rotations of more frames than the environment contacts, and no
+        # hand or grip rotation is asked for
+        problem, y = paper_problem
+        contacts = problem.system.env_contacts
+        shapes_seen, asked = [], []
+        original = fad.Dual.__init__
+        rotations = multibody.KinTree.frame_rotations
+
+        def recording(self, val, dot):
+            original(self, val, dot)
+            shapes_seen.append(np.shape(self.val))
+
+        def asking(self, names):
+            asked.extend(names)
+            return rotations(self, names)
+
+        monkeypatch.setattr(fad.Dual, "__init__", recording)
+        monkeypatch.setattr(multibody.KinTree, "frame_rotations", asking)
+        problem.value_and_derivatives(y)
+        monkeypatch.undo()
+        assert len(contacts) == 4
+        assert not [s for s in shapes_seen if len(s) >= 3
+                    and s[-2:] == (3, 3) and s[-3] > len(contacts)]
+        assert set(asked) == {frame for _, frame in contacts}
+
     def test_no_rotational_inertia_on_statics_paths(self, paper_problem,
                                                      monkeypatch):
         # only mass_matrix reads a link's inertia; the statics and the NLP
@@ -561,9 +591,11 @@ class TestSolveFreeHardware:
         sizes = [a.size for a in held if isinstance(a, np.ndarray)]
         assert sizes and max(sizes) <= problem.lb.size
 
-    def test_within_bounds(self, solved_free):
-        problem, sol, _ = solved_free
+    @pytest.mark.parametrize("fixture", ["solved_free", "solved"])
+    def test_within_bounds(self, fixture, request):
+        problem, sol, _ = request.getfixturevalue(fixture)
         assert np.all(sol.y >= problem.lb) and np.all(sol.y <= problem.ub)
+        assert (sol.hardware is None) == problem.frozen_hardware
 
     def test_robot_scaled_once_per_evaluation(self, monkeypatch):
         sc = make_scenario(heights=(0.8, 1.2))
@@ -653,7 +685,7 @@ class TestSolve:
             q = problem.configurations(sol.y, k)
             trees = coupled_trees(sys, q)
             assert cons[spans["load_height"]] == [q.qs[2].base_pos[2] - h]
-            feet = [trees[a].frame_pose(f)[1][2]
+            feet = [trees[a].frame_points((f,))[0, 2]
                     for a, f in sys.env_contacts]
             np.testing.assert_allclose(cons[spans["foot_height"]], feet,
                                        rtol=0, atol=1e-15)
@@ -670,7 +702,7 @@ class TestSolve:
             tau, f = statics_minnorm(sys, q, params)
             cop = 0.0
             for c, (agent, frame) in enumerate(sys.env_contacts):
-                R, _ = trees[agent].frame_pose(frame)
+                [R] = trees[agent].frame_rotations((frame,))
                 d = fad.value(cop_smooth(f[6 * c: 6 * c + 6], R))
                 cop += float(d @ d)
             assert tasks["torque"] == pytest.approx(float(tau @ tau),
@@ -747,7 +779,7 @@ class TestSolutionTail:
             q = problem.configurations(y, k)
             trees = [kinematics(m, qi) for m, qi in zip(models, q.qs)]
             _, _, t1, t3 = problem._height_tasks(
-                trees, coupled.coupled_poses(problem.system, trees))
+                trees, coupled.contact_rotations(problem.system, trees))
             assert tasks["torque"] == pytest.approx(float(t1), rel=1e-12)
             assert tasks["cop"] == pytest.approx(float(t3), rel=1e-12)
             # each height's statics on its rows of the stacked trees are

@@ -15,6 +15,12 @@ test-support names in ``TEST_SUPPORT`` are the only exceptions.  A
 module-level name counts as read only through its module (``fad.seed``,
 a name imported from ``fad`` or read in it), so ``np.sin`` or
 ``problem.scenario.seed`` does not read ``fad.sin`` or ``fad.seed``.
+A fourth holds the double-backticked names in ``src/`` to what exists:
+a dotted one whose first part is an ``ergolift`` module or a class
+defined in ``src/`` must resolve (a dataclass field counts), and a bare
+snake-case one whose parts are all at least two characters long (so not
+a symbol such as ``lam_a``) must be defined or read in ``src/``, so a
+docstring does not outlive the name it explains.
 
 The benchmark under ``perfbench/`` is only read, also with ``ast``: the
 functions its traced runs rebind by name (``tracing.TRACED``) and the
@@ -26,6 +32,7 @@ changed signature fails here rather than in a benchmark run.
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -129,6 +136,72 @@ def test_private_names_are_referenced():
     sources = {p.stem: p.read_text()
                for p in sorted(ROOT.glob("src/ergolift/*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+SPAN = re.compile(r"``([^`\s]+)``")
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+SNAKE = re.compile(r"_*[a-z][a-z0-9]*(?:_[a-z0-9]+)*")
+PACKAGE = {p.stem for p in ROOT.glob("src/ergolift/*.py")} - {"__init__"}
+
+
+def resolves(owner, parts):
+    """Whether ``owner.parts[0].parts[1]...`` exists; the last part may
+    be a dataclass field, which a class need not hold as an attribute."""
+    for k, part in enumerate(parts):
+        if not hasattr(owner, part):
+            return k == len(parts) - 1 and part in getattr(
+                owner, "__dataclass_fields__", {})
+        owner = getattr(owner, part)
+    return True
+
+
+def stale_references(sources):
+    """``(module, span)`` of each double-backticked span in ``sources``
+    (module name to source) that names nothing: a dotted name headed by
+    an ``ergolift`` module, or by a class the sources define (looked up
+    in the ``ergolift`` module of that name), that does not resolve, or
+    a bare snake-case name with parts of two characters or more that no
+    source defines or reads and that names no ``ergolift`` module."""
+    classes, known = {}, set(PACKAGE)
+    for module, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.ClassDef):
+                classes[n.name] = module
+            for attr in ("id", "attr", "name", "arg", "asname"):
+                if isinstance(getattr(n, attr, None), str):
+                    known.add(getattr(n, attr))
+    out = set()
+    for module, source in sources.items():
+        for span in SPAN.findall(source):
+            if DOTTED.fullmatch(span):
+                head, *rest = span.split(".")
+                if head in classes:
+                    head, rest = classes[head], [head, *rest]
+                if head in PACKAGE and not resolves(
+                        importlib.import_module(f"ergolift.{head}"), rest):
+                    out.add((module, span))
+            elif SNAKE.fullmatch(span) and span not in known and all(
+                    len(part) >= 2 for part in span.strip("_").split("_")):
+                out.add((module, span))
+    return sorted(out)
+
+
+def test_detects_stale_references():
+    sources = {"multibody": (
+        'class KinTree:\n'
+        '    """``KinTree.rot``, ``KinTree.gone``, ``fad.gone``,\n'
+        '    ``multibody.kinematics``, ``np.gone``, ``kept_name``,\n'
+        '    ``gone_name``, ``lam_a``, ``fad``."""\n'
+        '    kept_name = 1\n')}
+    assert stale_references(sources) == [
+        ("multibody", "KinTree.gone"), ("multibody", "fad.gone"),
+        ("multibody", "gone_name")]
+
+
+def test_docstring_references_resolve():
+    sources = {p.stem: p.read_text()
+               for p in sorted(ROOT.glob("src/ergolift/*.py"))}
+    assert stale_references(sources) == []
 
 
 def resolve(module, attr):

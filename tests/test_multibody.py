@@ -244,7 +244,7 @@ def assert_twin(a, b):
 
 def all_rotations(tree):
     """The tree's link rotations, Duals when it carries ``omega``."""
-    return tree.link_rotations(np.arange(len(tree.model.links)))
+    return tree.frame_rotations(tuple(l.name for l in tree.model.links))
 
 
 def dual_length_robot():
@@ -268,14 +268,18 @@ class TestForwardKinematics:
     def test_base_pose_is_configuration(self, rng):
         model = branching_chain()
         q = random_configuration(model, rng)
-        R, p = kinematics(model, q).frame_pose("base")
+        tree = kinematics(model, q)
+        [R] = tree.frame_rotations(("base",))
+        [p] = tree.frame_points(("base",))
         np.testing.assert_array_equal(R, q.base_rot)
         np.testing.assert_array_equal(p, q.base_pos)
 
     def test_zero_angle_child_is_fixed_offset(self):
         model = planar_2r()
         q = Configuration.neutral(model)
-        R, p = kinematics(model, q).frame_pose("l2")
+        tree = kinematics(model, q)
+        [R] = tree.frame_rotations(("l2",))
+        [p] = tree.frame_points(("l2",))
         np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
         np.testing.assert_allclose(p, [1, 0, 0], atol=1e-15)
 
@@ -283,13 +287,15 @@ class TestForwardKinematics:
         model = planar_2r()
         q = Configuration(np.zeros(3), np.eye(3),
                           np.array([np.pi / 2, np.pi / 2]))
-        _, p = kinematics(model, q).frame_pose("ee")
+        [p] = kinematics(model, q).frame_points(("ee",))
         np.testing.assert_allclose(p, [-1.0, 1.0, 0.0], atol=1e-12)
 
     def test_unknown_frame(self):
         model = planar_2r()
-        with pytest.raises(UnknownFrameError):
-            kinematics(model, Configuration.neutral(model)).frame_pose("nope")
+        tree = kinematics(model, Configuration.neutral(model))
+        for accessor in (tree.frame_points, tree.frame_rotations):
+            with pytest.raises(UnknownFrameError):
+                accessor(("ee", "nope"))
 
 
 class TestLevelKinematics:
@@ -363,8 +369,8 @@ class TestFrameJacobian:
             d = rng.normal(size=6 + model.n_joints)
             Rp, pp = kinematics(model, perturb_configuration(q, h * d)), None
             Rm = kinematics(model, perturb_configuration(q, -h * d))
-            _, p_plus = Rp.frame_pose("tip")
-            _, p_minus = Rm.frame_pose("tip")
+            [p_plus] = Rp.frame_points(("tip",))
+            [p_minus] = Rm.frame_points(("tip",))
             lin_fd = (p_plus - p_minus) / (2 * h)
             lin = J[:3] @ d
             denom = max(np.linalg.norm(lin), np.linalg.norm(lin_fd), 1e-9)
@@ -378,12 +384,12 @@ class TestFrameJacobian:
             J = np.asarray(
                 frame_jacobian(kinematics(model, q), ("tip",))[..., 0, :, :])
             d = rng.normal(size=6 + model.n_joints)
-            R_plus, _ = kinematics(
-                model, perturb_configuration(q, h * d)).frame_pose("tip")
-            R_minus, _ = kinematics(
-                model, perturb_configuration(q, -h * d)).frame_pose("tip")
+            [R_plus] = kinematics(model, perturb_configuration(
+                q, h * d)).frame_rotations(("tip",))
+            [R_minus] = kinematics(model, perturb_configuration(
+                q, -h * d)).frame_rotations(("tip",))
             Rdot = (R_plus - R_minus) / (2 * h)
-            R0, _ = kinematics(model, q).frame_pose("tip")
+            [R0] = kinematics(model, q).frame_rotations(("tip",))
             W = Rdot @ R0.T  # skew of world angular velocity
             w_fd = np.array([W[2, 1], W[0, 2], W[1, 0]])
             w = J[3:] @ d
@@ -414,7 +420,7 @@ class TestFrameJacobian:
                     tree = kinematics(model, qd)
                     points = [(i, tree.pos[i])
                               for i in range(len(model.links))]
-                    points += [(f.link, tree.frame_pose(f.name)[1])
+                    points += [(f.link, tree.frame_points((f.name,))[0])
                                for f in model.frames]
                     jacs = [frame_jacobian(tree, (l.name,))[..., 0, :, :]
                             for l in model.links]
@@ -482,7 +488,7 @@ class TestStackedPostures:
             for stack, singles in stacked_configurations(model, qs):
                 tree = kinematics(model, stack)
                 J = frame_jacobian(tree, names)
-                R, p = tree.frame_poses(names)
+                R, p = tree.frame_rotations(names), tree.frame_points(names)
                 g = gravity_vector(tree)
                 assert tree.rot.shape == (3, len(model.links), 3, 3)
                 assert J.shape == (3, len(names), 6, 6 + model.n_joints)
@@ -492,26 +498,28 @@ class TestStackedPostures:
                         assert_row(getattr(tree, name), k, getattr(one, name))
                     assert_row(all_rotations(tree), k, all_rotations(one))
                     assert_row(J, k, frame_jacobian(one, names))
-                    R1, p1 = one.frame_poses(names)
-                    assert_row(R, k, R1)
-                    assert_row(p, k, p1)
+                    assert_row(R, k, one.frame_rotations(names))
+                    assert_row(p, k, one.frame_points(names))
                     assert_row(g, k, gravity_vector(one))
 
-    def test_frame_poses_match_link_poses(self, rng):
+    def test_frames_match_link_poses(self, rng):
+        # the rotations are the links' Dual rotations times the fixed ones
+        # bit for bit; a point takes the twist rule, whose tangent rounds
+        # otherwise than the Dual product of the link's pose
         model = dual_length_robot()
         q = random_configuration(model, rng)
         for qd in seeded_configurations(model, q):
             tree = kinematics(model, qd)
             names = tuple(f.name for f in model.frames)
-            R, p = tree.frame_poses(names)
+            R, p = tree.frame_rotations(names), tree.frame_points(names)
             for k, f in enumerate(model.frames):
                 lm = model.links[f.link].hardware.length_multiplier
                 offset = fad.stack([f.offset[0], f.offset[1],
                                     f.offset[2] * lm])
                 Rl = all_rotations(tree)[f.link]
                 assert_same(R[k], Rl @ f.rotation)
-                assert_same(p[k], tree.pos[f.link] + Rl @ offset)
-                assert_same(tree.frame_pose(f.name)[1], p[k])
+                assert_twin(p[k], tree.pos[f.link] + Rl @ offset)
+                assert_same(tree.frame_points((f.name,))[0], p[k])
 
 
 class TestContractions:
@@ -575,8 +583,8 @@ def assert_central_differences(f, x, dirs):
 def twist_outputs(tree, names):
     """What the twist rule differentiates: link rotations, origins and
     axes, the frames' rotations and positions, and the gravity rows."""
-    R, p = tree.frame_poses(names)
-    return [all_rotations(tree), tree.pos, tree.axis_w, R, p,
+    return [all_rotations(tree), tree.pos, tree.axis_w,
+            tree.frame_rotations(names), tree.frame_points(names),
             gravity_vector(tree)]
 
 
@@ -793,8 +801,8 @@ class TestApplyHardware:
             model, {"a": model.links[1].hardware})
         q = random_configuration(model, rng)
         tree, same_tree = kinematics(model, q), kinematics(same, q)
-        np.testing.assert_array_equal(tree.frame_pose("tip")[1],
-                                      same_tree.frame_pose("tip")[1])
+        np.testing.assert_array_equal(tree.frame_points(("tip",)),
+                                      same_tree.frame_points(("tip",)))
         np.testing.assert_array_equal(mass_matrix(tree),
                                       mass_matrix(same_tree))
 
@@ -815,8 +823,8 @@ class TestApplyHardware:
         heavier = apply_hardware(model, {"b": LinkHardware(4000.0, 1.0)})
         q = random_configuration(model, rng)
         tree, heavy_tree = kinematics(model, q), kinematics(heavier, q)
-        np.testing.assert_array_equal(tree.frame_pose("tip")[1],
-                                      heavy_tree.frame_pose("tip")[1])
+        np.testing.assert_array_equal(tree.frame_points(("tip",)),
+                                      heavy_tree.frame_points(("tip",)))
         assert not np.array_equal(mass_matrix(tree), mass_matrix(heavy_tree))
 
     def test_total_mass_bookkeeping(self):
@@ -837,7 +845,7 @@ class TestApplyHardware:
             for q in (Configuration.neutral(model),
                       random_configuration(model, rng)):
                 tree = kinematics(scaled, q)
-                _, p = tree.frame_pose("tip")
+                p = tree.frame_points(("tip",))[0]
                 check_mount(p, tree.rot[4], tree.pos[4],
                             model.frame("tip").offset, lm)
 
@@ -926,7 +934,8 @@ class TestDerivedOnce:
         for model in (robot, scaled):
             tree = kinematics(model, q)
             for f in model.frames:
-                tree.frame_pose(f.name)
+                tree.frame_rotations((f.name,))
+                tree.frame_points((f.name,))
                 frame_jacobian(tree, (f.name,))
                 frame_jacobian(kinematics(model, q), (f.name,))
         assert calls == []
@@ -1018,8 +1027,7 @@ class TestDualPathConsistency:
                 base_rot=fad.rpy_matrix(x[3], x[4], x[5]),
                 s=x[6:])
             tree = kinematics(model, qd)
-            _, p = tree.frame_pose("tip")
-            return p[2]
+            return tree.frame_points(("tip",))[0, 2]
 
         grad = tip_z(fad.seed(x)).dot
         assert np.isfinite(grad).all()
