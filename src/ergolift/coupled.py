@@ -22,8 +22,11 @@ and ``statics_minnorm`` adds the tangent rule the optimizer
 differentiates through.  ``static_torques`` reads the torques of
 ``statics_minnorm``.  ``contact_wrenches`` is a separate route: the
 least-squares wrenches ``f`` with ``Q^T f = g - B tau`` for a given
-``tau``, through the SVD of ``Q``.  The 0/1 ``B`` is never formed:
-``B^T lam`` and ``B tau`` index ``CoupledSystem.actuated``.
+``tau``, from the QR factors ``Q^T = Q1 R`` as ``R f = Q1^T (g - B
+tau)``.  Those factors also give ``evaluate_statics`` its rank check
+and its projection onto ``range(Q^T)``; the SVD of ``Q`` runs only to
+name the rows of a rank-deficient contact set.  The 0/1 ``B`` is never
+formed: ``B^T lam`` and ``B tau`` index ``CoupledSystem.actuated``.
 
 The saddle system is solved in reduced form.  ``B B^T`` is the
 identity on the actuated rows ``a`` (``CoupledSystem.actuated``, the
@@ -368,23 +371,29 @@ def contact_rotations(sys: CoupledSystem, trees, dirs=None):
 # statics
 
 
-def _constraint_svd(Q: np.ndarray, labels):
-    """Thin SVD of the coupling matrix; fails when its rows are dependent.
+def _constraint_qr(Q: np.ndarray, labels):
+    """Factors ``Q^T = Q1 R`` of the coupling matrix; fails when its rows
+    are dependent.
 
-    The rows of the returned ``Vt`` are an orthonormal basis of
-    ``range(Q^T)``, the generalized forces the contacts can exert.
-    Raises SingularConstraintError naming (by ``labels``, one per 6-row
-    block) the dominant constraint rows when the contact set is rank
-    deficient, that is when ``sv[-1] <= RANK_TOL * sv[0]``.
+    The columns of ``Q1`` are an orthonormal basis of ``range(Q^T)``,
+    the generalized forces the contacts can exert, and ``R`` has the
+    singular values of ``Q``, so the rank check reads them from the
+    small triangle ``R``: the contact set is rank deficient when
+    ``sv[-1] <= RANK_TOL * sv[0]`` or when the rows outnumber the
+    columns.  Only then does the SVD of ``Q`` run, to name (by
+    ``labels``, one per 6-row block) the dominant rows of its last left
+    singular vector in the SingularConstraintError it always raises.
     """
-    U, sv, Vt = np.linalg.svd(Q, full_matrices=False)
-    if sv.size and sv[-1] <= RANK_TOL * sv[0]:
+    Q1, R = np.linalg.qr(Q.T)
+    sv = np.linalg.svd(R, compute_uv=False)
+    if sv.size < len(Q) or (sv.size and sv[-1] <= RANK_TOL * sv[0]):
+        U = np.linalg.svd(Q)[0]
         bad = np.argsort(-np.abs(U[:, -1]))[:6]
         names = [labels[b // 6] for b in sorted(bad)]
         raise SingularConstraintError(
             "rank-deficient contact constraints; dominant rows: "
             + ", ".join(dict.fromkeys(names)))
-    return U, sv, Vt
+    return Q1, R
 
 
 def _saddle_solve(sys: CoupledSystem, K, Qa, rhs):
@@ -448,10 +457,10 @@ def contact_wrenches(sys: CoupledSystem, q: CoupledConfiguration,
     trees = coupled_trees(sys, q)
     Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, trees))
-    U, sv, Vt = _constraint_svd(Q, sys.wrench_labels)
+    Q1, R = _constraint_qr(Q, sys.wrench_labels)
     B_tau = np.zeros_like(g)
     B_tau[sys.actuated] = tau
-    return U @ ((Vt @ (g - B_tau)) / sv)
+    return np.linalg.solve(R, Q1.T @ (g - B_tau))
 
 
 def statics_minnorm(sys: CoupledSystem,
@@ -535,8 +544,11 @@ def evaluate_statics(sys: CoupledSystem,
     """Full static analysis from the saddle system, with residual checks.
 
     ``projected_residual`` is the largest entry of the part of
-    ``g - B tau`` off ``range(Q^T)``, which no contact wrench can
-    balance; ``equilibrium_residual`` is the largest entry of
+    ``r = g - B tau`` off ``range(Q^T)``, which no contact wrench can
+    balance: ``r - Q1 (Q1^T r)``, with the orthonormal basis ``Q1`` of
+    the factors ``Q^T = Q1 R`` that ``_constraint_qr`` checks for rank
+    (no SVD of ``Q`` runs unless that check refuses);
+    ``equilibrium_residual`` is the largest entry of
     ``B tau + Q^T f - g``.  ``cops`` maps each environment contact's
     wrench label to its ``cop_smooth`` CoP.  Raises
     SingularConstraintError for a rank-deficient contact set or a body
@@ -548,12 +560,12 @@ def evaluate_statics(sys: CoupledSystem,
     trees = _statics_trees(sys, q, params, trees)
     Q = coupling_matrix(sys, trees)
     g = fad.value(composite_gravity(sys, trees))
-    _, _, Vt = _constraint_svd(Q, sys.wrench_labels)
+    Q1, _ = _constraint_qr(Q, sys.wrench_labels)
     _, _, tau, _, f = _saddle_statics(sys, Q, g)
     B_tau = np.zeros_like(g)
     B_tau[sys.actuated] = tau
     r = g - B_tau
-    proj = float(np.abs(r - Vt.T @ (Vt @ r)).max())
+    proj = float(np.abs(r - Q1 @ (Q1.T @ r)).max())
     # summed as B tau + Q^T f - g, not Q^T f - r, which rounds otherwise
     full = float(np.abs(B_tau + Q.T @ f - g).max())
     R = contact_rotations(sys, trees)

@@ -498,14 +498,15 @@ def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
 
 
 def group_params(model: Model, values: Mapping[str, tuple]) -> dict:
-    """Expand per-group (density, multiplier) pairs to per-link hardware."""
+    """Expand per-group (density, multiplier) pairs to per-link hardware;
+    the links of a group share one ``LinkHardware``."""
     out = {}
     for g in model.groups:
         if g.name not in values:
             continue
         rho, lm = values[g.name]
-        for name in g.links:
-            out[name] = LinkHardware(density=rho, length_multiplier=lm)
+        hw = LinkHardware(density=rho, length_multiplier=lm)
+        out.update(dict.fromkeys(g.links, hw))
     return out
 
 
@@ -534,7 +535,7 @@ class KinTree:
     gathered once per tree and kept, since ``frame_points``,
     ``frame_jacobian``, ``generalized_force`` and ``frame_twists`` of one
     pass all read them; ``value`` and ``row`` hand the kept gathers on to
-    the trees they derive.
+    the trees they derive, and a plain tree is its own ``value``.
     """
 
     model: Model
@@ -558,7 +559,12 @@ class KinTree:
         return tree
 
     def value(self):
-        """The same tree on plain arrays, the values of its Duals."""
+        """The same tree on plain arrays, the values of its Duals.  A
+        plain tree is its own value, so what is gathered on its value is
+        kept on it."""
+        if self.omega is None and not any(isinstance(x, fad.Dual) for x in (
+                self.pos, self.axis_w, self.lms)):
+            return self
         return self._map(fad.value,
                          None if self.lms is None else fad.value(self.lms),
                          None)

@@ -30,6 +30,10 @@ import numpy as np
 from . import fad
 from .spatial import skew
 
+# the growth axis, along which every centroid sits
+_E3 = np.array([0.0, 0.0, 1.0])
+_E3.flags.writeable = False
+
 
 class _Primitive:
     """Base of the primitives: every dimension must be positive."""
@@ -108,7 +112,7 @@ def shape_com(shape: Shape, hw: LinkHardware):
         zc = 0.5 * shape.height * lm
     else:
         zc = 0.5 * shape.depth * lm
-    return fad.stack([zc * 0.0, zc * 0.0, zc])
+    return zc * _E3
 
 
 def shape_inertia_cm(shape: Shape, hw: LinkHardware, m):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ergolift import fad
-from ergolift.coupled import (MIN_NORMAL, CoupledConfiguration,
+from ergolift.coupled import (MIN_NORMAL, RANK_TOL, CoupledConfiguration,
                               CoupledSystem, GraspPair,
                               SingularConstraintError,
-                              UnloadedFootError, _constraint_svd,
+                              UnloadedFootError, _constraint_qr,
                               composite_gravity, contact_rotations,
                               contact_wrenches, cop_smooth, coupled_trees,
                               coupling_matrix, evaluate_statics,
@@ -54,7 +54,7 @@ def nullspace_projector(M, Q, labels):
     n = M.shape[0]
     if Q.shape[0] == 0:
         return np.eye(n)
-    _constraint_svd(Q, labels)
+    _constraint_qr(Q, labels)
     Minv_Qt = np.linalg.solve(M, Q.T)
     G = Q @ Minv_Qt
     return np.eye(n) - Q.T @ np.linalg.solve(G, Minv_Qt.T)
@@ -517,6 +517,117 @@ class TestNullspaceProjector:
             nullspace_projector(M, Q, labels=dup.wrench_labels)
 
 
+@pytest.fixture(scope="module")
+def jittered(desk):
+    """50 seeded postures and hardware as the statics benchmark draws
+    them: a warm start at one of the paper's heights, joints jittered by
+    0.05 rad, and robot hardware inside its bounds."""
+    sc, sys, _ = desk
+    bases = [warm_start_configuration(sc, sys, h)
+             for h in (0.8, 1.0, 1.2, 1.5)]
+    robot = sys.parametrized_model
+    (lm_lo, lm_hi), (rho_lo, rho_hi) = (robot.bounds.length_multiplier,
+                                        robot.bounds.density)
+    rng = np.random.default_rng(29)
+    out = []
+    for _ in range(50):
+        qs = []
+        for model, qi in zip(sys.subsystem_models(),
+                             bases[rng.integers(len(bases))].qs):
+            if model.n_joints:
+                lo, hi = model.joint_limits()
+                qi = Configuration(qi.base_pos, qi.base_rot, np.clip(
+                    qi.s + rng.normal(size=model.n_joints) * 0.05,
+                    lo + 1e-3, hi - 1e-3))
+            qs.append(qi)
+        out.append((CoupledConfiguration(tuple(qs)), group_params(robot, {
+            g.name: (rng.uniform(rho_lo, rho_hi), rng.uniform(lm_lo, lm_hi))
+            for g in robot.groups})))
+    return out
+
+
+class TestConstraintFactors:
+    """``Q^T = Q1 R`` gives the rank check and the projector that the
+    SVD of ``Q`` gave; the SVD runs only to name a refusal."""
+
+    def test_singular_values_and_projector_match_svd(self, desk, jittered):
+        _, sys, _ = desk
+        B = selector(sys)
+        answered = 0
+        for q, params in jittered:
+            trees = coupled_trees(sys, q, params)
+            Q = coupling_matrix(sys, trees)
+            Q1, R = _constraint_qr(Q, sys.wrench_labels)
+            sv = np.linalg.svd(Q, compute_uv=False)
+            assert np.abs(np.linalg.svd(R, compute_uv=False) - sv).max() \
+                <= 1e-13 * sv[0]
+            try:
+                res = evaluate_statics(sys, trees=trees)
+            except UnloadedFootError:
+                continue
+            r = np.asarray(composite_gravity(sys, trees)) - B @ res.tau
+            Vt = np.linalg.svd(Q, full_matrices=False)[2]
+            ref = float(np.abs(r - Vt.T @ (Vt @ r)).max())
+            assert abs(res.projected_residual - ref) \
+                <= 1e-12 * np.abs(r).max()
+            answered += 1
+        assert answered >= 40
+
+    @pytest.mark.parametrize("ratio, refused", [(0.5, True), (2.0, False)])
+    def test_rank_threshold(self, ratio, refused):
+        # singular values from 1 down to ratio * RANK_TOL, between random
+        # orthonormal factors
+        rng = np.random.default_rng(7)
+        U = np.linalg.qr(rng.normal(size=(12, 12)))[0]
+        V = np.linalg.qr(rng.normal(size=(20, 12)))[0]
+        sv = np.geomspace(1.0, ratio * RANK_TOL, 12)
+        Q = (U * sv) @ V.T
+        if refused:
+            with pytest.raises(SingularConstraintError,
+                               match="rank-deficient"):
+                _constraint_qr(Q, ("a", "b"))
+        else:
+            Q1, R = _constraint_qr(Q, ("a", "b"))
+            np.testing.assert_allclose(Q1 @ R, Q.T, rtol=0, atol=1e-14)
+
+    def test_more_rows_than_coordinates_refused(self):
+        # two welded frames give a 1-dof pendulum 12 contact rows over 7
+        # coordinates: the rows are dependent whatever their singular
+        # values read
+        sys, q = pendulum_system()
+        two = CoupledSystem(agents=sys.agents,
+                            env_contacts=((0, "anchor"), (0, "arm")))
+        for statics in (lambda: evaluate_statics(two, q),
+                        lambda: contact_wrenches(two, q, np.zeros(1))):
+            with pytest.raises(SingularConstraintError, match=(
+                    "rank-deficient contact constraints; dominant rows: "
+                    "env:pendulum:anchor, env:pendulum:arm")):
+                statics()
+
+    def test_full_rank_call_runs_no_svd_of_q(self, desk, monkeypatch):
+        _, sys, q = desk
+        shapes = []
+        original = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        evaluate_statics(sys, q)
+        n_c = 6 * (len(sys.env_contacts) + len(sys.grasps))
+        assert shapes == [(n_c, n_c)]
+        # a refused call does run it, to name the rows
+        dup = CoupledSystem(agents=sys.agents, payload=sys.payload,
+                            env_contacts=sys.env_contacts
+                            + (sys.env_contacts[0],), grasps=sys.grasps)
+        shapes.clear()
+        with pytest.raises(SingularConstraintError):
+            evaluate_statics(dup, q)
+        n_vel = int(sys.velocity_layout[1][-1])
+        assert shapes == [(n_c + 6, n_c + 6), (n_c + 6, n_vel)]
+
+
 class TestContactWrenches:
     def test_single_standing_body_balance(self):
         sys, q = standing_human_system()
@@ -654,8 +765,13 @@ class TestEvaluateStatics:
                             env_contacts=sys.env_contacts
                             + (sys.env_contacts[0],),
                             grasps=sys.grasps)
-        with pytest.raises(SingularConstraintError):
+        with pytest.raises(SingularConstraintError) as refusal:
             evaluate_statics(dup, q)
+        # the dominant rows are the duplicated contact's, both copies
+        # under its one label
+        assert str(refusal.value) == ("rank-deficient contact constraints;"
+                                      " dominant rows: "
+                                      + sys.wrench_labels[0])
 
     def test_unheld_payload_raises(self, desk):
         # without grasps nothing holds the payload: the saddle matrix is

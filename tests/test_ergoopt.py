@@ -472,25 +472,61 @@ class TestOnePass:
             arrays = list(leaves([out, list(args), list(kwargs.values())]))
             assert not any(isinstance(a, fad.Dual) for a in arrays), name
 
+    @staticmethod
+    def rotation_calls(problem, y, monkeypatch):
+        """(tree, names) of each ``KinTree.frame_rotations`` call of one
+        pass."""
+        calls = []
+        original = multibody.KinTree.frame_rotations
+
+        def recording(self, names):
+            calls.append((self, tuple(names)))
+            return original(self, names)
+
+        monkeypatch.setattr(multibody.KinTree, "frame_rotations", recording)
+        problem.value_and_derivatives(y)
+        return calls
+
+    @staticmethod
+    def whole_tree(problem, calls):
+        """The calls that ask for every link of a tree with more than one
+        link, or for the payload tree's rotations."""
+        return [(t.model.name, names) for t, names in calls
+                if t.model is problem.system.payload
+                or (len(t.model.links) > 1
+                    and {link.name for link in t.model.links} <= set(names))]
+
     def test_no_whole_tree_rotation_tangents(self, paper_problem,
                                              monkeypatch):
-        # rotation tangents are formed only for named frames, from the
-        # link twists: no Dual of a pass ends in a tree's (L, 3, 3)
+        # rotations are formed only for named frames, from the link
+        # twists: no call of a pass asks for a whole tree's rotations
         problem, y = paper_problem
-        shapes_seen = []
-        original = fad.Dual.__init__
+        calls = self.rotation_calls(problem, y, monkeypatch)
+        assert calls
+        assert self.whole_tree(problem, calls) == []
+        # the guard sees a whole tree's rotations when they are asked for
+        tree, _ = calls[0]
+        links = tuple(link.name for link in tree.model.links)
+        assert self.whole_tree(problem, [(tree, links)]) == [
+            (tree.model.name, links)]
 
-        def recording(self, val, dot):
-            original(self, val, dot)
-            shapes_seen.append(self.dot.shape)
+    def test_one_rotation_call_per_contact_passes(self, paper_problem,
+                                                  monkeypatch):
+        # one frame_rotations call per contact forms (..., 1, 3, 3)
+        # tangents, which are single frames' and not the payload tree's
+        problem, y = paper_problem
 
-        monkeypatch.setattr(fad.Dual, "__init__", recording)
-        problem.value_and_derivatives(y)
-        monkeypatch.undo()
-        assert shapes_seen
-        whole = {(len(m.links), 3, 3)
-                 for m in problem.system.subsystem_models()}
-        assert not [s for s in shapes_seen if s[-3:] in whole]
+        def per_contact(sys, trees, dirs=None):
+            return fad.concatenate([
+                fad.widen(trees[a].frame_rotations((frame,)), dirs[0][a],
+                          dirs[1])
+                for a, frame in sys.env_contacts], axis=-3)
+
+        monkeypatch.setattr(ergoopt, "contact_rotations", per_contact)
+        calls = self.rotation_calls(problem, y, monkeypatch)
+        assert [names for _, names in calls] == [
+            (frame,) for _, frame in problem.system.env_contacts]
+        assert self.whole_tree(problem, calls) == []
 
     def test_rotations_formed_only_for_contacts(self, paper_problem,
                                                 monkeypatch):
@@ -794,6 +830,28 @@ class TestSolutionTail:
             assert res.projected_residual == ref.projected_residual
             assert res.equilibrium_residual == ref.equilibrium_residual
         assert sol.refusals == [None, None]
+
+    def test_tail_gathers_once_per_subsystem(self, monkeypatch):
+        # the coupling matrix of the stacked statics gathers on the
+        # stacked plain trees, and each height's rows reuse the gathers
+        sc = make_scenario()
+        problem = assemble_nlp(sc, build_system(sc))
+        y = warm_start_vector(problem)
+        stop_at_start(monkeypatch)
+        fresh = []
+        original = multibody.KinTree._mounts
+
+        def counting(self, names):
+            if names not in self._gathered:
+                fresh.append(names)
+            return original(self, names)
+
+        monkeypatch.setattr(multibody.KinTree, "_mounts", counting)
+        solve(problem, y, SolverOptions(max_iter=1))
+        assert len(problem.heights) == 4
+        assert sorted(fresh) == sorted(
+            names for _, names, _, _ in problem.system.coupling_blocks)
+        assert len(fresh) == 3
 
     @pytest.mark.parametrize("error", [UnloadedFootError,
                                        SingularConstraintError])

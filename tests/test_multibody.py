@@ -856,6 +856,13 @@ class TestApplyHardware:
         assert len(values) == 5
         params = group_params(robot, values)
         assert len(params) == 9
+        # a group's links share one hardware object
+        for g in robot.groups:
+            assert {id(params[name]) for name in g.links} == {
+                id(params[g.links[0]])}
+            assert (params[g.links[0]].density,
+                    params[g.links[0]].length_multiplier) == values[g.name]
+        assert len({id(hw) for hw in params.values()}) == 5
         scaled = apply_hardware(robot, params)
         assert scaled.topology is robot.topology
         assert all(f is f0 for f, f0 in zip(scaled.frames, robot.frames))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ergolift import fad
 from ergolift.shapes import (Box, Cylinder, LinkHardware, Sphere,
                              _voxel_integrals, shape_com, shape_inertia_cm,
                              shape_inertia_origin, shape_mass,
@@ -93,6 +94,25 @@ class TestCom:
     def test_cylinder_half_height(self):
         c = shape_com(Cylinder(0.05, 0.4), LinkHardware(1000.0, 2.0))
         assert c[2] == pytest.approx(0.4, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [Sphere(0.1), Cylinder(0.05, 0.4),
+                                       Box(0.1, 0.3, 0.2)])
+    def test_matches_component_stack(self, shape):
+        # the centroid on the growth axis equals its components stacked,
+        # values and tangents bit for bit, the signs of zeros included
+        seeds = np.array([[1.0, 0.0], [-0.5, 1.0], [0.0, -2.0]])
+        for hw in (LinkHardware(1000.0, 1.3),
+                   LinkHardware(fad.Dual(1000.0, seeds[:, 0]),
+                                fad.Dual(1.3, seeds[:, 1]))):
+            c = shape_com(shape, hw)
+            zc = c[2]
+            ref = fad.stack([zc * 0.0, zc * 0.0, zc])
+            assert type(c) is type(ref)
+            pairs = [(fad.value(c), fad.value(ref))]
+            if isinstance(c, fad.Dual):
+                pairs.append((c.dot, ref.dot))
+            for a, b in pairs:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @given(rho1=densities, rho2=densities, lm=multipliers)
     def test_density_invariance(self, rho1, rho2, lm):
