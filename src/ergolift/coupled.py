@@ -24,9 +24,12 @@ differentiates through.  ``static_torques`` reads the torques of
 least-squares wrenches ``f`` with ``Q^T f = g - B tau`` for a given
 ``tau``, from the QR factors ``Q^T = Q1 R`` as ``R f = Q1^T (g - B
 tau)``.  Those factors also give ``evaluate_statics`` its rank check
-and its projection onto ``range(Q^T)``; the SVD of ``Q`` runs only to
-name the rows of a rank-deficient contact set.  The 0/1 ``B`` is never
-formed: ``B^T lam`` and ``B tau`` index ``CoupledSystem.actuated``.
+and its projection onto ``range(Q^T)``.  The rank check runs no SVD
+for a well-conditioned contact set: a bound on the condition number of
+``R`` certifies full rank (``_full_rank``).  The SVD of ``R`` runs only
+where that bound cannot decide, and the SVD of ``Q`` only to name the
+rows of a rank-deficient contact set.  The 0/1 ``B`` is never formed:
+``B^T lam`` and ``B tau`` index ``CoupledSystem.actuated``.
 
 The saddle system is solved in reduced form.  ``B B^T`` is the
 identity on the actuated rows ``a`` (``CoupledSystem.actuated``, the
@@ -253,6 +256,17 @@ class CoupledSystem:
             [slots[r, -1] for r in grasp_rows]))
 
     @cached_property
+    def contact_groups(self):
+        """The environment contacts agent by agent: ``(agent, frame
+        names)`` per agent in index order, and the rows that put that
+        agent-by-agent stack back in ``env_contacts`` order."""
+        agents = [a for a, _ in self.env_contacts]
+        groups = tuple((a, tuple(f for b, f in self.env_contacts if b == a))
+                       for a in sorted(set(agents)))
+        return groups, _read_only(np.argsort(np.argsort(agents,
+                                                        kind="stable")))
+
+    @cached_property
     def wrench_labels(self):
         """One label per 6-row wrench block, built once per system."""
         env = (f"env:{self.agents[a].name}:{f}" for a, f in self.env_contacts)
@@ -359,16 +373,34 @@ def contact_rotations(sys: CoupledSystem, trees, dirs=None):
     ``env_contacts`` order, one ``frame_rotations`` call per agent; no
     other frame's rotation is formed.  ``dirs`` as in the module
     docstring."""
-    agents = [a for a, _ in sys.env_contacts]
-    R = fad.concatenate([_widen(trees[a].frame_rotations(
-        tuple(f for b, f in sys.env_contacts if b == a)), dirs, a)
-        for a in sorted(set(agents))], axis=-3)
-    # R stacks the contacts agent by agent; put them in env_contacts order
-    return R[..., np.argsort(np.argsort(agents, kind="stable")), :, :]
+    groups, order = sys.contact_groups
+    R = fad.concatenate([_widen(trees[a].frame_rotations(names), dirs, a)
+                         for a, names in groups], axis=-3)
+    return R[..., order, :, :]
 
 
 # ---------------------------------------------------------------------------
 # statics
+
+
+def _full_rank(R: np.ndarray) -> bool:
+    """Whether the square ``R`` has ``sv[-1] > RANK_TOL * sv[0]``.
+
+    The product of the Frobenius norms of ``R`` and of its inverse
+    bounds the 2-norm condition number ``sv[0] / sv[-1]`` from above,
+    so a bound below ``1 / RANK_TOL`` certifies full rank without an
+    SVD.  Only when the bound cannot decide (it may exceed the condition
+    number by up to the matrix order, or ``R`` cannot be inverted) do
+    the singular values of ``R`` decide.
+    """
+    try:
+        bound = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
+    except np.linalg.LinAlgError:
+        bound = np.inf
+    if bound < 1.0 / RANK_TOL:
+        return True
+    sv = np.linalg.svd(R, compute_uv=False)
+    return not (sv.size and sv[-1] <= RANK_TOL * sv[0])
 
 
 def _constraint_qr(Q: np.ndarray, labels):
@@ -377,16 +409,17 @@ def _constraint_qr(Q: np.ndarray, labels):
 
     The columns of ``Q1`` are an orthonormal basis of ``range(Q^T)``,
     the generalized forces the contacts can exert, and ``R`` has the
-    singular values of ``Q``, so the rank check reads them from the
-    small triangle ``R``: the contact set is rank deficient when
-    ``sv[-1] <= RANK_TOL * sv[0]`` or when the rows outnumber the
-    columns.  Only then does the SVD of ``Q`` run, to name (by
-    ``labels``, one per 6-row block) the dominant rows of its last left
-    singular vector in the SingularConstraintError it always raises.
+    singular values of ``Q``, so the rank check reads the small triangle
+    ``R``: the contact set is rank deficient when the rows outnumber the
+    columns or ``sv[-1] <= RANK_TOL * sv[0]``.  A full-rank ``R`` is
+    certified by ``_full_rank``'s bound on its condition number, and its
+    SVD runs only when the bound cannot decide.  The SVD of ``Q`` runs
+    only for a rank-deficient set, to name (by ``labels``, one per 6-row
+    block) the dominant rows of its last left singular vector in the
+    SingularConstraintError it always raises.
     """
     Q1, R = np.linalg.qr(Q.T)
-    sv = np.linalg.svd(R, compute_uv=False)
-    if sv.size < len(Q) or (sv.size and sv[-1] <= RANK_TOL * sv[0]):
+    if len(R) < len(Q) or not _full_rank(R):
         U = np.linalg.svd(Q)[0]
         bad = np.argsort(-np.abs(U[:, -1]))[:6]
         names = [labels[b // 6] for b in sorted(bad)]
@@ -547,7 +580,9 @@ def evaluate_statics(sys: CoupledSystem,
     ``r = g - B tau`` off ``range(Q^T)``, which no contact wrench can
     balance: ``r - Q1 (Q1^T r)``, with the orthonormal basis ``Q1`` of
     the factors ``Q^T = Q1 R`` that ``_constraint_qr`` checks for rank
-    (no SVD of ``Q`` runs unless that check refuses);
+    (a full-rank call whose ``R`` the condition bound certifies runs no
+    SVD; the SVD of ``R`` runs where the bound cannot decide, and that
+    of ``Q`` only when the check refuses);
     ``equilibrium_residual`` is the largest entry of
     ``B tau + Q^T f - g``.  ``cops`` maps each environment contact's
     wrench label to its ``cop_smooth`` CoP.  Raises

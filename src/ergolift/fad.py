@@ -25,7 +25,8 @@ memory layout of its operands, so a later product of such a tangent can
 differ in the last bits from the same product of a strided one.
 ``rodrigues``, the joint rotation ``I + sin(s) K + (1 - cos s) K^2``,
 is plain: it takes plain angles only, since ``multibody`` forms the
-joint rotation tangents from the links' twists.
+joint rotation tangents from the links' twists; ``multibody`` calls it
+once per tree, over every joint.
 
 Duals that meet must carry the same directions: a tangent with one
 direction broadcasts, but two different widths, neither of them one,
@@ -282,7 +283,16 @@ def _dots(items, vals, ndir):
 
 
 def stack(items, axis=0):
+    """Same-shape items stacked along a new axis ``axis``.
+
+    With any ``Dual`` item the result is a Dual.  Plain items stacked
+    along the first axis are converted by one ``np.array`` call, into
+    the float array ``np.stack`` of their values gives; for the dozens
+    of scalars of a model's link tables it is many times cheaper.
+    """
     ndir = _common_ndir(items)
+    if ndir is None and axis == 0:
+        return np.array(items, dtype=float)
     vals = [value(x) for x in items]
     out = np.stack(vals, axis=axis)
     if ndir is None:
@@ -365,8 +375,11 @@ def rodrigues(s, K, K2):
     matrices ``K`` and squares ``K2`` are ``(m, 3, 3)``; the result is
     ``(..., m, 3, 3)``, with the same sums and products as composing the
     rule from ``sin``, ``cos`` and array arithmetic, so it equals that
-    composition bit for bit.  A Dual angle raises TypeError: the joint
-    rotation tangents come from the links' twists (``multibody``).
+    composition bit for bit.  Every entry is formed on its own, so one
+    call over all joints of a tree, as ``multibody.kinematics`` makes,
+    gives the rotations that calls over parts of them give.  A Dual
+    angle raises TypeError: the joint rotation tangents come from the
+    links' twists (``multibody``).
     """
     if isinstance(s, Dual):
         raise TypeError("rodrigues takes plain angles, not a Dual")

@@ -21,20 +21,25 @@ its mass and CoM (``Link.mass_com``), which only the links given new
 hardware derive again; its inertia about its origin
 (``Link.inertial``) is derived only where ``mass_matrix`` reads it.
 The index tables of a tree (name maps, the links x dofs path mask,
-the depth levels with their stacked joint constants, the mounts of
-named frames) live on a ``Topology`` that every hardware variant of a
-model shares.
+the depth levels, the joint constants stacked in level order, the
+mounts of named frames) live on a ``Topology`` that every hardware
+variant of a model shares.  What a variant's hardware fixes is derived
+once per model, on first use: the stacked multipliers
+(``Model._multipliers``), masses and CoMs (``Model._mass_table``), and
+the joint offsets scaled by their parents' multipliers
+(``Model._joint_offsets``).
 
 Every pass works on whole-tree arrays and takes the ``KinTree`` it
-reads.  ``kinematics`` walks the tree one depth level at a time on
-plain arrays and returns stacked ``(L, 3, 3)`` rotations and ``(L, 3)``
-positions; ``KinTree.frame_points`` and ``frame_jacobian`` gather a
-tuple of frames at once, the Jacobians as ``(F, 6, 6 + n)`` from one
-masked cross product over the stacked joint axes and pivots, and
-``KinTree.frame_rotations`` gives the rotations of only the frames it
-is asked for; ``gravity_vector`` sums the link mass moments over
-subtrees with one matmul, the composite-body bookkeeping of
-Featherstone, *Rigid Body Dynamics Algorithms* (2008).
+reads.  ``kinematics`` forms every joint's Rodrigues rotation in one
+``fad.rodrigues`` call, walks the tree one depth level at a time on
+plain arrays composing them, and returns stacked ``(L, 3, 3)``
+rotations and ``(L, 3)`` positions; ``KinTree.frame_points`` and
+``frame_jacobian`` gather a tuple of frames at once, the Jacobians as
+``(F, 6, 6 + n)`` from one masked cross product over the stacked joint
+axes and pivots, and ``KinTree.frame_rotations`` gives the rotations
+of only the frames it is asked for; ``gravity_vector`` sums the link
+mass moments over subtrees with one matmul, the composite-body
+bookkeeping of Featherstone, *Rigid Body Dynamics Algorithms* (2008).
 The mass matrix is ``M = sum_i J_i^T M_i J_i`` over the links, with
 ``J_i`` the Jacobian of link i's origin and ``M_i`` its spatial inertia
 about that origin.
@@ -78,7 +83,7 @@ whole stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -215,21 +220,32 @@ class HardwareBounds:
 
 @dataclass(frozen=True, eq=False)
 class _Level:
-    """Joints at one depth, with their constants stacked.
+    """Joints at one depth.
 
-    ``links`` are the child link indices and ``dofs`` their joints',
-    ``rows`` each parent's row in the previous level's arrays.
+    ``links`` are the child link indices, ``rows`` each parent's row in
+    the previous level's arrays and ``span`` the level's rows of the
+    ``Topology.joints`` tables.
     """
 
     links: np.ndarray
-    dofs: np.ndarray
     rows: np.ndarray
+    span: slice
+
+
+@dataclass(frozen=True, eq=False)
+class _Joints:
+    """Joint constants stacked in level order, the levels one after the
+    other: the dofs ``(n,)``, their parent links ``(n,)``, unit-multiplier
+    offsets ``(n, 3)``, fixed rotations ``(n, 3, 3)``, axes ``(n, 3)``
+    and Rodrigues terms ``K`` and ``K2`` ``(n, 3, 3)``."""
+
+    dofs: np.ndarray
     parents: np.ndarray
     offset: np.ndarray
     rotation: np.ndarray
+    axis: np.ndarray
     K: np.ndarray
     K2: np.ndarray
-    axis: np.ndarray
 
 
 class Topology:
@@ -237,7 +253,12 @@ class Topology:
 
     They read only link names, parents and joints and the frames, which
     ``apply_hardware`` shares, so every hardware variant of a model uses
-    its nominal model's tables.
+    its nominal model's tables.  ``levels`` splits the joints by depth,
+    and ``joints`` stacks their constants level after level, the
+    Rodrigues ``K`` and ``K2`` among them, so ``kinematics`` forms every
+    joint's rotation in one ``fad.rodrigues`` call and each level reads
+    its ``span`` of the result.  The offsets there are at unit
+    multiplier; ``Model._joint_offsets`` scales them once per model.
     """
 
     def __init__(self, links, frames):
@@ -321,21 +342,31 @@ class Topology:
             depth[i] = depth[link.parent] + 1
         out = []
         prev = {0: 0}
+        start = 0
         for d in range(1, max(depth) + 1):
             idx = [i for i in range(len(links)) if depth[i] == d]
-            joints = [links[i].joint for i in idx]
-            parents = [links[i].parent for i in idx]
             out.append(_Level(
-                links=np.array(idx), dofs=np.array(idx) - 1,
-                rows=np.array([prev[p] for p in parents]),
-                parents=np.array(parents),
-                offset=np.stack([j.offset for j in joints]),
-                rotation=np.stack([j.rotation for j in joints]),
-                K=np.stack([j.K for j in joints]),
-                K2=np.stack([j.K2 for j in joints]),
-                axis=np.stack([j.axis for j in joints])))
+                links=np.array(idx),
+                rows=np.array([prev[links[i].parent] for i in idx]),
+                span=slice(start, start + len(idx))))
             prev = {i: r for r, i in enumerate(idx)}
+            start += len(idx)
         return tuple(out)
+
+    @cached_property
+    def joints(self):
+        """The ``_Joints`` tables, in the order of the ``levels``."""
+        order = [int(i) for lv in self.levels for i in lv.links]
+        joints = [self._links[i].joint for i in order]
+        return _Joints(
+            dofs=np.array(order, dtype=int) - 1,
+            parents=np.array([self._links[i].parent for i in order],
+                             dtype=int),
+            offset=np.array([j.offset for j in joints]).reshape(-1, 3),
+            rotation=np.array([j.rotation for j in joints]).reshape(-1, 3, 3),
+            axis=np.array([j.axis for j in joints]).reshape(-1, 3),
+            K=np.array([j.K for j in joints]).reshape(-1, 3, 3),
+            K2=np.array([j.K2 for j in joints]).reshape(-1, 3, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +402,17 @@ class Model:
         if all(isinstance(lm, float) and lm == 1.0 for lm in lms):
             return None
         return fad.stack(lms)
+
+    @cached_property
+    def _joint_offsets(self):
+        """Joint offsets ``(n, 3)`` in the order of ``Topology.joints``,
+        the z component scaled by the value of the parent's multiplier:
+        the offsets ``kinematics`` reads, scaled once per model."""
+        joints = self.topology.joints
+        lms = self._multipliers
+        if lms is None:
+            return joints.offset
+        return _scale_z(joints.offset, fad.value(lms)[joints.parents][:, None])
 
     @cached_property
     def _mass_table(self):
@@ -466,9 +508,12 @@ def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
                    validate: bool = True) -> Model:
     """Model whose named links carry new hardware.
 
-    Only the links in ``params`` are replaced; every other link, every
-    joint, every frame and the topology are shared with ``model``, since
-    the mounting offsets follow the multipliers where poses are computed.
+    Only the links in ``params`` are replaced, each built directly with
+    its new hardware; every other link, every joint, every frame and the
+    topology are shared with ``model``, since the mounting offsets
+    follow the multipliers where poses are computed.  The variant
+    derives its own hardware tables (``Model._joint_offsets`` and the
+    like) once, when a pass first reads them.
     """
     if not params:
         return model
@@ -489,8 +534,8 @@ def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
                 raise ValueError(
                     f"length multiplier for {name!r} outside bounds "
                     f"[{lo_lm}, {hi_lm}]")
-    links = tuple(replace(l, hardware=params[l.name]) if l.name in params
-                  else l for l in model.links)
+    links = tuple(Link(l.name, l.shape, params[l.name], l.parent, l.joint)
+                  if l.name in params else l for l in model.links)
     scaled = Model(name=model.name, links=links, frames=model.frames,
                    groups=model.groups, bounds=model.bounds)
     object.__setattr__(scaled, "topology", model.topology)
@@ -651,40 +696,43 @@ def _dot3(a, b):
 def kinematics(model: Model, q: Configuration) -> KinTree:
     """World poses of the whole tree, one depth level at a time.
 
-    Each level gathers its parents' rows and applies the level's stacked
-    joint constants at once: each joint turns by the Rodrigues rotation
-    about its fixed axis, one ``fad.rodrigues`` call per level.  The
-    levels' rows are concatenated and put in link order by one gather.
-    The loop runs on the values only; ``_twists`` adds the tangents.
+    Every joint's Rodrigues rotation about its fixed axis comes from one
+    ``fad.rodrigues`` call over the tree's joints in level order
+    (``Topology.joints``), and the offsets from the model's scaled table
+    (``Model._joint_offsets``).  Each level then gathers its parents'
+    rows and composes its slice of both at once.  The levels' rows are
+    concatenated and put in link order by one gather, and the world
+    joint axes come from one product after the loop.  The loop runs on
+    the values only; ``_twists`` adds the tangents.
     """
     topo = model.topology
-    lms = model._multipliers
-    lm = None if lms is None else fad.value(lms)
+    joints = topo.joints
+    offsets = model._joint_offsets
     s = fad.value(q.s)
+    turns = fad.rodrigues(s[..., joints.dofs], joints.K, joints.K2)
     # R, p: the previous level's rotations and positions
     R = fad.value(q.base_rot)[..., None, :, :]
     p = fad.value(q.base_pos)[..., None, :]
-    rots, poss, axes = [R], [p], []
+    rots, poss, pres = [R], [p], []
     for lv in topo.levels:
         Rp, pp = R[..., lv.rows, :, :], p[..., lv.rows, :]
-        offset = lv.offset if lm is None else _scale_z(
-            lv.offset, lm[lv.parents][:, None])
-        p = pp + _rows(Rp, offset)
-        R_pre = Rp @ lv.rotation
-        R = R_pre @ fad.rodrigues(s[..., lv.dofs], lv.K, lv.K2)
+        p = pp + _rows(Rp, offsets[lv.span])
+        R_pre = Rp @ joints.rotation[lv.span]
+        R = R_pre @ turns[..., lv.span, :, :]
         rots.append(R)
         poss.append(p)
-        axes.append(_rows(R_pre, lv.axis))
+        pres.append(R_pre)
     links, dofs = topo.level_rows
-    if axes:
-        axis_w = np.concatenate(axes, axis=-2)[..., dofs, :]
+    if pres:
+        axis_w = _rows(np.concatenate(pres, axis=-3),
+                       joints.axis)[..., dofs, :]
     else:  # a single rigid body
         axis_w = np.zeros(s.shape + (3,))
     rot = np.concatenate(rots, axis=-3)[..., links, :, :]
     pos, axis_w, omega = _twists(
         model, q, rot, np.concatenate(poss, axis=-2)[..., links, :], axis_w)
-    return KinTree(model=model, rot=rot, pos=pos, axis_w=axis_w, lms=lms,
-                   omega=omega)
+    return KinTree(model=model, rot=rot, pos=pos, axis_w=axis_w,
+                   lms=model._multipliers, omega=omega)
 
 
 def _twists(model, q, rot, pos, axis_w):

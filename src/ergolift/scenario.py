@@ -218,44 +218,48 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
     q = q0
     n = model.n_joints
     lo, hi = model.joint_limits()
+    lo, hi = lo + 1e-3, hi - 1e-3
+    damping = IK_DAMPING * np.eye(6 + n)
     batch = np.shape(q0.s)[:-1]
-    reg = np.zeros((n, 6 + n))
-    reg[:, 6:] = IK_POSTURE_WEIGHT * np.eye(n)
-    reg = np.broadcast_to(reg, batch + reg.shape)
     frames = (*pose_targets, *point_targets)
     n_pose = len(pose_targets)
     targets = (*pose_targets.values(), *point_targets.values())
     p_t = np.stack([np.asarray(t[0], dtype=float) for t in targets], axis=-2)
     R_t = np.stack([R for _, R, _ in pose_targets.values()])
     w = np.array([t[-1] for t in targets], dtype=float)
+    w_gap, w_jac, w_rot = w[:, None], w[:, None, None], w[:n_pose, None]
+    # the rows of A: 6 per pose target, 3 per point target, and the
+    # posture regulariser's n, which are written once
+    n_pose_rows = 6 * n_pose
+    n_task = n_pose_rows + 3 * (len(frames) - n_pose)
+    A = np.zeros(batch + (n_task + n, 6 + n))
+    A[..., n_task:, 6:] = IK_POSTURE_WEIGHT * np.eye(n)
+    At = np.swapaxes(A, -1, -2)  # a view: it follows the writes to A
     converged = np.zeros(batch, dtype=bool)
     for it in range(IK_ITERS + 1):
         tree = kinematics(model, q)
         gap = p_t - tree.frame_points(frames)
         if it == IK_ITERS or converged.all():
             break
-        err = w[:, None] * gap
-        J = w[:, None, None] * frame_jacobian(tree, frames)
+        err = w_gap * gap
+        J = w_jac * frame_jacobian(tree, frames)
         pose_rhs = np.concatenate([
             err[..., :n_pose, :],
-            w[:n_pose, None] * _orientation_error(
+            w_rot * _orientation_error(
                 tree.frame_rotations(frames[:n_pose]), R_t)], axis=-1)
-        A = np.concatenate([
-            J[..., :n_pose, :, :].reshape(batch + (-1, 6 + n)),
-            J[..., n_pose:, :3, :].reshape(batch + (-1, 6 + n)), reg],
-            axis=-2)
+        A[..., :n_pose_rows, :] = J[..., :n_pose, :, :].reshape(
+            batch + (-1, 6 + n))
+        A[..., n_pose_rows:n_task, :] = J[..., n_pose:, :3, :].reshape(
+            batch + (-1, 6 + n))
         b = np.concatenate([pose_rhs.reshape(batch + (-1,)),
                             err[..., n_pose:, :].reshape(batch + (-1,)),
                             IK_POSTURE_WEIGHT * (s_ref - q.s)], axis=-1)
-        At = np.swapaxes(A, -1, -2)
-        step = np.linalg.solve(At @ A + IK_DAMPING * np.eye(6 + n),
-                               At @ b[..., None])[..., 0]
+        step = np.linalg.solve(At @ A + damping, At @ b[..., None])[..., 0]
         length = _norm(step)
         converged = length[..., 0] <= IK_STEP_TOL
         step = step * (0.5 / np.maximum(length, 0.5))
         q = perturb_configuration(q, step)
-        q = Configuration(q.base_pos, q.base_rot,
-                          np.clip(q.s, lo + 1e-3, hi - 1e-3))
+        q = Configuration(q.base_pos, q.base_rot, np.clip(q.s, lo, hi))
     return q, converged, _norm(gap)[..., 0].max(axis=-1)
 
 

@@ -546,9 +546,65 @@ def jittered(desk):
     return out
 
 
+def recording_svd(monkeypatch):
+    """Record the shape of every ``np.linalg.svd`` operand; returns the
+    list of shapes."""
+    shapes = []
+    original = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
 class TestConstraintFactors:
     """``Q^T = Q1 R`` gives the rank check and the projector that the
-    SVD of ``Q`` gave; the SVD runs only to name a refusal."""
+    SVD of ``Q`` gave; a bound on the condition number of ``R`` certifies
+    full rank, the SVD of ``R`` runs only where the bound cannot decide,
+    and the SVD of ``Q`` only to name a refusal."""
+
+    def test_certificate_agrees_with_svd_criterion(self, monkeypatch):
+        # 12 x 20 matrices whose smallest singular value sits at ratio *
+        # RANK_TOL of the largest, at least 10% off the threshold (a
+        # margin fixed before the first run), under three spectra; the
+        # verdict must be the SVD criterion's, and the SVDs run only
+        # where the certificate cannot decide
+        rng = np.random.default_rng(30)
+        cases = []
+        for ratio in (0.1, 0.5, 0.9, 1.1, 2.0, 10.0, 1e3):
+            low = ratio * RANK_TOL
+            for sv in (np.geomspace(1.0, low, 12),
+                       np.r_[np.ones(11), low],
+                       np.r_[np.ones(6), np.full(6, low)]):
+                U = np.linalg.qr(rng.normal(size=(12, 12)))[0]
+                V = np.linalg.qr(rng.normal(size=(20, 12)))[0]
+                Q = (U * sv) @ V.T
+                svq = np.linalg.svd(Q, compute_uv=False)
+                R = np.linalg.qr(Q.T)[1]
+                bound = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
+                cases.append((Q, svq[-1] <= RANK_TOL * svq[0], bound))
+        shapes = recording_svd(monkeypatch)
+        fell_through = 0
+        for Q, refused, bound in cases:
+            shapes.clear()
+            if refused:
+                with pytest.raises(SingularConstraintError,
+                                   match="rank-deficient"):
+                    _constraint_qr(Q, ("a", "b"))
+                assert shapes == [(12, 12), (12, 20)]
+                continue
+            _constraint_qr(Q, ("a", "b"))
+            if bound < 1.0 / RANK_TOL:
+                assert shapes == []
+            else:
+                # the bound cannot tell, the singular values pass it
+                assert shapes == [(12, 12)]
+                fell_through += 1
+        assert sum(refused for _, refused, _ in cases) == 9
+        assert fell_through >= 2
 
     def test_singular_values_and_projector_match_svd(self, desk, jittered):
         _, sys, _ = desk
@@ -604,20 +660,19 @@ class TestConstraintFactors:
                     "env:pendulum:anchor, env:pendulum:arm")):
                 statics()
 
-    def test_full_rank_call_runs_no_svd_of_q(self, desk, monkeypatch):
+    def test_full_rank_call_runs_no_svd(self, desk, jittered, monkeypatch):
         _, sys, q = desk
-        shapes = []
-        original = np.linalg.svd
-
-        def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording)
+        shapes = recording_svd(monkeypatch)
         evaluate_statics(sys, q)
+        for qj, params in jittered:
+            try:
+                evaluate_statics(sys, qj, params)
+            except UnloadedFootError:
+                pass
+        assert shapes == []
+        # a refused call runs the SVD of R that decides and the SVD of Q
+        # that names the rows
         n_c = 6 * (len(sys.env_contacts) + len(sys.grasps))
-        assert shapes == [(n_c, n_c)]
-        # a refused call does run it, to name the rows
         dup = CoupledSystem(agents=sys.agents, payload=sys.payload,
                             env_contacts=sys.env_contacts
                             + (sys.env_contacts[0],), grasps=sys.grasps)

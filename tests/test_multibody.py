@@ -874,6 +874,57 @@ class TestApplyHardware:
             else:
                 assert l is l0
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_variant_tables_match_per_link_results(self, dual):
+        # the stacked tables a variant reads equal, bit for bit, the
+        # per-link mass_com, fad.stack and per-level _scale_z results
+        robot = default_robot()
+        values = {g.name: (1000.0 + 500.0 * k, 0.6 + 0.1 * k)
+                  for k, g in enumerate(robot.groups)}
+        if dual:
+            x = fad.seed(np.array([v for pair in values.values()
+                                   for v in pair]))
+            values = {name: (x[2 * k], x[2 * k + 1])
+                      for k, name in enumerate(values)}
+        scaled = apply_hardware(robot, group_params(robot, values))
+        links = scaled.links
+
+        def same(a, b):
+            assert isinstance(a, fad.Dual) == isinstance(b, fad.Dual)
+            for x, y in ((a, b),) if not isinstance(a, fad.Dual) else (
+                    (a.val, b.val), (a.dot, b.dot)):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+
+        def stacked(items):
+            # np.stack of the values, and of the tangents (zero for a
+            # plain item) behind the direction axis
+            vals = np.stack([fad.value(x) for x in items])
+            ndir = {x.ndir for x in items if isinstance(x, fad.Dual)}
+            if not ndir:
+                return vals
+            n = ndir.pop()
+            return fad.Dual(vals, np.stack([
+                x.dot if isinstance(x, fad.Dual)
+                else np.zeros((n,) + np.shape(fad.value(x)))
+                for x in items], axis=1))
+
+        reference = [stacked([l.hardware.length_multiplier for l in links]),
+                     stacked([l.mass_com[0] for l in links]),
+                     stacked([l.mass_com[1] for l in links])]
+        same(scaled._multipliers, reference[0])
+        same(scaled._mass_table[0], reference[1])
+        same(scaled._mass_table[1], reference[2])
+        assert isinstance(scaled._mass_table[0], fad.Dual) == dual
+        lm = fad.value(reference[0])
+        offsets = scaled._joint_offsets
+        assert offsets.shape == (robot.n_joints, 3)
+        for lv in scaled.topology.levels:
+            offset = np.stack([links[i].joint.offset for i in lv.links])
+            parents = [links[i].parent for i in lv.links]
+            same(offsets[lv.span],
+                 multibody._scale_z(offset, lm[parents][:, None]))
+
     def test_topology_tables_built_on_first_use(self):
         model = branching_chain()
         scaled = apply_hardware(model, {"a": LinkHardware(1500.0, 1.2)})
@@ -908,13 +959,23 @@ def counting(monkeypatch, owner, name):
 class TestWholeTreeCalls:
     """Each pass makes one batched call per tree, not one per joint."""
 
-    def test_kinematics_one_sin_per_depth_level(self, monkeypatch, rng):
-        # one fad.rodrigues call, so one sine, per depth level
-        for model in (default_human(), default_robot()):
-            q = random_configuration(model, rng)
+    def test_kinematics_one_rodrigues_call_per_tree(self, monkeypatch, rng):
+        # one fad.rodrigues call, so one sine, over every joint of the
+        # tree, for a single posture and for a stack of three
+        robot = default_robot()
+        qs = [random_configuration(robot, rng) for _ in range(3)]
+        stack = Configuration(np.stack([q.base_pos for q in qs]),
+                              np.stack([q.base_rot for q in qs]),
+                              np.stack([q.s for q in qs]))
+        cases = [(m, random_configuration(m, rng)) for m in (
+            default_human(), robot, payload_body())] + [(robot, stack)]
+        for model, q in cases:
             calls = counting(monkeypatch, fad, "rodrigues")
             kinematics(model, q)
-            assert len(calls) == 7, model.name
+            assert len(calls) == 1, model.name
+            s, K, K2 = calls[0]
+            assert s.shape == np.shape(q.s)
+            assert K.shape == K2.shape == (model.n_joints, 3, 3)
 
     def test_coupling_matrix_one_jacobian_call_per_subsystem(
             self, monkeypatch):
