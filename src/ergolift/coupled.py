@@ -183,9 +183,11 @@ class CoupledSystem:
         return self.agents[self.parametrized_index]
 
     def subsystem_models(self, params: Optional[Mapping] = None):
+        """The agents, the parametrized one carrying ``params`` (checked
+        against its bounds by ``apply_hardware``), then the payload."""
         models = list(self.agents)
         idx = self.parametrized_index
-        models[idx] = apply_hardware(models[idx], params, validate=False)
+        models[idx] = apply_hardware(models[idx], params)
         if self.payload is not None:
             models.append(self.payload)
         return models
@@ -509,9 +511,11 @@ def statics_minnorm(sys: CoupledSystem,
     system (the tangent rule by contraction in the module docstring), so
     this is the formulation the optimizer differentiates through.  It
     reads ``trees`` (from ``coupled_trees``) or builds them from ``q``
-    and ``params``; giving both raises ValueError.  With ``dirs`` each
-    subsystem's tree may carry only its own directions (see the module
-    docstring); the results carry all ``ndir``.
+    and ``params``, refusing concrete hardware outside the robot's
+    bounds with ValueError (``apply_hardware``); giving both raises
+    ValueError too.  With ``dirs`` each subsystem's tree may carry only
+    its own directions (see the module docstring); the results carry
+    all ``ndir``.
     """
     trees = _statics_trees(sys, q, params, trees)
     Q = coupling_matrix(sys, [t.value() for t in trees])
@@ -590,7 +594,8 @@ def evaluate_statics(sys: CoupledSystem,
     held by no contact, and UnloadedFootError, naming the first such
     foot, when a foot's sole-frame normal force is below ``MIN_NORMAL``.
     Like ``statics_minnorm`` it reads ``trees`` or builds them from
-    ``q`` and ``params``, never both.
+    ``q`` and ``params``, never both, and raises ValueError for
+    hardware outside the robot's bounds.
     """
     trees = _statics_trees(sys, q, params, trees)
     Q = coupling_matrix(sys, trees)

@@ -291,10 +291,10 @@ class Topology:
     @cached_property
     def joint_mounts(self):
         """Parent link ``(n,)`` and unit-multiplier offset ``(n, 3)`` of
-        each joint, in dof order."""
-        children = self._links[1:]
-        return (np.array([l.parent for l in children], dtype=int),
-                np.array([l.joint.offset for l in children]).reshape(-1, 3))
+        each joint, in dof order: the rows of ``joints`` that
+        ``level_rows`` gives the dofs."""
+        rows = self.level_rows[1]
+        return self.joints.parents[rows], self.joints.offset[rows]
 
     @cached_property
     def subtree(self):
@@ -504,8 +504,8 @@ class Configuration:
 # hardware application
 
 
-def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
-                   validate: bool = True) -> Model:
+def apply_hardware(model: Model,
+                   params: Optional[Mapping[str, LinkHardware]]) -> Model:
     """Model whose named links carry new hardware.
 
     Only the links in ``params`` are replaced, each built directly with
@@ -514,26 +514,26 @@ def apply_hardware(model: Model, params: Optional[Mapping[str, LinkHardware]],
     follow the multipliers where poses are computed.  The variant
     derives its own hardware tables (``Model._joint_offsets`` and the
     like) once, when a pass first reads them.
+
+    Every concrete density and multiplier, anything but a ``fad.Dual``,
+    is checked against ``model.bounds``; one outside them, or NaN,
+    raises ValueError naming its link.  ``Dual`` hardware, which only a
+    derivative pass builds, is not checked.
     """
     if not params:
         return model
-    for name in params:
+    bounds = model.bounds
+    for name, hw in params.items():
         if name not in model.topology.link_map:
             raise UnknownFrameError(
                 f"unknown link {name!r} in hardware params")
-    if validate:
-        lo_lm, hi_lm = model.bounds.length_multiplier
-        lo_rho, hi_rho = model.bounds.density
-        for name, hw in params.items():
-            if isinstance(hw.density, (int, float)) and not (
-                    lo_rho <= hw.density <= hi_rho):
-                raise ValueError(f"density for {name!r} outside bounds "
-                                 f"[{lo_rho}, {hi_rho}]")
-            if isinstance(hw.length_multiplier, (int, float)) and not (
-                    lo_lm <= hw.length_multiplier <= hi_lm):
-                raise ValueError(
-                    f"length multiplier for {name!r} outside bounds "
-                    f"[{lo_lm}, {hi_lm}]")
+        for what, v, (lo, hi) in (
+                ("density", hw.density, bounds.density),
+                ("length multiplier", hw.length_multiplier,
+                 bounds.length_multiplier)):
+            if not (isinstance(v, fad.Dual) or lo <= v <= hi):
+                raise ValueError(f"{what} {v} for {name!r} outside "
+                                 f"bounds [{lo}, {hi}]")
     links = tuple(Link(l.name, l.shape, params[l.name], l.parent, l.joint)
                   if l.name in params else l for l in model.links)
     scaled = Model(name=model.name, links=links, frames=model.frames,
@@ -952,7 +952,7 @@ def com_height_null_config(model: Model):
 
 
 # ---------------------------------------------------------------------------
-# test helpers
+# configuration steps (the warm-start IK's) and random postures (tests')
 
 
 def perturb_configuration(q: Configuration, delta) -> Configuration:

@@ -69,40 +69,6 @@ class SolverReport:
     message: str
 
 
-class _Cache:
-    """Memoizes the last few full evaluations keyed by the iterate bytes.
-
-    Every point gets one ``value_and_derivatives`` pass; ``value`` reads
-    its cost and constraint rows, which equal ``problem.value``'s bit for
-    bit, so no separate value pass runs (see the module docstring).
-    """
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.evals = {}
-
-    def _key(self, y):
-        return np.asarray(y, dtype=float).tobytes()
-
-    def evaluate(self, y):
-        """Cost, gradient, constraint rows and Jacobian at y."""
-        k = self._key(y)
-        if k not in self.evals:
-            if len(self.evals) > 16:
-                self.evals.clear()
-            self.evals[k] = self.problem.value_and_derivatives(
-                np.asarray(y, dtype=float))
-        return self.evals[k]
-
-    def value(self, y):
-        cost, _, cons, _ = self.evaluate(y)
-        return cost, cons
-
-    def derivatives(self, y):
-        _, grad, _, jac = self.evaluate(y)
-        return grad, jac
-
-
 def kkt_residual(grad, jac, x, lb, ub):
     """Stationarity residual with least-squares multiplier estimate.
 
@@ -161,14 +127,27 @@ def solve_nlp(problem, y0, options: SolverOptions):
     the curvature model.  KKT stationarity is measured in the scaled
     coordinates, relative to the cost gradient magnitude.  The
     constraint Jacobian goes to trust-constr as CSR, so its projections
-    factor the sparse augmented system; ``_Cache`` and ``kkt_residual``
-    keep it dense.
+    factor the sparse augmented system; the memo of passes and
+    ``kkt_residual`` keep it dense.
     """
     # imported here, so that only a solve loads scipy (module docstring)
     from scipy.optimize import Bounds, NonlinearConstraint, minimize
     from scipy.sparse import csr_array
 
-    cache = _Cache(problem)
+    # the passes at the last few points, keyed by the iterate's bytes:
+    # every point gets one value_and_derivatives pass, whose cost and
+    # rows equal problem.value's bit for bit (module docstring)
+    evals = {}
+
+    def evaluate(y):
+        """Cost, gradient, constraint rows and Jacobian at y."""
+        k = y.tobytes()
+        if k not in evals:
+            if len(evals) > 16:
+                evals.clear()
+            evals[k] = problem.value_and_derivatives(y)
+        return evals[k]
+
     y0 = np.clip(np.asarray(y0, dtype=float), problem.lb, problem.ub)
     s = _variable_scales(problem.lb, problem.ub)
 
@@ -178,30 +157,27 @@ def solve_nlp(problem, y0, options: SolverOptions):
     constraints = []
     if problem.n_cons:
         constraints.append(NonlinearConstraint(
-            lambda z: cache.value(to_y(z))[1], 0.0, 0.0,
-            jac=lambda z: csr_array(cache.derivatives(to_y(z))[1] * s)))
+            lambda z: evaluate(to_y(z))[2], 0.0, 0.0,
+            jac=lambda z: csr_array(evaluate(to_y(z))[3] * s)))
 
     lb_z, ub_z = problem.lb / s, problem.ub / s
 
     def kkt_scaled(y):
-        grad, jac = cache.derivatives(y)
+        _, grad, _, jac = evaluate(y)
         return kkt_residual(grad * s, jac * s, y / s, lb_z, ub_z)
-
-    tick = {"count": 0}
 
     def early_stop(zk, state):
         # our own periodic convergence test; the backend's gtol is
         # disabled because its barrier-path optimality reaches zero
         # while bound-active coordinates are still mu away from their
         # bound
-        tick["count"] += 1
-        if tick["count"] % 5 or tick["count"] < 10:
+        if state.niter % 5 or state.niter < 10:
             return False
         y = to_y(zk)
-        key = cache._key(y)
-        if key not in cache.evals:
+        point = evals.get(y.tobytes())
+        if point is None:
             return False
-        _, _, cons, _ = cache.evals[key]
+        cons = point[2]
         viol = float(np.abs(cons).max()) if cons.size else 0.0
         if viol > 0.5 * TOL_FEAS:
             return False
@@ -214,8 +190,8 @@ def solve_nlp(problem, y0, options: SolverOptions):
         "barrier_tol": 1e-12,
     }
     res = minimize(
-        lambda z: cache.value(to_y(z))[0], y0 / s,
-        jac=lambda z: cache.derivatives(to_y(z))[0] * s,
+        lambda z: evaluate(to_y(z))[0], y0 / s,
+        jac=lambda z: evaluate(to_y(z))[1] * s,
         # Gauss-Newton curvature of the sum-of-squares cost, rescaled
         hess=lambda z: (problem.hessian(to_y(z)) * s) * s[:, None],
         bounds=Bounds(lb_z, ub_z),
@@ -225,7 +201,7 @@ def solve_nlp(problem, y0, options: SolverOptions):
         options=scipy_options)
 
     y = np.clip(to_y(res.x), problem.lb, problem.ub)
-    cost, cons = cache.value(y)
+    cost, _, cons, _ = evaluate(y)
     viol = float(np.abs(cons).max()) if cons.size else 0.0
     kkt = kkt_scaled(y)
     worst_viol, worst_family = _worst_family(problem, cons)

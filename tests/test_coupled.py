@@ -838,13 +838,22 @@ class TestEvaluateStatics:
             evaluate_statics(loose, q)
 
     def test_unloaded_foot_raises(self):
-        # a near-weightless body loads each sole far below the 1 N floor
+        # a near-weightless body loads each sole far below the 1 N floor;
+        # its density is below the bounds, which apply_hardware refuses,
+        # so the model is built with it
         sys, q = standing_human_system()
         human = sys.agents[0]
         params = {l.name: LinkHardware(1e-4, l.hardware.length_multiplier)
                   for l in human.links}
-        with pytest.raises(UnloadedFootError):
+        with pytest.raises(ValueError, match="outside bounds"):
             evaluate_statics(sys, q, params)
+        light = Model(name=human.name, frames=human.frames,
+                      links=tuple(Link(l.name, l.shape, params[l.name],
+                                       l.parent, l.joint)
+                                  for l in human.links))
+        with pytest.raises(UnloadedFootError):
+            evaluate_statics(CoupledSystem(agents=(light,),
+                                           env_contacts=sys.env_contacts), q)
 
 
 class TestStaticsInputs:
@@ -870,6 +879,21 @@ class TestStaticsInputs:
                 ({"q": q, "params": params, "trees": trees}, "not both")):
             with pytest.raises(ValueError, match=message):
                 statics(sys, **kwargs)
+
+    @pytest.mark.parametrize("statics", [evaluate_statics, statics_minnorm])
+    @pytest.mark.parametrize("group, hardware", [
+        ("upper_arm", lambda b: (2000.0, b.length_multiplier[1] + 0.3)),
+        ("forearm", lambda b: (b.density[0] - 50.0, 1.0)),
+        ("forearm", lambda b: (np.nan, 1.0))],
+        ids=["multiplier_above", "density_below", "nan_density"])
+    def test_refuses_hardware_outside_bounds(self, desk, statics, group,
+                                             hardware):
+        # the configuration route checks the robot's concrete hardware
+        _, sys, q = desk
+        robot = sys.parametrized_model
+        params = group_params(robot, {group: hardware(robot.bounds)})
+        with pytest.raises(ValueError, match=f"'{group}_left'"):
+            statics(sys, q, params)
 
     @pytest.mark.parametrize("statics", [evaluate_statics, statics_minnorm])
     def test_trees_answer_as_their_configuration(self, desk, statics):

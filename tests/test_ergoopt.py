@@ -304,7 +304,7 @@ def box_on_soles(lift):
 def dual_hardware(model):
     """The model with its density and multiplier as two directions."""
     hw = LinkHardware(fad.Dual(1000.0, [1.0, 0.0]), fad.Dual(1.0, [0.0, 1.0]))
-    return multibody.apply_hardware(model, {"box": hw}, validate=False)
+    return multibody.apply_hardware(model, {"box": hw})
 
 
 class TestDegenerateModel:

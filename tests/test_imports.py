@@ -20,7 +20,12 @@ a dotted one whose first part is an ``ergolift`` module or a class
 defined in ``src/`` must resolve (a dataclass field counts), and a bare
 snake-case one whose parts are all at least two characters long (so not
 a symbol such as ``lam_a``) must be defined or read in ``src/``, so a
-docstring does not outlive the name it explains.
+docstring does not outlive the name it explains.  A fifth finds
+one-value switches: a parameter of a function in ``src/`` whose literal
+default no call in ``src/`` or ``perfbench/`` uses, every call passing
+it by keyword with one same other literal.  Calls in the tests do not
+count, since a switch kept only for them is still one code path too
+many.
 
 The benchmark under ``perfbench/`` is only read, also with ``ast``: the
 functions its traced runs rebind by name (``tracing.TRACED``) and the
@@ -136,6 +141,71 @@ def test_private_names_are_referenced():
     sources = {p.stem: p.read_text()
                for p in sorted(ROOT.glob("src/ergolift/*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def literal(node):
+    """The value of a literal ``ast`` node, or ``Ellipsis`` for any other
+    node (a name, a call, ...)."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return ...
+
+
+def one_value_switches(sources, callers):
+    """``(module, line, function, parameter)`` of each parameter with a
+    literal default in ``sources`` (module name to source) that every
+    call in ``callers`` (name to source) passes by keyword, with one
+    same literal other than the default.  A call is matched to a
+    definition by its bare name, so functions and methods of one name
+    share their calls."""
+    calls = {}
+    for source in callers.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                calls.setdefault(name, []).append(n)
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = [*zip(positional[len(positional) - len(a.defaults):],
+                          a.defaults),
+                     *((k, d) for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None)]
+            for arg, default in pairs:
+                # what each call passes by keyword (None: it does not)
+                given = {next((repr(literal(k.value)) for k in call.keywords
+                               if k.arg == arg.arg), None)
+                         for call in calls.get(node.name, ())}
+                if len(given) == 1 and given.isdisjoint(
+                        {None, "Ellipsis", repr(literal(default))}):
+                    out.append((module, node.lineno, node.name, arg.arg))
+    return sorted(out)
+
+
+def test_detects_one_value_switches():
+    sources = {"a": "def f(x, check=True, *, mode='a', n=1):\n    pass\n\n"
+                    "def g(fast=False):\n    pass\n\n"
+                    "def h(on=False):\n    pass\n"}
+    callers = {**sources,
+               "b": "f(1, check=False, mode='b', n=k)\nf(2, check=False)\n"
+                    "g(fast=True)\ng()\nh(on=False)\n",
+               "c": "obj.f(3, check=False, mode='b')\n"}
+    # mode is left out by one call, n is not a literal, g's other call
+    # takes the default, and h is only ever given its default
+    assert one_value_switches(sources, callers) == [("a", 1, "f", "check")]
+
+
+def test_no_one_value_switches():
+    sources = {p.stem: p.read_text()
+               for p in sorted(ROOT.glob("src/ergolift/*.py"))}
+    callers = {**sources, **{f"perfbench.{p.stem}": p.read_text()
+                             for p in sorted(PERFBENCH.glob("*.py"))}}
+    assert one_value_switches(sources, callers) == []
 
 
 SPAN = re.compile(r"``([^`\s]+)``")

@@ -252,8 +252,7 @@ def dual_length_robot():
     robot = default_robot()
     lm = fad.seed(np.array([1.3]))[0]
     return apply_hardware(robot, group_params(
-        robot, {"upper_arm": (2200.0, lm), "lower_leg": (2400.0, 0.9)}),
-        validate=False)
+        robot, {"upper_arm": (2200.0, lm), "lower_leg": (2400.0, 0.9)}))
 
 
 def seeded_configurations(model, q):
@@ -413,7 +412,7 @@ class TestFrameJacobian:
         lm = fad.seed(np.array([1.3]))[0]
         for model in (branching_chain(), payload_body(),
                       apply_hardware(branching_chain(), {
-                          "a": LinkHardware(1500.0, lm)}, validate=False)):
+                          "a": LinkHardware(1500.0, lm)})):
             for _ in range(5):
                 q = random_configuration(model, rng)
                 for qd in seeded_configurations(model, q):
@@ -591,8 +590,7 @@ def twist_outputs(tree, names):
 def scaled_robot(robot, x):
     """The robot with upper-arm and lower-leg multipliers x[0], x[1]."""
     return apply_hardware(robot, group_params(
-        robot, {"upper_arm": (2200.0, x[0]), "lower_leg": (2400.0, x[1])}),
-        validate=False)
+        robot, {"upper_arm": (2200.0, x[0]), "lower_leg": (2400.0, x[1])}))
 
 
 class TestTwistTangents:
@@ -1052,7 +1050,7 @@ class TestComHeight:
         params = {l.name: LinkHardware(3.0 * l.hardware.density,
                                        l.hardware.length_multiplier)
                   for l in model.links}
-        scaled = apply_hardware(model, params, validate=False)
+        scaled = apply_hardware(model, params)
         assert com_height_null_config(scaled) == pytest.approx(h0, rel=1e-12)
 
 

@@ -109,6 +109,10 @@ class TestSolveStatus:
         rep = solve_nlp(p, np.array([0.0, 0.0]), SolverOptions(max_iter=200))
         assert rep.status == "converged"
         np.testing.assert_allclose(rep.y, [1.2, 1.2], atol=1e-6)
+        # the early stop ends the solve at iteration 25, its fourth check
+        # (every fifth iteration from the tenth)
+        assert rep.iterations == 25
+        assert "`StopIteration`" in rep.message
 
     def test_nan_violation_is_infeasible(self):
         p = BoxedProjection(nan_constraint=True)
