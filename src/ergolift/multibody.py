@@ -18,8 +18,8 @@ Each constant is derived once, on the definition it comes from: a
 ``Joint`` stores its fixed rpy rotation and the Rodrigues ``K`` and
 ``K^2`` of its axis, a ``FrameDef`` its fixed rotation, and a ``Link``
 its mass and CoM (``Link.mass_com``), which only the links given new
-hardware derive again; its inertia about its origin
-(``Link.inertial``) is derived only where ``mass_matrix`` reads it.
+hardware derive again; ``mass_matrix``, the one reader of a link's
+inertia, takes it about the origin from ``shape_inertia_origin``.
 The index tables of a tree (name maps, the links x dofs path mask,
 the depth levels, the joint constants stacked in level order, the
 mounts of named frames) live on a ``Topology`` that every hardware
@@ -90,8 +90,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import fad
-from .shapes import (LinkHardware, Shape, parallel_axis, shape_com,
-                     shape_inertia_cm, shape_mass)
+from .shapes import (LinkHardware, Shape, shape_com, shape_inertia_origin,
+                     shape_mass)
 from .spatial import GRAVITY, assemble_spatial_inertia, exp_so3, skew
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -171,17 +171,6 @@ class Link:
         """(mass, CoM) in the link frame."""
         return (shape_mass(self.shape, self.hardware),
                 shape_com(self.shape, self.hardware))
-
-    @cached_property
-    def inertial(self):
-        """(mass, CoM, inertia about the origin) in the link frame.
-
-        Only ``mass_matrix`` reads the inertia; it reuses ``mass_com``
-        for the inertia about the CoM and its parallel-axis shift.
-        """
-        m, c = self.mass_com
-        return m, c, parallel_axis(
-            shape_inertia_cm(self.shape, self.hardware, m), m, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,12 +414,6 @@ class Model:
             return self.topology.link_map[name]
         except KeyError:
             raise UnknownFrameError(f"unknown link {name!r}") from None
-
-    def frame(self, name):
-        try:
-            return self.topology.frame_map[name]
-        except KeyError:
-            raise UnknownFrameError(f"unknown frame {name!r}") from None
 
     def frames_with_role(self, role):
         return tuple(f.name for f in self.frames if f.role == role)
@@ -871,9 +854,10 @@ def frame_twists(tree: KinTree, frames, nu):
 # dynamics at zero velocity
 
 
-def _mixed_spatial_inertia(inertial, R):
-    """6x6 inertia about the link origin, world axes."""
-    m, c, I0 = inertial
+def _mixed_spatial_inertia(link, R):
+    """6x6 inertia of a link about its origin, world axes."""
+    m, c = link.mass_com
+    I0 = shape_inertia_origin(link.shape, link.hardware)
     m = float(fad.value(m))
     c_w = fad.value(R) @ fad.value(c)
     I_w = fad.value(R) @ fad.value(I0) @ fad.value(R).T
@@ -894,7 +878,7 @@ def mass_matrix(tree: KinTree) -> np.ndarray:
                                    tree.pos))
     M = np.zeros((6 + n, 6 + n))
     for i, link in enumerate(model.links):
-        M += J[i].T @ _mixed_spatial_inertia(link.inertial, tree.rot[i]) @ J[i]
+        M += J[i].T @ _mixed_spatial_inertia(link, tree.rot[i]) @ J[i]
     return M
 
 

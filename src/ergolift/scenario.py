@@ -25,15 +25,17 @@ targets.
 
 The inverse kinematics is deterministic, so ``warm_start_configuration``
 memoizes each agent's posture in a least-recently-used memo of
-``WARM_START_MEMO_SIZE`` entries.  An entry's key is the agent's
-``Model`` object (by identity: ``apply_hardware`` variants share their
-``Topology`` but not their link lengths), its grasp points, the side of
-the payload it holds, and the shape and values of the heights, as the
-payload positions (a float height and a one-element array give
-different postures).  Repeated solves of one scenario, which differ
-only in their jitter seed, so run the inverse kinematics once.  The
-memo keeps each posture's ``IKReach`` with it, and hands out the same
-arrays to every caller, so they are read-only.
+``WARM_START_MEMO_SIZE`` entries.  An entry's key is what determines
+the posture: the agent's ``Model`` object (by identity:
+``apply_hardware`` variants share their ``Topology`` but not their link
+lengths), the side of the payload it holds, and the shape and values of
+the heights (a float height and a one-element array give different
+postures).  Its grasp points and the payload positions derive from
+these on a miss.  Scenarios that differ only in their payload mass,
+task weights or jitter seed, such as repeated solves of one scenario,
+so run the inverse kinematics once.  The memo keeps each posture's
+``IKReach`` with it, and hands out the same arrays to every caller, so
+they are read-only.
 """
 
 from __future__ import annotations
@@ -193,20 +195,25 @@ IK_STEP_TOL = 1e-10
 IK_ITERS = 80
 IK_DAMPING = 1e-3
 IK_POSTURE_WEIGHT = 0.05
+# the weights of the rows holding the feet and reaching the hands
+IK_FOOT_WEIGHT = 4.0
+IK_HAND_WEIGHT = 2.0
 
 
-def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
-    """Damped least-squares IK toward frame poses and points.
+def _ik_solve(model, q0, feet, p_feet, R_feet, hands, p_hands, s_ref):
+    """Damped least-squares IK holding the feet and reaching the hands.
 
-    ``q0`` may stack postures; target positions ``(..., 3)`` stack with
-    it, target rotations and weights are shared.  Each iteration takes
-    the Jacobians and points of every target frame, pose targets first,
-    from one batched ``frame_jacobian`` and ``frame_points`` call, and
-    the rotations of the pose targets alone; a point target uses only
-    the linear rows.  Each posture's step is solved and clipped to
-    length 0.5 on its own, and every posture takes its step in every
-    iteration.  Deterministic: the loop ends once every posture of the
-    stack has taken a step of at most ``IK_STEP_TOL`` in the same
+    The ``feet`` frames are held at positions ``p_feet`` ``(..., F, 3)``
+    and the one rotation ``R_feet``, the ``hands`` frames reach the
+    points ``p_hands`` ``(..., 2, 3)``, and ``s_ref`` is the joints'
+    reference posture.  ``q0`` may stack postures; the target positions
+    stack with it.  Each iteration takes the Jacobians and points of
+    every target frame, feet first, from one batched ``frame_jacobian``
+    and ``frame_points`` call, and the rotations of the feet alone; a
+    hand uses only the linear rows.  Each posture's step is solved and
+    clipped to length 0.5 on its own, and every posture takes its step
+    in every iteration.  Deterministic: the loop ends once every posture
+    of the stack has taken a step of at most ``IK_STEP_TOL`` in the same
     iteration, or after ``IK_ITERS`` iterations.
 
     Returns ``(q, converged, error)``: the reached configuration, whether
@@ -221,17 +228,15 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
     lo, hi = lo + 1e-3, hi - 1e-3
     damping = IK_DAMPING * np.eye(6 + n)
     batch = np.shape(q0.s)[:-1]
-    frames = (*pose_targets, *point_targets)
-    n_pose = len(pose_targets)
-    targets = (*pose_targets.values(), *point_targets.values())
-    p_t = np.stack([np.asarray(t[0], dtype=float) for t in targets], axis=-2)
-    R_t = np.stack([R for _, R, _ in pose_targets.values()])
-    w = np.array([t[-1] for t in targets], dtype=float)
+    frames = (*feet, *hands)
+    n_pose = len(feet)
+    p_t = np.concatenate([p_feet, p_hands], axis=-2)
+    w = np.repeat([IK_FOOT_WEIGHT, IK_HAND_WEIGHT], [n_pose, len(hands)])
     w_gap, w_jac, w_rot = w[:, None], w[:, None, None], w[:n_pose, None]
-    # the rows of A: 6 per pose target, 3 per point target, and the
-    # posture regulariser's n, which are written once
+    # the rows of A: 6 per foot, 3 per hand, and the posture
+    # regulariser's n, which are written once
     n_pose_rows = 6 * n_pose
-    n_task = n_pose_rows + 3 * (len(frames) - n_pose)
+    n_task = n_pose_rows + 3 * len(hands)
     A = np.zeros(batch + (n_task + n, 6 + n))
     A[..., n_task:, 6:] = IK_POSTURE_WEIGHT * np.eye(n)
     At = np.swapaxes(A, -1, -2)  # a view: it follows the writes to A
@@ -245,8 +250,8 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
         J = w_jac * frame_jacobian(tree, frames)
         pose_rhs = np.concatenate([
             err[..., :n_pose, :],
-            w_rot * _orientation_error(
-                tree.frame_rotations(frames[:n_pose]), R_t)], axis=-1)
+            w_rot * _orientation_error(tree.frame_rotations(feet), R_feet)],
+            axis=-1)
         A[..., :n_pose_rows, :] = J[..., :n_pose, :, :].reshape(
             batch + (-1, 6 + n))
         A[..., n_pose_rows:n_task, :] = J[..., n_pose:, :3, :].reshape(
@@ -263,18 +268,21 @@ def _ik_solve(model, q0, pose_targets, point_targets, s_ref):
     return q, converged, _norm(gap)[..., 0].max(axis=-1)
 
 
-def _agent_warm_start(model, y_stand, yaw, grasp_world):
-    """IK warm start toward ``(..., 2, 3)`` [left, right] grasp points."""
+def _agent_warm_start(model, side, grasp_world):
+    """IK warm start toward ``(..., 2, 3)`` [left, right] grasp points
+    on the payload's ``side`` edge: the agent stands beyond that edge,
+    facing the payload (the human +y, the robot -y)."""
     base_h, shoulder, reach = stance_dimensions(model)
     g_z = np.mean(grasp_world[..., 2], axis=-1)
     drop = g_z - shoulder
     horiz = np.sqrt(np.maximum(reach ** 2 - drop ** 2, (0.35 * reach) ** 2))
     # stand a fixed standoff away from the grasp line
-    y0 = np.sign(y_stand) * (np.abs(np.mean(grasp_world[..., 1], axis=-1))
-                             + 0.85 * horiz)
+    y0 = side * (np.abs(np.mean(grasp_world[..., 1], axis=-1))
+                 + 0.85 * horiz)
     crouch = np.minimum(np.maximum(shoulder - (g_z + 0.25 * reach), 0.0),
                         0.35 * base_h)
     batch = np.shape(g_z)
+    yaw = side * (-np.pi / 2.0)
     R0 = np.array([[np.cos(yaw), -np.sin(yaw), 0],
                    [np.sin(yaw), np.cos(yaw), 0],
                    [0.0, 0, 1]])
@@ -289,34 +297,24 @@ def _agent_warm_start(model, y_stand, yaw, grasp_world):
         elif name.startswith("lower_leg"):
             s0[j] = 0.4
             s_ref[j] = 0.3
-    zero = np.zeros(batch)
-    q0 = Configuration(np.stack([zero, y0, base_h - crouch], axis=-1),
-                       np.broadcast_to(R0, batch + (3, 3)),
-                       np.broadcast_to(s0, batch + s0.shape))
+    q0 = Configuration(
+        np.stack([np.zeros(batch), y0, base_h - crouch], axis=-1),
+        np.broadcast_to(R0, batch + (3, 3)),
+        np.broadcast_to(s0, batch + s0.shape))
 
     feet = tuple(name for role in ("left_foot", "right_foot")
                  for name in model.frames_with_role(role))
+    # each foot is held where it starts, on the ground
     p_feet = kinematics(model, q0).frame_points(feet)
-    pose_targets = {
-        name: (np.stack([p_feet[..., k, 0], p_feet[..., k, 1], zero], axis=-1),
-               R0, 4.0)
-        for k, name in enumerate(feet)}
-    point_targets = {
-        model.frames_with_role("left_hand")[0]: (grasp_world[..., 0, :], 2.0),
-        model.frames_with_role("right_hand")[0]: (grasp_world[..., 1, :], 2.0),
-    }
-    return _ik_solve(model, q0, pose_targets, point_targets, s_ref=s_ref)
+    p_feet[..., 2] = 0.0
+    hands = (model.frames_with_role("left_hand")[0],
+             model.frames_with_role("right_hand")[0])
+    return _ik_solve(model, q0, feet, p_feet, R0, hands, grasp_world, s_ref)
 
 
 # agent postures the warm-start memo keeps; solving one scenario again
 # needs two of them, the human's and the robot's
 WARM_START_MEMO_SIZE = 8
-
-
-def _array_key(a):
-    """Exact hashable key ``(shape, bytes)`` of a float array."""
-    a = np.asarray(a, dtype=float)
-    return a.shape, a.tobytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,20 +332,17 @@ class IKReach:
 
 
 @functools.lru_cache(maxsize=WARM_START_MEMO_SIZE)
-def _agent_posture(model, y_side, grasps, payload_pos):
+def _agent_posture(model, side, shape, heights):
     """One agent's warm start and its ``IKReach``, memoized, as
     read-only arrays.
 
-    ``grasps`` (the agent's [left, right] points in the payload frame)
-    and ``payload_pos`` (the payload positions ``(..., 3)`` of the
-    heights) come as ``_array_key``s; ``y_side`` is the sign of the
-    payload edge the agent holds.
+    ``side`` is the sign of the payload edge the agent holds; the
+    heights come as their ``shape`` and a flat tuple of their values.
     """
-    grasps, payload_pos = (np.frombuffer(data).reshape(shape)
-                           for shape, data in (grasps, payload_pos))
-    yaw = y_side * (-np.pi / 2.0)  # human faces +y, robot faces -y
+    payload_pos = _payload_positions(np.reshape(heights, shape))
     q, converged, error = _agent_warm_start(
-        model, y_side * 0.6, yaw, payload_pos[..., None, :] + grasps)
+        model, side,
+        payload_pos[..., None, :] + default_grasps(model, side))
     converged, error = np.asarray(converged), np.asarray(error)
     for a in (q.base_pos, q.base_rot, q.s, converged, error):
         a.flags.writeable = False
@@ -359,13 +354,12 @@ def clear_warm_start_memo():
     _agent_posture.cache_clear()
 
 
-def _agent_postures(scenario: Scenario, payload_pos):
+def _agent_postures(scenario: Scenario, heights):
     """The memo's (posture, ``IKReach``) of the human, then the robot."""
-    return [_agent_posture(model, y_side, _array_key(grasps),
-                           _array_key(payload_pos))
-            for model, grasps, y_side in zip(
-                (scenario.human, scenario.robot), scenario.grasps,
-                AGENT_SIDES)]
+    heights = np.asarray(heights, dtype=float)
+    return [_agent_posture(model, side, heights.shape, tuple(heights.flat))
+            for model, side in zip((scenario.human, scenario.robot),
+                                   AGENT_SIDES)]
 
 
 def _payload_positions(heights):
@@ -381,16 +375,16 @@ def warm_start_configuration(scenario: Scenario, sys: CoupledSystem,
     A float height gives one posture per subsystem; an array of ``H``
     heights gives postures stacked ``(H, ...)``, from one inverse
     kinematics pass per agent.  Each agent's posture comes from the
-    memo (see the module docstring) when its model object, grasp
-    points, side and heights' shape and values match an entry of the
-    last ``WARM_START_MEMO_SIZE``; its arrays are read-only.
+    memo (see the module docstring) when its model object, side and
+    heights' shape and values match an entry of the last
+    ``WARM_START_MEMO_SIZE``; its arrays are read-only.
 
     ``sys`` is not read: the postures depend on the scenario alone.  The
     argument stays because existing callers pass it positionally.
     """
     payload_pos = _payload_positions(heights)
     batch = payload_pos.shape[:-1]
-    qs = [q for q, _ in _agent_postures(scenario, payload_pos)]
+    qs = [q for q, _ in _agent_postures(scenario, heights)]
     qs.append(Configuration(payload_pos,
                             np.broadcast_to(np.eye(3), batch + (3, 3)),
                             np.zeros(batch + (0,))))
@@ -405,5 +399,4 @@ def warm_start_report(scenario: Scenario, heights):
     posture that did not converge is a warm start, not an IK solution:
     its targets may be out of the agent's reach.
     """
-    return tuple(reach for _, reach in
-                 _agent_postures(scenario, _payload_positions(heights)))
+    return tuple(reach for _, reach in _agent_postures(scenario, heights))

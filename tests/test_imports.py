@@ -14,7 +14,9 @@ class and every public method to be read somewhere in ``src/`` or
 test-support names in ``TEST_SUPPORT`` are the only exceptions.  A
 module-level name counts as read only through its module (``fad.seed``,
 a name imported from ``fad`` or read in it), so ``np.sin`` or
-``problem.scenario.seed`` does not read ``fad.sin`` or ``fad.seed``.
+``problem.scenario.seed`` does not read ``fad.sin`` or ``fad.seed``,
+and a method only as an attribute (``model.link_index``), so a local
+variable of its name does not read it.
 A fourth holds the double-backticked names in ``src/`` to what exists:
 a dotted one whose first part is an ``ergolift`` module or a class
 defined in ``src/`` must resolve (a dataclass field counts), and a bare
@@ -366,8 +368,6 @@ TEST_SUPPORT = {
         "lets the memo tests count inverse kinematics passes afresh",
     "scenario.warm_start_report":
         "says per height how far the warm-start IK reached (ROADMAP 5, 7)",
-    "shapes.shape_inertia_origin":
-        "the independent origin inertia Link.inertial is held against",
     "shapes.voxel_inertia_oracle":
         "the numerical ground truth of the closed-form inertias",
     "spatial.check_physical_inertia":
@@ -424,26 +424,26 @@ def unread_public_names(sources, readers, traced=()):
 
     A module-level function or class is read as ``module.name`` on an
     alias of its module, as a bare name imported from its module or
-    read in it, or through a ``traced`` pair; a method is read wherever
-    its bare name is, or is part of a ``traced`` attr.
+    read in it, or through a ``traced`` pair; a method is read only as
+    an attribute (``x.name``) or as part of a ``traced`` attr, so a
+    local variable of its name does not read it.
     """
     read = {(m, attr.split(".")[0]) for m, attr in traced}
-    bare = {part for _, attr in traced for part in attr.split(".")}
+    attrs = {part for _, attr in traced for part in attr.split(".")}
     for reader, source in readers.items():
         tree = ast.parse(source)
         aliases, names = module_imports(tree, sources)
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-                bare.add(n.id)
                 read.add(names.get(n.id, (reader, n.id)))
             elif isinstance(n, ast.Attribute):
-                bare.add(n.attr)
+                attrs.add(n.attr)
                 if isinstance(n.value, ast.Name) and n.value.id in aliases:
                     read.add((aliases[n.value.id], n.attr))
     return sorted((module, line, name) for module, source in sources.items()
                   for name, line in public_definitions(source)
                   if ((module, name) not in read if "." not in name
-                      else name.rsplit(".", 1)[-1] not in bare))
+                      else name.rsplit(".", 1)[-1] not in attrs))
 
 
 def test_detects_unread_public_names():
@@ -461,6 +461,9 @@ def test_detects_unread_public_names():
     readers["c"] = "gone = 1\nx = obj.gone + gone\n"
     assert unread_public_names(sources, readers, traced) == unread
     readers["d"] = "from a import gone as g\ng()\n"
+    assert unread_public_names(sources, readers, traced) == unread[1:]
+    # a method is not read as a bare name, such as a local variable
+    readers["e"] = "def f(unread):\n    return unread\nunread = 1\n"
     assert unread_public_names(sources, readers, traced) == unread[1:]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolift import coupled, fad, multibody, shapes
+from ergolift import coupled, fad, multibody
 from ergolift.coupled import CoupledConfiguration, coupled_trees, \
     coupling_matrix
 from ergolift.multibody import (Configuration, FrameDef, Joint, Link, Model,
@@ -153,7 +153,7 @@ def loop_gravity_vector(model, tree):
     msub = []
     csub = []
     rot = all_rotations(tree)
-    for i, (m, c, _) in enumerate(l.inertial for l in model.links):
+    for i, (m, c) in enumerate(l.mass_com for l in model.links):
         msub.append(m)
         csub.append(m * (tree.pos[i] + rot[i] @ c))
     for i in range(L - 1, 0, -1):
@@ -845,7 +845,23 @@ class TestApplyHardware:
                 tree = kinematics(scaled, q)
                 p = tree.frame_points(("tip",))[0]
                 check_mount(p, tree.rot[4], tree.pos[4],
-                            model.frame("tip").offset, lm)
+                            model.topology.frame_map["tip"].offset, lm)
+
+    def test_template_groups_start_inside_their_bounds(self):
+        # group_hardware reads a group's first link only, so every link
+        # of a group must carry its hardware
+        robot = default_robot()
+        bounds = robot.bounds
+        assert robot.groups
+        for g in robot.groups:
+            hws = {(hw.density, hw.length_multiplier) for hw in (
+                robot.links[robot.link_index(name)].hardware
+                for name in g.links)}
+            assert hws == {robot.group_hardware()[g.name]}, g.name
+            (rho, lm), = hws
+            assert bounds.density[0] <= rho <= bounds.density[1], g.name
+            assert (bounds.length_multiplier[0] <= lm
+                    <= bounds.length_multiplier[1]), g.name
 
     def test_apply_hardware_shares_joints_frames_and_untouched_links(self):
         robot = default_robot()
@@ -1005,20 +1021,6 @@ class TestDerivedOnce:
                 frame_jacobian(tree, (f.name,))
                 frame_jacobian(kinematics(model, q), (f.name,))
         assert calls == []
-
-    def test_link_inertial_derives_mass_and_com_once(self, monkeypatch):
-        link = Link("arm", Cylinder(0.05, 0.3), LinkHardware(1500.0, 1.2))
-        calls = {name: [] for name in ("shape_mass", "shape_com")}
-        for owner in (shapes, multibody):
-            for name in calls:
-                calls[name] += [counting(monkeypatch, owner, name)]
-        m, c, I0 = link.inertial
-        for name, lists in calls.items():
-            assert sum(len(l) for l in lists) == 1, name
-        assert m == shape_mass(link.shape, link.hardware)
-        np.testing.assert_array_equal(c, shape_com(link.shape, link.hardware))
-        np.testing.assert_array_equal(
-            I0, shape_inertia_origin(link.shape, link.hardware))
 
     def test_apply_hardware_derives_only_rebuilt_links(self, monkeypatch):
         robot = default_robot()

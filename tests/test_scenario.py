@@ -125,6 +125,22 @@ class TestWarmStartMemo:
                            problem.lb + 1e-9, problem.ub - 1e-9))
         assert ik_calls == [sc.human.name, sc.robot.name]
 
+    def test_key_ignores_what_does_not_pose(self, ik_calls):
+        # payload mass, task weights and seed do not move the postures,
+        # so scenarios differing only in them share one entry per agent
+        sc = make_scenario(heights=(0.9, 1.3))
+        sys = build_system(sc)
+        heights = np.array(sc.heights)
+        variants = [sc, dataclasses.replace(sc, payload_mass=12.0),
+                    dataclasses.replace(sc, weights=TaskWeights(cop=1.0)),
+                    dataclasses.replace(sc, seed=7)]
+        poses = [warm_start_configuration(v, sys, heights) for v in variants]
+        assert ik_calls == [sc.human.name, sc.robot.name]
+        assert scenario._agent_posture.cache_info().currsize == 2
+        for pose in poses[1:]:
+            for q, q0 in zip(pose.qs[:2], poses[0].qs):
+                assert q is q0
+
     def test_memo_is_bounded(self, ik_calls):
         sc = make_scenario(heights=(1.0,))
         sys = build_system(sc)
