@@ -49,8 +49,8 @@ From there the tangent is ``(height_dim + pi_dim, H, ...)`` and the
 constraint Jacobian stays block-sparse: each height's rows fill only
 that height's columns and the shared hardware columns.  Gradient,
 Jacobian rows and Gauss-Newton blocks are scattered height by height.
-``nlpsolver`` hands the Jacobian to the backend as a sparse matrix, so
-its projections factor a sparse system.
+``nlpsolver`` reads it dense: its projections eliminate the bound slacks
+in closed form and factor one m x m matrix over the equality rows.
 """
 
 from __future__ import annotations

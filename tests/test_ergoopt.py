@@ -665,11 +665,10 @@ class TestSolveFreeHardware:
 class TestSolve:
     """Short solves of the lifting problem.
 
-    trust-constr gets the constraint Jacobian sparse and projects through
-    the sparse augmented system.  Were that system singular, scipy would
-    warn "Singular Jacobian matrix. Using dense SVD..." and fall back to
-    the dense path; the tier-1 warning filter turns that warning into a
-    failure, so these solves also show that the problem factors sparsely.
+    The solver's projections eliminate the bound slacks in closed form
+    and invert the Schur complement over the equality rows; they raise
+    no warning, and the tier-1 warning filter would turn one into a
+    failure.
     """
 
     def test_deterministic(self, solved):
@@ -679,8 +678,9 @@ class TestSolve:
         assert a.task_values == b.task_values
 
     def test_report_fields_are_the_solvers(self, solved):
-        # a Solution is the solver's report, its stop message included,
-        # plus five fields of its own
+        # a Solution is the solver's report, its stop message and its
+        # trajectory of one iterate per iteration included, plus five
+        # fields of its own
         problem, sol, _ = solved
         names = [f.name for f in dataclasses.fields(SolverReport)]
         assert [f.name for f in dataclasses.fields(sol)] == names + [
@@ -688,6 +688,7 @@ class TestSolve:
         report = solve_nlp(problem, warm_start_vector(problem),
                            SolverOptions(max_iter=3))
         assert report.message and sol.message == report.message
+        assert len(report.trajectory) == report.iterations
         for name in names:
             np.testing.assert_equal(getattr(sol, name), getattr(report, name))
 

@@ -4,7 +4,8 @@ reaches in the program exists.
 No linter runs with the tests, so the first check stands in for the
 unused-import rule.  It reads each module with ``ast`` and does not
 import it.  ``__init__.py`` is skipped because its imports are
-re-exports.  Next to it, no line of the program or of its tests is
+re-exports.  Next to it, no module of the program imports scipy, which
+only the tests need, and no line of the program or of its tests is
 longer than 79 characters.  A second ``ast`` check holds every private
 (``_name``) module-level function, class or constant of ``ergolift`` to
 be referenced somewhere in the package, so a helper does not outlive
@@ -75,6 +76,36 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def scipy_imports(source):
+    """Lines of the source that import scipy or a module under it,
+    anywhere in the source (a function body included)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_scipy_imports():
+    source = ("import numpy\nimport scipy.sparse as sp\n"
+              "def f():\n    from scipy.optimize import minimize\n"
+              "from .scipyish import x\nimport scipyx\n")
+    assert scipy_imports(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/ergolift/*.py")),
+                         ids=lambda p: p.name)
+def test_program_imports_no_scipy(path):
+    # the program runs on numpy alone; scipy is a test dependency
+    assert scipy_imports(path.read_text()) == []
 
 
 MAX_LINE = 79
