@@ -1,7 +1,10 @@
 """Floating-base kinematic trees parametrized by link hardware.
 
 A ``Model`` is an ordered list of links connected by revolute joints,
-plus named attachment frames (hands, feet, grasp points).  Link geometry
+plus named attachment frames (hands, feet, grasp points).  A frame may
+carry a role, and ``Model.feet`` and ``Model.hands`` name the frames of
+the foot and hand roles, left then right, so that callers find a
+model's soles and palms without spelling their names.  Link geometry
 and inertia are functions of the per-link hardware (density, length
 multiplier).  Joint and frame offsets are given at unit multiplier;
 where poses are computed, their z component is scaled by the multiplier
@@ -99,12 +102,6 @@ E3 = np.array([0.0, 0.0, 1.0])
 # shared by every pose and Jacobian; read-only, so an in-place write raises
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
-
-ROLE_LEFT_FOOT = "left_foot"
-ROLE_RIGHT_FOOT = "right_foot"
-
-_FOOT_ROLES = (ROLE_LEFT_FOOT, ROLE_RIGHT_FOOT)
-
 
 class ModelError(ValueError):
     """Raised when a model violates a structural invariant."""
@@ -415,8 +412,18 @@ class Model:
         except KeyError:
             raise UnknownFrameError(f"unknown link {name!r}") from None
 
-    def frames_with_role(self, role):
-        return tuple(f.name for f in self.frames if f.role == role)
+    @property
+    def feet(self):
+        """Names of the frames of role "left_foot", then "right_foot"."""
+        return self._frames_with_roles("left_foot", "right_foot")
+
+    @property
+    def hands(self):
+        """Names of the frames of role "left_hand", then "right_hand"."""
+        return self._frames_with_roles("left_hand", "right_hand")
+
+    def _frames_with_roles(self, *roles):
+        return tuple(f.name for r in roles for f in self.frames if f.role == r)
 
     def joint_limits(self):
         lo = np.array([l.joint.limits[0] for l in self.links[1:]])
@@ -926,8 +933,7 @@ def com_height_null_config(model: Model):
     """
     tree = kinematics(model, Configuration.neutral(model))
     c, _ = com(tree)
-    feet = tuple(n for role in _FOOT_ROLES
-                 for n in model.frames_with_role(role))
+    feet = model.feet
     if not feet:
         return c[2]
     sole = tree.frame_points(feet)

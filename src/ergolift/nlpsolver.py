@@ -54,10 +54,10 @@ complement ``J diag(w) J^T`` onto the m equality rows (108 x 108 on the
 paper's problem), inverted once per accepted point.  The projections
 keep trust-constr's iterative refinement of the augmented system.
 
-Each point the loop visits costs one ``value_and_derivatives`` pass,
-and the problem's ``hessian`` at that point, which an ``ErgoProblem``
-serves from that pass; the loop holds its current, trial and
-second-order-correction passes and never calls the problem's ``value``.
+Each point the loop visits is one pass: one ``value_and_derivatives``
+call, and the problem's ``hessian`` at that point, which an
+``ErgoProblem`` serves from that pass.  The loop never calls the
+problem's ``value``.
 
 The code derives from scipy's trust-constr (the modules in
 scipy/optimize/_trustregion_constr and the BFGS update of
@@ -535,9 +535,10 @@ def solve_nlp(problem, y0, options: SolverOptions):
 
     ``problem`` is an ``ergoopt.ErgoProblem``: it provides ``lb``, ``ub``
     (finite), ``n_cons``, ``families``, ``value_and_derivatives`` and the
-    Gauss-Newton ``hessian`` (its ``value`` is never called).  Its rows
-    must be independent: rows whose Jacobian loses rank at an accepted
-    point raise numpy's ``LinAlgError``.
+    Gauss-Newton ``hessian`` (its ``value`` is never called).  It has
+    at least one row, and its rows must be independent: rows whose
+    Jacobian loses rank at an accepted point raise numpy's
+    ``LinAlgError``.
     Internally the variables are rescaled by a quarter of their bound
     range, so radians, meters and densities present comparable steps to
     the curvature model.  KKT stationarity is measured in the scaled
@@ -546,6 +547,8 @@ def solve_nlp(problem, y0, options: SolverOptions):
     lb, ub = problem.lb, problem.ub
     if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
         raise ValueError("solve_nlp needs finite bounds")
+    if not problem.n_cons:
+        raise ValueError("solve_nlp needs at least one row")
     s = _variable_scales(lb, ub)
     lb_z, ub_z = lb / s, ub / s
     # trust-constr widens each bound by one unit in the last place
@@ -557,18 +560,11 @@ def solve_nlp(problem, y0, options: SolverOptions):
         f, g, c, J = problem.value_and_derivatives(y)
         return _Point(x, y, f, g * s, c, J * s, problem.hessian(y))
 
-    def at(x, *held):
-        """The pass at x: one of the held ones, or a new one."""
-        for p in held:
-            if np.array_equal(p.x, x):
-                return p
-        return evaluate(x)
-
     def kkt(point):
         return kkt_residual(point.g, point.J, point.y / s, lb_z, ub_z)
 
     def violation(point):
-        return float(np.abs(point.c).max()) if m else 0.0
+        return float(np.abs(point.c).max())
 
     def barrier_value(point, t):
         # a slack at or below zero makes the barrier infinite
@@ -581,7 +577,7 @@ def solve_nlp(problem, y0, options: SolverOptions):
 
     x0 = np.clip(np.asarray(y0, dtype=float), lb, ub) / s
     cur = evaluate(x0)
-    curvature = _CurvatureModel(cur) if m else None
+    curvature = _CurvatureModel(cur)
     t = np.maximum(-1.5 * np.concatenate([x0 - hi, lo - x0]), 1.0)
     mu = tolerance = BARRIER_INIT
     radius = 1.0
@@ -593,8 +589,7 @@ def solve_nlp(problem, y0, options: SolverOptions):
     message = None
     while True:
         # one barrier subproblem, by Byrd-Omojokun trust-region SQP
-        if curvature:
-            curvature.move(cur)
+        curvature.move(cur)
         penalty = 1.0
         fb, b = barrier_value(cur, t), barrier_rows(cur, t)
         accepted, cg_iterations = True, 0
@@ -605,8 +600,7 @@ def solve_nlp(problem, y0, options: SolverOptions):
                 v = -proj.least_squares(grad)
                 hess = (cur.gauss_newton * s) * s[:, None]
                 slack_hess = np.where(v[m:] > 0, v[m:] * t, mu)
-                if curvature:
-                    curvature.multipliers(v[:m])
+                curvature.multipliers(v[:m])
                 optimality = float(np.abs(grad + proj.apply_t(v)).max())
                 b_viol = float(np.abs(b).max())
             trajectory.append(Iterate(float(cur.f), violation(cur),
@@ -629,7 +623,7 @@ def solve_nlp(problem, y0, options: SolverOptions):
                 break
 
             # the live BFGS model: a rejected trial point has updated it
-            hx = hess + curvature.B if curvature else hess
+            hx = hess + curvature.B
 
             def hess_dot(p):
                 return np.concatenate([hx @ p[:n], slack_hess * p[n:]])
@@ -651,12 +645,11 @@ def solve_nlp(problem, y0, options: SolverOptions):
             predicted = -model + penalty * vpred
             merit = fb + penalty * _norm(b)
 
-            def trial(step, *held):
+            def trial(step):
                 """Pass, slacks, barrier value, rows and reduction ratio
                 of the point ``step`` away (the slacks move by t * step)."""
-                point = at(cur.x + step[:n], cur, *held)
-                if curvature:
-                    curvature.move(point)
+                point = evaluate(cur.x + step[:n])
+                curvature.move(point)
                 t_next = t + t * step[n:]
                 fb_next = barrier_value(point, t_next)
                 b_next = barrier_rows(point, t_next)
@@ -672,7 +665,7 @@ def solve_nlp(problem, y0, options: SolverOptions):
                 y = -proj.row_space(nxt[3])
                 _, tau, intersect = _box_intersections(d, y, trust_lb,
                                                        trust_ub)
-                soc = trial(d + tau * y, nxt[0])
+                soc = trial(d + tau * y)
                 if intersect and soc[4] >= SUFFICIENT_REDUCTION_RATIO:
                     nxt = soc
                     ratio = soc[4]
@@ -694,8 +687,7 @@ def solve_nlp(problem, y0, options: SolverOptions):
             accepted = ratio >= SUFFICIENT_REDUCTION_RATIO
             if accepted:
                 cur, t, fb, b = nxt[:4]
-                if curvature:
-                    curvature.move(cur)
+                curvature.move(cur)
             else:
                 penalty = previous_penalty
         if message:

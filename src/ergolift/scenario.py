@@ -1,14 +1,14 @@
 """Lifting scenario: two agents, a shared payload, target heights.
 
-Builds the coupled system (environment contacts at the four soles,
-rigid grasps pairing each hand with a payload grasp point) and provides
-the deterministic warm-start generator: a damped least-squares inverse
-kinematics pass that plants the feet, reaches the hands toward their
-grasp points, and crouches as needed.  Every scenario lifts the same
-``PAYLOAD_SIZE`` box, holds it at the ``default_grasps`` points of its
-agent models (derived from the models, not stored) and prefers the
-``PREFERRED_DENSITIES`` materials; its payload mass, heights, task
-weights and jitter seed are its own.
+Builds the coupled system (environment contacts at the agents'
+``Model.feet``, rigid grasps pairing each of their ``Model.hands`` with a
+payload grasp point) and provides the deterministic warm-start
+generator: a damped least-squares inverse kinematics pass that plants
+the feet, reaches the hands toward their grasp points, and crouches as
+needed.  Every scenario lifts the same ``PAYLOAD_SIZE`` box, holds it
+at the ``default_grasps`` points of its agent models (derived from the
+models, not stored) and prefers the ``PREFERRED_DENSITIES`` materials;
+its payload mass, heights, task weights and jitter seed are its own.
 
 The inverse kinematics runs on a stack of postures, one per target
 height: each iteration takes one whole-tree kinematics pass, one batched
@@ -35,7 +35,9 @@ these on a miss.  Scenarios that differ only in their payload mass,
 task weights or jitter seed, such as repeated solves of one scenario,
 so run the inverse kinematics once.  The memo keeps each posture's
 ``IKReach`` with it, and hands out the same arrays to every caller, so
-they are read-only.
+they are read-only.  The memo is the ``functools.lru_cache`` of
+``_agent_posture``: ``scenario._agent_posture.cache_clear`` empties it,
+and ``scenario._agent_posture.cache_info`` counts its hits and misses.
 """
 
 from __future__ import annotations
@@ -120,8 +122,7 @@ def default_grasps(agent: Model, side: float) -> tuple:
     """
     q = Configuration.neutral(agent)
     tree = kinematics(agent, q)
-    hl, hr = tree.frame_points((agent.frames_with_role("left_hand")[0],
-                                agent.frames_with_role("right_hand")[0]))
+    hl, hr = tree.frame_points(agent.hands)
     half = min(abs(float(hl[1] - hr[1])) / 2.0, 0.45 * PAYLOAD_SIZE[0])
     y = side * PAYLOAD_SIZE[1] / 2.0
     z = PAYLOAD_SIZE[2] / 2.0
@@ -149,15 +150,12 @@ def build_system(scenario: Scenario) -> CoupledSystem:
     for names, pts in zip(GRASP_FRAMES, scenario.grasps):
         points[names[0]], points[names[1]] = pts
     payload = build_payload(PAYLOAD_SIZE, scenario.payload_mass, points)
-    env = tuple((a, s) for a in (0, 1) for s in ("sole_left", "sole_right"))
     agents = (scenario.human, scenario.robot)
-    grasps = tuple(
-        GraspPair(agent, agents[agent].frames_with_role(f"{side}_hand")[0],
-                  GRASP_FRAMES[agent][k])
-        for agent in (0, 1) for k, side in enumerate(("left", "right")))
-    return CoupledSystem(agents=(scenario.human, scenario.robot),
-                         payload=payload, env_contacts=env, grasps=grasps,
-                         parametrized_agent=1)
+    env = tuple((a, sole) for a in (0, 1) for sole in agents[a].feet)
+    grasps = tuple(GraspPair(a, hand, grasp) for a in (0, 1) for hand, grasp
+                   in zip(agents[a].hands, GRASP_FRAMES[a], strict=True))
+    return CoupledSystem(agents=agents, payload=payload, env_contacts=env,
+                         grasps=grasps, parametrized_agent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +198,22 @@ IK_FOOT_WEIGHT = 4.0
 IK_HAND_WEIGHT = 2.0
 
 
-def _ik_solve(model, q0, feet, p_feet, R_feet, hands, p_hands, s_ref):
+def _ik_solve(model, q0, p_feet, R_feet, p_hands, s_ref):
     """Damped least-squares IK holding the feet and reaching the hands.
 
-    The ``feet`` frames are held at positions ``p_feet`` ``(..., F, 3)``
-    and the one rotation ``R_feet``, the ``hands`` frames reach the
-    points ``p_hands`` ``(..., 2, 3)``, and ``s_ref`` is the joints'
-    reference posture.  ``q0`` may stack postures; the target positions
-    stack with it.  Each iteration takes the Jacobians and points of
-    every target frame, feet first, from one batched ``frame_jacobian``
-    and ``frame_points`` call, and the rotations of the feet alone; a
-    hand uses only the linear rows.  Each posture's step is solved and
-    clipped to length 0.5 on its own, and every posture takes its step
-    in every iteration.  Deterministic: the loop ends once every posture
-    of the stack has taken a step of at most ``IK_STEP_TOL`` in the same
-    iteration, or after ``IK_ITERS`` iterations.
+    The model's ``Model.feet`` frames are held at positions ``p_feet``
+    ``(..., F, 3)`` and the one rotation ``R_feet``, its ``Model.hands``
+    frames reach the points ``p_hands`` ``(..., 2, 3)``, and ``s_ref`` is
+    the joints' reference posture.  ``q0`` may stack postures; the target
+    positions stack with it.  Each iteration takes the Jacobians and
+    points of every target frame, feet first, from one batched
+    ``frame_jacobian`` and ``frame_points`` call, and the rotations of
+    the feet alone; a hand uses only the linear rows.  Each posture's
+    step is solved and clipped to length 0.5 on its own, and every
+    posture takes its step in every iteration.  Deterministic: the loop
+    ends once every posture of the stack has taken a step of at most
+    ``IK_STEP_TOL`` in the same iteration, or after ``IK_ITERS``
+    iterations.
 
     Returns ``(q, converged, error)``: the reached configuration, whether
     each posture's last step was at most ``IK_STEP_TOL``, and each
@@ -228,6 +227,7 @@ def _ik_solve(model, q0, feet, p_feet, R_feet, hands, p_hands, s_ref):
     lo, hi = lo + 1e-3, hi - 1e-3
     damping = IK_DAMPING * np.eye(6 + n)
     batch = np.shape(q0.s)[:-1]
+    feet, hands = model.feet, model.hands
     frames = (*feet, *hands)
     n_pose = len(feet)
     p_t = np.concatenate([p_feet, p_hands], axis=-2)
@@ -302,14 +302,10 @@ def _agent_warm_start(model, side, grasp_world):
         np.broadcast_to(R0, batch + (3, 3)),
         np.broadcast_to(s0, batch + s0.shape))
 
-    feet = tuple(name for role in ("left_foot", "right_foot")
-                 for name in model.frames_with_role(role))
     # each foot is held where it starts, on the ground
-    p_feet = kinematics(model, q0).frame_points(feet)
+    p_feet = kinematics(model, q0).frame_points(model.feet)
     p_feet[..., 2] = 0.0
-    hands = (model.frames_with_role("left_hand")[0],
-             model.frames_with_role("right_hand")[0])
-    return _ik_solve(model, q0, feet, p_feet, R0, hands, grasp_world, s_ref)
+    return _ik_solve(model, q0, p_feet, R0, grasp_world, s_ref)
 
 
 # agent postures the warm-start memo keeps; solving one scenario again
@@ -347,11 +343,6 @@ def _agent_posture(model, side, shape, heights):
     for a in (q.base_pos, q.base_rot, q.s, converged, error):
         a.flags.writeable = False
     return q, IKReach(converged, error)
-
-
-def clear_warm_start_memo():
-    """Forget every memoized warm-start posture."""
-    _agent_posture.cache_clear()
 
 
 def _agent_postures(scenario: Scenario, heights):

@@ -190,7 +190,7 @@ def build_payload(size, mass, grasp_points) -> Model:
     volume = w * h * d
     link = Link("payload", Box(w, h, d), LinkHardware(mass / volume))
     frames = tuple(
-        FrameDef(name, 0, np.asarray(p, float), NO_RPY.copy(), role="grasp")
+        FrameDef(name, 0, np.asarray(p, float), NO_RPY.copy())
         for name, p in grasp_points.items())
     return Model(name="payload", links=(link,), frames=frames).validate()
 
@@ -203,13 +203,11 @@ def stance_dimensions(model: Model) -> tuple:
     the shoulder-to-palm distance of the straight left arm.
     """
     tree = kinematics(model, Configuration.neutral(model))
-    soles = tree.frame_points(tuple(
-        n for role in ("left_foot", "right_foot")
-        for n in model.frames_with_role(role)))
+    soles = tree.frame_points(model.feet)
     base = -float(np.mean(soles[:, 2])) if soles.size else 0.0
     z = [tree.pos[model.link_index(f"shoulder_{s}")][2]
          for s in ("left", "right")]
     sh = tree.pos[model.link_index("shoulder_left")]
-    [hand] = tree.frame_points(model.frames_with_role("left_hand")[:1])
+    [hand] = tree.frame_points(model.hands[:1])
     reach = float(np.linalg.norm(hand - sh))
     return base, float(np.mean(z)) + base, reach

@@ -20,4 +20,4 @@ def rng():
 def empty_warm_start_memo():
     """Each test starts from an empty warm-start memo, so the order the
     tests run in cannot change what they see."""
-    scenario.clear_warm_start_memo()
+    scenario._agent_posture.cache_clear()

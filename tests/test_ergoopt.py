@@ -662,6 +662,16 @@ class TestSolveFreeHardware:
             assert rho_lo <= hw["density"] <= rho_hi
 
 
+    def test_warm_start_keeps_the_nominal_hardware(self, solved_free):
+        # the warm start is clipped to 1e-9 inside the bounds, which
+        # leaves the template's nominal group hardware as it is
+        problem, _, _ = solved_free
+        y0 = warm_start_vector(problem)
+        assert problem.group_values(y0) == problem.nominal_groups
+        assert problem.nominal_groups == \
+            problem.system.parametrized_model.group_hardware()
+
+
 class TestSolve:
     """Short solves of the lifting problem.
 

@@ -28,7 +28,11 @@ one-value switches: a parameter of a function in ``src/`` whose literal
 default no call in ``src/`` or ``perfbench/`` uses, every call passing
 it by keyword with one same other literal.  Calls in the tests do not
 count, since a switch kept only for them is still one code path too
-many.
+many.  A sixth holds the role strings of the foot and hand frames to
+``templates``, which assigns them, and to the ``Model`` lookup, and the
+templates' frame names out of ``scenario``, ``ergoopt`` and
+``coupled``, which find a model's soles and palms through
+``Model.feet`` and ``Model.hands``.
 
 The benchmark under ``perfbench/`` is only read, also with ``ast``: the
 functions its traced runs rebind by name (``tracing.TRACED``) and the
@@ -44,6 +48,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from ergolift import templates
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -307,6 +313,60 @@ def test_docstring_references_resolve():
     assert stale_references(sources) == []
 
 
+def spelled_strings(sources, words):
+    """``(module, owner, word)`` of each string literal in ``sources``
+    (module name to source) that is one of ``words``; ``owner`` is the
+    module-level function or class it is written in ("" outside them).
+    A literal counts only when it is the whole word, so a docstring or
+    an f-string piece that mentions one does not."""
+    out = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", "")
+            out += [(module, owner, n.value) for n in ast.walk(top)
+                    if isinstance(n, ast.Constant)
+                    and isinstance(n.value, str) and n.value in words]
+    return sorted(out)
+
+
+def test_detects_spelled_strings():
+    sources = {"a": 'ROLE = "left_foot"\n\n'
+                    'class Model:\n'
+                    '    def feet(self):\n'
+                    '        """The "left_foot" frames."""\n'
+                    '        return ("left_foot", "right_foot")\n\n'
+                    'def f(side):\n'
+                    '    return f"{side}_foot", "sole_left"\n'}
+    assert spelled_strings(sources, {"left_foot", "right_foot",
+                                     "sole_left"}) == [
+        ("a", "", "left_foot"), ("a", "Model", "left_foot"),
+        ("a", "Model", "right_foot"), ("a", "f", "sole_left")]
+
+
+ROLES = ("left_foot", "right_foot", "left_hand", "right_hand")
+
+
+def test_roles_are_spelled_by_templates_and_the_model_lookup():
+    # templates assigns the roles and Model looks them up; every other
+    # reader asks the model for its feet and hands
+    sources = {p.stem: p.read_text()
+               for p in sorted(ROOT.glob("src/ergolift/*.py"))}
+    found = [(m, o, w) for m, o, w in spelled_strings(sources, ROLES)
+             if m != "templates"]
+    assert {(m, o) for m, o, _ in found} == {("multibody", "Model")}
+    assert {w for _, _, w in found} == set(ROLES)
+
+
+def test_coupling_spells_no_template_frame_name():
+    names = {f.name for build in (templates.default_human,
+                                  templates.default_robot)
+             for f in build().frames}
+    assert {"sole_left", "palm_right"} <= names
+    sources = {m: (ROOT / "src" / "ergolift" / f"{m}.py").read_text()
+               for m in ("scenario", "ergoopt", "coupled")}
+    assert spelled_strings(sources, names) == []
+
+
 def resolve(module, attr):
     """``ergolift.<module>.<attr>``, where attr may be ``Class.method``."""
     owner = importlib.import_module(f"ergolift.{module}")
@@ -395,8 +455,6 @@ TEST_SUPPORT = {
         "the reference total the CoM and payload tests check against",
     "multibody.random_configuration":
         "draws the random postures of the kinematics and statics tests",
-    "scenario.clear_warm_start_memo":
-        "lets the memo tests count inverse kinematics passes afresh",
     "scenario.warm_start_report":
         "says per height how far the warm-start IK reached (ROADMAP 5, 7)",
     "shapes.voxel_inertia_oracle":

@@ -863,6 +863,18 @@ class TestApplyHardware:
             assert (bounds.length_multiplier[0] <= lm
                     <= bounds.length_multiplier[1]), g.name
 
+    @pytest.mark.parametrize("build", [default_robot, default_human])
+    def test_template_links_carry_hardware_inside_their_bounds(self, build):
+        # a model's own hardware is not checked when it is built, so the
+        # templates' must be held inside their bounds here
+        model = build()
+        rho_lo, rho_hi = model.bounds.density
+        lm_lo, lm_hi = model.bounds.length_multiplier
+        for link in model.links:
+            hw = link.hardware
+            assert rho_lo <= hw.density <= rho_hi, link.name
+            assert lm_lo <= hw.length_multiplier <= lm_hi, link.name
+
     def test_apply_hardware_shares_joints_frames_and_untouched_links(self):
         robot = default_robot()
         values = {g.name: (1000.0 + 500.0 * k, 0.8 + 0.1 * k)

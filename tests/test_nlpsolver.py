@@ -339,6 +339,23 @@ class TestStepPieces:
         with pytest.raises(np.linalg.LinAlgError):
             solve_nlp(Doubled(), np.zeros(2), SolverOptions(max_iter=5))
 
+    def test_rowless_problem_is_refused(self):
+        # a problem has at least one row; without rows there is no
+        # Schur complement to invert, and the refusal comes before the
+        # first pass
+        class Rowless(CountingProjection):
+            n_cons = 0
+            families = ()
+
+            def value_and_derivatives(self, y):
+                cost, grad, _, _ = super().value_and_derivatives(y)
+                return cost, grad, np.zeros(0), np.zeros((0, 2))
+
+        p = Rowless()
+        with pytest.raises(ValueError, match="at least one row"):
+            solve_nlp(p, np.zeros(2), SolverOptions(max_iter=5))
+        assert p.passes == []
+
     def test_trajectory_holds_one_iterate_per_iteration(self):
         p = BoxedProjection()
         rep = solve_nlp(p, np.array([3.0, -3.0]), SolverOptions(max_iter=7))

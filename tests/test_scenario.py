@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ergolift import ergoopt, scenario
+from ergolift import coupled, ergoopt, scenario
 from ergolift.ergoopt import assemble_nlp, warm_start_vector
 from ergolift.multibody import apply_hardware, group_params
 from ergolift.scenario import TaskWeights, build_system, make_scenario, \
@@ -68,7 +68,7 @@ class TestWarmStartMemo:
         assert ik_calls == [sc.human.name, sc.robot.name]
         again = warm_start_configuration(sc, sys, heights)
         assert len(ik_calls) == 2
-        scenario.clear_warm_start_memo()
+        scenario._agent_posture.cache_clear()
         uncached = warm_start_configuration(sc, sys, heights)
         assert len(ik_calls) == 4
         for q1, q2, q3 in zip(first.qs, again.qs, uncached.qs):
@@ -214,7 +214,7 @@ class TestWarmStartReport:
         warm_start_configuration(sc, sys, heights)
         reach = scenario.warm_start_report(sc, heights)
         assert len(ik_calls) == 2
-        scenario.clear_warm_start_memo()
+        scenario._agent_posture.cache_clear()
         assert scenario.warm_start_report(sc, heights)[0].error.shape == (2,)
         warm_start_configuration(sc, sys, heights)
         assert len(ik_calls) == 4
@@ -248,6 +248,43 @@ class TestGrasps:
             for name in FIELDS:
                 np.testing.assert_array_equal(getattr(q2, name),
                                               getattr(q1, name))
+
+
+def renamed_frames(model):
+    """The model with every frame renamed and its role kept."""
+    return dataclasses.replace(model, frames=tuple(
+        dataclasses.replace(f, name=f"renamed_{f.name}")
+        for f in model.frames))
+
+
+class TestRoles:
+    def test_coupling_and_warm_start_follow_roles(self):
+        """Soles and palms are found by their roles: with every frame of
+        both agents renamed, ``build_system`` couples the renamed frames,
+        and the warm start and its statics are those of the named
+        frames."""
+        named = make_scenario(heights=(1.0,))
+        renamed = dataclasses.replace(named, human=renamed_frames(named.human),
+                                      robot=renamed_frames(named.robot))
+        systems = [build_system(sc) for sc in (named, renamed)]
+        sides = ("left", "right")
+        assert systems[1].env_contacts == tuple(
+            (a, f"renamed_sole_{side}") for a in (0, 1) for side in sides)
+        assert [(g.agent, g.agent_frame, g.payload_frame)
+                for g in systems[1].grasps] == [
+            (a, f"renamed_palm_{side}", frame) for a in (0, 1)
+            for side, frame in zip(sides, scenario.GRASP_FRAMES[a])]
+        poses = [warm_start_configuration(sc, s, 1.0)
+                 for sc, s in zip((named, renamed), systems)]
+        for q1, q2 in zip(*(p.qs for p in poses)):
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(q2, name),
+                                              getattr(q1, name))
+        statics = [coupled.evaluate_statics(s, q)
+                   for s, q in zip(systems, poses)]
+        np.testing.assert_array_equal(statics[1].tau, statics[0].tau)
+        np.testing.assert_array_equal(statics[1].wrenches,
+                                      statics[0].wrenches)
 
 
 class TestScenarioValidation:
